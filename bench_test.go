@@ -169,24 +169,6 @@ func BenchmarkSingleRunFFT(b *testing.B) {
 	}
 }
 
-// BenchmarkSingleRunGaussPDES is BenchmarkSingleRunGauss through the
-// -pdes 8 path: the same workload on an 8-shard group. Because the
-// machine model's zero-latency couplings pin every node to shard 0
-// (see machine.DeriveLookahead), this measures the cost of the PDES
-// window protocol around an effectively serial run — compare against
-// BenchmarkSingleRunGauss to see the (small) overhead of the group.
-func BenchmarkSingleRunGaussPDES(b *testing.B) {
-	kind, mode := nwcache.Standard, nwcache.Optimal
-	cfg := nwcache.ApplyPaperMinFree(benchCfg(), kind, mode)
-	for i := 0; i < b.N; i++ {
-		res, err := nwcache.RunPDES("gauss", kind, mode, cfg, 8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.ExecTime), "sim-pcycles")
-	}
-}
-
 // --- substrate microbenchmarks ---
 
 // BenchmarkEngineEventThroughput measures raw event dispatch.

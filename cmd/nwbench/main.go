@@ -69,7 +69,6 @@ func main() {
 		report      = flag.Bool("report", false, "emit a markdown paper-vs-measured report")
 		jobs        = flag.Int("j", runtime.GOMAXPROCS(0), "max simulations to run concurrently")
 		par         = flag.Bool("par", false, "pipeline op-stream generation on worker goroutines (byte-identical results)")
-		pdes        = flag.Int("pdes", 0, "run each simulation on a PDES shard group of this width (0 = serial engine; byte-identical results)")
 		traceOut    = flag.String("trace-out", "", "write a Chrome trace-event JSON (one process per simulation) to this file")
 		manifestOut = flag.String("manifest-out", "", "write a run-manifest JSON (params, seed, merged metrics, stdout digest) to this file")
 		seriesOut   = flag.String("series-out", "", "write per-simulation time-series telemetry to this file (NDJSON, or CSV with a .csv suffix)")
@@ -96,15 +95,11 @@ func main() {
 	}
 	defer writeMemProfile(*memprofile)
 
-	if *pdes < 0 {
-		fatal(fmt.Errorf("-pdes must be >= 0 (0 = serial engine), got %d", *pdes))
-	}
 	cfg := core.DefaultConfig()
 	cfg.Scale = *scale
 	cfg.Seed = *seed
 	suite := exp.NewSuiteOn(cfg, pool.New(*jobs))
 	suite.Par = *par
-	suite.PDES = *pdes
 	if !*quiet {
 		suite.Progress = func(label string) {
 			fmt.Fprintf(os.Stderr, "running %s...\n", label)

@@ -29,7 +29,6 @@ import (
 	"nwcache/internal/core"
 	"nwcache/internal/exp/pool"
 	"nwcache/internal/fault"
-	"nwcache/internal/machine"
 	"nwcache/internal/obs"
 	"nwcache/internal/param"
 )
@@ -66,7 +65,6 @@ func main() {
 		watch      = flag.Bool("watch", false, "render a live ANSI telemetry dashboard on stderr while the run executes")
 		httpAddr   = flag.String("http", "", "serve live telemetry over HTTP on this address (/metrics Prometheus text, /series NDJSON stream)")
 		par        = flag.Bool("par", false, "pipeline op-stream generation on worker goroutines (byte-identical results)")
-		pdes       = flag.Int("pdes", 0, "run the simulation on a PDES shard group of this width (0 = serial engine; byte-identical results)")
 		faultPlan  = flag.String("fault-plan", "", "fault-plan spec file (see internal/fault); empty = no fault injection")
 		faultSeed  = flag.Int64("fault-seed", 1, "seed for the fault injector's dedicated PRNG stream")
 		recovery   = flag.String("recovery", "", "recovery policy: aggressive (paper default) or conservative")
@@ -128,9 +126,6 @@ func main() {
 		}
 		return
 	}
-	if *pdes < 0 {
-		fatal(fmt.Errorf("-pdes must be >= 0 (0 = serial engine), got %d", *pdes))
-	}
 
 	var kind core.Kind
 	switch *machineF {
@@ -191,7 +186,7 @@ func main() {
 		if injector != nil {
 			fatal(fmt.Errorf("-fault-plan/-recovery require a single run (-seeds 1)"))
 		}
-		agg, err := pool.RunSeeds(pool.New(*jobs), *app, kind, mode, cfg, *seeds, *par, *pdes)
+		agg, err := pool.RunSeeds(pool.New(*jobs), *app, kind, mode, cfg, *seeds, *par)
 		if err != nil {
 			fatal(err)
 		}
@@ -212,12 +207,7 @@ func main() {
 	if *par {
 		prog = core.Parallelize(prog, cfg)
 	}
-	var m *machine.Machine
-	if *pdes >= 1 {
-		m, err = core.NewPDESMachine(cfg, kind, mode, *pdes)
-	} else {
-		m, err = core.NewMachine(cfg, kind, mode)
-	}
+	m, err := core.NewMachine(cfg, kind, mode)
 	if err != nil {
 		fatal(err)
 	}

@@ -114,7 +114,6 @@ func main() {
 		merge    = flag.Bool("merge", false, "merge completed shard outputs instead of running (grid mode)")
 		shards   = flag.Int("shards", 1, "total shard count for -merge")
 		par      = flag.Bool("par", false, "pipelined op-stream generation for fresh cells (grid mode)")
-		pdes     = flag.Int("pdes", 0, "windowed PDES shard-group width for fresh cells (grid mode)")
 		events   = flag.String("events-out", "", "write the shard's lifecycle event stream to this NDJSON file (grid mode)")
 
 		cellBudget  = flag.Duration("cell-budget", 0, "wall-clock budget per cell; over-budget cells are aborted and quarantined (grid mode; 0 = unlimited)")
@@ -131,7 +130,7 @@ func main() {
 		os.Exit(runGrid(gridOpts{
 			specPath: *gridSpec, dir: *dir, shardSpec: *shard, cacheDir: *cacheDir,
 			jobs: *jobs, maxCells: *maxCells, shards: *shards,
-			doMerge: *merge, par: *par, pdes: *pdes, quiet: *quiet, eventsOut: *events,
+			doMerge: *merge, par: *par, quiet: *quiet, eventsOut: *events,
 			cellBudget: *cellBudget, cellStall: *cellStall, retryPoison: *retryPoison,
 			ioRetries: *ioRetries,
 			chaosFS:   *chaosFS, chaosSeed: *chaosSeed, chaosPanic: *chaosPanic,
@@ -465,9 +464,7 @@ func main() {
 type gridOpts struct {
 	specPath, dir, shardSpec, cacheDir string
 	jobs, maxCells, shards             int
-	doMerge, par                       bool
-	pdes                               int
-	quiet                              bool
+	doMerge, par, quiet                bool
 	eventsOut                          string
 
 	cellBudget, cellStall time.Duration
@@ -556,7 +553,6 @@ func runGrid(o gridOpts) int {
 		CacheDir:    o.cacheDir,
 		MaxFresh:    o.maxCells,
 		Par:         o.par,
-		Pdes:        o.pdes,
 		FS:          fsys,
 		Guard:       guard.CellGuard{Budget: o.cellBudget, Stall: o.cellStall},
 		RetryPoison: o.retryPoison,

@@ -291,18 +291,6 @@ func NewDirectory() *Directory {
 	return &Directory{}
 }
 
-// CrossNodeLatencyFloor returns the directory's contribution to the PDES
-// lookahead derivation (machine.DeriveLookahead) — and it is zero, by
-// the model's own design: the directory is shared memory, not a message
-// protocol. A Write on one node reads the sharer mask, orders
-// invalidations, and applies them to every remote cache filter within
-// the same simulated instant (the latency cost is charged to the
-// *accessing* node's pcycle budget, not transported as events). A zero
-// floor means directory state couples all nodes into one PDES shard:
-// there is no interval during which a window could safely let two nodes
-// that share blocks run concurrently.
-func (d *Directory) CrossNodeLatencyFloor() int64 { return 0 }
-
 // slot returns the slot for block k, growing the table on demand (same
 // amortized-growth shape as vm.Table).
 func (d *Directory) slot(k int64) *dirSlot {

@@ -164,15 +164,6 @@ func NewMachine(cfg Config, kind Kind, mode PrefetchMode) (*machine.Machine, err
 	return machine.New(cfg, kind, mode)
 }
 
-// NewPDESMachine builds a machine for windowed PDES execution on a shard
-// group of the given width (the -pdes N path). Results are byte-identical
-// to NewMachine for every configuration and fault plan; see
-// machine.NewPDES for the lookahead derivation that decides the
-// node→shard mapping.
-func NewPDESMachine(cfg Config, kind Kind, mode PrefetchMode, shards int) (*machine.Machine, error) {
-	return machine.NewPDES(cfg, kind, mode, shards)
-}
-
 // Cell identifies one simulation of the evaluation space completely: a
 // built-in application, a machine kind, a prefetch mode, the full
 // configuration, and any ablation switches. Cells are the unit of
@@ -209,21 +200,12 @@ type Cell struct {
 	// either may serve a memoized request for the other.
 	Par bool `json:"-"`
 
-	// Pdes, when >= 1, runs the cell under windowed PDES execution on a
-	// shard group of that width (machine.NewPDES; composes with Par —
-	// generation pipelining and engine sharding are independent layers).
-	// Excluded from Key for the same reason as Par: a PDES run is
-	// byte-identical to a serial one by construction, so either may
-	// serve a memoized request for the other.
-	Pdes int `json:"-"`
-
 	// Probe, when non-nil, is the supervision progress probe attached to
-	// the machine before the run (machine.AttachProgress): the engine
-	// publishes its clock through it and honors watchdog aborts at probe
-	// boundaries. Excluded from Key on purpose: supervision never
-	// changes a result — an aborted cell produces an error, not a
-	// Result, so nothing wrong is ever memoized. Serial engines only
-	// (see machine.AttachProgress for the PDES caveat).
+	// the machine's engine before the run (sim.Engine.AttachProgress):
+	// the engine publishes its clock through it and honors watchdog
+	// aborts at probe boundaries. Excluded from Key on purpose:
+	// supervision never changes a result — an aborted cell produces an
+	// error, not a Result, so nothing wrong is ever memoized.
 	Probe *sim.Progress `json:"-"`
 }
 
@@ -240,12 +222,7 @@ func (c Cell) Run() (*Result, error) {
 	if c.RRDrain {
 		kind = NWCache
 	}
-	var m *machine.Machine
-	if c.Pdes >= 1 {
-		m, err = machine.NewPDES(c.Cfg, kind, c.Mode, c.Pdes)
-	} else {
-		m, err = machine.New(c.Cfg, kind, c.Mode)
-	}
+	m, err := machine.New(c.Cfg, kind, c.Mode)
 	if err != nil {
 		return nil, err
 	}
@@ -268,7 +245,7 @@ func (c Cell) Run() (*Result, error) {
 		m.AttachFaults(fault.NewInjector(plan, c.FaultSeed, policy))
 	}
 	if c.Probe != nil {
-		m.AttachProgress(c.Probe)
+		m.E.AttachProgress(c.Probe)
 	}
 	if c.Obs != nil {
 		c.Obs(c, m)

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"reflect"
 	"testing"
+
+	"nwcache/internal/sim"
 )
 
 // fastCfg shrinks the machine and workload for quick end-to-end tests.
@@ -109,6 +112,28 @@ func TestNewMachineExposesSubstrates(t *testing.T) {
 	}
 	if std.Ring != nil {
 		t.Fatal("standard machine grew a ring")
+	}
+}
+
+// TestCellProbeAttached checks the Cell→engine probe hand-off: a cell
+// run with Probe set publishes the simulated clock through it, and the
+// probe leaves the result unchanged.
+func TestCellProbeAttached(t *testing.T) {
+	c := Cell{App: "sor", Kind: NWCache, Mode: Naive, Cfg: fastCfg()}
+	want, err := c.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Probe = &sim.Progress{Every: 1000}
+	got, err := c.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Probe.SimNow() <= 0 {
+		t.Fatal("probe never saw the simulated clock advance")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("attaching a probe changed the result")
 	}
 }
 

@@ -555,15 +555,6 @@ func (d *Disk) DirtySlots() int {
 // PendingNACKs returns the depth of the NACK FIFO.
 func (d *Disk) PendingNACKs() int { return len(d.nackFIFO) }
 
-// MinServiceLatency returns the controller's fixed firmware overhead —
-// the minimum pcycles between any request reaching the controller and
-// the earliest externally visible response (an ACK/NACK decision, a
-// cache hit's data, or the OK that follows a NACK). It is the disk's
-// contribution to the PDES lookahead derivation (machine.DeriveLookahead
-// composes it with two mesh control transits into the NACK→OK round-trip
-// floor).
-func (d *Disk) MinServiceLatency() int64 { return d.ctrlOverhead }
-
 // writebackLoop drains dirty slots to the media, combining consecutive
 // blocks into single accesses, and releases OKs for NACKed writes as room
 // appears.

@@ -37,12 +37,6 @@ type Suite struct {
 	// parallel fast path). Results are byte-identical either way, so it
 	// does not affect memoization. Set it before the first submission.
 	Par bool
-	// PDES, when >= 1, runs every cell under windowed PDES execution on
-	// a shard group of that width (machine.NewPDES). Byte-identical to
-	// serial and independent of Par — the two compose: Par pipelines
-	// op-stream generation, PDES shards the event engine, and the pool
-	// parallelizes across cells above both. Set before first submission.
-	PDES int
 }
 
 // NewSuite creates an empty suite over the given base configuration. The
@@ -100,7 +94,7 @@ func (s *Suite) Pool() *pool.Pool {
 // paper's per-configuration minimum-free-frames floor.
 func (s *Suite) cell(app string, kind core.Kind, mode core.PrefetchMode) core.Cell {
 	return core.Cell{App: app, Kind: kind, Mode: mode,
-		Cfg: core.ApplyPaperMinFree(s.cfg, kind, mode), Obs: s.Observe, Par: s.Par, Pdes: s.PDES}
+		Cfg: core.ApplyPaperMinFree(s.cfg, kind, mode), Obs: s.Observe, Par: s.Par}
 }
 
 // submit schedules one cell, reporting progress if it is fresh work.

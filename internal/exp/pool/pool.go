@@ -336,11 +336,8 @@ func (p *Pool) Observe(sc *obs.Scope) {
 // ...) through the pool and aggregates the results exactly like
 // core.RunSeeds: futures are collected in seed order, so the aggregate is
 // bit-identical to a sequential run. With par set, each run uses
-// pipelined op-stream generation; with pdes >= 1, each run executes on a
-// PDES shard group of that width (byte-identical results either way —
-// this is the two-level parallelism composition: intra-run PDES shards ×
-// inter-cell pool workers).
-func RunSeeds(p *Pool, app string, kind core.Kind, mode core.PrefetchMode, cfg core.Config, n int, par bool, pdes int) (*core.SeedAggregate, error) {
+// pipelined op-stream generation (byte-identical results either way).
+func RunSeeds(p *Pool, app string, kind core.Kind, mode core.PrefetchMode, cfg core.Config, n int, par bool) (*core.SeedAggregate, error) {
 	if n < 1 {
 		n = 1
 	}
@@ -348,7 +345,7 @@ func RunSeeds(p *Pool, app string, kind core.Kind, mode core.PrefetchMode, cfg c
 	for i := 0; i < n; i++ {
 		runCfg := cfg
 		runCfg.Seed = cfg.Seed + int64(i)
-		futs[i], _ = p.Submit(core.Cell{App: app, Kind: kind, Mode: mode, Cfg: runCfg, Par: par, Pdes: pdes})
+		futs[i], _ = p.Submit(core.Cell{App: app, Kind: kind, Mode: mode, Cfg: runCfg, Par: par})
 	}
 	agg := &core.SeedAggregate{Runs: n, MinExec: 1<<63 - 1}
 	for _, f := range futs {

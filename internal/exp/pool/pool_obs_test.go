@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"nwcache/internal/core"
+	"nwcache/internal/machine"
 	"nwcache/internal/obs"
 )
 
@@ -24,9 +25,18 @@ func waitIdle(t *testing.T, p *Pool) {
 
 func TestQueueDepthTracksInFlight(t *testing.T) {
 	p := New(1)
+	// Each cell holds in its Obs hook until release, so none can finish
+	// and leave the in-flight count before the checks below run.
+	release := make(chan struct{})
+	held := func(i int) core.Cell {
+		c := cell("sor", core.Standard, core.Naive)
+		c.Cfg.Seed = int64(i + 100)
+		c.Obs = func(core.Cell, *machine.Machine) { <-release }
+		return c
+	}
 	var futs []*Future
 	for i := 0; i < 3; i++ {
-		f, fresh := p.Submit(badCell(i))
+		f, fresh := p.Submit(held(i))
 		if !fresh {
 			t.Fatalf("cell %d not fresh", i)
 		}
@@ -38,12 +48,15 @@ func TestQueueDepthTracksInFlight(t *testing.T) {
 		t.Fatalf("QueueDepth = %d, want 3", got)
 	}
 	// A memo hit is not a fresh submission and must not bump the depth.
-	p.Submit(badCell(0))
+	p.Submit(held(0))
 	if got := p.QueueDepth(); got != 3 {
 		t.Fatalf("QueueDepth after memo hit = %d, want 3", got)
 	}
+	close(release)
 	for _, f := range futs {
-		f.Wait()
+		if _, err := f.Wait(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	waitIdle(t, p)
 }

@@ -126,18 +126,6 @@ func NewInjector(plan *Plan, seed int64, policy Policy) *Injector {
 	return i
 }
 
-// CrossShardFloor returns the injector's contribution to the PDES
-// lookahead derivation (machine.DeriveLookahead) — zero. Plan-scheduled
-// injections (link flaps, crash windows, degraded-mode intervals) mutate
-// mesh routing tables, ring channels, and disk state synchronously at
-// their plan instants, and retry/recovery decisions consult the
-// injector's single PRNG stream in simulated-time order. Both are global
-// state with no transport latency, so fault injection pins every node it
-// can touch — in practice all of them — onto one PDES shard; windowed
-// execution preserves injection determinism trivially because the whole
-// plan plays out inside that shard's own event order.
-func (i *Injector) CrossShardFloor() int64 { return 0 }
-
 // Plan returns the injector's plan (nil injector: an empty plan).
 func (i *Injector) Plan() *Plan {
 	if i == nil {

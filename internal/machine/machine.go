@@ -146,13 +146,6 @@ type Machine struct {
 	// flt is the fault injector (nil = perfect hardware); see AttachFaults.
 	flt *fault.Injector
 
-	// pdes, when non-nil, is the PDES shard group the machine was built
-	// on (NewPDES); Run then drives the windowed scheduler instead of
-	// calling E.Run directly. la is the lookahead derivation that sized
-	// the group's windows and pinned the node→shard mapping.
-	pdes *sim.ShardGroup
-	la   *Lookahead
-
 	// msgPool recycles control-message deliveries (disk OKs, ring ACKs,
 	// interface notices/cancels) so the protocol paths never allocate a
 	// closure per message in flight.
@@ -261,17 +254,10 @@ func (m *Machine) emit(kind trace.Kind, node int, page PageID, arg int64) {
 
 // New builds a machine of the given kind and prefetch mode.
 func New(cfg param.Config, kind Kind, mode disk.PrefetchMode) (*Machine, error) {
-	return newOn(sim.New(), cfg, kind, mode)
-}
-
-// newOn builds the machine on a caller-supplied engine — the seam the
-// PDES constructor uses to place the machine on a shard's sub-engine
-// (see NewPDES). All substrate state (mesh, disks, ring, per-node
-// resources, daemons) lands on this engine.
-func newOn(e *sim.Engine, cfg param.Config, kind Kind, mode disk.PrefetchMode) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	e := sim.New()
 	m := &Machine{
 		E:      e,
 		Cfg:    cfg,

@@ -77,7 +77,7 @@ func (m *Machine) Run(prog Program) (*Result, error) {
 			n.doneAt = p.Now()
 		})
 	}
-	if err := m.runEngine(); err != nil {
+	if err := m.E.Run(); err != nil {
 		return nil, fmt.Errorf("machine: %s on %s/%s: %w", prog.Name(), m.Kind, m.Mode, err)
 	}
 	// Flush the final telemetry sample at completion time, so a series

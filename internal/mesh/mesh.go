@@ -358,35 +358,6 @@ func (m *Mesh) Transit(earliest sim.Time, src, dst, bytes int) (arrive sim.Time)
 	return arrive
 }
 
-// MinTransit returns the minimum uncontended cross-node transit time for
-// a message of `bytes`: the tightest lower bound on how soon anything one
-// node sends can be observed at another, and therefore the mesh's
-// contribution to the PDES lookahead derivation (machine.DeriveLookahead).
-// It evaluates Transit's own reservation arithmetic — (path length − 1)
-// cut-through hop latencies plus the transfer occupancy — over the
-// shortest precomputed (src, dst) path, so the bound cannot drift from
-// the model it bounds. Fault-plan YX detours only ever lengthen a path,
-// so the XY minimum remains a valid floor under link flaps.
-func (m *Mesh) MinTransit(bytes int) sim.Time {
-	occupy := param.TransferPcycles(int64(bytes), m.bwMBs)
-	n := m.w * m.h
-	minLen := 0
-	for src := 0; src < n; src++ {
-		for dst := 0; dst < n; dst++ {
-			if src == dst {
-				continue
-			}
-			if l := len(m.paths[src*n+dst]); minLen == 0 || l < minLen {
-				minLen = l
-			}
-		}
-	}
-	if minLen == 0 {
-		return occupy // single-node mesh: no cross-node path exists
-	}
-	return sim.Time(minLen-1)*m.hopLat + occupy
-}
-
 // Send transfers a message and delivers it into q at arrival time. It is
 // the ordinary fire-and-forget messaging primitive between nodes.
 func Send[T any](m *Mesh, q *sim.Queue[T], src, dst, bytes int, msg T) {

@@ -132,20 +132,6 @@ func (r *Ring) PageXfer() int64 { return r.pageXfer }
 // RoundTrip returns the ring's circulation period.
 func (r *Ring) RoundTrip() int64 { return r.roundTrip }
 
-// CrossNodeFloors returns the ring's two contributions to the PDES
-// lookahead derivation (machine.DeriveLookahead). insert is the
-// insertion-transfer floor: the minimum pcycles between a node committing
-// a swap-out to its channel and the entry existing ring-wide (the
-// machine layer pays PageXfer on the I/O bus before calling Insert).
-// snoop is the state-coupling floor and it is zero: Insert is
-// instantaneous bookkeeping at the completion instant, and a victim read
-// on any other node observes the entry list in that same simulated
-// instant (Channel.Entries is shared memory, not a message). A zero
-// snoop floor means ring state binds every node into one PDES shard —
-// conservative windows cannot cut between a swapping node and a
-// potential victim reader.
-func (r *Ring) CrossNodeFloors() (insert, snoop int64) { return r.pageXfer, 0 }
-
 // HasRoomFor reports whether any of node's channels can take a page.
 func (r *Ring) HasRoomFor(node int) bool {
 	for _, i := range r.owned[node] {

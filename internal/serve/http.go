@@ -22,7 +22,6 @@ type JobRequest struct {
 	Grid string       `json:"grid,omitempty"`
 	Cell *CellRequest `json:"cell,omitempty"`
 	Par  bool         `json:"par,omitempty"`
-	Pdes int          `json:"pdes,omitempty"`
 }
 
 // CellRequest describes one simulation cell.
@@ -180,7 +179,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if name == "" {
 		name = spec.Name
 	}
-	j, err := s.Submit(spec, text, name, req.Par, req.Pdes)
+	j, err := s.Submit(spec, text, name, req.Par)
 	if err != nil {
 		writeErr(w, http.StatusServiceUnavailable, err)
 		return

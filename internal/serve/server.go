@@ -72,7 +72,6 @@ type Job struct {
 	Spec *sweep.Spec
 	Dir  string
 	Par  bool
-	Pdes int
 
 	events *obs.EventLog
 	live   *obs.LiveSet
@@ -101,7 +100,6 @@ type JobStatus struct {
 	EtaNS  int64  `json:"eta_ns,omitempty"`
 	Error  string `json:"error,omitempty"`
 	Par    bool   `json:"par,omitempty"`
-	Pdes   int    `json:"pdes,omitempty"`
 	AgeSec int64  `json:"age_sec"`
 }
 
@@ -112,7 +110,7 @@ func (j *Job) status() JobStatus {
 		ID: j.ID, Name: j.Name, State: j.state,
 		Spec: j.Spec.Digest(), Cells: j.Spec.NumCells(),
 		Done: j.done, Total: j.total, EtaNS: j.etaNS,
-		Error: j.errText, Par: j.Par, Pdes: j.Pdes,
+		Error: j.errText, Par: j.Par,
 		AgeSec: int64(time.Since(j.submitted).Seconds()),
 	}
 }
@@ -211,7 +209,7 @@ func (s *Server) logf(format string, args ...any) {
 
 // Submit registers a job for the parsed spec and enqueues it. specText
 // is persisted verbatim as the job's spec.txt.
-func (s *Server) Submit(spec *sweep.Spec, specText string, name string, par bool, pdes int) (*Job, error) {
+func (s *Server) Submit(spec *sweep.Spec, specText string, name string, par bool) (*Job, error) {
 	if s.draining.Load() {
 		return nil, errDraining
 	}
@@ -220,7 +218,7 @@ func (s *Server) Submit(spec *sweep.Spec, specText string, name string, par bool
 	id := fmt.Sprintf("j%04d-%.8s", s.seq, spec.Digest())
 	s.mu.Unlock()
 	j := &Job{
-		ID: id, Name: name, Spec: spec, Par: par, Pdes: pdes,
+		ID: id, Name: name, Spec: spec, Par: par,
 		Dir:    filepath.Join(s.cfg.Dir, "jobs", id),
 		events: obs.NewEventLog(s.cfg.MaxEvents),
 		live:   &obs.LiveSet{},
@@ -312,10 +310,10 @@ func (s *Server) run(j *Job) {
 
 	r := &sweep.Runner{
 		Spec: j.Spec, Shard: 0, Shards: 1,
-		Dir:      j.Dir,
-		Pool:     p,
-		CacheDir: filepath.Join(s.cfg.Dir, "cache"),
-		Par:      j.Par, Pdes: j.Pdes,
+		Dir:          j.Dir,
+		Pool:         p,
+		CacheDir:     filepath.Join(s.cfg.Dir, "cache"),
+		Par:          j.Par,
 		Guard:        s.cfg.Guard,
 		Live:         j.live,
 		LiveInterval: s.cfg.LiveInterval,

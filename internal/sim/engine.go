@@ -123,14 +123,6 @@ type Engine struct {
 	nextTick  Time
 	tickFn    func(now Time)
 
-	// horizon bounds dispatch for RunUntil (the PDES window protocol):
-	// nextInstant refuses to advance the clock to any instant >= horizon,
-	// leaving the event intact for a later window. Outside a window the
-	// sentinel `never` keeps the check one always-false compare per
-	// distinct timestamp (the same cost class as the tick boundary), so
-	// serial runs pay nothing for the feature.
-	horizon Time
-
 	// Progress probe (AttachProgress): at each probe boundary crossed,
 	// dispatch publishes the clock into progress and honors a pending
 	// abort request — the watchdog's only way into the engine. Detached,
@@ -153,7 +145,6 @@ func New() *Engine {
 		back:      make(chan struct{}, 1),
 		stopAt:    noLimit,
 		nextTick:  never,
-		horizon:   never,
 		nextProbe: never,
 	}
 }
@@ -297,12 +288,6 @@ func (e *Engine) nextInstant() *event {
 		return nil
 	}
 	t := e.heap[0].t
-	if t >= e.horizon {
-		// RunUntil window boundary: the next instant is outside the
-		// current window. Leave the event queued and the clock where it
-		// is; the next window's RunUntil resumes from here.
-		return nil
-	}
 	e.ready = e.ready[:0]
 	e.readyHead = 0
 	if t < e.now {
@@ -597,43 +582,6 @@ func (e *Engine) Run() error {
 	return e.finishDrained()
 }
 
-// RunUntil dispatches events in order until the first instant at or past
-// horizon (which stays queued), the queues drain, or Stop is called. Unlike
-// Run it performs no deadlock accounting on drain: processes left parked
-// may legitimately be waiting for events another PDES shard will post into
-// a later window. The engine stays fully resumable — call RunUntil again
-// (or Run for the deadlock-checked final drain). A horizon of MaxInt64
-// dispatches everything, still without the drain-time deadlock check. The
-// livelock guard (SetEventLimit) applies as in Run.
-func (e *Engine) RunUntil(horizon Time) error {
-	e.horizon = horizon
-	e.stopped = false
-	e.tripped = false
-	e.aborted = ""
-	if e.drive(nil) == driveHanded {
-		<-e.main
-	}
-	e.horizon = never
-	if e.tripped {
-		if e.aborted != "" {
-			return e.abortTeardown()
-		}
-		return e.livelockTeardown()
-	}
-	return nil
-}
-
-// limitHorizon tightens the active RunUntil horizon from inside a running
-// event. The PDES sequential-fallback window uses it: an outward
-// cross-shard post invalidates the "nothing can reach this shard" premise
-// the unbounded window was opened on, so the window must close before the
-// earliest possible reply.
-func (e *Engine) limitHorizon(t Time) {
-	if t < e.horizon {
-		e.horizon = t
-	}
-}
-
 // livelockTeardown turns a tripped event budget into a *LivelockError and
 // unwinds the engine completely.
 func (e *Engine) livelockTeardown() error {
@@ -650,8 +598,7 @@ func (e *Engine) livelockTeardown() error {
 }
 
 // finishDrained is Run's drain-time tail: report parked non-daemon
-// processes as a deadlock and unwind everything. Also used by the PDES
-// window scheduler once every shard's queues and inboxes are empty.
+// processes as a deadlock and unwind everything.
 func (e *Engine) finishDrained() error {
 	blocked, daemons := e.blockedProcs()
 	e.KillParked()
@@ -663,21 +610,6 @@ func (e *Engine) finishDrained() error {
 		return &DeadlockError{Now: e.now, Procs: stuck, Blocked: blocked, DaemonsParked: daemons}
 	}
 	return nil
-}
-
-// NextEventTime reports the timestamp of the earliest queued event and
-// whether one exists. Between RunUntil windows the ready FIFO is fully
-// consumed, so the heap top is the answer. Canceled-but-undrained slots
-// count (dispatch discards them without effects), which only ever makes a
-// PDES window conservative, never wrong.
-func (e *Engine) NextEventTime() (Time, bool) {
-	if e.readyHead < len(e.ready) {
-		return e.now, true
-	}
-	if len(e.heap) > 0 {
-		return e.heap[0].t, true
-	}
-	return 0, false
 }
 
 // clearPending discards every event still queued. A process whose wake or

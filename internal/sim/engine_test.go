@@ -91,16 +91,26 @@ func TestCancelPreventsEvent(t *testing.T) {
 func TestStopHaltsRun(t *testing.T) {
 	e := New()
 	count := 0
+	woke := false
 	e.At(1, func() { count++; e.Stop() })
 	e.At(2, func() { count++ })
+	// A proc sleeping across the stop is not a deadlock: its wake stays
+	// queued and the next Run completes it.
+	e.Spawn("sleeper", func(p *Proc) { p.Sleep(100); woke = true })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if count != 1 {
-		t.Fatalf("ran %d events, want 1", count)
+	if count != 1 || woke {
+		t.Fatalf("ran %d events (woke=%v), want 1 and still asleep", count, woke)
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending %d, want 1", e.Pending())
+	if e.Pending() != 2 {
+		t.Fatalf("pending %d, want 2", e.Pending())
+	}
+	if err := e.Run(); err != nil {
+		t.Fatalf("resumed run: %v", err)
+	}
+	if count != 2 || !woke || e.Now() != 100 {
+		t.Fatalf("after resume: count=%d woke=%v now=%d", count, woke, e.Now())
 	}
 }
 

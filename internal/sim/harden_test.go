@@ -59,6 +59,9 @@ func TestLivelockGuard(t *testing.T) {
 		}
 	})
 	e.Spawn("stuck", func(p *Proc) { c.Wait(p) })
+	// A bystander whose wake lies far past the storm: teardown must
+	// discard the wake and unwind it too.
+	e.Spawn("bystander", func(p *Proc) { p.Sleep(never / 2) })
 	err := e.Run()
 	le, ok := err.(*LivelockError)
 	if !ok {

@@ -83,10 +83,9 @@ type Runner struct {
 	// simulations — Run then returns ErrIncomplete and the next Run
 	// resumes. This is also how CI simulates a mid-sweep kill.
 	MaxFresh int
-	// Par and Pdes select the parallel fast paths for fresh cells
-	// (byte-identical results; excluded from cell keys).
-	Par  bool
-	Pdes int
+	// Par selects the pipelined op-generation fast path for fresh
+	// cells (byte-identical results; excluded from cell keys).
+	Par bool
 	// Progress, if set, is called with a label per fresh simulation.
 	Progress func(label string)
 
@@ -421,13 +420,11 @@ func (r *Runner) Run() (Summary, error) {
 			return nil
 		}
 		c.Par = r.Par
-		c.Pdes = r.Pdes
 		c.Obs = hook
 		var probe *sim.Progress
 		if r.Guard.Enabled() {
-			// One probe per submission; the machine attaches it only on
-			// serial cells (PDES shard groups have no mid-window
-			// teardown), and it is excluded from the cell key.
+			// One probe per submission, attached to every supervised
+			// cell's engine; it is excluded from the cell key.
 			probe = &sim.Progress{Every: sim.DefaultProbeEvery}
 			c.Probe = probe
 		}

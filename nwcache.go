@@ -65,22 +65,6 @@ func RunProgram(prog Program, kind Kind, mode PrefetchMode, cfg Config) (*Result
 	return core.RunProgram(prog, kind, mode, cfg)
 }
 
-// RunPDES executes a built-in application under windowed PDES execution
-// on a shard group of the given width (the -pdes N path of the CLIs).
-// Results are byte-identical to Run; see machine.DeriveLookahead for the
-// node→shard analysis.
-func RunPDES(app string, kind Kind, mode PrefetchMode, cfg Config, shards int) (*Result, error) {
-	prog, err := core.NewProgram(app, cfg)
-	if err != nil {
-		return nil, err
-	}
-	m, err := core.NewPDESMachine(cfg, kind, mode, shards)
-	if err != nil {
-		return nil, err
-	}
-	return m.Run(prog)
-}
-
 // PaperMinFree returns the paper's per-configuration minimum-free-frames
 // choice.
 func PaperMinFree(kind Kind, mode PrefetchMode) int { return core.PaperMinFree(kind, mode) }

@@ -8,15 +8,10 @@
 #   BenchmarkProcSwitch             Sleep round-trip (migrating driver)
 #   BenchmarkSingleRunGauss         end-to-end run, swap-heavy application
 #   BenchmarkSingleRunFFT           end-to-end run, communication-heavy
-#   BenchmarkSingleRunGaussPDES     same gauss run through -pdes 8
 #   BenchmarkMeshTransit            precomputed-route mesh reservation
 #   BenchmarkFramePoolTouch         LRU refresh on the per-access path
 #   BenchmarkFramePoolEvict         reserve/adopt/unmap/release cycle
 #   BenchmarkWriteBufferEnqueue     write-buffer push + coalesce scan
-#   BenchmarkPDESWindows/...@gmP    window-protocol scaling curve: the
-#                                   shards=1/2/4/8 sub-benchmarks run at
-#                                   GOMAXPROCS P for each P in 1 2 4 8
-#                                   (suffix @gmP keeps the records apart)
 #
 # Methodology (pinned, so snapshots are comparable):
 #   - End-to-end benchmarks run a fixed iteration count (default 3x, so
@@ -28,11 +23,6 @@
 #     via -count in a single test-binary invocation), keeping the
 #     per-benchmark MINIMUM ns/op: the minimum estimates the true cost
 #     of the code, everything above it is machine noise.
-#   - The PDES scaling curve is the one deliberate exception to the
-#     GOMAXPROCS=1 rule: BenchmarkPDESWindows reruns at GOMAXPROCS
-#     1/2/4/8 with the setting recorded in the name (@gmP), so the
-#     snapshot captures how the window protocol scales with threads on
-#     this host.
 #   - The emitted JSON carries an "env" header (go version, CPU model,
 #     sampling parameters) so a diff between two snapshots can tell
 #     code drift from environment drift.
@@ -57,7 +47,7 @@ trap 'rm -f "$raw"' EXIT
 # End-to-end runs: fixed iteration count. NWCACHE_BENCH_SCALE (see
 # bench_test.go) applies as usual.
 go test -run '^$' \
-  -bench '^(BenchmarkSingleRunGauss|BenchmarkSingleRunFFT|BenchmarkSingleRunGaussPDES)$' \
+  -bench '^(BenchmarkSingleRunGauss|BenchmarkSingleRunFFT)$' \
   -benchmem -benchtime "$run_bt" . | tee "$raw" >&2
 
 # Micro-benchmarks: GOMAXPROCS=1, N samples each via -count; the awk
@@ -70,19 +60,6 @@ GOMAXPROCS=1 go test -run '^$' \
   -benchmem -benchtime "$micro_bt" -count "$samples" ./internal/vm | tee -a "$raw" >&2
 GOMAXPROCS=1 go test -run '^$' -bench '^BenchmarkWriteBufferEnqueue$' \
   -benchmem -benchtime "$micro_bt" -count "$samples" ./internal/machine | tee -a "$raw" >&2
-
-# PDES window-protocol scaling curve: the shards=1/2/4/8 sub-benchmarks
-# at GOMAXPROCS 1/2/4/8. The inner awk strips go's own -P name suffix
-# and appends @gmP instead, so each (shards, GOMAXPROCS) pair keeps its
-# own record through the min-of-samples pass below. On a single-CPU
-# host the curve is flat — raising GOMAXPROCS past the core count buys
-# nothing — but the records make that measurable rather than assumed.
-for gm in 1 2 4 8; do
-  GOMAXPROCS=$gm go test -run '^$' -bench '^BenchmarkPDESWindows$' \
-    -benchmem -benchtime "$micro_bt" -count "$samples" ./internal/sim \
-  | awk -v gm="$gm" '/^Benchmark/ { sub(/-[0-9]+$/, "", $1); $1 = $1 "@gm" gm } { print }' \
-  | tee -a "$raw" >&2
-done
 
 go_ver="$(go version | sed 's/^go version //')"
 hostarch="$(go env GOHOSTARCH)"

@@ -43,9 +43,7 @@
 # each snapshot was compared only to its noisy predecessor. End-to-end
 # benchmarks (nonzero allocs) are excluded from the gate; their noise on
 # shared runners makes a hard wall-clock gate counterproductive. Gate
-# comparisons are keyed by full benchmark name, so PDES variants (e.g.
-# BenchmarkPDESWindows/shards=8@gm4) gate only against their own prior
-# records, never against the serial benches. Each gate line reports
+# comparisons are keyed by full benchmark name. Each gate line reports
 # which BENCH_*.json its best baseline came from.
 set -eu
 

@@ -14,11 +14,9 @@
 # tee itself is cross-checked.
 #
 # The sweep then runs a second time with -par (pipelined op-stream
-# generation) and a third time with -pdes 4 (windowed parallel
-# discrete-event execution), each byte-compared against the first: both
-# parallel paths' contract is byte-identical results, and this is the
-# gate that holds them to it. Set GOLDEN_SKIP_PAR=1 / GOLDEN_SKIP_PDES=1
-# to skip those passes.
+# generation), byte-compared against the first: the parallel path's
+# contract is byte-identical results, and this is the gate that holds
+# it to it. Set GOLDEN_SKIP_PAR=1 to skip that pass.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -57,19 +55,6 @@ if [ "${GOLDEN_SKIP_PAR:-0}" != 1 ]; then
     exit 1
   fi
   echo "golden: -par output byte-identical to serial"
-fi
-
-# PDES path: same sweep on a 4-shard group, byte-identical stdout
-# required. This is the whole-evaluation end of the determinism
-# contract; the per-cell end is TestPDESMatchesSerial* in CI.
-if [ "${GOLDEN_SKIP_PDES:-0}" != 1 ]; then
-  go run ./cmd/nwbench -all -q -seed 1 -pdes 4 > "$tmp/out-pdes.txt"
-  if ! cmp -s "$tmp/out.txt" "$tmp/out-pdes.txt"; then
-    echo "golden: -pdes 4 output differs from serial output" >&2
-    diff "$tmp/out.txt" "$tmp/out-pdes.txt" | head -20 >&2 || true
-    exit 1
-  fi
-  echo "golden: -pdes 4 output byte-identical to serial"
 fi
 
 if [ "${1:-}" = "--update" ]; then

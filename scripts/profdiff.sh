@@ -16,14 +16,6 @@
 #       pprof -diff_base): positive entries got slower or appeared,
 #       negative entries got faster or vanished.
 #
-#   scripts/profdiff.sh pdes [SHARDS]
-#       Capture a serial profile and a -pdes SHARDS (default 4) profile
-#       of the same sweep, then diff the pair. Because the two runs do
-#       byte-identical simulation work, every positive delta is window
-#       protocol overhead (ShardGroup.Run, RunUntil, NextEventTime) —
-#       there is nothing else it could be. One capture is recorded in
-#       DESIGN.md.
-#
 # Typical use across a change:
 #   git stash && scripts/profdiff.sh capture /tmp/before.prof
 #   git stash pop && scripts/profdiff.sh capture /tmp/after.prof
@@ -51,16 +43,8 @@ diff)
   echo "top-10 flat-time deltas ($new relative to $old):"
   go tool pprof -top -nodecount=10 -diff_base="$old" "$new"
   ;;
-pdes)
-  shards="${2:-4}"
-  tmp="$(mktemp -d)"
-  trap 'rm -rf "$tmp"' EXIT
-  "$0" capture "$tmp/serial.prof"
-  "$0" capture "$tmp/pdes.prof" -pdes "$shards"
-  "$0" diff "$tmp/serial.prof" "$tmp/pdes.prof"
-  ;;
 *)
-  echo "usage: $0 capture OUT.prof [nwbench args...] | diff OLD.prof NEW.prof | pdes [SHARDS]" >&2
+  echo "usage: $0 capture OUT.prof [nwbench args...] | diff OLD.prof NEW.prof" >&2
   exit 2
   ;;
 esac

@@ -10,11 +10,9 @@
 #   1. Two identical seeded runs with the sampler attached produce
 #      byte-identical series files and byte-identical stdout — the
 #      sampler ticks on the virtual clock, never the wall clock. A
-#      third run with -par (pipelined op-stream generation) and a
-#      fourth with -pdes 4 (windowed parallel discrete-event
-#      execution) must also match byte-for-byte, sampler attached:
-#      neither parallel path may perturb telemetry any more than it
-#      may perturb results.
+#      third run with -par (pipelined op-stream generation) must also
+#      match byte-for-byte, sampler attached: the parallel path may
+#      not perturb telemetry any more than it may perturb results.
 #   2. A fresh run's manifest diffs clean against the committed
 #      baseline at threshold 0 (exact mode: every metric and the
 #      stdout digest must match).
@@ -45,12 +43,10 @@ run() { # $1=seed $2=name [extra nwsim flags...]
 }
 
 # 1. Determinism: identical runs, byte-identical telemetry and output;
-# the -par and -pdes runs must be indistinguishable from the serial
-# ones.
+# the -par run must be indistinguishable from the serial ones.
 run 1 a
 run 1 b
 run 1 c -par
-run 1 d -pdes 4
 if ! cmp -s "$tmp/a.ndjson" "$tmp/b.ndjson"; then
   echo "telemetry: series files differ across identical seeded runs" >&2
   exit 1
@@ -65,14 +61,6 @@ if ! cmp -s "$tmp/a.ndjson" "$tmp/c.ndjson"; then
 fi
 if ! cmp -s "$tmp/a-stdout.txt" "$tmp/c-stdout.txt"; then
   echo "telemetry: -par stdout differs from serial stdout" >&2
-  exit 1
-fi
-if ! cmp -s "$tmp/a.ndjson" "$tmp/d.ndjson"; then
-  echo "telemetry: -pdes series differs from serial series" >&2
-  exit 1
-fi
-if ! cmp -s "$tmp/a-stdout.txt" "$tmp/d-stdout.txt"; then
-  echo "telemetry: -pdes stdout differs from serial stdout" >&2
   exit 1
 fi
 
