@@ -204,6 +204,30 @@ func BenchmarkProcSwitch(b *testing.B) {
 	}
 }
 
+// BenchmarkProcHandoff measures a hand-off between two procs: they sleep
+// in alternation, so every wake resumes the proc that is not driving and
+// costs a switch (one per op, reported as switches/op).
+func BenchmarkProcHandoff(b *testing.B) {
+	e := sim.New()
+	n := b.N
+	e.Spawn("ping", func(p *sim.Proc) {
+		for i := 0; i < (n+1)/2; i++ {
+			p.Sleep(2)
+		}
+	})
+	e.Spawn("pong", func(p *sim.Proc) {
+		p.Sleep(1)
+		for i := 0; i < n/2; i++ {
+			p.Sleep(2)
+		}
+	})
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(e.Switches())/float64(n), "switches/op")
+}
+
 // BenchmarkMeshTransit measures network reservation cost.
 func BenchmarkMeshTransit(b *testing.B) {
 	e := sim.New()

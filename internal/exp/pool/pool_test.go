@@ -9,6 +9,7 @@ import (
 
 	"nwcache/internal/core"
 	"nwcache/internal/machine"
+	"nwcache/internal/sim"
 )
 
 func fastCfg() core.Config {
@@ -293,6 +294,28 @@ func TestSubmitRecoversPanickingCell(t *testing.T) {
 	// The pool survives: sibling cells still complete normally.
 	if _, err := p.Run(cell("lu", core.NWCache, core.Naive)); err != nil {
 		t.Fatalf("pool broken after a panicking cell: %v", err)
+	}
+}
+
+// A panic inside a simulated process (not in the hook itself) surfaces
+// from the engine's Run on the worker goroutine, so the pool quarantines
+// it like any other crash and sibling cells still complete.
+func TestProcPanicIsQuarantined(t *testing.T) {
+	p := New(2)
+	boom := cell("lu", core.Standard, core.Naive)
+	boom.Obs = func(_ core.Cell, m *machine.Machine) {
+		m.E.Spawn("crasher", func(q *sim.Proc) {
+			q.Sleep(10)
+			panic("proc crash")
+		})
+	}
+	_, err := p.Run(boom)
+	var perr *PanicError
+	if !errors.As(err, &perr) || perr.Value != "proc crash" {
+		t.Fatalf("err = %v, want *PanicError carrying the proc's panic", err)
+	}
+	if _, err := p.Run(cell("lu", core.NWCache, core.Naive)); err != nil {
+		t.Fatalf("sibling cell after a proc panic: %v", err)
 	}
 }
 

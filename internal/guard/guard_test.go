@@ -483,6 +483,51 @@ func TestCellGuardDisabled(t *testing.T) {
 	}
 }
 
+// Driven by a fake clock, the watchdog verdict depends only on elapsed
+// time, not on where completion falls relative to a poll: a cell that
+// completes over budget inside its first poll is a timeout, one that
+// completes in budget is OK, and a frozen simulated clock is a stall.
+func TestWatchdogVerdictFakeClock(t *testing.T) {
+	cases := []struct {
+		name   string
+		g      CellGuard
+		elapse time.Duration // fake time each wait consumes
+		doneAt int           // wait call that reports completion; 0 = only after an abort
+		want   Verdict
+		abort  string // expected abort reason, "" = none requested
+	}{
+		{"over-budget completion", CellGuard{Budget: 10 * time.Millisecond, Poll: time.Second},
+			20 * time.Millisecond, 1, VerdictTimeout, ""},
+		{"in-budget completion", CellGuard{Budget: 10 * time.Millisecond, Poll: time.Second},
+			5 * time.Millisecond, 1, VerdictOK, ""},
+		{"stall", CellGuard{Budget: time.Hour, Stall: 3 * time.Millisecond, Poll: time.Millisecond},
+			time.Millisecond, 0, VerdictStalled, "stalled"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			now := time.Unix(0, 0)
+			tc.g.Now = func() time.Time { return now }
+			p := &fakeProber{} // frozen simulated clock
+			calls := 0
+			wait := func(time.Duration) bool {
+				calls++
+				now = now.Add(tc.elapse)
+				return calls == tc.doneAt || p.reason.Load() != nil
+			}
+			if v := tc.g.Supervise(wait, p); v != tc.want {
+				t.Fatalf("verdict = %v, want %v", v, tc.want)
+			}
+			got := ""
+			if r := p.reason.Load(); r != nil {
+				got = *r
+			}
+			if got != tc.abort {
+				t.Fatalf("abort reason = %q, want %q", got, tc.abort)
+			}
+		})
+	}
+}
+
 func waitOn(done <-chan struct{}) func(time.Duration) bool {
 	return func(d time.Duration) bool {
 		select {

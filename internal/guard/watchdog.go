@@ -48,6 +48,11 @@ func (v Verdict) String() string {
 // CellGuard is the per-cell watchdog configuration. The zero value is
 // disabled: Supervise never runs and cells are waited on unbounded,
 // exactly as before the guard layer existed.
+//
+// The budget is checked after every poll and also when the cell reports
+// completion, so a cell that finishes over budget is VerdictTimeout
+// whether it finished inside a poll or after one: the verdict does not
+// depend on poll phase.
 type CellGuard struct {
 	// Budget is the wall-clock ceiling for one cell. 0 = unlimited.
 	Budget time.Duration
@@ -59,6 +64,8 @@ type CellGuard struct {
 	Grace time.Duration
 	// Poll is the supervision check interval. 0 = DefaultPoll.
 	Poll time.Duration
+	// Now reads the wall clock. nil = time.Now; tests inject a fake.
+	Now func() time.Time
 }
 
 // DefaultGrace and DefaultPoll are applied when the corresponding
@@ -80,12 +87,13 @@ func (g CellGuard) Enabled() bool { return g.Budget > 0 || g.Stall > 0 }
 // immediately VerdictWedged (there is no abort channel without a
 // probe).
 //
-// On a budget or stall violation Supervise calls probe.RequestAbort
-// and gives the cell Grace to unwind through the engine's abort path;
-// a cell that does not come back is VerdictWedged and must be
-// abandoned by the caller (its goroutine and pool slot leak — the
-// documented cost of a truly wedged cell — but its STATE and cache
-// are never touched, so a resume retries it cleanly).
+// A cell that completes over its budget is VerdictTimeout with no abort
+// requested. On a budget or stall violation while the cell runs,
+// Supervise calls probe.RequestAbort and gives the cell Grace to unwind
+// through the engine's abort path; a cell that does not come back is
+// VerdictWedged and must be abandoned by the caller (its goroutine and
+// pool slot leak — the documented cost of a truly wedged cell — but its
+// STATE and cache are never touched, so a resume retries it cleanly).
 func (g CellGuard) Supervise(wait func(time.Duration) bool, probe Prober) Verdict {
 	poll, grace := g.Poll, g.Grace
 	if poll <= 0 {
@@ -94,7 +102,11 @@ func (g CellGuard) Supervise(wait func(time.Duration) bool, probe Prober) Verdic
 	if grace <= 0 {
 		grace = DefaultGrace
 	}
-	start := time.Now()
+	clock := g.Now
+	if clock == nil {
+		clock = time.Now
+	}
+	start := clock()
 	lastAdvance := start
 	var lastSim int64
 	if probe != nil {
@@ -102,9 +114,12 @@ func (g CellGuard) Supervise(wait func(time.Duration) bool, probe Prober) Verdic
 	}
 	for {
 		if wait(poll) {
+			if g.Budget > 0 && clock().Sub(start) > g.Budget {
+				return VerdictTimeout
+			}
 			return VerdictOK
 		}
-		now := time.Now()
+		now := clock()
 		if probe != nil {
 			if sim := probe.SimNow(); sim != lastSim {
 				lastSim, lastAdvance = sim, now

@@ -8,11 +8,13 @@
 // Two execution styles are supported and freely mixed:
 //
 //   - plain callbacks scheduled with At/After, and
-//   - cooperative processes (Proc) — goroutines that own the engine while
-//     they run and yield back whenever they Sleep or block on a
-//     synchronization primitive. Exactly one goroutine (the engine or a
-//     single process) runs at any instant, so no data shared through the
-//     engine needs locking and results are deterministic.
+//   - cooperative processes (Proc) — runtime coroutines (iter.Pull) that
+//     own the engine while they run and suspend whenever they Sleep or
+//     block on a synchronization primitive. Control passes between them
+//     by coroutine switch, never through the Go scheduler, and exactly
+//     one of them (or Run's caller) runs at any instant, so no data
+//     shared through the engine needs locking and results are
+//     deterministic.
 //
 // The dispatch core is built for throughput (see MODEL.md, "Engine fast
 // path"): event slots are pooled and recycled, future events live in an
@@ -98,18 +100,17 @@ type Engine struct {
 	pending   int      // scheduled events not yet fired or canceled
 
 	// process bookkeeping
-	parkedList []*Proc       // procs blocked on a primitive (no event pending)
-	live       int           // procs started and not yet finished
-	main       chan struct{} // driver token handed back to Run/KillParked on drain
-	back       chan struct{} // killed proc -> KillParked: "I have unwound"
-	current    *Proc         // proc currently holding control, nil in callbacks
-	procPool   []*Proc       // finished proc shells whose goroutines await reuse
+	parkedList []*Proc // procs blocked on a primitive (no event pending)
+	current    *Proc   // proc currently holding control, nil in callbacks
+	handTo     *Proc   // proc the transfer loop resumes next, nil when none
+	procPool   []*Proc // finished proc shells whose coroutines await reuse
 
 	// Dispatch statistics, maintained unconditionally: plain integer
 	// bumps on already-written cache lines, far below the noise floor of
 	// the ~18 ns dispatch. Exposed to the obs layer as pull-based probes.
 	dispatched uint64 // events fired
 	wakes      uint64 // proc hand-overs/resumes among the dispatched
+	switches   uint64 // wakes that resumed a proc other than the driver
 	heapPeak   int    // high-water mark of the future-event heap
 
 	// Clock-boundary tick hook (SetTick): tickFn fires whenever dispatch
@@ -138,11 +139,6 @@ type Engine struct {
 // New returns an empty engine at time 0.
 func New() *Engine {
 	return &Engine{
-		// Capacity 1 so a control hand-over is one buffered send (no
-		// rendezvous double-park); tokens strictly alternate, so a
-		// buffer never holds more than one.
-		main:      make(chan struct{}, 1),
-		back:      make(chan struct{}, 1),
 		stopAt:    noLimit,
 		nextTick:  never,
 		nextProbe: never,
@@ -329,33 +325,28 @@ func (e *Engine) nextInstant() *event {
 	return first
 }
 
-// drive outcomes.
-const (
-	driveDrained = iota // queues empty or Stop() seen: token belongs to main
-	driveHanded         // token handed to another proc's goroutine
-	driveResumed        // owner's own wake fired: owner continues, still driver
-)
-
-// drive is the dispatch loop, executed by whichever goroutine currently
-// owns the engine (the "driver token" migrates: Run's goroutine starts
-// with it, and every yielding or finishing proc keeps dispatching until
-// the token can be handed to the next runnable goroutine). owner is the
-// proc this goroutine belongs to, or nil for the main goroutine and for a
-// proc whose body already returned.
+// drive is the dispatch loop, executed by whichever coroutine currently
+// owns the engine (the driver migrates: Run's caller starts as driver,
+// and every yielding or finishing proc keeps dispatching until another
+// proc must run). owner is the proc doing the driving, or nil for Run's
+// caller and for a proc whose body already returned.
 //
-// Callback events run inline on the driving goroutine — harmless, since
-// exactly one goroutine runs at any instant either way. When owner's own
-// wake event comes up, drive returns driveResumed and the owner proceeds
-// without any channel operation at all (the common case for a proc whose
-// sleep expires with no intervening work).
-func (e *Engine) drive(owner *Proc) int {
+// Callback events run inline on the driver — harmless, since exactly one
+// coroutine runs at any instant either way. When owner's own wake event
+// comes up, drive returns true and the owner proceeds without any switch
+// at all (the common case for a proc whose sleep expires with no
+// intervening work). A wake for any other proc is recorded in handTo and
+// drive returns false, as it does when the queues drain or Stop is seen
+// (handTo stays nil); the driver then suspends and transfer resumes the
+// named proc, if any.
+func (e *Engine) drive(owner *Proc) bool {
 	for !e.stopped {
 		var ev *event
 		if e.readyHead < len(e.ready) {
 			ev = e.ready[e.readyHead]
 			e.readyHead++
 		} else if ev = e.nextInstant(); ev == nil {
-			return driveDrained
+			return false
 		}
 		if ev.canceled {
 			e.release(ev)
@@ -382,18 +373,16 @@ func (e *Engine) drive(owner *Proc) int {
 			fn()
 		default: // evWake, evStart
 			e.wakes++
-			if kind == evStart {
-				e.live++
-			}
 			e.current = p
 			if p == owner {
-				return driveResumed
+				return true
 			}
-			p.cont <- struct{}{}
-			return driveHanded
+			e.switches++
+			e.handTo = p
+			return false
 		}
 	}
-	return driveDrained
+	return false
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past is a
@@ -432,6 +421,11 @@ func (e *Engine) Dispatched() uint64 { return e.dispatched }
 // WakeHandoffs reports how many of the dispatched events were process
 // hand-overs (Sleep wake-ups, unparks, starts) rather than callbacks.
 func (e *Engine) WakeHandoffs() uint64 { return e.wakes }
+
+// Switches reports how many wake hand-overs cost a coroutine switch: the
+// woken process was not the one driving dispatch (Run's caller and a
+// process whose body returned count as none, so every start switches).
+func (e *Engine) Switches() uint64 { return e.switches }
 
 // HeapPeak reports the high-water mark of the future-event heap.
 func (e *Engine) HeapPeak() int { return e.heapPeak }
@@ -562,12 +556,8 @@ func (e *Engine) Run() error {
 	e.stopped = false
 	e.tripped = false
 	e.aborted = ""
-	if e.drive(nil) == driveHanded {
-		// A proc holds the driver token; procs keep dispatching among
-		// themselves and hand the token back when the queues drain (or
-		// Stop is seen).
-		<-e.main
-	}
+	e.drive(nil)
+	e.transfer()
 	if e.tripped {
 		if e.aborted != "" {
 			return e.abortTeardown()
@@ -597,6 +587,18 @@ func (e *Engine) livelockTeardown() error {
 	return lerr
 }
 
+// transfer runs on Run's (or KillParked's) caller: it resumes each proc
+// that drive names in handTo, until a proc suspends with none named (the
+// queues drained, or Stop was seen). Every hand-off is a coroutine switch
+// out to this loop and another back in, bypassing the Go scheduler, and
+// the call stack never deepens however long the chain of hand-offs.
+func (e *Engine) transfer() {
+	for p := e.handTo; p != nil; p = e.handTo {
+		e.handTo = nil
+		p.resume()
+	}
+}
+
 // finishDrained is Run's drain-time tail: report parked non-daemon
 // processes as a deadlock and unwind everything.
 func (e *Engine) finishDrained() error {
@@ -614,18 +616,18 @@ func (e *Engine) finishDrained() error {
 
 // clearPending discards every event still queued. A process whose wake or
 // start event is discarded is re-registered as parked so KillParked can
-// unwind its goroutine; without that, it would block forever on a
-// hand-over that never comes.
+// unwind its coroutine; without that, it would stay suspended forever
+// awaiting a hand-over that never comes.
 func (e *Engine) clearPending() {
 	drop := func(ev *event) {
 		if !ev.canceled {
 			e.pending--
 			if ev.p != nil {
 				if ev.kind == evStart {
-					// Never started: the goroutine is waiting on its first
+					// Never started: the coroutine awaits its first
 					// hand-over, before the kill protocol's unwind path
-					// exists. Flag it so it exits instead of running its
-					// body (see spawn).
+					// exists. Flag it so it recycles instead of running
+					// its body (see loop).
 					ev.p.killed = true
 				}
 				ev.p.waitOn = "discarded event"
@@ -667,20 +669,19 @@ func (e *Engine) removeParked(p *Proc) {
 }
 
 // KillParked terminates every parked process (daemons included) so that no
-// goroutines leak when a simulation is abandoned. Killing a process runs its
+// coroutines leak when a simulation is abandoned. Killing a process runs its
 // defers, which may unpark other processes (e.g. by releasing a semaphore);
 // those are resumed to quiescence before the next victim is killed, so
 // teardown is orderly and complete. Finished-process shells recycled
-// through the spawn pool are retired last, so their idle goroutines do not
+// through the spawn pool are retired last, so their idle coroutines do not
 // outlive the simulation either. Safe to call repeatedly.
 func (e *Engine) KillParked() {
 	e.stopped = false // teardown always drains what remains
 	for {
 		// Resume anything runnable (events scheduled by defers of already
 		// killed processes) until the queues are quiet again.
-		if e.drive(nil) == driveHanded {
-			<-e.main
-		}
+		e.drive(nil)
+		e.transfer()
 		if len(e.parkedList) == 0 {
 			break
 		}
@@ -694,16 +695,13 @@ func (e *Engine) KillParked() {
 		e.removeParked(victim)
 		victim.killed = true
 		e.current = victim
-		victim.cont <- struct{}{}
-		<-e.back // victim has unwound; we still hold the driver token
+		victim.resume() // unwinds the body, then suspends again
 		e.current = nil
 	}
 	for k := len(e.procPool); k > 0; k = len(e.procPool) {
 		p := e.procPool[k-1]
 		e.procPool[k-1] = nil
 		e.procPool = e.procPool[:k-1]
-		p.retire = true
-		p.cont <- struct{}{}
-		<-e.back // goroutine has exited its loop
+		p.stop()
 	}
 }

@@ -1,31 +1,37 @@
+//go:build go1.23
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // procKilled is the sentinel panic value used to unwind a killed process.
 type procKilled struct{ name string }
 
-// Proc is a cooperative simulation process. A Proc runs on its own
-// goroutine but only while the engine has explicitly transferred control to
+// Proc is a cooperative simulation process. A Proc runs as a runtime
+// coroutine (iter.Pull) and only while the engine has explicitly resumed
 // it; it must yield (by sleeping or blocking) to let simulation time
-// advance. All Proc methods must be called from the Proc's own goroutine.
+// advance. All Proc methods must be called from the Proc's own body.
 //
-// Proc shells (struct, control channel, goroutine) are pooled: when a body
-// returns, the shell parks on Engine.procPool and its goroutine blocks on
-// cont awaiting the next spawn, so steady-state process churn (the swap-out
-// daemons spawn hundreds of thousands of short-lived processes per run)
-// allocates nothing. Recycling never perturbs dispatch order: spawn
-// consumes exactly the same two sequence numbers (process id, start event)
-// whether the shell is fresh or pooled.
+// Proc shells (struct and coroutine) are pooled: when a body returns, the
+// shell parks on Engine.procPool and its coroutine suspends awaiting the
+// next spawn, so steady-state process churn (the swap-out daemons spawn
+// hundreds of thousands of short-lived processes per run) allocates
+// nothing. Recycling never perturbs dispatch order: spawn consumes exactly
+// the same two sequence numbers (process id, start event) whether the
+// shell is fresh or pooled.
 type Proc struct {
 	e         *Engine
 	id        uint64
 	name      string
 	daemon    bool
-	cont      chan struct{} // engine -> proc: "you have control"
-	body      func(*Proc)   // current life's body; nil between lives
+	resume    func() (struct{}, bool) // switch into the coroutine until it suspends
+	stop      func()                  // retire the coroutine (KillParked)
+	suspend   func(struct{}) bool     // switch back to whoever resumed us
+	body      func(*Proc)             // current life's body; nil between lives
 	killed    bool
-	retire    bool   // KillParked: exit the goroutine instead of recycling
 	parkedIdx int    // index in Engine.parkedList, -1 when not parked
 	waitOn    string // label of the primitive currently parked on
 	parkedAt  Time   // when the current park began
@@ -53,8 +59,8 @@ func (e *Engine) spawn(name string, daemon bool, fn func(p *Proc)) *Proc {
 		e.procPool[k-1] = nil
 		e.procPool = e.procPool[:k-1]
 	} else {
-		p = &Proc{e: e, cont: make(chan struct{}, 1)}
-		go p.loop()
+		p = &Proc{e: e}
+		p.resume, p.stop = iter.Pull(p.loop)
 	}
 	p.id = e.seq
 	p.name = name
@@ -66,33 +72,23 @@ func (e *Engine) spawn(name string, daemon bool, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// loop is a proc shell's goroutine: one iteration per life. Between lives
-// the goroutine blocks on cont with the shell sitting in Engine.procPool;
-// KillParked retires it at teardown so abandoned engines leak nothing.
-func (p *Proc) loop() {
-	e := p.e
+// loop is a proc shell's coroutine body: one iteration per life, entered
+// by the first resume (the start event, or a kill of a never-started
+// proc). Between lives the coroutine suspends with the shell sitting in
+// Engine.procPool; KillParked retires it with stop at teardown, so
+// abandoned engines leak nothing.
+func (p *Proc) loop(suspend func(struct{}) bool) {
+	p.suspend = suspend
 	for {
-		<-p.cont // wait for the start event (or retirement) to hand over control
-		if p.retire {
-			e.back <- struct{}{}
+		p.run()
+		if !suspend(struct{}{}) {
 			return
 		}
-		if p.killed {
-			// Start event discarded (livelock teardown) before the body
-			// ever ran: unwind directly. live was never incremented, and
-			// the kill protocol's defer does not exist yet.
-			e.current = nil
-			p.recycle()
-			e.back <- struct{}{}
-			continue
-		}
-		p.run()
 	}
 }
 
 // recycle parks the shell on the spawn pool for its next life. Must run
-// while this goroutine still holds the driver token (or is mid-unwind with
-// KillParked blocked on back), so pool access is race-free.
+// while this coroutine holds control, so pool access is race-free.
 func (p *Proc) recycle() {
 	p.body = nil
 	p.e.procPool = append(p.e.procPool, p)
@@ -100,49 +96,41 @@ func (p *Proc) recycle() {
 
 // run executes one life of the process body and hands the shell back to
 // the pool. The shell is recycled *before* the completion dispatch below:
-// an event dispatched there may respawn this very shell, in which case the
-// hand-over lands in cont and loop picks the new body up immediately.
+// an event dispatched there may respawn this very shell, in which case
+// drive names it in handTo and transfer resumes it into its next life.
 func (p *Proc) run() {
-	e := p.e
 	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(procKilled); ok {
-				// Killed during engine teardown: recycle and return the
-				// driver token to KillParked, which resumes whatever the
-				// unwinding defers made runnable.
-				e.live--
-				e.current = nil
-				p.recycle()
-				e.back <- struct{}{}
-				return
-			}
-			panic(r) // real bug: crash loudly
+		r := recover()
+		if _, killed := r.(procKilled); r != nil && !killed {
+			panic(r) // real bug: propagates out of Run
 		}
-		// Normal completion: this goroutine still holds the driver
-		// token, so keep dispatching until it can be handed off.
-		e.live--
-		e.current = nil
+		p.e.current = nil
 		p.recycle()
-		if e.drive(nil) == driveDrained {
-			e.main <- struct{}{}
+		if r == nil {
+			// Normal completion: keep dispatching until another proc is
+			// named or the queues drain. A killed proc instead suspends
+			// straight back to KillParked, which resumes whatever its
+			// unwinding defers made runnable.
+			p.e.drive(nil)
 		}
 	}()
+	if p.killed {
+		// Start event discarded (livelock teardown): unwind without ever
+		// running the body.
+		panic(procKilled{p.name})
+	}
 	p.body(p)
 }
 
-// yield relinquishes the processor but keeps driving the dispatch loop on
-// this goroutine until control comes back (see Engine.drive). If the
+// yield relinquishes the processor but keeps driving the dispatch loop in
+// this coroutine until control comes back (see Engine.drive). If the
 // process was killed while parked, yield panics with procKilled to unwind
 // the process body (running defers).
 func (p *Proc) yield() {
-	switch p.e.drive(p) {
-	case driveResumed:
-		// Our own wake was the next event: continue, still the driver.
-	case driveHanded:
-		<-p.cont
-	case driveDrained:
-		p.e.main <- struct{}{} // hand the token back to Run/KillParked
-		<-p.cont
+	if !p.e.drive(p) {
+		// Another proc is named in handTo, or the queues drained: either
+		// way the transfer loop takes over until we are resumed.
+		p.suspend(struct{}{})
 	}
 	if p.killed {
 		panic(procKilled{p.name})

@@ -1,11 +1,12 @@
 #!/bin/sh
 # Run the hot-path benchmarks and emit a BENCH_*.json snapshot.
 #
-# Usage: scripts/bench.sh [output.json]          (default BENCH_7.json)
+# Usage: scripts/bench.sh [output.json]          (default BENCH_8.json)
 #
 # Benchmarks:
 #   BenchmarkEngineEventThroughput  pooled event schedule/dispatch cycle
 #   BenchmarkProcSwitch             Sleep round-trip (migrating driver)
+#   BenchmarkProcHandoff            hand-off between two procs (coroutine switch)
 #   BenchmarkSingleRunGauss         end-to-end run, swap-heavy application
 #   BenchmarkSingleRunFFT           end-to-end run, communication-heavy
 #   BenchmarkMeshTransit            precomputed-route mesh reservation
@@ -37,7 +38,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_7.json}"
+out="${1:-BENCH_8.json}"
 samples="${NWCACHE_BENCH_SAMPLES:-10}"
 micro_bt="${NWCACHE_BENCHTIME:-300ms}"
 run_bt="${NWCACHE_RUN_BENCHTIME:-3x}"
@@ -53,7 +54,7 @@ go test -run '^$' \
 # Micro-benchmarks: GOMAXPROCS=1, N samples each via -count; the awk
 # pass below keeps the minimum per benchmark.
 GOMAXPROCS=1 go test -run '^$' \
-  -bench '^(BenchmarkEngineEventThroughput|BenchmarkProcSwitch|BenchmarkMeshTransit)$' \
+  -bench '^(BenchmarkEngineEventThroughput|BenchmarkProcSwitch|BenchmarkProcHandoff|BenchmarkMeshTransit)$' \
   -benchmem -benchtime "$micro_bt" -count "$samples" . | tee -a "$raw" >&2
 GOMAXPROCS=1 go test -run '^$' \
   -bench '^(BenchmarkFramePoolTouch|BenchmarkFramePoolEvict)$' \
