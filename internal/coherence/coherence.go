@@ -16,9 +16,9 @@
 // timing for each transaction kind returned by the protocol functions.
 //
 // Both structures are on the simulator's per-access hot path, so they
-// avoid steady-state heap allocation: the cache is an intrusive LRU over a
-// fixed slot array with an open-addressed block index, and the directory
-// stores entries by value with a reusable invalidation scratch list.
+// avoid steady-state heap allocation: the cache is a block-keyed
+// dense.LRU, and the directory stores entries by value with a reusable
+// invalidation scratch list.
 package coherence
 
 import (
@@ -58,27 +58,14 @@ const SubPerPage = 4
 // key packs (page, sub) into a block id.
 func key(page int64, sub int) int64 { return page*SubPerPage + int64(sub) }
 
-// line is one cached block: the packed block id, its MSI state, and the
-// intrusive LRU links (slot indices; -1 terminates).
-type line struct {
-	k          int64
-	state      State
-	prev, next int32
-}
-
-// Cache is one node's coherent cache: LRU over blocks with MSI states,
-// laid out as a fixed slot array (capacity is set at construction) indexed
-// by an open-addressed block map. Insert reuses the evicted block's slot,
-// so the hit/miss/evict churn never touches the heap.
+// Cache is one node's coherent cache: LRU over blocks with MSI states.
+// Blocks are keyed page*SubPerPage+sub in a dense.LRU, with each slot's
+// state in a parallel slice, so the hit/miss/evict churn never touches
+// the heap.
 type Cache struct {
-	node     int
-	capacity int
-	lines    []line
-	ix       *dense.Index
-	head     int32 // MRU; -1 when empty
-	tail     int32 // LRU; -1 when empty
-	fslots   int32 // free-slot stack via next; -1 when empty
-	count    int
+	lru   dense.LRU
+	state []State // per LRU slot
+	node  int
 
 	Hits       uint64
 	Misses     uint64
@@ -86,26 +73,19 @@ type Cache struct {
 	Writebacks uint64
 }
 
-// NewCache returns an empty coherent cache of `capacity` blocks.
+// NewCache returns an empty coherent cache of `capacity` blocks
+// (capacity in [1, dense.MaxCapacity]).
 func NewCache(node, capacity int) *Cache {
-	if capacity < 1 {
-		panic("coherence: capacity must be >= 1")
+	return &Cache{
+		lru:   dense.NewLRU(capacity),
+		state: make([]State, capacity),
+		node:  node,
 	}
-	c := &Cache{
-		node:     node,
-		capacity: capacity,
-		lines:    make([]line, capacity),
-		ix:       dense.NewIndex(capacity),
-		head:     -1,
-		tail:     -1,
-		fslots:   -1,
-	}
-	for i := capacity - 1; i >= 0; i-- {
-		c.lines[i].next = c.fslots
-		c.fslots = int32(i)
-	}
-	return c
 }
+
+// Presize sizes the block index for pages 0..pages-1, so caching their
+// blocks never regrows it.
+func (c *Cache) Presize(pages int64) { c.lru.Presize(pages * SubPerPage) }
 
 // Observe wires the cache's hit/miss statistics into an obs scope as
 // pull-based probes (typically one scope per node). No-op on a nil
@@ -120,51 +100,12 @@ func (c *Cache) Observe(sc *obs.Scope) {
 	sc.ProbeCounter("writebacks", func() int64 { return int64(c.Writebacks) })
 }
 
-// pushFront links slot s in as most recently used.
-func (c *Cache) pushFront(s int32) {
-	c.lines[s].prev = -1
-	c.lines[s].next = c.head
-	if c.head >= 0 {
-		c.lines[c.head].prev = s
-	}
-	c.head = s
-	if c.tail < 0 {
-		c.tail = s
-	}
-	c.count++
-}
-
-// unlink removes slot s from the LRU list.
-func (c *Cache) unlink(s int32) {
-	l := &c.lines[s]
-	if l.prev >= 0 {
-		c.lines[l.prev].next = l.next
-	} else {
-		c.head = l.next
-	}
-	if l.next >= 0 {
-		c.lines[l.next].prev = l.prev
-	} else {
-		c.tail = l.prev
-	}
-	c.count--
-}
-
-// moveToFront refreshes slot s's LRU position.
-func (c *Cache) moveToFront(s int32) {
-	if s == c.head {
-		return
-	}
-	c.unlink(s)
-	c.pushFront(s)
-}
-
 // State returns the cached state of a block (Invalid if absent), touching
 // LRU on presence.
 func (c *Cache) State(page int64, sub int) State {
-	if s := c.ix.Get(key(page, sub)); s >= 0 {
-		c.moveToFront(s)
-		return c.lines[s].state
+	if s := c.lru.Find(key(page, sub)); s >= 0 {
+		c.lru.Touch(s)
+		return c.state[s]
 	}
 	return Invalid
 }
@@ -181,60 +122,48 @@ type Evicted struct {
 // and update the directory.
 func (c *Cache) Insert(page int64, sub int, st State) (ev Evicted, evicted bool) {
 	k := key(page, sub)
-	if s := c.ix.Get(k); s >= 0 {
-		c.lines[s].state = st
-		c.moveToFront(s)
+	if s := c.lru.Find(k); s >= 0 {
+		c.state[s] = st
+		c.lru.Touch(s)
 		return Evicted{}, false
 	}
-	if c.count >= c.capacity {
-		s := c.tail
-		l := &c.lines[s]
-		c.unlink(s)
-		c.ix.Delete(l.k)
+	if c.lru.Full() {
+		s := c.lru.Tail()
+		vk := c.lru.Key(s)
 		ev = Evicted{
-			Page:     l.k / SubPerPage,
-			Sub:      int(l.k % SubPerPage),
-			Modified: l.state == Modified,
+			Page:     vk / SubPerPage,
+			Sub:      int(vk % SubPerPage),
+			Modified: c.state[s] == Modified,
 		}
 		if ev.Modified {
 			c.Writebacks++
 		}
 		evicted = true
-		l.next = c.fslots
-		c.fslots = s
+		c.lru.Remove(s)
 	}
-	s := c.fslots
-	c.fslots = c.lines[s].next
-	c.lines[s].k = k
-	c.lines[s].state = st
-	c.ix.Put(k, s)
-	c.pushFront(s)
+	c.state[c.lru.Insert(k)] = st
 	return ev, evicted
 }
 
 // SetState changes the state of a cached block (upgrade/downgrade); the
 // block must be present.
 func (c *Cache) SetState(page int64, sub int, st State) {
-	s := c.ix.Get(key(page, sub))
+	s := c.lru.Find(key(page, sub))
 	if s < 0 {
 		panic(fmt.Sprintf("coherence: node %d: SetState on absent block %d/%d", c.node, page, sub))
 	}
-	c.lines[s].state = st
+	c.state[s] = st
 }
 
 // Drop removes a block (invalidation). Reports whether it was present and
 // whether the dropped copy was Modified.
 func (c *Cache) Drop(page int64, sub int) (present, wasModified bool) {
-	k := key(page, sub)
-	s := c.ix.Get(k)
+	s := c.lru.Find(key(page, sub))
 	if s < 0 {
 		return false, false
 	}
-	wasModified = c.lines[s].state == Modified
-	c.unlink(s)
-	c.ix.Delete(k)
-	c.lines[s].next = c.fslots
-	c.fslots = s
+	wasModified = c.state[s] == Modified
+	c.lru.Remove(s)
 	return true, wasModified
 }
 
@@ -250,7 +179,7 @@ func (c *Cache) DropPage(page int64) int {
 }
 
 // Len returns the number of cached blocks.
-func (c *Cache) Len() int { return c.count }
+func (c *Cache) Len() int { return c.lru.Len() }
 
 // Directory tracks, per block, which caches hold it and in what state.
 // A single global structure suffices in the simulator (the home node is

@@ -519,3 +519,20 @@ func TestUtilizationTableBounded(t *testing.T) {
 		}
 	}
 }
+
+// TestNewRejectsOutOfRangeCacheSizes: a config whose TLB, coherent cache
+// or frame pool cannot be built is an error from New, not a panic in a
+// constructor.
+func TestNewRejectsOutOfRangeCacheSizes(t *testing.T) {
+	for name, mod := range map[string]func(*param.Config){
+		"TLBEntries=0":  func(c *param.Config) { c.TLBEntries = 0 },
+		"L2SubBlocks=0": func(c *param.Config) { c.L2SubBlocks = 0 },
+		"frames=65536":  func(c *param.Config) { c.MemPerNode = (1 << 16) * c.PageSize },
+	} {
+		cfg := smallCfg()
+		mod(&cfg)
+		if _, err := New(cfg, Standard, disk.Naive); err == nil {
+			t.Errorf("%s: New accepted the config", name)
+		}
+	}
+}

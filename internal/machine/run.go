@@ -63,6 +63,14 @@ type Result struct {
 func (m *Machine) Run(prog Program) (*Result, error) {
 	procs := m.Cfg.Nodes
 	m.barrier = sim.NewBarrier(m.E, procs)
+	// Size every node's page-keyed indexes once from the footprint, so
+	// none of them regrows geometrically during the run.
+	pages := prog.DataPages()
+	for _, n := range m.Nodes {
+		n.TLB.Presize(pages)
+		n.CC.Presize(pages)
+		n.Pool.Presize(pages)
+	}
 	for i := 0; i < procs; i++ {
 		i := i
 		n := m.Nodes[i]

@@ -6,7 +6,11 @@
 // bytes at R MB/s are B·200/R pcycles.
 package param
 
-import "fmt"
+import (
+	"fmt"
+
+	"nwcache/internal/dense"
+)
 
 // Clock conversions.
 const (
@@ -208,6 +212,12 @@ func (c Config) Validate() error {
 		return fmt.Errorf("param: PageSize=%d must be a positive power of two", c.PageSize)
 	case c.MemPerNode < c.PageSize:
 		return fmt.Errorf("param: MemPerNode=%d below one page", c.MemPerNode)
+	case c.FramesPerNode() > dense.MaxCapacity:
+		return fmt.Errorf("param: FramesPerNode=%d must be <= %d", c.FramesPerNode(), dense.MaxCapacity)
+	case c.TLBEntries < 1 || c.TLBEntries > dense.MaxCapacity:
+		return fmt.Errorf("param: TLBEntries=%d must be in [1,%d]", c.TLBEntries, dense.MaxCapacity)
+	case c.L2SubBlocks < 1 || c.L2SubBlocks > dense.MaxCapacity:
+		return fmt.Errorf("param: L2SubBlocks=%d must be in [1,%d]", c.L2SubBlocks, dense.MaxCapacity)
 	case c.MinFreeFrames < 1:
 		return fmt.Errorf("param: MinFreeFrames=%d must be >= 1", c.MinFreeFrames)
 	case c.MinFreeFrames >= c.FramesPerNode():

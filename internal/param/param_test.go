@@ -104,6 +104,13 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		{"inverted seek", func(c *Config) { c.MaxSeek = c.MinSeek - 1 }},
 		{"zero stripe", func(c *Config) { c.StripeGroup = 0 }},
 		{"zero scale", func(c *Config) { c.Scale = 0 }},
+		{"zero TLB", func(c *Config) { c.TLBEntries = 0 }},
+		{"negative TLB", func(c *Config) { c.TLBEntries = -1 }},
+		{"TLB over slot limit", func(c *Config) { c.TLBEntries = 1 << 16 }},
+		{"zero L2", func(c *Config) { c.L2SubBlocks = 0 }},
+		{"negative L2", func(c *Config) { c.L2SubBlocks = -1 }},
+		{"L2 over slot limit", func(c *Config) { c.L2SubBlocks = 1 << 16 }},
+		{"frames over slot limit", func(c *Config) { c.MemPerNode = (1 << 16) * c.PageSize }},
 	}
 	for _, m := range mods {
 		c := Default()
@@ -111,5 +118,24 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted invalid config", m.name)
 		}
+	}
+}
+
+// TestValidateAcceptsSlotLimits pins both ends of the cache-size range:
+// one slot and the largest count a uint16 slot index holds. (A node needs
+// at least two frames, as MinFreeFrames must stay below the frame count.)
+func TestValidateAcceptsSlotLimits(t *testing.T) {
+	for _, n := range []int{1, 1<<16 - 1} {
+		c := Default()
+		c.TLBEntries = n
+		c.L2SubBlocks = n
+		if err := c.Validate(); err != nil {
+			t.Errorf("cache size %d: %v", n, err)
+		}
+	}
+	c := Default()
+	c.MemPerNode = (1<<16 - 1) * c.PageSize
+	if err := c.Validate(); err != nil {
+		t.Errorf("frames %d: %v", c.FramesPerNode(), err)
 	}
 }

@@ -6,143 +6,66 @@ package tlb
 
 import "nwcache/internal/dense"
 
-// slot is one translation: the page plus intrusive LRU links (slot
-// indices; -1 terminates).
-type slot struct {
-	page       int64
-	prev, next int32
-}
-
 // TLB is a fully-associative LRU translation buffer tracking virtual page
 // numbers. Costs (miss, shootdown, interrupt) are charged by the caller
 // using the configured latencies; the TLB itself only tracks presence.
 //
-// The buffer is an intrusive LRU over a fixed slot array with an
-// open-addressed page index; a TLB sits in front of every simulated memory
-// access, so its lookup/fill/evict churn must not allocate.
+// The buffer is a page-keyed dense.LRU; a TLB sits in front of every
+// simulated memory access, so its lookup/fill/evict churn must not
+// allocate. Pages must be non-negative (a negative page panics on fill).
 type TLB struct {
-	capacity int
-	slots    []slot
-	ix       *dense.Index
-	head     int32 // MRU; -1 when empty
-	tail     int32 // LRU; -1 when empty
-	fslots   int32 // free-slot stack via next; -1 when empty
-	count    int
-	Hits     uint64
-	Misses   uint64
+	lru    dense.LRU
+	Hits   uint64
+	Misses uint64
 }
 
-// New returns an empty TLB holding up to capacity translations.
+// New returns an empty TLB holding up to capacity translations
+// (capacity in [1, dense.MaxCapacity]).
 func New(capacity int) *TLB {
-	if capacity < 1 {
-		panic("tlb: capacity must be >= 1")
-	}
-	t := &TLB{
-		capacity: capacity,
-		slots:    make([]slot, capacity),
-		ix:       dense.NewIndex(capacity),
-		head:     -1,
-		tail:     -1,
-		fslots:   -1,
-	}
-	for i := capacity - 1; i >= 0; i-- {
-		t.slots[i].next = t.fslots
-		t.fslots = int32(i)
-	}
-	return t
+	return &TLB{lru: dense.NewLRU(capacity)}
 }
 
-// pushFront links slot s in as most recently used.
-func (t *TLB) pushFront(s int32) {
-	t.slots[s].prev = -1
-	t.slots[s].next = t.head
-	if t.head >= 0 {
-		t.slots[t.head].prev = s
-	}
-	t.head = s
-	if t.tail < 0 {
-		t.tail = s
-	}
-	t.count++
-}
-
-// unlink removes slot s from the LRU list.
-func (t *TLB) unlink(s int32) {
-	sl := &t.slots[s]
-	if sl.prev >= 0 {
-		t.slots[sl.prev].next = sl.next
-	} else {
-		t.head = sl.next
-	}
-	if sl.next >= 0 {
-		t.slots[sl.next].prev = sl.prev
-	} else {
-		t.tail = sl.prev
-	}
-	t.count--
-}
+// Presize sizes the page index for pages 0..pages-1, so filling them
+// never regrows it.
+func (t *TLB) Presize(pages int64) { t.lru.Presize(pages) }
 
 // Lookup touches the translation for page, returning true on hit. On miss
 // the translation is inserted (modeling the hardware walk + fill), evicting
 // the least recently used entry if full.
 func (t *TLB) Lookup(page int64) bool {
-	if s := t.ix.Get(page); s >= 0 {
-		if s != t.head {
-			t.unlink(s)
-			t.pushFront(s)
-		}
+	if s := t.lru.Find(page); s >= 0 {
+		t.lru.Touch(s)
 		t.Hits++
 		return true
 	}
 	t.Misses++
-	t.insert(page)
+	if t.lru.Full() {
+		t.lru.Remove(t.lru.Tail())
+	}
+	t.lru.Insert(page)
 	return false
 }
 
 // Contains reports presence without touching LRU state or counters.
-func (t *TLB) Contains(page int64) bool {
-	return t.ix.Get(page) >= 0
-}
-
-func (t *TLB) insert(page int64) {
-	if t.count >= t.capacity {
-		s := t.tail
-		t.unlink(s)
-		t.ix.Delete(t.slots[s].page)
-		t.slots[s].next = t.fslots
-		t.fslots = s
-	}
-	s := t.fslots
-	t.fslots = t.slots[s].next
-	t.slots[s].page = page
-	t.ix.Put(page, s)
-	t.pushFront(s)
-}
+func (t *TLB) Contains(page int64) bool { return t.lru.Find(page) >= 0 }
 
 // Invalidate removes the translation for page (shootdown victim side).
 // Returns true if an entry was present.
 func (t *TLB) Invalidate(page int64) bool {
-	s := t.ix.Get(page)
+	s := t.lru.Find(page)
 	if s < 0 {
 		return false
 	}
-	t.unlink(s)
-	t.ix.Delete(page)
-	t.slots[s].next = t.fslots
-	t.fslots = s
+	t.lru.Remove(s)
 	return true
 }
 
 // Len returns the number of valid entries.
-func (t *TLB) Len() int { return t.count }
+func (t *TLB) Len() int { return t.lru.Len() }
 
 // Flush removes every entry.
 func (t *TLB) Flush() {
-	for t.head >= 0 {
-		s := t.head
-		t.unlink(s)
-		t.ix.Delete(t.slots[s].page)
-		t.slots[s].next = t.fslots
-		t.fslots = s
+	for t.lru.Len() > 0 {
+		t.lru.Remove(t.lru.Tail())
 	}
 }

@@ -80,8 +80,10 @@ func TestZeroCapacityPanics(t *testing.T) {
 	New(0)
 }
 
+// Pages are non-negative: vm.Table and vm.FramePool panic on a negative
+// page, so the machine never looks one up (TestNegativePagePanics).
 func TestCapacityNeverExceededProperty(t *testing.T) {
-	f := func(pages []int16, capRaw uint8) bool {
+	f := func(pages []uint16, capRaw uint8) bool {
 		capacity := int(capRaw%16) + 1
 		tb := New(capacity)
 		for _, p := range pages {
@@ -95,4 +97,13 @@ func TestCapacityNeverExceededProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func TestNegativePagePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Lookup(-1) did not panic")
+		}
+	}()
+	New(4).Lookup(-1)
 }

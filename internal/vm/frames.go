@@ -3,28 +3,19 @@ package vm
 import (
 	"fmt"
 
+	"nwcache/internal/dense"
 	"nwcache/internal/obs"
 	"nwcache/internal/sim"
 )
-
-// frameNode is one slot of the intrusive LRU list: the resident page plus
-// index links into the dense frame array. Slots not on the LRU list sit on
-// the free-slot stack (linked through next).
-type frameNode struct {
-	page PageID
-	prev int32 // toward MRU; -1 at head
-	next int32 // toward LRU; -1 at tail / end of free stack
-}
 
 // FramePool manages one node's physical page frames: a free count, the LRU
 // order of resident pages, and the operating system's minimum-free-frames
 // floor that triggers replacement.
 //
-// The LRU is an index-linked intrusive list over a dense slot array with a
-// page->slot side index, so the per-access hot path (Touch, Contains,
-// Alloc/Remove churn) performs zero heap allocations in steady state —
-// unlike the former container/list + map[PageID]*list.Element layout, which
-// allocated a list element and a map cell per page installed.
+// The LRU is a page-keyed dense.LRU (pages are a dense 0..N range
+// machine-wide: workload.Space hands them out from a bump allocator), so
+// the per-access hot path (Touch, Contains, Alloc/Remove churn) performs
+// zero heap allocations in steady state.
 type FramePool struct {
 	node    int
 	total   int
@@ -33,23 +24,14 @@ type FramePool struct {
 
 	// Frames not free are in exactly one of three states, and the pool
 	// tracks each explicitly so misuse panics name the real violation:
-	//   resident — on the LRU list (lruLen)
+	//   resident — on the LRU list (lru.Len)
 	//   reserved — consumed by Reserve, not yet bound to a page
 	//   detached — unmapped by Unmap, awaiting ReleaseFrame
-	// Invariant: free + lruLen + reserved + detached == total.
+	// Invariant: free + lru.Len + reserved + detached == total.
 	reserved int
 	detached int
 
-	nodes  []frameNode
-	head   int32 // most recently used; -1 when empty
-	tail   int32 // least recently used; -1 when empty
-	fslots int32 // top of free-slot stack (linked via next); -1 when empty
-	lruLen int
-
-	// slotOf maps page -> slot+1 (0 = not present), grown on demand. Pages
-	// are a dense 0..N range machine-wide (workload.Space hands them out
-	// from a bump allocator), so a slice is both compact and exact.
-	slotOf []int32
+	lru dense.LRU
 
 	// FrameFreed is broadcast whenever a frame becomes free, waking
 	// processors stalled in NoFree and the replacement daemon.
@@ -76,30 +58,26 @@ type FramePool struct {
 	cRemove    *obs.Counter
 }
 
-// NewFramePool returns a pool of `frames` free frames for a node.
+// NewFramePool returns a pool of `frames` free frames for a node (frames
+// at most dense.MaxCapacity).
 func NewFramePool(e *sim.Engine, node, frames, minFree int) *FramePool {
 	if minFree < 1 || minFree >= frames {
 		panic(fmt.Sprintf("vm: node %d: minFree %d out of range for %d frames", node, minFree, frames))
 	}
-	f := &FramePool{
+	return &FramePool{
 		node:       node,
 		total:      frames,
 		free:       frames,
 		minFree:    minFree,
-		nodes:      make([]frameNode, frames),
-		head:       -1,
-		tail:       -1,
+		lru:        dense.NewLRU(frames),
 		FrameFreed: sim.NewCond(e).Named("vm.frameFreed"),
 		Pressure:   sim.NewCond(e).Named("vm.pressure"),
 	}
-	// Thread all slots onto the free-slot stack.
-	f.fslots = -1
-	for i := frames - 1; i >= 0; i-- {
-		f.nodes[i].next = f.fslots
-		f.fslots = int32(i)
-	}
-	return f
 }
+
+// Presize sizes the page index for pages 0..pages-1, so mapping them
+// never regrows it.
+func (f *FramePool) Presize(pages int64) { f.lru.Presize(pages) }
 
 // Observe wires the pool's frame state machine into an obs scope: one
 // counter per transition (reserve, adopt, unmap, release, ...). Several
@@ -128,7 +106,7 @@ func (f *FramePool) Total() int { return f.total }
 func (f *FramePool) MinFree() int { return f.minFree }
 
 // Resident returns the number of pages mapped in this pool.
-func (f *FramePool) Resident() int { return f.lruLen }
+func (f *FramePool) Resident() int { return f.lru.Len() }
 
 // Reserved returns the number of frames consumed by Reserve and not yet
 // bound (AdoptReserved) or returned (Unreserve).
@@ -144,59 +122,6 @@ func (f *FramePool) BelowFloor() bool { return f.free <= f.minFree }
 
 // HasFree reports whether an allocation can proceed immediately.
 func (f *FramePool) HasFree() bool { return f.free > 0 }
-
-// slot returns page's slot index, or -1 if not present.
-func (f *FramePool) slot(page PageID) int32 {
-	if page < 0 || page >= PageID(len(f.slotOf)) {
-		return -1
-	}
-	return f.slotOf[page] - 1
-}
-
-// setSlot records page -> s, growing the side index on first sight of a
-// page range. Growth is one-time per high-water mark; steady state never
-// reallocates.
-func (f *FramePool) setSlot(page PageID, s int32) {
-	if page < 0 {
-		panic(fmt.Sprintf("vm: node %d: negative page %d", f.node, page))
-	}
-	if page >= PageID(len(f.slotOf)) {
-		grown := make([]int32, page+page/2+8)
-		copy(grown, f.slotOf)
-		f.slotOf = grown
-	}
-	f.slotOf[page] = s + 1
-}
-
-// pushFront links slot s (holding its page) in as most recently used.
-func (f *FramePool) pushFront(s int32) {
-	f.nodes[s].prev = -1
-	f.nodes[s].next = f.head
-	if f.head >= 0 {
-		f.nodes[f.head].prev = s
-	}
-	f.head = s
-	if f.tail < 0 {
-		f.tail = s
-	}
-	f.lruLen++
-}
-
-// unlink removes slot s from the LRU list (it stays allocated).
-func (f *FramePool) unlink(s int32) {
-	n := &f.nodes[s]
-	if n.prev >= 0 {
-		f.nodes[n.prev].next = n.next
-	} else {
-		f.head = n.next
-	}
-	if n.next >= 0 {
-		f.nodes[n.next].prev = n.prev
-	} else {
-		f.tail = n.prev
-	}
-	f.lruLen--
-}
 
 // Alloc consumes one free frame for page and inserts it as most recently
 // used. The caller must have ensured HasFree (stalling in NoFree
@@ -238,53 +163,47 @@ func (f *FramePool) Unreserve() {
 // AdoptReserved binds a previously Reserved frame to page, making it
 // visible to LRU replacement.
 func (f *FramePool) AdoptReserved(page PageID) {
-	if f.slot(page) >= 0 {
+	if page < 0 {
+		panic(fmt.Sprintf("vm: node %d: negative page %d", f.node, page))
+	}
+	if f.lru.Find(page) >= 0 {
 		panic(fmt.Sprintf("vm: node %d: page %d already resident", f.node, page))
 	}
 	if f.reserved == 0 {
 		panic(fmt.Sprintf("vm: node %d: AdoptReserved without a reservation", f.node))
 	}
 	f.reserved--
-	s := f.fslots
-	f.fslots = f.nodes[s].next
-	f.nodes[s].page = page
-	f.setSlot(page, s)
-	f.pushFront(s)
+	f.lru.Insert(page)
 	f.cAdopt.Inc()
 }
 
 // Touch refreshes page's LRU position (on access). No-op if not present.
 func (f *FramePool) Touch(page PageID) {
-	s := f.slot(page)
-	if s < 0 || s == f.head {
-		return
+	if s := f.lru.Find(page); s >= 0 {
+		f.lru.Touch(s)
 	}
-	f.unlink(s)
-	f.pushFront(s)
 }
 
 // Contains reports whether page occupies a frame in this pool.
-func (f *FramePool) Contains(page PageID) bool { return f.slot(page) >= 0 }
+func (f *FramePool) Contains(page PageID) bool { return f.lru.Find(page) >= 0 }
 
 // VictimLRU returns the least recently used resident page without removing
 // it, or false if the pool is empty.
 func (f *FramePool) VictimLRU() (PageID, bool) {
-	if f.tail < 0 {
+	s := f.lru.Tail()
+	if s < 0 {
 		return 0, false
 	}
-	return f.nodes[f.tail].page, true
+	return f.lru.Key(s), true
 }
 
-// drop unlinks page's slot from the LRU and recycles the slot.
+// drop takes page off the LRU and recycles its slot.
 func (f *FramePool) drop(page PageID, op string) {
-	s := f.slot(page)
+	s := f.lru.Find(page)
 	if s < 0 {
 		panic(fmt.Sprintf("vm: node %d: %s non-resident page %d", f.node, op, page))
 	}
-	f.unlink(s)
-	f.slotOf[page] = 0
-	f.nodes[s].next = f.fslots
-	f.fslots = s
+	f.lru.Remove(s)
 }
 
 // Remove unmaps page, freeing its frame and waking NoFree stalls. The

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Run the hot-path benchmarks and emit a BENCH_*.json snapshot.
 #
-# Usage: scripts/bench.sh [output.json]          (default BENCH_8.json)
+# Usage: scripts/bench.sh [output.json]          (default BENCH_9.json)
 #
 # Benchmarks:
 #   BenchmarkEngineEventThroughput  pooled event schedule/dispatch cycle
@@ -13,6 +13,8 @@
 #   BenchmarkFramePoolTouch         LRU refresh on the per-access path
 #   BenchmarkFramePoolEvict         reserve/adopt/unmap/release cycle
 #   BenchmarkWriteBufferEnqueue     write-buffer push + coalesce scan
+#   BenchmarkTLBLookup              TLB hit/miss churn (64 entries)
+#   BenchmarkCoherentCacheAccess    coherent cache State/Insert/DropPage
 #
 # Methodology (pinned, so snapshots are comparable):
 #   - End-to-end benchmarks run a fixed iteration count (default 3x, so
@@ -38,7 +40,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_8.json}"
+out="${1:-BENCH_9.json}"
 samples="${NWCACHE_BENCH_SAMPLES:-10}"
 micro_bt="${NWCACHE_BENCHTIME:-300ms}"
 run_bt="${NWCACHE_RUN_BENCHTIME:-3x}"
@@ -61,6 +63,8 @@ GOMAXPROCS=1 go test -run '^$' \
   -benchmem -benchtime "$micro_bt" -count "$samples" ./internal/vm | tee -a "$raw" >&2
 GOMAXPROCS=1 go test -run '^$' -bench '^BenchmarkWriteBufferEnqueue$' \
   -benchmem -benchtime "$micro_bt" -count "$samples" ./internal/machine | tee -a "$raw" >&2
+GOMAXPROCS=1 go test -run '^$' -bench '^(BenchmarkTLBLookup|BenchmarkCoherentCacheAccess)$' \
+  -benchmem -benchtime "$micro_bt" -count "$samples" ./internal/tlb ./internal/coherence | tee -a "$raw" >&2
 
 go_ver="$(go version | sed 's/^go version //')"
 hostarch="$(go env GOHOSTARCH)"
