@@ -68,7 +68,6 @@ func main() {
 		format      = flag.String("format", "text", "output format: text or csv")
 		report      = flag.Bool("report", false, "emit a markdown paper-vs-measured report")
 		jobs        = flag.Int("j", runtime.GOMAXPROCS(0), "max simulations to run concurrently")
-		par         = flag.Bool("par", false, "pipeline op-stream generation on worker goroutines (byte-identical results)")
 		traceOut    = flag.String("trace-out", "", "write a Chrome trace-event JSON (one process per simulation) to this file")
 		manifestOut = flag.String("manifest-out", "", "write a run-manifest JSON (params, seed, merged metrics, stdout digest) to this file")
 		seriesOut   = flag.String("series-out", "", "write per-simulation time-series telemetry to this file (NDJSON, or CSV with a .csv suffix)")
@@ -99,7 +98,6 @@ func main() {
 	cfg.Scale = *scale
 	cfg.Seed = *seed
 	suite := exp.NewSuiteOn(cfg, pool.New(*jobs))
-	suite.Par = *par
 	if !*quiet {
 		suite.Progress = func(label string) {
 			fmt.Fprintf(os.Stderr, "running %s...\n", label)

@@ -74,6 +74,9 @@ func main() {
 
 	case *replay != "":
 		tr := loadTrace(*replay)
+		if len(tr.Ops) != cfg.Nodes {
+			fatal(fmt.Errorf("trace has %d op streams, the machine has %d processors", len(tr.Ops), cfg.Nodes))
+		}
 		var kind core.Kind
 		switch *machineF {
 		case "standard":

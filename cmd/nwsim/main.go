@@ -64,7 +64,6 @@ func main() {
 		seriesIntv = flag.Int64("series-interval", 500_000, "telemetry sampling interval in pcycles")
 		watch      = flag.Bool("watch", false, "render a live ANSI telemetry dashboard on stderr while the run executes")
 		httpAddr   = flag.String("http", "", "serve live telemetry over HTTP on this address (/metrics Prometheus text, /series NDJSON stream)")
-		par        = flag.Bool("par", false, "pipeline op-stream generation on worker goroutines (byte-identical results)")
 		faultPlan  = flag.String("fault-plan", "", "fault-plan spec file (see internal/fault); empty = no fault injection")
 		faultSeed  = flag.Int64("fault-seed", 1, "seed for the fault injector's dedicated PRNG stream")
 		recovery   = flag.String("recovery", "", "recovery policy: aggressive (paper default) or conservative")
@@ -186,7 +185,7 @@ func main() {
 		if injector != nil {
 			fatal(fmt.Errorf("-fault-plan/-recovery require a single run (-seeds 1)"))
 		}
-		agg, err := pool.RunSeeds(pool.New(*jobs), *app, kind, mode, cfg, *seeds, *par)
+		agg, err := pool.RunSeeds(pool.New(*jobs), *app, kind, mode, cfg, *seeds)
 		if err != nil {
 			fatal(err)
 		}
@@ -203,9 +202,6 @@ func main() {
 	prog, err := core.NewProgram(*app, cfg)
 	if err != nil {
 		fatal(err)
-	}
-	if *par {
-		prog = core.Parallelize(prog, cfg)
 	}
 	m, err := core.NewMachine(cfg, kind, mode)
 	if err != nil {

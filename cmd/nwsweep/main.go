@@ -113,7 +113,6 @@ func main() {
 		maxCells = flag.Int("max-cells", 0, "cap fresh simulations this invocation; exit 3 while incomplete (grid mode)")
 		merge    = flag.Bool("merge", false, "merge completed shard outputs instead of running (grid mode)")
 		shards   = flag.Int("shards", 1, "total shard count for -merge")
-		par      = flag.Bool("par", false, "pipelined op-stream generation for fresh cells (grid mode)")
 		events   = flag.String("events-out", "", "write the shard's lifecycle event stream to this NDJSON file (grid mode)")
 
 		cellBudget  = flag.Duration("cell-budget", 0, "wall-clock budget per cell; over-budget cells are aborted and quarantined (grid mode; 0 = unlimited)")
@@ -130,7 +129,7 @@ func main() {
 		os.Exit(runGrid(gridOpts{
 			specPath: *gridSpec, dir: *dir, shardSpec: *shard, cacheDir: *cacheDir,
 			jobs: *jobs, maxCells: *maxCells, shards: *shards,
-			doMerge: *merge, par: *par, quiet: *quiet, eventsOut: *events,
+			doMerge: *merge, quiet: *quiet, eventsOut: *events,
 			cellBudget: *cellBudget, cellStall: *cellStall, retryPoison: *retryPoison,
 			ioRetries: *ioRetries,
 			chaosFS:   *chaosFS, chaosSeed: *chaosSeed, chaosPanic: *chaosPanic,
@@ -464,7 +463,7 @@ func main() {
 type gridOpts struct {
 	specPath, dir, shardSpec, cacheDir string
 	jobs, maxCells, shards             int
-	doMerge, par, quiet                bool
+	doMerge, quiet                     bool
 	eventsOut                          string
 
 	cellBudget, cellStall time.Duration
@@ -552,7 +551,6 @@ func runGrid(o gridOpts) int {
 		Pool:        pool.New(o.jobs),
 		CacheDir:    o.cacheDir,
 		MaxFresh:    o.maxCells,
-		Par:         o.par,
 		FS:          fsys,
 		Guard:       guard.CellGuard{Budget: o.cellBudget, Stall: o.cellStall},
 		RetryPoison: o.retryPoison,

@@ -149,15 +149,6 @@ func RunProgram(prog Program, kind Kind, mode PrefetchMode, cfg Config) (*Result
 	return m.Run(prog)
 }
 
-// Parallelize wraps a program for pipelined op-stream generation (the
-// -par parallel fast path): application threads generate their operation
-// streams on plain goroutines while the deterministic event engine
-// replays them, producing byte-identical results to a serial run. The
-// seed must be the cfg.Seed the program will run with.
-func Parallelize(prog Program, cfg Config) Program {
-	return workload.Pipeline(prog, cfg.Seed)
-}
-
 // NewMachine exposes machine construction for callers that need access to
 // the substrate state after a run (e.g. disk or ring statistics).
 func NewMachine(cfg Config, kind Kind, mode PrefetchMode) (*machine.Machine, error) {
@@ -194,12 +185,6 @@ type Cell struct {
 	// hits run no machine).
 	Obs func(Cell, *machine.Machine) `json:"-"`
 
-	// Par runs the cell with pipelined op-stream generation (the -par
-	// parallel fast path; see workload.Pipelined). Excluded from Key on
-	// purpose: a parallel run is byte-identical to a serial one, so
-	// either may serve a memoized request for the other.
-	Par bool `json:"-"`
-
 	// Probe, when non-nil, is the supervision progress probe attached to
 	// the machine's engine before the run (sim.Engine.AttachProgress):
 	// the engine publishes its clock through it and honors watchdog
@@ -215,9 +200,11 @@ func (c Cell) Run() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if c.Par {
-		prog = workload.Pipeline(prog, c.Cfg.Seed)
-	}
+	return c.run(prog)
+}
+
+// run executes prog on a fresh machine set up as the cell describes.
+func (c Cell) run(prog Program) (*Result, error) {
 	kind := c.Kind
 	if c.RRDrain {
 		kind = NWCache

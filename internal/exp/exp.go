@@ -33,10 +33,6 @@ type Suite struct {
 	// actually executed (memoized cells are served from cache without a
 	// machine). Set it before the first submission.
 	Observe func(core.Cell, *machine.Machine)
-	// Par runs every cell with pipelined op-stream generation (the -par
-	// parallel fast path). Results are byte-identical either way, so it
-	// does not affect memoization. Set it before the first submission.
-	Par bool
 }
 
 // NewSuite creates an empty suite over the given base configuration. The
@@ -94,7 +90,7 @@ func (s *Suite) Pool() *pool.Pool {
 // paper's per-configuration minimum-free-frames floor.
 func (s *Suite) cell(app string, kind core.Kind, mode core.PrefetchMode) core.Cell {
 	return core.Cell{App: app, Kind: kind, Mode: mode,
-		Cfg: core.ApplyPaperMinFree(s.cfg, kind, mode), Obs: s.Observe, Par: s.Par}
+		Cfg: core.ApplyPaperMinFree(s.cfg, kind, mode), Obs: s.Observe}
 }
 
 // submit schedules one cell, reporting progress if it is fresh work.

@@ -335,9 +335,8 @@ func (p *Pool) Observe(sc *obs.Scope) {
 // RunSeeds executes the application once per seed (cfg.Seed, cfg.Seed+1,
 // ...) through the pool and aggregates the results exactly like
 // core.RunSeeds: futures are collected in seed order, so the aggregate is
-// bit-identical to a sequential run. With par set, each run uses
-// pipelined op-stream generation (byte-identical results either way).
-func RunSeeds(p *Pool, app string, kind core.Kind, mode core.PrefetchMode, cfg core.Config, n int, par bool) (*core.SeedAggregate, error) {
+// bit-identical to a sequential run.
+func RunSeeds(p *Pool, app string, kind core.Kind, mode core.PrefetchMode, cfg core.Config, n int) (*core.SeedAggregate, error) {
 	if n < 1 {
 		n = 1
 	}
@@ -345,7 +344,7 @@ func RunSeeds(p *Pool, app string, kind core.Kind, mode core.PrefetchMode, cfg c
 	for i := 0; i < n; i++ {
 		runCfg := cfg
 		runCfg.Seed = cfg.Seed + int64(i)
-		futs[i], _ = p.Submit(core.Cell{App: app, Kind: kind, Mode: mode, Cfg: runCfg, Par: par})
+		futs[i], _ = p.Submit(core.Cell{App: app, Kind: kind, Mode: mode, Cfg: runCfg})
 	}
 	agg := &core.SeedAggregate{Runs: n, MinExec: 1<<63 - 1}
 	for _, f := range futs {

@@ -70,7 +70,6 @@ func TestConcurrentSubmitRunsOnce(t *testing.T) {
 func TestCellKeyDiscriminates(t *testing.T) {
 	base := cell("lu", core.NWCache, core.Optimal)
 	same := cell("lu", core.NWCache, core.Optimal)
-	same.Par = true // byte-identical fast path: must share the key
 	if base.Key() != same.Key() {
 		t.Fatal("equal cells hash differently")
 	}
@@ -123,7 +122,7 @@ func TestParallelResultsMatchSerial(t *testing.T) {
 
 func TestRunSeedsMatchesSequential(t *testing.T) {
 	cfg := fastCfg() // em3d is seed-randomized, so the aggregate is nontrivial
-	got, err := RunSeeds(New(4), "em3d", core.NWCache, core.Optimal, cfg, 3, false)
+	got, err := RunSeeds(New(4), "em3d", core.NWCache, core.Optimal, cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

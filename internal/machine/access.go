@@ -18,17 +18,22 @@ import (
 // A Ctx can also be a pure recorder (see NewRecordingCtx): rec is then
 // non-nil and every operation is captured as an OpEvent instead of being
 // simulated. The rec check is one predicted-not-taken branch per
-// operation in the normal (simulating) mode — the same cost class as the
-// existing OpLog hook check.
+// operation in the normal (simulating) mode.
 type Ctx struct {
-	m   *Machine
-	n   *Node
-	p   *sim.Proc
-	rng *rand.Rand
+	m           *Machine
+	n           *Node
+	p           *sim.Proc
+	proc, procs int
+	rng         *rand.Rand
 
-	rec      func(OpEvent) // non-nil: recording mode, no simulation
-	recProc  int
-	recProcs int
+	rec func(OpEvent) // non-nil: recording mode, no simulation
+}
+
+// newCtx returns thread proc's context with its PRNG seeded from the
+// configuration seed. Machine.Run and NewRecordingCtx both build on it,
+// so a recorded program draws exactly the stream a simulated one does.
+func newCtx(proc, procs int, seed int64) *Ctx {
+	return &Ctx{proc: proc, procs: procs, rng: rand.New(rand.NewSource(seed + int64(proc)*1_000_003))}
 }
 
 // NewRecordingCtx returns a Ctx that records operations instead of
@@ -37,31 +42,18 @@ type Ctx struct {
 // exactly as Machine.Run seeds thread proc's, so a program replayed from
 // the recording makes identical random choices. Now and Machine panic in
 // this mode — a recordable program must be time-oblivious (the premise
-// of the parallel fast path; see workload.Pipelined).
+// of record/replay; see workload.Record).
 func NewRecordingCtx(proc, procs int, seed int64, sink func(OpEvent)) *Ctx {
-	return &Ctx{
-		rec:      sink,
-		recProc:  proc,
-		recProcs: procs,
-		rng:      rand.New(rand.NewSource(seed + int64(proc)*1_000_003)),
-	}
+	c := newCtx(proc, procs, seed)
+	c.rec = sink
+	return c
 }
 
 // Proc returns this thread's index (== node id).
-func (c *Ctx) Proc() int {
-	if c.rec != nil {
-		return c.recProc
-	}
-	return c.n.ID
-}
+func (c *Ctx) Proc() int { return c.proc }
 
 // Procs returns the number of application threads (== nodes).
-func (c *Ctx) Procs() int {
-	if c.rec != nil {
-		return c.recProcs
-	}
-	return c.m.Cfg.Nodes
-}
+func (c *Ctx) Procs() int { return c.procs }
 
 // Rand returns this thread's deterministic PRNG.
 func (c *Ctx) Rand() *rand.Rand { return c.rng }
@@ -100,7 +92,6 @@ func (c *Ctx) Compute(cycles int64) {
 		c.rec(OpEvent{Kind: OpCompute, Cycles: cycles})
 		return
 	}
-	c.logOp(OpEvent{Kind: OpCompute, Cycles: cycles})
 	c.p.Sleep(cycles)
 }
 
@@ -111,7 +102,6 @@ func (c *Ctx) Barrier() {
 		c.rec(OpEvent{Kind: OpBarrier})
 		return
 	}
-	c.logOp(OpEvent{Kind: OpBarrier})
 	c.drainInterrupts()
 	if c.n.WB != nil {
 		c.n.WB.fence(c.p)
@@ -125,7 +115,6 @@ func (c *Ctx) LockAcquire(id int) {
 		c.rec(OpEvent{Kind: OpLockAcquire, Lock: id})
 		return
 	}
-	c.logOp(OpEvent{Kind: OpLockAcquire, Lock: id})
 	c.drainInterrupts()
 	c.m.Lock(id).Lock(c.p)
 }
@@ -137,7 +126,6 @@ func (c *Ctx) LockRelease(id int) {
 		c.rec(OpEvent{Kind: OpLockRelease, Lock: id})
 		return
 	}
-	c.logOp(OpEvent{Kind: OpLockRelease, Lock: id})
 	if c.n.WB != nil {
 		c.n.WB.fence(c.p)
 	}
@@ -171,7 +159,6 @@ func (c *Ctx) Touch(page PageID, sub, lines int, write bool) {
 		c.rec(OpEvent{Kind: OpTouch, Page: page, Sub: sub, Lines: lines, Write: write})
 		return
 	}
-	c.logOp(OpEvent{Kind: OpTouch, Page: page, Sub: sub, Lines: lines, Write: write})
 	m, n, p := c.m, c.n, c.p
 	c.drainInterrupts()
 	if !n.TLB.Lookup(page) {

@@ -31,7 +31,6 @@ func (c *Ctx) FileRead(page PageID, pages int) {
 		c.rec(OpEvent{Kind: OpFileRead, Page: page, Pages: pages})
 		return
 	}
-	c.logOp(OpEvent{Kind: OpFileRead, Page: page, Pages: pages})
 	m, n, p := c.m, c.n, c.p
 	for k := 0; k < pages; k++ {
 		c.drainInterrupts()
@@ -57,7 +56,6 @@ func (c *Ctx) FileWrite(page PageID, pages int) {
 		c.rec(OpEvent{Kind: OpFileWrite, Page: page, Pages: pages})
 		return
 	}
-	c.logOp(OpEvent{Kind: OpFileWrite, Page: page, Pages: pages})
 	m, n, p := c.m, c.n, c.p
 	for k := 0; k < pages; k++ {
 		c.drainInterrupts()

@@ -125,11 +125,6 @@ type Machine struct {
 	// swap-out, and ring/disk protocol action (see internal/trace).
 	Tracer *trace.Tracer
 
-	// OpLog, when non-nil, observes every application-level operation
-	// (touch/compute/barrier/lock/file I/O) as it is issued — the hook
-	// behind record/replay (see internal/workload's OpTrace).
-	OpLog func(op OpEvent)
-
 	// Spans receives simulated-clock spans ("fault.disk", "swap.ring",
 	// ...) when observation is wired via Observe; nil otherwise. The
 	// histograms aggregate fault and swap-out latencies for the metric

@@ -420,43 +420,6 @@ func TestCtxAccessorsAndLocks(t *testing.T) {
 	}
 }
 
-func TestOpLogObservesEveryKind(t *testing.T) {
-	cfg := smallCfg()
-	m, err := New(cfg, Standard, disk.Naive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[OpKind]int{}
-	m.OpLog = func(op OpEvent) { seen[op.Kind]++ }
-	prog := &testProg{name: "oplog", pages: 8, fn: func(ctx *Ctx, proc int) {
-		if proc == 0 {
-			ctx.Read(0, 0, 8)
-			ctx.Write(1, 0, 8)
-			ctx.Compute(100)
-			ctx.LockAcquire(1)
-			ctx.LockRelease(1)
-			ctx.FileRead(4, 1)
-			ctx.FileWrite(5, 1)
-		}
-		ctx.Barrier()
-	}}
-	if _, err := m.Run(prog); err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []OpKind{OpTouch, OpCompute, OpBarrier, OpLockAcquire,
-		OpLockRelease, OpFileRead, OpFileWrite} {
-		if seen[k] == 0 {
-			t.Fatalf("op kind %d never observed: %v", k, seen)
-		}
-	}
-	if seen[OpTouch] != 2 {
-		t.Fatalf("touches %d, want 2", seen[OpTouch])
-	}
-	if seen[OpBarrier] != cfg.Nodes {
-		t.Fatalf("barriers %d, want one per proc", seen[OpBarrier])
-	}
-}
-
 func TestCheckInvariantsMidRunTolerant(t *testing.T) {
 	// postRun=false must tolerate in-flight state (Transit pages etc.).
 	cfg := smallCfg()

@@ -62,9 +62,9 @@ func TestRecordingCtxSkipsNoopCompute(t *testing.T) {
 	}
 }
 
-// Time-dependent methods are unavailable while recording: the parallel
-// fast path is only sound for time-oblivious programs, so the recorder
-// fails loudly instead of returning a wrong answer.
+// Time-dependent methods are unavailable while recording: recording
+// without simulating is only sound for time-oblivious programs, so the
+// recorder fails loudly instead of returning a wrong answer.
 func TestRecordingCtxNowPanics(t *testing.T) {
 	c := NewRecordingCtx(0, 1, 1, func(OpEvent) {})
 	defer func() {

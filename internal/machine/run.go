@@ -2,7 +2,6 @@ package machine
 
 import (
 	"fmt"
-	"math/rand"
 
 	"nwcache/internal/fault"
 	"nwcache/internal/sim"
@@ -75,12 +74,8 @@ func (m *Machine) Run(prog Program) (*Result, error) {
 		i := i
 		n := m.Nodes[i]
 		m.E.Spawn(fmt.Sprintf("cpu%d", i), func(p *sim.Proc) {
-			ctx := &Ctx{
-				m:   m,
-				n:   n,
-				p:   p,
-				rng: rand.New(rand.NewSource(m.Cfg.Seed + int64(i)*1_000_003)),
-			}
+			ctx := newCtx(i, procs, m.Cfg.Seed)
+			ctx.m, ctx.n, ctx.p = m, n, p
 			prog.Run(ctx, i)
 			n.doneAt = p.Now()
 		})

@@ -21,7 +21,6 @@ type JobRequest struct {
 	Name string       `json:"name,omitempty"`
 	Grid string       `json:"grid,omitempty"`
 	Cell *CellRequest `json:"cell,omitempty"`
-	Par  bool         `json:"par,omitempty"`
 }
 
 // CellRequest describes one simulation cell.
@@ -179,7 +178,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if name == "" {
 		name = spec.Name
 	}
-	j, err := s.Submit(spec, text, name, req.Par)
+	j, err := s.Submit(spec, text, name)
 	if err != nil {
 		writeErr(w, http.StatusServiceUnavailable, err)
 		return

@@ -240,9 +240,10 @@ func TestJobOverHTTPByteIdenticalToOffline(t *testing.T) {
 
 // TestDuplicateJobAdoptsCache resubmits an identical grid: every cell
 // must come out of the shared result cache, no fresh simulation. A
-// third submission carries the shard-width field older clients sent
-// for the retired parallel engine, which the server ignores: it must
-// be accepted and merge to the same bytes.
+// third submission carries the fields older clients sent for the
+// retired parallel engine (a shard width) and the retired pipelined
+// op generation (a flag), which the server ignores: it must be
+// accepted and merge to the same bytes.
 func TestDuplicateJobAdoptsCache(t *testing.T) {
 	srv, base := newTestServer(t, Config{HostSample: -1})
 	defer srv.Drain()
@@ -269,15 +270,15 @@ func TestDuplicateJobAdoptsCache(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatal("duplicate job produced different merged NDJSON")
 	}
-	// The field name is assembled so the retired option's name stays
+	// The field names are assembled so the retired options' names stay
 	// out of the source tree's symbol searches.
-	stale, _ := json.Marshal(map[string]any{"grid": testGrid, "pd" + "es": 4})
+	stale, _ := json.Marshal(map[string]any{"grid": testGrid, "pd" + "es": 4, "p" + "ar": true})
 	third := postJobBody(t, base, stale)
 	if s := waitTerminal(t, base, third.ID); s.State != StateDone {
-		t.Fatalf("job with stale shard-width field %s: %s", s.State, s.Error)
+		t.Fatalf("job with stale fields %s: %s", s.State, s.Error)
 	}
 	if c := getBody(t, base+"/jobs/"+third.ID+"/artifacts/merged.ndjson"); !bytes.Equal(a, c) {
-		t.Fatal("job with stale shard-width field produced different merged NDJSON")
+		t.Fatal("job with stale fields produced different merged NDJSON")
 	}
 }
 

@@ -71,7 +71,6 @@ type Job struct {
 	Name string
 	Spec *sweep.Spec
 	Dir  string
-	Par  bool
 
 	events *obs.EventLog
 	live   *obs.LiveSet
@@ -99,7 +98,6 @@ type JobStatus struct {
 	Total  int    `json:"total"`
 	EtaNS  int64  `json:"eta_ns,omitempty"`
 	Error  string `json:"error,omitempty"`
-	Par    bool   `json:"par,omitempty"`
 	AgeSec int64  `json:"age_sec"`
 }
 
@@ -110,7 +108,7 @@ func (j *Job) status() JobStatus {
 		ID: j.ID, Name: j.Name, State: j.state,
 		Spec: j.Spec.Digest(), Cells: j.Spec.NumCells(),
 		Done: j.done, Total: j.total, EtaNS: j.etaNS,
-		Error: j.errText, Par: j.Par,
+		Error:  j.errText,
 		AgeSec: int64(time.Since(j.submitted).Seconds()),
 	}
 }
@@ -209,7 +207,7 @@ func (s *Server) logf(format string, args ...any) {
 
 // Submit registers a job for the parsed spec and enqueues it. specText
 // is persisted verbatim as the job's spec.txt.
-func (s *Server) Submit(spec *sweep.Spec, specText string, name string, par bool) (*Job, error) {
+func (s *Server) Submit(spec *sweep.Spec, specText string, name string) (*Job, error) {
 	if s.draining.Load() {
 		return nil, errDraining
 	}
@@ -218,7 +216,7 @@ func (s *Server) Submit(spec *sweep.Spec, specText string, name string, par bool
 	id := fmt.Sprintf("j%04d-%.8s", s.seq, spec.Digest())
 	s.mu.Unlock()
 	j := &Job{
-		ID: id, Name: name, Spec: spec, Par: par,
+		ID: id, Name: name, Spec: spec,
 		Dir:    filepath.Join(s.cfg.Dir, "jobs", id),
 		events: obs.NewEventLog(s.cfg.MaxEvents),
 		live:   &obs.LiveSet{},
@@ -313,7 +311,6 @@ func (s *Server) run(j *Job) {
 		Dir:          j.Dir,
 		Pool:         p,
 		CacheDir:     filepath.Join(s.cfg.Dir, "cache"),
-		Par:          j.Par,
 		Guard:        s.cfg.Guard,
 		Live:         j.live,
 		LiveInterval: s.cfg.LiveInterval,

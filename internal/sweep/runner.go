@@ -83,9 +83,6 @@ type Runner struct {
 	// simulations — Run then returns ErrIncomplete and the next Run
 	// resumes. This is also how CI simulates a mid-sweep kill.
 	MaxFresh int
-	// Par selects the pipelined op-generation fast path for fresh
-	// cells (byte-identical results; excluded from cell keys).
-	Par bool
 	// Progress, if set, is called with a label per fresh simulation.
 	Progress func(label string)
 
@@ -419,7 +416,6 @@ func (r *Runner) Run() (Summary, error) {
 			capped = true
 			return nil
 		}
-		c.Par = r.Par
 		c.Obs = hook
 		var probe *sim.Progress
 		if r.Guard.Enabled() {

@@ -1,11 +1,10 @@
 package workload
 
-// Record/replay: capture the operation stream an application issues on
-// one run and replay it later as a Program — the classic trace-driven
-// simulation facility. A recorded trace decouples the workload from its
-// generator: traces can be archived, diffed, filtered, or replayed on
-// differently configured machines (as long as the processor count
-// matches).
+// Record/replay: capture the operation stream an application issues and
+// replay it later as a Program — the classic trace-driven simulation
+// facility. A recorded trace decouples the workload from its generator:
+// traces can be archived, diffed, filtered, or replayed on differently
+// configured machines (as long as the processor count matches).
 
 import (
 	"bufio"
@@ -13,7 +12,7 @@ import (
 	"fmt"
 	"io"
 
-	"nwcache/internal/disk"
+	"nwcache/internal/coherence"
 	"nwcache/internal/machine"
 	"nwcache/internal/param"
 )
@@ -52,6 +51,8 @@ func (t *OpTrace) Run(ctx *machine.Ctx, proc int) {
 			ctx.FileRead(op.Page, op.Pages)
 		case machine.OpFileWrite:
 			ctx.FileWrite(op.Page, op.Pages)
+		default:
+			panic(fmt.Sprintf("workload: unknown op kind %d", op.Kind))
 		}
 	}
 }
@@ -65,13 +66,15 @@ func (t *OpTrace) TotalOps() int {
 	return n
 }
 
-// Record runs prog on a machine built from cfg (standard kind, naive
-// prefetching — the substrate does not matter for the op stream, which is
-// identical on any machine because programs are deterministic) and
-// captures its operation streams.
+// Record captures prog's operation streams by running each thread on a
+// recording Ctx (machine.NewRecordingCtx): no machine is built and
+// nothing is simulated. The streams equal those a simulated run issues
+// on any machine because the built-in programs are time-oblivious — they
+// never branch on Ctx.Now or machine state (the recording Ctx panics on
+// both) — and the recording PRNG is seeded exactly as Machine.Run seeds
+// each thread's.
 func Record(prog machine.Program, cfg param.Config) (*OpTrace, error) {
-	m, err := machine.New(cfg, machine.Standard, disk.Optimal)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	t := &OpTrace{
@@ -79,11 +82,11 @@ func Record(prog machine.Program, cfg param.Config) (*OpTrace, error) {
 		Pages:     prog.DataPages(),
 		Ops:       make([][]machine.OpEvent, cfg.Nodes),
 	}
-	m.OpLog = func(op machine.OpEvent) {
-		t.Ops[op.Proc] = append(t.Ops[op.Proc], op)
-	}
-	if _, err := m.Run(prog); err != nil {
-		return nil, err
+	for p := range t.Ops {
+		prog.Run(machine.NewRecordingCtx(p, cfg.Nodes, cfg.Seed, func(op machine.OpEvent) {
+			op.Proc = p
+			t.Ops[p] = append(t.Ops[p], op)
+		}), p)
 	}
 	return t, nil
 }
@@ -91,110 +94,104 @@ func Record(prog machine.Program, cfg param.Config) (*OpTrace, error) {
 // opTraceMagic identifies the binary op-trace format.
 var opTraceMagic = [8]byte{'N', 'W', 'O', 'P', 'S', '0', '0', '1'}
 
-// Encode writes the trace in a compact binary format.
+// opRecord is the fixed 26-byte wire form of one OpEvent
+// (encoding/binary packs struct fields in order, without padding).
+type opRecord struct {
+	Kind   machine.OpKind
+	Page   machine.PageID
+	Sub    uint8
+	Lines  uint16
+	Write  bool
+	Cycles int64
+	Lock   int32
+	Pages  int32
+}
+
+// Encode writes the trace in a compact binary format: the magic, the
+// name (uint32 length + bytes), Pages, the stream count, then per
+// stream an op count and its opRecords, all little-endian.
 func (t *OpTrace) Encode(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(opTraceMagic[:]); err != nil {
-		return err
-	}
-	writeStr := func(s string) error {
-		if err := binary.Write(bw, binary.LittleEndian, uint32(len(s))); err != nil {
+	le := binary.LittleEndian
+	for _, v := range []any{opTraceMagic, uint32(len(t.TraceName)), []byte(t.TraceName), t.Pages, uint32(len(t.Ops))} {
+		if err := binary.Write(bw, le, v); err != nil {
 			return err
 		}
-		_, err := bw.WriteString(s)
-		return err
-	}
-	if err := writeStr(t.TraceName); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, t.Pages); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(t.Ops))); err != nil {
-		return err
 	}
 	for _, ops := range t.Ops {
-		if err := binary.Write(bw, binary.LittleEndian, uint64(len(ops))); err != nil {
+		if err := binary.Write(bw, le, uint64(len(ops))); err != nil {
 			return err
 		}
 		for _, op := range ops {
-			rec := []any{
-				uint8(op.Kind), op.Page, uint8(op.Sub), uint16(op.Lines),
-				boolByte(op.Write), op.Cycles, int32(op.Lock), int32(op.Pages),
-			}
-			for _, f := range rec {
-				if err := binary.Write(bw, binary.LittleEndian, f); err != nil {
-					return err
-				}
+			rec := opRecord{op.Kind, op.Page, uint8(op.Sub), uint16(op.Lines),
+				op.Write, op.Cycles, int32(op.Lock), int32(op.Pages)}
+			if err := binary.Write(bw, le, &rec); err != nil {
+				return err
 			}
 		}
 	}
 	return bw.Flush()
 }
 
-// ReadOpTrace decodes a binary op trace.
+// ReadOpTrace decodes a binary op trace, rejecting any op a replay
+// could not execute (see check).
 func ReadOpTrace(r io.Reader) (*OpTrace, error) {
 	br := bufio.NewReader(r)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("workload: reading op-trace magic: %w", err)
+	le := binary.LittleEndian
+	var head struct {
+		Magic   [8]byte
+		NameLen uint32
 	}
-	if magic != opTraceMagic {
-		return nil, fmt.Errorf("workload: bad op-trace magic %q", magic)
+	if err := binary.Read(br, le, &head); err != nil {
+		return nil, fmt.Errorf("workload: reading op-trace header: %w", err)
 	}
-	var nameLen uint32
-	if err := binary.Read(br, binary.LittleEndian, &nameLen); err != nil {
-		return nil, err
+	if head.Magic != opTraceMagic {
+		return nil, fmt.Errorf("workload: bad op-trace magic %q", head.Magic)
 	}
-	if nameLen > 4096 {
-		return nil, fmt.Errorf("workload: implausible name length %d", nameLen)
+	if head.NameLen > 4096 {
+		return nil, fmt.Errorf("workload: implausible name length %d", head.NameLen)
 	}
-	name := make([]byte, nameLen)
+	name := make([]byte, head.NameLen)
 	if _, err := io.ReadFull(br, name); err != nil {
 		return nil, err
 	}
-	t := &OpTrace{TraceName: string(name)}
-	if err := binary.Read(br, binary.LittleEndian, &t.Pages); err != nil {
+	var dims struct {
+		Pages int64
+		Procs uint32
+	}
+	if err := binary.Read(br, le, &dims); err != nil {
 		return nil, err
 	}
-	var procs uint32
-	if err := binary.Read(br, binary.LittleEndian, &procs); err != nil {
-		return nil, err
+	if dims.Pages < 0 {
+		return nil, fmt.Errorf("workload: negative page count %d", dims.Pages)
 	}
-	if procs > 1024 {
-		return nil, fmt.Errorf("workload: implausible proc count %d", procs)
+	if dims.Procs > 1024 {
+		return nil, fmt.Errorf("workload: implausible proc count %d", dims.Procs)
 	}
-	t.Ops = make([][]machine.OpEvent, procs)
+	t := &OpTrace{TraceName: string(name), Pages: dims.Pages, Ops: make([][]machine.OpEvent, dims.Procs)}
 	for p := range t.Ops {
 		var count uint64
-		if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
+		if err := binary.Read(br, le, &count); err != nil {
 			return nil, err
 		}
 		const maxOps = 1 << 30
 		if count > maxOps {
 			return nil, fmt.Errorf("workload: implausible op count %d", count)
 		}
-		ops := make([]machine.OpEvent, 0, count)
+		// The count is untrusted: presize at most a small window and let
+		// append grow the slice as ops actually arrive.
+		ops := make([]machine.OpEvent, 0, min(int(count), 1<<16))
 		for i := uint64(0); i < count; i++ {
-			var (
-				kind, sub, wr uint8
-				lines         uint16
-				lock, pages   int32
-				op            machine.OpEvent
-			)
-			fields := []any{&kind, &op.Page, &sub, &lines, &wr, &op.Cycles, &lock, &pages}
-			for _, f := range fields {
-				if err := binary.Read(br, binary.LittleEndian, f); err != nil {
-					return nil, fmt.Errorf("workload: proc %d op %d: %w", p, i, err)
-				}
+			var rec opRecord
+			if err := binary.Read(br, le, &rec); err != nil {
+				return nil, fmt.Errorf("workload: proc %d op %d: %w", p, i, err)
 			}
-			op.Proc = p
-			op.Kind = machine.OpKind(kind)
-			op.Sub = int(sub)
-			op.Lines = int(lines)
-			op.Write = wr != 0
-			op.Lock = int(lock)
-			op.Pages = int(pages)
+			op := machine.OpEvent{Proc: p, Kind: rec.Kind, Page: rec.Page,
+				Sub: int(rec.Sub), Lines: int(rec.Lines), Write: rec.Write,
+				Cycles: rec.Cycles, Lock: int(rec.Lock), Pages: int(rec.Pages)}
+			if err := t.check(&op); err != nil {
+				return nil, fmt.Errorf("workload: proc %d op %d: %w", p, i, err)
+			}
 			ops = append(ops, op)
 		}
 		t.Ops[p] = ops
@@ -202,9 +199,33 @@ func ReadOpTrace(r io.Reader) (*OpTrace, error) {
 	return t, nil
 }
 
-func boolByte(b bool) uint8 {
-	if b {
-		return 1
+// check rejects an operation a replay could not execute: an unknown
+// kind, a touch outside the trace's footprint or a page's sub-blocks,
+// or a negative file page, lock, page count or cycle count.
+func (t *OpTrace) check(op *machine.OpEvent) error {
+	switch op.Kind {
+	case machine.OpTouch:
+		if op.Page < 0 || int64(op.Page) >= t.Pages {
+			return fmt.Errorf("touch of page %d outside [0, %d)", op.Page, t.Pages)
+		}
+		if op.Sub >= coherence.SubPerPage {
+			return fmt.Errorf("touch of sub-block %d outside [0, %d)", op.Sub, coherence.SubPerPage)
+		}
+	case machine.OpCompute:
+		if op.Cycles < 0 {
+			return fmt.Errorf("negative cycle count %d", op.Cycles)
+		}
+	case machine.OpBarrier:
+	case machine.OpLockAcquire, machine.OpLockRelease:
+		if op.Lock < 0 {
+			return fmt.Errorf("negative lock id %d", op.Lock)
+		}
+	case machine.OpFileRead, machine.OpFileWrite:
+		if op.Page < 0 || op.Pages < 0 {
+			return fmt.Errorf("file op at page %d for %d pages", op.Page, op.Pages)
+		}
+	default:
+		return fmt.Errorf("unknown op kind %d", op.Kind)
 	}
-	return 0
+	return nil
 }

@@ -5,8 +5,8 @@
 # parser regressions on every push without burning CI minutes. The
 # targets pin two properties per parser: arbitrary input never panics,
 # and accepted input reaches a canonical fixpoint (grid specs via
-# Canon, fault plans via String, NDJSON traces via a write/read round
-# trip). Override FUZZTIME for longer local campaigns:
+# Canon, fault plans via String, NDJSON traces and binary op traces via
+# a write/read round trip). Override FUZZTIME for longer local campaigns:
 #
 #	FUZZTIME=10m scripts/fuzz.sh
 set -eux
@@ -18,3 +18,4 @@ go test -run '^$' -fuzz '^FuzzParseSpec$' -fuzztime "$FUZZTIME" ./internal/sweep
 go test -run '^$' -fuzz '^FuzzParsePlan$' -fuzztime "$FUZZTIME" ./internal/fault/
 go test -run '^$' -fuzz '^FuzzReadJSON$' -fuzztime "$FUZZTIME" ./internal/trace/
 go test -run '^$' -fuzz '^FuzzReadEvents$' -fuzztime "$FUZZTIME" ./internal/obs/
+go test -run '^$' -fuzz '^FuzzReadOpTrace$' -fuzztime "$FUZZTIME" ./internal/workload/

@@ -12,11 +12,6 @@
 # bytes of `nwbench -all -q -seed 1` (scale 1.0); the script also
 # recomputes it independently from the captured output so the manifest
 # tee itself is cross-checked.
-#
-# The sweep then runs a second time with -par (pipelined op-stream
-# generation), byte-compared against the first: the parallel path's
-# contract is byte-identical results, and this is the gate that holds
-# it to it. Set GOLDEN_SKIP_PAR=1 to skip that pass.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -44,17 +39,6 @@ fi
 if [ -n "$raw" ] && [ "sha256:$raw" != "$digest" ]; then
   echo "golden: manifest digest $digest disagrees with sha256:$raw of captured output" >&2
   exit 1
-fi
-
-# Parallel fast path: same sweep, -par, byte-identical stdout required.
-if [ "${GOLDEN_SKIP_PAR:-0}" != 1 ]; then
-  go run ./cmd/nwbench -all -q -seed 1 -par > "$tmp/out-par.txt"
-  if ! cmp -s "$tmp/out.txt" "$tmp/out-par.txt"; then
-    echo "golden: -par output differs from serial output" >&2
-    diff "$tmp/out.txt" "$tmp/out-par.txt" | head -20 >&2 || true
-    exit 1
-  fi
-  echo "golden: -par output byte-identical to serial"
 fi
 
 if [ "${1:-}" = "--update" ]; then

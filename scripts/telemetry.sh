@@ -6,13 +6,10 @@
 #   scripts/telemetry.sh            verify against the committed baseline
 #   scripts/telemetry.sh --update   regenerate testdata/telemetry/baseline-manifest.json
 #
-# Five checks, all hard failures:
+# Four checks, all hard failures:
 #   1. Two identical seeded runs with the sampler attached produce
 #      byte-identical series files and byte-identical stdout — the
-#      sampler ticks on the virtual clock, never the wall clock. A
-#      third run with -par (pipelined op-stream generation) must also
-#      match byte-for-byte, sampler attached: the parallel path may
-#      not perturb telemetry any more than it may perturb results.
+#      sampler ticks on the virtual clock, never the wall clock.
 #   2. A fresh run's manifest diffs clean against the committed
 #      baseline at threshold 0 (exact mode: every metric and the
 #      stdout digest must match).
@@ -42,25 +39,15 @@ run() { # $1=seed $2=name [extra nwsim flags...]
     -manifest-out "$tmp/$name-manifest.json" "$@" > "$tmp/$name-stdout.txt"
 }
 
-# 1. Determinism: identical runs, byte-identical telemetry and output;
-# the -par run must be indistinguishable from the serial ones.
+# 1. Determinism: identical runs, byte-identical telemetry and output.
 run 1 a
 run 1 b
-run 1 c -par
 if ! cmp -s "$tmp/a.ndjson" "$tmp/b.ndjson"; then
   echo "telemetry: series files differ across identical seeded runs" >&2
   exit 1
 fi
 if ! cmp -s "$tmp/a-stdout.txt" "$tmp/b-stdout.txt"; then
   echo "telemetry: stdout differs across identical seeded runs" >&2
-  exit 1
-fi
-if ! cmp -s "$tmp/a.ndjson" "$tmp/c.ndjson"; then
-  echo "telemetry: -par series differs from serial series" >&2
-  exit 1
-fi
-if ! cmp -s "$tmp/a-stdout.txt" "$tmp/c-stdout.txt"; then
-  echo "telemetry: -par stdout differs from serial stdout" >&2
   exit 1
 fi
 
