@@ -228,6 +228,34 @@ func BenchmarkProcHandoff(b *testing.B) {
 	b.ReportMetric(float64(e.Switches())/float64(n), "switches/op")
 }
 
+// BenchmarkCallbackHandoff is BenchmarkProcHandoff for continuations:
+// two continuations alternate through a Cond (each signals the other and
+// waits), so every hand-off is one callback dispatch and no switch.
+func BenchmarkCallbackHandoff(b *testing.B) {
+	e := sim.New()
+	c := sim.NewCond(e)
+	left := b.N
+	var ping, pong func()
+	hand := func(self func()) {
+		if left == 0 {
+			return
+		}
+		left--
+		c.Signal()
+		c.WaitThen(self)
+	}
+	ping = func() { hand(ping) }
+	pong = func() { hand(pong) }
+	c.WaitThen(pong)
+	e.At(0, ping)
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(e.Dispatched()-1)/float64(b.N), "callbacks/op")
+}
+
 // BenchmarkMeshTransit measures network reservation cost.
 func BenchmarkMeshTransit(b *testing.B) {
 	e := sim.New()

@@ -327,8 +327,7 @@ func (d *Disk) find(page PageID) int {
 // "writes are given preference over prefetches" emerges from the dirty
 // shield: dirty slots are never evictable, prefetched ones always are.
 // Returns -1 if every slot holds a dirty or in-flight page.
-func (d *Disk) victim(forWrite bool) int {
-	_ = forWrite // reads and writes share the policy; dirty is the shield
+func (d *Disk) victim() int {
 	best := -1
 	for i := range d.slots {
 		s := &d.slots[i]
@@ -475,7 +474,7 @@ func (d *Disk) installClean(page PageID, block int64, prefetched bool) {
 	if d.find(page) >= 0 {
 		return
 	}
-	i := d.victim(false)
+	i := d.victim()
 	if i < 0 {
 		return // cache full of dirty swap-outs: serve as bypass
 	}
@@ -505,12 +504,25 @@ func (d *Disk) spawnSequentialPrefetch(page PageID, block int64, n int) {
 }
 
 // Write services a swap-out arriving at the controller in the context of
-// p. On ACK the page occupies a cache slot and is scheduled for combined
-// write-back. On NACK the (node, page) pair is queued; NotifyOK fires when
-// room appears.
+// p: BookWrite's controller occupancy, then AnswerWrite's decision.
 func (d *Disk) Write(p *sim.Proc, node int, page PageID, block int64) WriteStatus {
+	p.SleepUntil(d.BookWrite())
+	return d.AnswerWrite(node, page, block)
+}
+
+// BookWrite books the controller firmware for a swap-out write arriving
+// now and returns when the controller answers it; the caller calls
+// AnswerWrite at that time. The split lets callback-driven swap-outs
+// wait on the engine instead of a process.
+func (d *Disk) BookWrite() sim.Time {
 	d.Writes++
-	d.ctrl.Use(p, d.ctrlOverhead)
+	return d.ctrl.Reserve(d.e.Now(), d.ctrlOverhead) + d.ctrlOverhead
+}
+
+// AnswerWrite decides a booked swap-out write. On ACK the page occupies a
+// cache slot and is scheduled for combined write-back. On NACK the
+// (node, page) pair is queued; NotifyOK fires when room appears.
+func (d *Disk) AnswerWrite(node int, page PageID, block int64) WriteStatus {
 	if i := d.find(page); i >= 0 {
 		// Overwrite of a page still cached: update in place.
 		d.slots[i].dirty = true
@@ -523,7 +535,7 @@ func (d *Disk) Write(p *sim.Proc, node int, page PageID, block int64) WriteStatu
 		d.wbKick.Signal()
 		return ACK
 	}
-	i := d.victim(true)
+	i := d.victim()
 	if i < 0 {
 		d.WritesNACK++
 		d.nackFIFO = append(d.nackFIFO, nackEntry{Node: node, Page: page})
@@ -539,7 +551,7 @@ func (d *Disk) Write(p *sim.Proc, node int, page PageID, block int64) WriteStatu
 }
 
 // HasWriteRoom reports whether a swap-out write would be ACKed right now.
-func (d *Disk) HasWriteRoom() bool { return d.victim(true) >= 0 }
+func (d *Disk) HasWriteRoom() bool { return d.victim() >= 0 }
 
 // DirtySlots returns the number of cache slots holding unwritten swap-outs.
 func (d *Disk) DirtySlots() int {

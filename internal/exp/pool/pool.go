@@ -195,7 +195,8 @@ func (p *Pool) Submit(c core.Cell) (f *Future, fresh bool) {
 		p.sem <- struct{}{}
 		defer func() { <-p.sem }()
 		defer func() {
-			// Completed: enter the LRU (evicting over the bound). In-flight
+			// Completed: enter the LRU (evicting over the bound), then
+			// publish, so a returned Wait sees the bounded memo. In-flight
 			// futures are pinned — they only become evictable here.
 			p.mu.Lock()
 			p.inflight--
@@ -204,8 +205,8 @@ func (p *Pool) Submit(c core.Cell) (f *Future, fresh bool) {
 				p.evictOverLimit()
 			}
 			p.mu.Unlock()
+			close(f.done)
 		}()
-		defer close(f.done)
 		defer func() {
 			// A panicking cell must not take down the whole matrix: convert
 			// the crash into this cell's typed error and let its siblings

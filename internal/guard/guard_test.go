@@ -528,6 +528,11 @@ func TestWatchdogVerdictFakeClock(t *testing.T) {
 	}
 }
 
+// waitOn adapts a done channel to Supervise's wait seam with a real
+// timer: these tests drive the poll loop end to end, and each verdict
+// they expect is separated from the others by several poll periods. The
+// verdict rule itself is pinned without a wall clock by
+// TestWatchdogVerdictFakeClock.
 func waitOn(done <-chan struct{}) func(time.Duration) bool {
 	return func(d time.Duration) bool {
 		select {

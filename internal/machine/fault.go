@@ -44,7 +44,7 @@ func (m *Machine) conservative() bool {
 // already freed the frame, so the page's only up-to-date copy is lost
 // and it reverts to its stale disk image; under the conservative policy
 // the swapper still holds the frame and resends over the mesh
-// (swapToRing observes the voided entry). Pages mid-extraction
+// (its swap job observes the voided entry). Pages mid-extraction
 // (Claimed/Draining) ride out the crash: their bits already left the
 // fiber.
 func (m *Machine) crashIONode(node int) {

@@ -89,7 +89,9 @@ func (m *Machine) explicitWrite(p *sim.Proc, n *Node, page PageID) {
 		if d.Write(p, n.ID, page, block) == disk.ACK {
 			break
 		}
-		n.waitOK(m.E, p, page)
+		n.queueOK(page, n.fileOK)
+		n.fileOK.Wait(p)
+		n.dropOK(n.fileOK)
 	}
 	ackArrive := m.Mesh.Transit(p.Now(), dn, n.ID, m.Cfg.CtrlMsgLen)
 	p.SleepUntil(ackArrive)

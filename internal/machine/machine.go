@@ -67,15 +67,17 @@ type Node struct {
 	pendingIntr int64          // interrupt cycles to charge at next op
 	swapSem     *sim.Semaphore // bounds outstanding swap-outs
 	okWaits     []okWait       // NACKed swap-outs awaiting the disk's OK
-	condPool    []*sim.Cond    // recycled conds for okWaits (retain capacity)
+	fileOK      *sim.Cond      // the CPU's OK wait for an explicit write
 	chanRoom    *sim.Cond      // NWCache: channel slot freed
 	ringTx      *sim.Mutex     // NWCache: the node's single fixed transmitter
 	WB          *writeBuffer   // coalescing write buffer (nil when disabled)
 
-	// Swap-out spawn plumbing, pooled so the replacement daemon's hot loop
-	// does not allocate a name and closure per swap-out.
-	swapName string     // "swapdisk<i>" or "swapring<i>" by machine kind
-	swapJobs []*swapJob // free list of recycled jobs
+	// Replacement daemon state (see replace) and recycled swap jobs.
+	replaceK func() // pre-bound m.replace(n)
+	rp       replaceStep
+	rpEn     *vm.Entry // victim in progress
+	rpJob    *swapJob  // its swap-out, awaiting a permit
+	swapJobs []*swapJob
 
 	// stageBuf is the node's scratch for assembling sim.Pipeline stage
 	// sequences. Safe to share across this node's processes because stage
@@ -155,22 +157,12 @@ type okWait struct {
 	c    *sim.Cond
 }
 
-// swapJob carries one swap-out into its spawned process. Jobs are pooled
-// per node with the process body pre-bound, so issuing a swap-out performs
-// no allocation beyond the process itself.
-type swapJob struct {
-	en    *vm.Entry
-	page  PageID
-	start sim.Time
-	run   func(*sim.Proc)
-}
-
 // meshMsg is one control message in flight across the mesh: a disk
 // controller's OK, a ring ACK, or a swap notice/cancel bound for an
 // NWCache interface. The run closure is pre-bound at construction and the
 // message returns itself to the machine's pool on delivery, so sending a
 // control message performs no allocation in steady state (the same
-// discipline as swapJob for swap-out processes).
+// discipline as swapJob for swap-outs).
 type meshMsg struct {
 	m    *Machine
 	kind uint8
@@ -214,32 +206,22 @@ func (m *Machine) takeMsg() *meshMsg {
 	return g
 }
 
-// getOKCond takes a pooled cond (waiter FIFO capacity retained) for an OK
-// wait.
-func (n *Node) getOKCond(e *sim.Engine) *sim.Cond {
-	if k := len(n.condPool); k > 0 {
-		c := n.condPool[k-1]
-		n.condPool = n.condPool[:k-1]
-		return c
-	}
-	return sim.NewCond(e).Named("diskOK")
+// queueOK registers c to be signaled (by okArrived) when the disk's OK for
+// page arrives; the woken waiter retires it with dropOK.
+func (n *Node) queueOK(page PageID, c *sim.Cond) {
+	n.okWaits = append(n.okWaits, okWait{page: page, c: c})
 }
 
-// waitOK parks p until the disk's OK for page arrives (deliverOK signals
-// the matching waiter).
-func (n *Node) waitOK(e *sim.Engine, p *sim.Proc, page PageID) {
-	c := n.getOKCond(e)
-	n.okWaits = append(n.okWaits, okWait{page: page, c: c})
-	c.Wait(p)
+// dropOK retires an OK wait once its waiter has woken.
+func (n *Node) dropOK(c *sim.Cond) {
 	for i := range n.okWaits {
 		if n.okWaits[i].c == c {
 			last := len(n.okWaits) - 1
 			n.okWaits[i] = n.okWaits[last]
 			n.okWaits = n.okWaits[:last]
-			break
+			return
 		}
 	}
-	n.condPool = append(n.condPool, c)
 }
 
 // emit records a trace event if tracing is enabled.
@@ -266,10 +248,6 @@ func New(cfg param.Config, kind Kind, mode disk.PrefetchMode) (*Machine, error) 
 		Dir:    coherence.NewDirectory(),
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 	}
-	swapKind := "swapdisk"
-	if kind == NWCache {
-		swapKind = "swapring"
-	}
 	for i := 0; i < cfg.Nodes; i++ {
 		n := &Node{
 			ID:       i,
@@ -279,7 +257,7 @@ func New(cfg param.Config, kind Kind, mode disk.PrefetchMode) (*Machine, error) 
 			CC:       coherence.NewCache(i, cfg.L2SubBlocks),
 			Pool:     vm.NewFramePool(e, i, cfg.FramesPerNode(), cfg.MinFreeFrames),
 			swapSem:  sim.NewSemaphore(e, cfg.SwapQueueDepth).Named(fmt.Sprintf("swapsem%d", i)),
-			swapName: fmt.Sprintf("%s%d", swapKind, i),
+			fileOK:   sim.NewCond(e).Named("diskOK"),
 			chanRoom: sim.NewCond(e).Named(fmt.Sprintf("chanroom%d", i)),
 			ringTx:   sim.NewMutex(e).Named(fmt.Sprintf("ringtx%d", i)),
 		}
@@ -309,11 +287,12 @@ func New(cfg param.Config, kind Kind, mode disk.PrefetchMode) (*Machine, error) 
 			m.Ifaces[ioNode] = f
 		}
 	}
-	// Spawn the per-node replacement daemons and (optionally) the
+	// Start the per-node replacement daemons and (optionally) the
 	// coalescing write buffers of Figure 1.
 	for _, n := range m.Nodes {
 		n := n
-		e.SpawnDaemon(fmt.Sprintf("replace%d", n.ID), func(p *sim.Proc) { m.replaceLoop(p, n) })
+		n.replaceK = func() { m.replace(n) }
+		e.At(e.Now(), n.replaceK)
 		if cfg.WriteBufferDepth > 0 {
 			n.WB = newWriteBuffer(m, n, cfg.WriteBufferDepth)
 		}

@@ -499,3 +499,40 @@ func TestNewRejectsOutOfRangeCacheSizes(t *testing.T) {
 		}
 	}
 }
+
+// A swap-out that never finishes is a continuation, not a process, so
+// the engine cannot name it; Run must report the node instead of
+// returning a result.
+func TestStrandedSwapOutNamesNode(t *testing.T) {
+	cfg := smallCfg()
+	m, err := New(cfg, NWCache, disk.Naive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Hold node 0's ring transmitter for the whole run: its first
+	// swap-out can never insert its page.
+	if !m.Nodes[0].ringTx.TryLock() {
+		t.Fatal("transmitter busy before the run")
+	}
+	// Dirty just enough pages to sink node 0 to its free-frame floor,
+	// then finish.
+	dirty := PageID(cfg.FramesPerNode() - cfg.MinFreeFrames)
+	prog := &testProg{name: "strand", pages: int64(dirty), fn: func(ctx *Ctx, proc int) {
+		if proc != 0 {
+			return
+		}
+		for pg := PageID(0); pg < dirty; pg++ {
+			ctx.Write(pg, 0, 16)
+		}
+	}}
+	_, err = m.Run(prog)
+	if err == nil {
+		t.Fatal("run with a stranded swap-out succeeded")
+	}
+	if !strings.Contains(err.Error(), "swap-outs stranded") || !strings.Contains(err.Error(), "node 0 (") {
+		t.Fatalf("error does not name node 0: %v", err)
+	}
+	if strings.Contains(err.Error(), "node 1 (") {
+		t.Fatalf("error names node 1, whose swap-outs all finished: %v", err)
+	}
+}

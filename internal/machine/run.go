@@ -1,7 +1,9 @@
 package machine
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 
 	"nwcache/internal/fault"
 	"nwcache/internal/sim"
@@ -80,7 +82,13 @@ func (m *Machine) Run(prog Program) (*Result, error) {
 			n.doneAt = p.Now()
 		})
 	}
-	if err := m.E.Run(); err != nil {
+	err := m.E.Run()
+	var dead *sim.DeadlockError
+	if err == nil || errors.As(err, &dead) {
+		// Swap-outs are continuations: the deadlock report cannot name them.
+		err = errors.Join(err, m.strandedSwapOuts())
+	}
+	if err != nil {
 		return nil, fmt.Errorf("machine: %s on %s/%s: %w", prog.Name(), m.Kind, m.Mode, err)
 	}
 	// Flush the final telemetry sample at completion time, so a series
@@ -88,6 +96,21 @@ func (m *Machine) Run(prog Program) (*Result, error) {
 	// not a tick multiple (Sampler.Tick ignores a repeated instant).
 	m.sampler.Tick(m.E.Now())
 	return m.collect(prog), nil
+}
+
+// strandedSwapOuts reports the nodes whose swap-outs never finished (their
+// swap-out permits are not all back once the engine has drained).
+func (m *Machine) strandedSwapOuts() error {
+	var stuck []string
+	for _, n := range m.Nodes {
+		if k := m.Cfg.SwapQueueDepth - n.swapSem.Available(); k > 0 {
+			stuck = append(stuck, fmt.Sprintf("node %d (%d)", n.ID, k))
+		}
+	}
+	if stuck == nil {
+		return nil
+	}
+	return fmt.Errorf("swap-outs stranded at t=%d: %s", m.E.Now(), strings.Join(stuck, ", "))
 }
 
 // collect builds the Result after the simulation has drained.

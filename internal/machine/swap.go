@@ -8,87 +8,320 @@ import (
 	"nwcache/internal/vm"
 )
 
-// replaceLoop is one node's page-replacement daemon: whenever the free
-// frame count sinks to the OS floor, it picks LRU victims and either frees
-// them (clean) or starts swap-outs (dirty), with a bounded number of
-// swap-outs outstanding.
-func (m *Machine) replaceLoop(p *sim.Proc, n *Node) {
+// replaceStep is where a node's replacement daemon resumes.
+type replaceStep uint8
+
+const (
+	rpScan  replaceStep = iota // look for a victim
+	rpLock                     // lock the victim's entry
+	rpIssue                    // take a swap-out permit and issue the swap-out
+)
+
+// replace is one node's page-replacement daemon: whenever the free frame
+// count sinks to the OS floor, it picks LRU victims and either frees them
+// (clean) or starts swap-outs (dirty), with a bounded number of swap-outs
+// outstanding. Like a swap-out, it is a callback chain, not a process
+// (see MODEL.md, "Continuation waiters"): started at t=0, resumed through
+// n.replaceK, with n.rp naming the step to resume at.
+func (m *Machine) replace(n *Node) {
 	for {
-		if !n.Pool.BelowFloor() {
-			n.Pool.Pressure.Wait(p)
-			continue
-		}
-		page, ok := n.Pool.VictimLRU()
-		if !ok {
-			// Every frame is reserved or detached; wait for change.
-			n.Pool.FrameFreed.Wait(p)
-			continue
-		}
-		en := m.Table.Get(page)
-		lockT0 := p.Now()
-		en.Lock.Lock(p)
-		_ = lockT0
-		if en.State != vm.Resident || en.Owner != n.ID || !n.Pool.Contains(page) {
-			en.Lock.Unlock() // raced with a concurrent transition; retry
-			continue
-		}
-		// Access rights are being downgraded: machine-wide TLB shootdown.
-		m.shootdown(n, page)
-		if !en.Dirty {
-			n.Pool.Remove(page)
-			en.State = vm.Unmapped
+		switch n.rp {
+		case rpScan:
+			if !n.Pool.BelowFloor() {
+				n.Pool.Pressure.WaitThen(n.replaceK)
+				return
+			}
+			page, ok := n.Pool.VictimLRU()
+			if !ok {
+				// Every frame is reserved or detached; wait for change.
+				n.Pool.FrameFreed.WaitThen(n.replaceK)
+				return
+			}
+			n.rpEn, n.rp = m.Table.Get(page), rpLock
+		case rpLock:
+			en, page := n.rpEn, n.rpEn.Page
+			if !en.Lock.TryLock() {
+				en.Lock.WaitThen(n.replaceK)
+				return
+			}
+			n.rp = rpScan
+			if en.State != vm.Resident || en.Owner != n.ID || !n.Pool.Contains(page) {
+				en.Lock.Unlock() // raced with a concurrent transition; retry
+				continue
+			}
+			// Access rights are being downgraded: machine-wide TLB shootdown.
+			m.shootdown(n, page)
+			if !en.Dirty {
+				n.Pool.Remove(page)
+				en.State = vm.Unmapped
+				en.Owner = -1
+				en.Arrived.Broadcast()
+				en.Lock.Unlock()
+				n.CleanEvicts++
+				m.emit(trace.CleanEvict, n.ID, page, 0)
+				m.invalidateCaches(page)
+				continue
+			}
+			// Dirty: detach the frame (data still in it until taken) and
+			// mark the page in transit so faulters wait out the swap.
+			n.Pool.Unmap(page)
+			en.State = vm.Transit
+			en.TransitBy = -1
+			en.LastSwapper = n.ID
 			en.Owner = -1
-			en.Arrived.Broadcast()
 			en.Lock.Unlock()
-			n.CleanEvicts++
-			m.emit(trace.CleanEvict, n.ID, page, 0)
 			m.invalidateCaches(page)
-			continue
+			n.SwapOuts++
+			m.emit(trace.SwapStart, n.ID, page, 0)
+			j := n.takeJob(m)
+			j.en, j.start, j.at = en, m.E.Now(), sjSend // Standard: straight to the mesh
+			if m.Kind == NWCache {
+				j.at = sjStart
+			}
+			n.rpJob, n.rp = j, rpIssue
+		case rpIssue:
+			if !n.swapSem.TryAcquire() { // bound outstanding swap-outs
+				n.swapSem.WaitThen(n.replaceK)
+				return
+			}
+			m.E.At(m.E.Now(), n.rpJob.step)
+			n.rpEn, n.rpJob, n.rp = nil, nil, rpScan
 		}
-		// Dirty: detach the frame (data still in it until taken) and mark
-		// the page in transit so faulters wait out the swap.
-		n.Pool.Unmap(page)
-		en.State = vm.Transit
-		en.TransitBy = -1
-		en.LastSwapper = n.ID
-		en.Owner = -1
-		en.Lock.Unlock()
-		m.invalidateCaches(page)
-		n.SwapOuts++
-		m.emit(trace.SwapStart, n.ID, page, 0)
-		start := p.Now()
-		n.swapSem.Acquire(p) // bound outstanding swap-outs
-		job := n.takeJob(m)
-		job.en, job.page, job.start = en, page, start
-		m.E.Spawn(n.swapName, job.run)
 	}
 }
 
-// takeJob pops a pooled swap job (or builds one with its process body
-// pre-bound). The body returns the job to the pool when the swap-out
-// completes, so steady-state swap issue allocates nothing beyond the
-// process itself.
+// swapStep is where a swap-out resumes.
+type swapStep uint8
+
+const (
+	sjStart    swapStep = iota // NWCache: take the transmitter
+	sjTx                       // holds the transmitter: outage check, room wait
+	sjModulate                 // crossed the local buses: modulate onto the fiber
+	sjInserted                 // modulated: the page enters the channel
+	sjOnRing                   // lock the entry and mark the page OnRing
+	sjHold                     // conservative: hold the frame until the copy is gone
+	sjSend                     // stream the page over the mesh to its disk
+	sjCtrl                     // page at the disk's I/O bus: book the controller
+	sjAnswer                   // the controller answers ACK or NACK
+	sjOK                       // NACKed, and the disk's OK arrived: resend
+	sjAcked                    // the final ACK crossed back over the mesh
+	sjOnDisk                   // lock the entry and mark the page on disk
+)
+
+// swapJob is one swap-out in flight: a callback chain, pooled per node
+// with its step pre-bound, that serves the NWCache ring path, the Standard
+// mesh path with its NACK → OK resend, the mesh fallback under a ring
+// outage, and conservative recovery.
+type swapJob struct {
+	m     *Machine
+	n     *Node
+	en    *vm.Entry
+	start sim.Time
+	at    swapStep
+	entry *optical.Entry // the ring copy; on the mesh path, set only for a conservative resend
+	okc   *sim.Cond      // signaled by the disk's OK after a NACK
+	t0    sim.Time       // start of a conservative resend
+	step  func()         // pre-bound run
+}
+
+// takeJob pops a pooled swap job, or builds one with its step bound.
 func (n *Node) takeJob(m *Machine) *swapJob {
 	if k := len(n.swapJobs); k > 0 {
 		j := n.swapJobs[k-1]
 		n.swapJobs = n.swapJobs[:k-1]
 		return j
 	}
-	j := &swapJob{}
-	if m.Kind == NWCache {
-		j.run = func(sp *sim.Proc) {
-			m.swapToRing(sp, n, j.en, j.page, j.start)
-			j.en = nil
-			n.swapJobs = append(n.swapJobs, j)
-		}
-	} else {
-		j.run = func(sp *sim.Proc) {
-			m.swapToDisk(sp, n, j.en, j.page, j.start)
-			j.en = nil
-			n.swapJobs = append(n.swapJobs, j)
+	j := &swapJob{m: m, n: n, okc: sim.NewCond(m.E).Named("diskOK")}
+	j.step = j.run
+	return j
+}
+
+// run advances the swap-out until it must wait or is done. A wait until a
+// time not in the future runs on at once, as SleepUntil returns.
+func (j *swapJob) run() {
+	m, n, en, page := j.m, j.n, j.en, j.en.Page
+	for {
+		switch j.at {
+		case sjStart:
+			// Transmitters are serialized per node (ringTx covers all of
+			// the node's channels; with the OTDM extension a node owns
+			// several, and Insert picks the first with room).
+			if !n.ringTx.TryLock() {
+				n.ringTx.WaitThen(j.step)
+				return
+			}
+			j.at = sjTx
+		case sjTx:
+			if m.flt.RingTxDown(n.ID, m.E.Now()) {
+				// Injected whole-channel outage: the transmitter is dark,
+				// so this swap-out falls back to the standard mesh path.
+				n.ringTx.Unlock()
+				m.flt.NoteOutageFallback()
+				j.at = sjSend
+				continue
+			}
+			if !m.Ring.HasRoomFor(n.ID) {
+				n.chanRoom.WaitThen(j.step)
+				return
+			}
+			stages := append(n.stageBuf[:0],
+				sim.Stage{Res: n.MemBus, Occupy: m.Cfg.PageMemBusTime(), Forward: m.Cfg.HopLatency},
+				sim.Stage{Res: n.IOBus, Occupy: m.Cfg.PageIOBusTime()},
+			)
+			_, arrive := sim.Pipeline(m.E.Now(), stages)
+			n.stageBuf = stages[:0]
+			j.at = sjModulate
+			if arrive > m.E.Now() {
+				m.E.At(arrive, j.step)
+				return
+			}
+		case sjModulate:
+			j.at = sjInserted
+			m.E.At(m.E.Now()+m.Cfg.PageRingTime(), j.step) // onto the writable channel
+			return
+		case sjInserted:
+			j.entry = m.Ring.Insert(n.ID, page)
+			n.ringTx.Unlock()
+			m.flt.NoteRingInsert(m.E.Now())
+			m.emit(trace.RingInsert, n.ID, page, 0)
+			if !m.conservative() {
+				// The frame is reusable right away — the page now lives
+				// on the ring.
+				j.release("swap.ring")
+			}
+			j.at = sjOnRing
+		case sjOnRing:
+			if !en.Lock.TryLock() {
+				en.Lock.WaitThen(j.step)
+				return
+			}
+			en.State = vm.OnRing
+			en.RingEntry = j.entry
+			en.Owner = -1
+			en.LastSwapper = n.ID
+			en.Dirty = true // the disk has not seen this data yet
+			en.Arrived.Broadcast()
+			en.Lock.Unlock()
+			// Notice to the I/O node responsible for the page.
+			_, dn := m.DiskFor(page)
+			noticeArrive := m.Mesh.Transit(m.E.Now(), n.ID, dn, m.Cfg.CtrlMsgLen)
+			g := m.takeMsg()
+			g.kind, g.to, g.en = msgNotify, dn, j.entry
+			m.E.At(noticeArrive, g.run)
+			if !m.conservative() {
+				j.finish()
+				return
+			}
+			j.at = sjHold
+		case sjHold:
+			// Conservative recovery: hold the frame until the page is off
+			// the ring (deliverRingACK and crashIONode broadcast chanRoom),
+			// and resend a crash-voided page from it — zero data loss.
+			if j.entry.State != optical.Gone {
+				n.chanRoom.WaitThen(j.step)
+				return
+			}
+			if !j.entry.Voided {
+				j.release("swap.ring")
+				j.finish()
+				return
+			}
+			j.t0 = m.E.Now()
+			j.at = sjSend
+		case sjSend:
+			// Page transfer: memory bus -> mesh -> I/O bus at the disk node.
+			_, dn := m.DiskFor(page)
+			stages := append(n.stageBuf[:0], sim.Stage{
+				Res: n.MemBus, Occupy: m.Cfg.PageMemBusTime(), Forward: m.Cfg.HopLatency,
+			})
+			stages = m.Mesh.AppendPathStages(stages, n.ID, dn, m.Cfg.PageSize)
+			stages = append(stages, sim.Stage{Res: m.Nodes[dn].IOBus, Occupy: m.Cfg.PageIOBusTime()})
+			_, arrive := sim.Pipeline(m.E.Now(), stages)
+			n.stageBuf = stages[:0]
+			j.at = sjCtrl
+			if arrive > m.E.Now() {
+				m.E.At(arrive, j.step)
+				return
+			}
+		case sjCtrl:
+			d, _ := m.DiskFor(page)
+			j.at = sjAnswer
+			if t := d.BookWrite(); t > m.E.Now() {
+				m.E.At(t, j.step)
+				return
+			}
+		case sjAnswer:
+			d, dn := m.DiskFor(page)
+			if d.AnswerWrite(n.ID, page, m.Layout.BlockFor(page)) == disk.NACK {
+				// The controller recorded us; wait for its OK message.
+				m.emit(trace.DiskNACK, n.ID, page, int64(dn))
+				n.queueOK(page, j.okc)
+				j.okc.WaitThen(j.step)
+				j.at = sjOK
+				return
+			}
+			// ACK message back across the mesh; the frame is reusable on
+			// receipt.
+			j.at = sjAcked
+			if t := m.Mesh.Transit(m.E.Now(), dn, n.ID, m.Cfg.CtrlMsgLen); t > m.E.Now() {
+				m.E.At(t, j.step)
+				return
+			}
+		case sjOK:
+			n.dropOK(j.okc)
+			_, dn := m.DiskFor(page)
+			m.emit(trace.DiskOK, n.ID, page, int64(dn))
+			j.at = sjSend
+		case sjAcked:
+			if j.entry != nil {
+				m.flt.NoteRecovered(m.E.Now() - j.t0)
+			} else {
+				j.release("swap.disk")
+			}
+			j.at = sjOnDisk
+		case sjOnDisk:
+			if !en.Lock.TryLock() {
+				en.Lock.WaitThen(j.step)
+				return
+			}
+			// A resent ring copy is superseded only if the page still
+			// points at it.
+			if j.entry == nil || (en.State == vm.OnRing && en.RingEntry == j.entry) {
+				en.State = vm.Unmapped
+				en.Owner = -1
+				en.RingEntry = nil
+				en.Dirty = false
+				en.Arrived.Broadcast()
+			}
+			en.Lock.Unlock()
+			if j.entry != nil {
+				j.release("swap.ring")
+			}
+			j.finish()
+			return
 		}
 	}
-	return j
+}
+
+// release frees the swapped page's frame and records the swap-out time
+// under span.
+func (j *swapJob) release(span string) {
+	m, n := j.m, j.n
+	n.Pool.ReleaseFrame()
+	now := m.E.Now()
+	dur := now - j.start
+	n.SwapTime.Add(float64(dur))
+	n.SwapHist.Add(float64(dur))
+	m.hSwap.Observe(dur)
+	m.Spans.Span(m.swapTrack(n.ID), span, j.start, now)
+	m.emit(trace.SwapDone, n.ID, j.en.Page, dur)
+}
+
+// finish returns the swap-out's permit and the job to its node's pool.
+func (j *swapJob) finish() {
+	j.n.swapSem.Release()
+	j.en, j.entry = nil, nil
+	j.n.swapJobs = append(j.n.swapJobs, j)
 }
 
 // shootdown models the paper's TLB-shootdown: the initiating processor
@@ -115,173 +348,4 @@ func (m *Machine) invalidateCaches(page PageID) {
 		n.CC.DropPage(page)
 	}
 	m.Dir.DropPage(page)
-}
-
-// swapToDisk runs the standard machine's swap-out protocol: stream the
-// page over the mesh to the disk controller; on NACK wait for the OK and
-// resend. The frame is only reusable when the final ACK arrives.
-func (m *Machine) swapToDisk(p *sim.Proc, n *Node, en *vm.Entry, page PageID, start sim.Time) {
-	defer n.swapSem.Release()
-	m.swapViaMesh(p, n, en, page, start)
-}
-
-// swapViaMesh finishes a swap-out over the standard mesh path: the
-// Standard machine's only path, and the NWCache machine's fallback when
-// an injected ring outage takes the node's transmitter down.
-func (m *Machine) swapViaMesh(p *sim.Proc, n *Node, en *vm.Entry, page PageID, start sim.Time) {
-	m.sendPageToDisk(p, n, page)
-	n.Pool.ReleaseFrame()
-	dur := p.Now() - start
-	n.SwapTime.Add(float64(dur))
-	n.SwapHist.Add(float64(dur))
-	m.hSwap.Observe(dur)
-	m.Spans.Span(m.swapTrack(n.ID), "swap.disk", start, p.Now())
-	m.emit(trace.SwapDone, n.ID, page, dur)
-	en.Lock.Lock(p)
-	en.State = vm.Unmapped
-	en.Owner = -1
-	en.Dirty = false
-	en.Arrived.Broadcast()
-	en.Lock.Unlock()
-}
-
-// sendPageToDisk streams one page into its disk's controller cache —
-// memory bus, mesh, I/O bus, the ACK/NACK/OK flow-control protocol —
-// and returns once the final ACK has crossed back over the mesh.
-func (m *Machine) sendPageToDisk(p *sim.Proc, n *Node, page PageID) {
-	d, dn := m.DiskFor(page)
-	block := m.Layout.BlockFor(page)
-	for {
-		// Page transfer: memory bus -> mesh -> I/O bus at the disk node.
-		stages := append(n.stageBuf[:0], sim.Stage{
-			Res: n.MemBus, Occupy: m.Cfg.PageMemBusTime(), Forward: m.Cfg.HopLatency,
-		})
-		stages = m.Mesh.AppendPathStages(stages, n.ID, dn, m.Cfg.PageSize)
-		stages = append(stages, sim.Stage{Res: m.Nodes[dn].IOBus, Occupy: m.Cfg.PageIOBusTime()})
-		_, arrive := sim.Pipeline(p.Now(), stages)
-		n.stageBuf = stages[:0]
-		p.SleepUntil(arrive)
-		if d.Write(p, n.ID, page, block) == disk.ACK {
-			break
-		}
-		// NACKed: the controller recorded us; wait for its OK message.
-		m.emit(trace.DiskNACK, n.ID, page, int64(dn))
-		n.waitOK(m.E, p, page)
-		m.emit(trace.DiskOK, n.ID, page, int64(dn))
-	}
-	// ACK message back across the mesh; the frame is reusable on receipt.
-	ackArrive := m.Mesh.Transit(p.Now(), dn, n.ID, m.Cfg.CtrlMsgLen)
-	p.SleepUntil(ackArrive)
-}
-
-// swapToRing runs the NWCache swap-out: wait for room on this node's cache
-// channel, stream the page onto the fiber through the local buses, and
-// reuse the frame immediately. A notice message tells the responsible I/O
-// node's NWCache interface to eventually drain the page to disk.
-func (m *Machine) swapToRing(p *sim.Proc, n *Node, en *vm.Entry, page PageID, start sim.Time) {
-	defer n.swapSem.Release()
-	// Transmitters are serialized per node (ringTx covers all of the
-	// node's channels; with the OTDM extension a node owns several, and
-	// Insert picks the first with room).
-	n.ringTx.Lock(p)
-	for {
-		if m.flt.RingTxDown(n.ID, p.Now()) {
-			// Injected whole-channel outage: the transmitter is dark, so
-			// this swap-out falls back to the standard mesh path.
-			n.ringTx.Unlock()
-			m.flt.NoteOutageFallback()
-			m.swapViaMesh(p, n, en, page, start)
-			return
-		}
-		if m.Ring.HasRoomFor(n.ID) {
-			break
-		}
-		n.chanRoom.Wait(p)
-	}
-	stages := append(n.stageBuf[:0],
-		sim.Stage{Res: n.MemBus, Occupy: m.Cfg.PageMemBusTime(), Forward: m.Cfg.HopLatency},
-		sim.Stage{Res: n.IOBus, Occupy: m.Cfg.PageIOBusTime()},
-	)
-	_, arrive := sim.Pipeline(p.Now(), stages)
-	n.stageBuf = stages[:0]
-	p.SleepUntil(arrive)
-	p.Sleep(m.Cfg.PageRingTime()) // modulation onto the writable channel
-	entry := m.Ring.Insert(n.ID, page)
-	n.ringTx.Unlock()
-	m.flt.NoteRingInsert(p.Now())
-	m.emit(trace.RingInsert, n.ID, page, 0)
-	if m.conservative() {
-		m.swapRingConservative(p, n, en, entry, page, start)
-		return
-	}
-	// The frame is reusable right away — the page now lives on the ring.
-	n.Pool.ReleaseFrame()
-	dur := p.Now() - start
-	n.SwapTime.Add(float64(dur))
-	n.SwapHist.Add(float64(dur))
-	m.hSwap.Observe(dur)
-	m.Spans.Span(m.swapTrack(n.ID), "swap.ring", start, p.Now())
-	m.emit(trace.SwapDone, n.ID, page, dur)
-	en.Lock.Lock(p)
-	en.State = vm.OnRing
-	en.RingEntry = entry
-	en.Owner = -1
-	en.LastSwapper = n.ID
-	en.Dirty = true // the disk has not seen this data yet
-	en.Arrived.Broadcast()
-	en.Lock.Unlock()
-	// notice to the I/O node responsible for the page.
-	_, dn := m.DiskFor(page)
-	noticeArrive := m.Mesh.Transit(p.Now(), n.ID, dn, m.Cfg.CtrlMsgLen)
-	g := m.takeMsg()
-	g.kind, g.to, g.en = msgNotify, dn, entry
-	m.E.At(noticeArrive, g.run)
-}
-
-// swapRingConservative finishes a ring swap-out under the conservative
-// recovery policy: the page table sees the page OnRing (victim reads and
-// drains proceed as usual), but the frame is held until the entry leaves
-// the ring. If an injected I/O-node crash voids the entry first, the
-// page is resent to disk from the still-held frame — the policy's whole
-// point: slower frame reclamation, zero data loss.
-func (m *Machine) swapRingConservative(p *sim.Proc, n *Node, en *vm.Entry, entry *optical.Entry, page PageID, start sim.Time) {
-	en.Lock.Lock(p)
-	en.State = vm.OnRing
-	en.RingEntry = entry
-	en.Owner = -1
-	en.LastSwapper = n.ID
-	en.Dirty = true // the disk has not seen this data yet
-	en.Arrived.Broadcast()
-	en.Lock.Unlock()
-	_, dn := m.DiskFor(page)
-	noticeArrive := m.Mesh.Transit(p.Now(), n.ID, dn, m.Cfg.CtrlMsgLen)
-	g := m.takeMsg()
-	g.kind, g.to, g.en = msgNotify, dn, entry
-	m.E.At(noticeArrive, g.run)
-	// Hold the frame until the page is safely off the ring (ACK received
-	// or crash-voided); deliverRingACK and crashIONode broadcast chanRoom.
-	for entry.State != optical.Gone {
-		n.chanRoom.Wait(p)
-	}
-	if entry.Voided {
-		t0 := p.Now()
-		m.sendPageToDisk(p, n, page)
-		m.flt.NoteRecovered(p.Now() - t0)
-		en.Lock.Lock(p)
-		if en.State == vm.OnRing && en.RingEntry == entry {
-			en.State = vm.Unmapped
-			en.Owner = -1
-			en.RingEntry = nil
-			en.Dirty = false
-			en.Arrived.Broadcast()
-		}
-		en.Lock.Unlock()
-	}
-	n.Pool.ReleaseFrame()
-	dur := p.Now() - start
-	n.SwapTime.Add(float64(dur))
-	n.SwapHist.Add(float64(dur))
-	m.hSwap.Observe(dur)
-	m.Spans.Span(m.swapTrack(n.ID), "swap.ring", start, p.Now())
-	m.emit(trace.SwapDone, n.ID, page, dur)
 }

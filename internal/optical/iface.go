@@ -113,9 +113,6 @@ const (
 	RoundRobin
 )
 
-// rrNext is the round-robin cursor (only used by RoundRobin policy).
-var _ = RoundRobin
-
 // NewIface creates the interface and starts its drain daemon.
 func NewIface(e *sim.Engine, ring *Ring, node int) *Iface {
 	f := &Iface{

@@ -82,6 +82,10 @@ func getStatus(t *testing.T, base, id string) JobStatus {
 
 func waitTerminal(t *testing.T, base, id string) JobStatus {
 	t.Helper()
+	// Wall-clock poll: the job runs on the server's own goroutines and
+	// the status endpoint is the only view of it these HTTP-level tests
+	// use. No assertion depends on the timing; the deadline only turns a
+	// hung job into a failure.
 	deadline := time.Now().Add(120 * time.Second)
 	for {
 		js := getStatus(t, base, id)
@@ -160,6 +164,8 @@ func TestJobOverHTTPByteIdenticalToOffline(t *testing.T) {
 					t.Error("/metrics missing scheduler gauges")
 					return
 				}
+				// Paces the concurrent scrape load only; no assertion
+				// depends on how many scrapes land.
 				time.Sleep(5 * time.Millisecond)
 			}
 		}()

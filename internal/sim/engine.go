@@ -7,7 +7,8 @@
 //
 // Two execution styles are supported and freely mixed:
 //
-//   - plain callbacks scheduled with At/After, and
+//   - plain callbacks scheduled with At/After, which can also wait on a
+//     Cond, Semaphore or Mutex (WaitThen) wherever a process would; and
 //   - cooperative processes (Proc) — runtime coroutines (iter.Pull) that
 //     own the engine while they run and suspend whenever they Sleep or
 //     block on a synchronization primitive. Control passes between them
@@ -344,7 +345,10 @@ func (e *Engine) drive(owner *Proc) bool {
 		var ev *event
 		if e.readyHead < len(e.ready) {
 			ev = e.ready[e.readyHead]
-			e.readyHead++
+			if e.readyHead++; e.readyHead == len(e.ready) {
+				// Drained: restart, so a same-instant chain reuses one slot.
+				e.ready, e.readyHead = e.ready[:0], 0
+			}
 		} else if ev = e.nextInstant(); ev == nil {
 			return false
 		}

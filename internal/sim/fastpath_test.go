@@ -210,3 +210,27 @@ func TestSpawnAllocsAmortizedZero(t *testing.T) {
 		t.Fatalf("Spawn allocates %v/op warm, want 0", avg)
 	}
 }
+
+// A same-instant chain (each event schedules the next at the same time,
+// as a Cond hand-off ping-pong does) reuses the ready FIFO's head slot
+// instead of growing the queue by one entry per event.
+func TestSameInstantChainReusesReadyQueue(t *testing.T) {
+	e := New()
+	left := 10000
+	var step func()
+	step = func() {
+		if left--; left > 0 {
+			e.At(e.Now(), step)
+		}
+	}
+	e.At(0, step)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if left != 0 {
+		t.Fatalf("chain stopped with %d steps left", left)
+	}
+	if c := cap(e.ready); c > 8 {
+		t.Fatalf("ready queue grew to capacity %d over a one-event-deep chain", c)
+	}
+}

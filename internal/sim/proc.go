@@ -17,11 +17,10 @@ type procKilled struct{ name string }
 //
 // Proc shells (struct and coroutine) are pooled: when a body returns, the
 // shell parks on Engine.procPool and its coroutine suspends awaiting the
-// next spawn, so steady-state process churn (the swap-out daemons spawn
-// hundreds of thousands of short-lived processes per run) allocates
-// nothing. Recycling never perturbs dispatch order: spawn consumes exactly
-// the same two sequence numbers (process id, start event) whether the
-// shell is fresh or pooled.
+// next spawn, so steady-state process churn (naive prefetching spawns a
+// short-lived process per read-ahead) allocates nothing. Recycling never
+// perturbs dispatch order: spawn consumes exactly the same two sequence
+// numbers (process id, start event) whether the shell is fresh or pooled.
 type Proc struct {
 	e         *Engine
 	id        uint64

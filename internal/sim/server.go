@@ -15,7 +15,7 @@ type Server struct {
 	e      *Engine
 	name   string
 	busy   bool
-	queues [2]procFIFO
+	queues [2]waitFIFO
 
 	// Stats.
 	Busy   Time // cumulative service time (from Acquire to Release)
@@ -46,7 +46,7 @@ func (s *Server) Name() string { return s.name }
 func (s *Server) Acquire(p *Proc, pri Priority) {
 	t0 := p.Now()
 	if s.busy {
-		s.queues[pri].push(p)
+		s.queues[pri].push(waiter{p: p})
 		p.park(s.name)
 	}
 	s.busy = true
@@ -75,14 +75,14 @@ func (s *Server) Release() {
 	s.holder = nil
 	for pri := range s.queues {
 		for {
-			next, ok := s.queues[pri].pop()
+			w, ok := s.queues[pri].pop()
 			if !ok {
 				break
 			}
-			if next.isParked() {
+			if w.p.isParked() {
 				// Hand over directly: the server stays busy and the waiter
 				// resumes inside its Acquire.
-				s.e.unpark(next)
+				s.e.unpark(w.p)
 				return
 			}
 			// Waiter was killed; skip.

@@ -1,39 +1,46 @@
 package sim
 
-// procFIFO is a head-indexed process queue: pop does not reslice away
+// waiter is one entry of a Cond's queue: a parked process or a continuation.
+type waiter struct {
+	p *Proc
+	k func()
+}
+
+// waitFIFO is a head-indexed waiter queue: pop does not reslice away
 // capacity, so a queue that empties regularly reuses one backing array
 // instead of crawling through it allocation by allocation.
-type procFIFO struct {
-	s    []*Proc
+type waitFIFO struct {
+	s    []waiter
 	head int
 }
 
-func (q *procFIFO) push(p *Proc) { q.s = append(q.s, p) }
+func (q *waitFIFO) push(w waiter) { q.s = append(q.s, w) }
 
-func (q *procFIFO) pop() (*Proc, bool) {
+func (q *waitFIFO) pop() (waiter, bool) {
 	if q.head == len(q.s) {
-		return nil, false
+		return waiter{}, false
 	}
-	p := q.s[q.head]
-	q.s[q.head] = nil
+	w := q.s[q.head]
+	q.s[q.head] = waiter{}
 	q.head++
 	if q.head == len(q.s) {
 		q.s = q.s[:0]
 		q.head = 0
 	}
-	return p, true
+	return w, true
 }
 
-func (q *procFIFO) len() int { return len(q.s) - q.head }
+func (q *waitFIFO) len() int { return len(q.s) - q.head }
 
-// Cond is a FIFO wait queue. Wait parks the calling process until another
-// actor calls Signal or Broadcast. Unlike sync.Cond there is no associated
-// mutex: simulation code is single-threaded by construction, so the check
-// of the guarded predicate and the call to Wait cannot race.
+// Cond is a FIFO wait queue. Wait parks the calling process (WaitThen
+// queues a continuation) until another actor calls Signal or Broadcast.
+// Unlike sync.Cond there is no associated mutex: simulation code is
+// single-threaded by construction, so the check of the guarded predicate
+// and the call to Wait cannot race.
 type Cond struct {
 	e       *Engine
 	name    string
-	waiting procFIFO
+	waiting waitFIFO
 }
 
 // NewCond returns an empty condition queue.
@@ -48,20 +55,28 @@ func (c *Cond) Named(name string) *Cond {
 
 // Wait parks p until a Signal/Broadcast wakes it. Wakeups are FIFO.
 func (c *Cond) Wait(p *Proc) {
-	c.waiting.push(p)
+	c.waiting.push(waiter{p: p})
 	p.park(c.name)
 }
 
-// Signal wakes the longest-waiting process, if any. Returns true if a
-// process was woken.
+// WaitThen is Wait's continuation form: k joins the same FIFO, and the
+// Signal that reaches it schedules k where it would have woken a process.
+func (c *Cond) WaitThen(k func()) { c.waiting.push(waiter{k: k}) }
+
+// Signal wakes the longest waiter (process or continuation), if any.
+// Returns true if one was woken.
 func (c *Cond) Signal() bool {
 	for {
-		p, ok := c.waiting.pop()
+		w, ok := c.waiting.pop()
 		if !ok {
 			return false
 		}
-		if p.isParked() {
-			c.e.unpark(p)
+		if w.k != nil {
+			c.e.schedule(c.e.now, evFunc, w.k, nil)
+			return true
+		}
+		if w.p.isParked() {
+			c.e.unpark(w.p)
 			return true
 		}
 		// Process was killed while on the queue; skip it.
@@ -74,7 +89,7 @@ func (c *Cond) Broadcast() {
 	}
 }
 
-// Waiting reports how many processes are queued.
+// Waiting reports how many waiters are queued.
 func (c *Cond) Waiting() int { return c.waiting.len() }
 
 // Semaphore is a counting semaphore with FIFO granting.
@@ -101,6 +116,11 @@ func (s *Semaphore) Acquire(p *Proc) {
 	}
 	s.n--
 }
+
+// WaitThen is Acquire's continuation form: k joins the FIFO of blocked
+// Acquires and runs when a Release reaches it. Like a woken process, k
+// must retry TryAcquire, and on failure call WaitThen (back of the queue).
+func (s *Semaphore) WaitThen(k func()) { s.cond.WaitThen(k) }
 
 // TryAcquire takes a permit without blocking; reports success.
 func (s *Semaphore) TryAcquire() bool {
@@ -135,6 +155,12 @@ func (m *Mutex) Named(name string) *Mutex {
 
 // Lock acquires the mutex, parking p until it is free.
 func (m *Mutex) Lock(p *Proc) { m.s.Acquire(p) }
+
+// TryLock acquires the mutex if it is free; reports success.
+func (m *Mutex) TryLock() bool { return m.s.TryAcquire() }
+
+// WaitThen is Lock's continuation form (see Semaphore.WaitThen).
+func (m *Mutex) WaitThen(k func()) { m.s.WaitThen(k) }
 
 // Unlock releases the mutex.
 func (m *Mutex) Unlock() { m.s.Release() }
@@ -171,7 +197,7 @@ func (b *Barrier) Arrive(p *Proc) Time {
 
 // Queue is an unbounded FIFO mailbox. Push never blocks and may be called
 // from event callbacks; Pop parks the caller until an item is available.
-// Like procFIFO, the item buffer is head-indexed so a queue that drains
+// Like waitFIFO, the item buffer is head-indexed so a queue that drains
 // regularly reuses its backing array.
 type Queue[T any] struct {
 	items []T

@@ -1,12 +1,13 @@
 #!/bin/sh
 # Run the hot-path benchmarks and emit a BENCH_*.json snapshot.
 #
-# Usage: scripts/bench.sh [output.json]          (default BENCH_9.json)
+# Usage: scripts/bench.sh [output.json]          (default BENCH_11.json)
 #
 # Benchmarks:
 #   BenchmarkEngineEventThroughput  pooled event schedule/dispatch cycle
 #   BenchmarkProcSwitch             Sleep round-trip (migrating driver)
 #   BenchmarkProcHandoff            hand-off between two procs (coroutine switch)
+#   BenchmarkCallbackHandoff        hand-off between two continuations via a Cond
 #   BenchmarkSingleRunGauss         end-to-end run, swap-heavy application
 #   BenchmarkSingleRunFFT           end-to-end run, communication-heavy
 #   BenchmarkMeshTransit            precomputed-route mesh reservation
@@ -40,7 +41,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_9.json}"
+out="${1:-BENCH_11.json}"
 samples="${NWCACHE_BENCH_SAMPLES:-10}"
 micro_bt="${NWCACHE_BENCHTIME:-300ms}"
 run_bt="${NWCACHE_RUN_BENCHTIME:-3x}"
@@ -56,7 +57,7 @@ go test -run '^$' \
 # Micro-benchmarks: GOMAXPROCS=1, N samples each via -count; the awk
 # pass below keeps the minimum per benchmark.
 GOMAXPROCS=1 go test -run '^$' \
-  -bench '^(BenchmarkEngineEventThroughput|BenchmarkProcSwitch|BenchmarkProcHandoff|BenchmarkMeshTransit)$' \
+  -bench '^(BenchmarkEngineEventThroughput|BenchmarkProcSwitch|BenchmarkProcHandoff|BenchmarkCallbackHandoff|BenchmarkMeshTransit)$' \
   -benchmem -benchtime "$micro_bt" -count "$samples" . | tee -a "$raw" >&2
 GOMAXPROCS=1 go test -run '^$' \
   -bench '^(BenchmarkFramePoolTouch|BenchmarkFramePoolEvict)$' \
