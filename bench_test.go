@@ -17,6 +17,8 @@ import (
 	"testing"
 
 	"nwcache"
+	"nwcache/internal/disk"
+	"nwcache/internal/machine"
 	"nwcache/internal/mesh"
 	"nwcache/internal/optical"
 	"nwcache/internal/param"
@@ -254,6 +256,53 @@ func BenchmarkCallbackHandoff(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportMetric(float64(e.Dispatched()-1)/float64(b.N), "callbacks/op")
+}
+
+// touchProg is a Program whose thread 0 runs fn; the other threads exit.
+type touchProg struct{ fn func(ctx *machine.Ctx) }
+
+func (touchProg) Name() string     { return "touch" }
+func (touchProg) DataPages() int64 { return 64 }
+func (t touchProg) Run(ctx *machine.Ctx, proc int) {
+	if proc == 0 {
+		t.fn(ctx)
+	}
+}
+
+// BenchmarkCtxTouch measures one CPU's Touch path on resident pages: the
+// run-ahead queue, the callback chain, the TLB and the coherent cache.
+// Touches alternate between a block that always hits and 192 blocks that
+// cycle through the 128-block cache and always miss to local memory.
+func BenchmarkCtxTouch(b *testing.B) {
+	m, err := machine.New(param.Default(), machine.NWCache, disk.Optimal)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const cold = 48 // pages: within the TLB and the free frames
+	prog := touchProg{fn: func(ctx *machine.Ctx) {
+		for pg := machine.PageID(0); pg <= cold; pg++ {
+			ctx.Read(pg, 0, 1)
+		}
+		ctx.Now() // fault the pages in before timing
+		cc := m.Nodes[0].CC
+		misses0 := cc.Misses
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i&1 == 0 {
+				ctx.Read(0, 0, 1)
+			} else {
+				k := (i >> 1) % (cold * 4)
+				ctx.Read(machine.PageID(1+k/4), k%4, 1)
+			}
+		}
+		ctx.Now()
+		b.StopTimer()
+		b.ReportMetric(float64(cc.Misses-misses0)/float64(b.N), "cc-misses/op")
+	}}
+	if _, err := m.Run(prog); err != nil {
+		b.Fatal(err)
+	}
 }
 
 // BenchmarkMeshTransit measures network reservation cost.

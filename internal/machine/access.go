@@ -3,7 +3,6 @@ package machine
 import (
 	"math/rand"
 
-	"nwcache/internal/coherence"
 	"nwcache/internal/disk"
 	"nwcache/internal/optical"
 	"nwcache/internal/sim"
@@ -15,6 +14,16 @@ import (
 // methods must be called from that thread's simulation process. Its
 // operations charge the owning processor's execution-time breakdown.
 //
+// Touch (Read, Write) and Compute return nothing, so they are not run as
+// they are called: the thread queues up to runAhead of them and then
+// parks while its CPU runs them as a chain of engine callbacks (cpu.go).
+// The operations that wait or observe — Barrier, LockAcquire/LockRelease,
+// FileRead/FileWrite, Now and Machine — first drain the queue, so the
+// thread observes exactly the times and state it would if each operation
+// ran at its call. The contract for a Program: a Touch or Compute may
+// take effect after its call returns, and Go state shared between threads
+// may be handed over only across a Barrier or Lock operation.
+//
 // A Ctx can also be a pure recorder (see NewRecordingCtx): rec is then
 // non-nil and every operation is captured as an OpEvent instead of being
 // simulated. The rec check is one predicted-not-taken branch per
@@ -25,6 +34,7 @@ type Ctx struct {
 	p           *sim.Proc
 	proc, procs int
 	rng         *rand.Rand
+	cpu
 
 	rec func(OpEvent) // non-nil: recording mode, no simulation
 }
@@ -58,19 +68,23 @@ func (c *Ctx) Procs() int { return c.procs }
 // Rand returns this thread's deterministic PRNG.
 func (c *Ctx) Rand() *rand.Rand { return c.rng }
 
-// Now returns the current simulation time.
+// Now returns the current simulation time, once the queued operations
+// have run.
 func (c *Ctx) Now() sim.Time {
 	if c.rec != nil {
 		panic("machine: Ctx.Now is unavailable in recording mode (the program must be time-oblivious)")
 	}
+	c.drain()
 	return c.p.Now()
 }
 
-// Machine returns the machine the context runs on.
+// Machine returns the machine the context runs on, once the queued
+// operations have run.
 func (c *Ctx) Machine() *Machine {
 	if c.rec != nil {
 		panic("machine: Ctx.Machine is unavailable in recording mode")
 	}
+	c.drain()
 	return c.m
 }
 
@@ -92,7 +106,7 @@ func (c *Ctx) Compute(cycles int64) {
 		c.rec(OpEvent{Kind: OpCompute, Cycles: cycles})
 		return
 	}
-	c.p.Sleep(cycles)
+	c.push(cpuOp{arg: cycles, compute: true})
 }
 
 // Barrier joins the machine-wide application barrier. A barrier is a
@@ -102,6 +116,7 @@ func (c *Ctx) Barrier() {
 		c.rec(OpEvent{Kind: OpBarrier})
 		return
 	}
+	c.drain()
 	c.drainInterrupts()
 	if c.n.WB != nil {
 		c.n.WB.fence(c.p)
@@ -115,6 +130,7 @@ func (c *Ctx) LockAcquire(id int) {
 		c.rec(OpEvent{Kind: OpLockAcquire, Lock: id})
 		return
 	}
+	c.drain()
 	c.drainInterrupts()
 	c.m.Lock(id).Lock(c.p)
 }
@@ -126,6 +142,7 @@ func (c *Ctx) LockRelease(id int) {
 		c.rec(OpEvent{Kind: OpLockRelease, Lock: id})
 		return
 	}
+	c.drain()
 	if c.n.WB != nil {
 		c.n.WB.fence(c.p)
 	}
@@ -150,60 +167,17 @@ func (c *Ctx) drainInterrupts() {
 }
 
 // Touch performs one memory operation: interrupts, TLB, residency
-// (faulting as needed), then the data movement cost.
+// (faulting as needed), then the data movement cost (see Ctx.advance).
+// The line count only matters to a recording.
 func (c *Ctx) Touch(page PageID, sub, lines int, write bool) {
-	if lines < 1 {
-		lines = 1
-	}
 	if c.rec != nil {
+		if lines < 1 {
+			lines = 1
+		}
 		c.rec(OpEvent{Kind: OpTouch, Page: page, Sub: sub, Lines: lines, Write: write})
 		return
 	}
-	m, n, p := c.m, c.n, c.p
-	c.drainInterrupts()
-	if !n.TLB.Lookup(page) {
-		p.Sleep(m.Cfg.TLBMissLat)
-		n.charge(stats.TLB, m.Cfg.TLBMissLat)
-	}
-	en := m.Table.Get(page)
-	owner := m.ensureResident(p, n, en)
-	m.Nodes[owner].Pool.Touch(page)
-	if write {
-		en.Dirty = true
-	}
-	// Coherent cache check: a Modified copy satisfies anything, a Shared
-	// copy satisfies reads, and a write pending in the write buffer
-	// forwards to both; otherwise run the directory protocol.
-	switch st := n.CC.State(page, sub); {
-	case st == coherence.Modified:
-		n.CC.Hits++
-		return
-	case !write && n.WB != nil && n.WB.holds(page, sub):
-		n.CC.Hits++ // read-after-write forwarding from the buffer
-		return
-	case st == coherence.Shared && !write:
-		n.CC.Hits++
-		return
-	default:
-		if write && n.WB != nil {
-			// Release Consistency: buffer the write and keep executing;
-			// writes to an already-pending block coalesce.
-			if n.WB.enqueue(p, page, sub) {
-				n.CC.Hits++
-			} else {
-				n.CC.Misses++
-				if st == coherence.Shared {
-					n.CC.Upgrades++
-				}
-			}
-			return
-		}
-		n.CC.Misses++
-		if st == coherence.Shared {
-			n.CC.Upgrades++
-		}
-		m.ccAccess(p, n, owner, page, sub, write)
-	}
+	c.push(cpuOp{arg: page, sub: int32(sub), write: write})
 }
 
 // finishFault installs the fetched page as Resident on n.

@@ -24,6 +24,15 @@ import (
 // the cycle; if the world changes while stalled, the reservation is
 // returned and the state machine re-evaluates.
 func (m *Machine) ensureResident(p *sim.Proc, n *Node, en *vm.Entry) (owner int) {
+	lockT0 := p.Now()
+	en.Lock.Lock(p)
+	n.charge(stats.Fault, p.Now()-lockT0)
+	return m.ensureResidentLocked(p, n, en)
+}
+
+// ensureResidentLocked is ensureResident entered with the entry lock
+// already held.
+func (m *Machine) ensureResidentLocked(p *sim.Proc, n *Node, en *vm.Entry) (owner int) {
 	reserved := false
 	unreserve := func() {
 		if reserved {
@@ -31,9 +40,6 @@ func (m *Machine) ensureResident(p *sim.Proc, n *Node, en *vm.Entry) (owner int)
 			reserved = false
 		}
 	}
-	lockT0 := p.Now()
-	en.Lock.Lock(p)
-	n.charge(stats.Fault, p.Now()-lockT0)
 	for {
 		switch en.State {
 		case vm.Resident:
@@ -55,7 +61,7 @@ func (m *Machine) ensureResident(p *sim.Proc, n *Node, en *vm.Entry) (owner int)
 			en.Arrived.Wait(p)
 			n.charge(cat, p.Now()-t0)
 			m.emit(trace.FaultWait, n.ID, en.Page, p.Now()-t0)
-			lockT0 = p.Now()
+			lockT0 := p.Now()
 			en.Lock.Lock(p)
 			n.charge(stats.Fault, p.Now()-lockT0)
 
@@ -67,7 +73,7 @@ func (m *Machine) ensureResident(p *sim.Proc, n *Node, en *vm.Entry) (owner int)
 				en.Lock.Unlock()
 				m.allocFrame(p, n)
 				reserved = true
-				lockT0 = p.Now()
+				lockT0 := p.Now()
 				en.Lock.Lock(p)
 				n.charge(stats.Fault, p.Now()-lockT0)
 				continue

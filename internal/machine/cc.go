@@ -22,13 +22,21 @@ const BlockBytes = 4096 / coherence.SubPerPage
 // ccAccess performs the coherence transaction for one block access and
 // sleeps p until the access can architecturally proceed.
 func (m *Machine) ccAccess(p *sim.Proc, n *Node, home int, page PageID, sub int, write bool) {
+	p.SleepUntil(m.ccStart(n, home, page, sub, write))
+	m.ccFinish(n, page, sub, write)
+}
+
+// ccStart runs the directory transaction for one block access and returns
+// the time the access can architecturally proceed, when ccFinish
+// completes it.
+func (m *Machine) ccStart(n *Node, home int, page PageID, sub int, write bool) sim.Time {
 	var txn coherence.Txn
 	if write {
 		txn = m.Dir.Write(page, sub, n.ID)
 	} else {
 		txn = m.Dir.Read(page, sub, n.ID)
 	}
-	now := p.Now()
+	now := m.E.Now()
 	dataArrive := now
 
 	switch {
@@ -87,14 +95,17 @@ func (m *Machine) ccAccess(p *sim.Proc, n *Node, home int, page PageID, sub int,
 		n.RemoteAccs++
 	}
 
-	p.SleepUntil(dataArrive)
+	return dataArrive
+}
 
+// ccFinish caches the block that ccStart's transaction brought in.
+func (m *Machine) ccFinish(n *Node, page PageID, sub int, write bool) {
 	st := coherence.Shared
 	if write {
 		st = coherence.Modified
 	}
 	if ev, evicted := n.CC.Insert(page, sub, st); evicted {
-		m.ccEvict(p.Now(), n, ev)
+		m.ccEvict(m.E.Now(), n, ev)
 	}
 	// The page may have been evicted from memory while this transaction
 	// was in flight (its shootdown already invalidated the caches); a

@@ -31,6 +31,7 @@ func (c *Ctx) FileRead(page PageID, pages int) {
 		c.rec(OpEvent{Kind: OpFileRead, Page: page, Pages: pages})
 		return
 	}
+	c.drain()
 	m, n, p := c.m, c.n, c.p
 	for k := 0; k < pages; k++ {
 		c.drainInterrupts()
@@ -56,6 +57,7 @@ func (c *Ctx) FileWrite(page PageID, pages int) {
 		c.rec(OpEvent{Kind: OpFileWrite, Page: page, Pages: pages})
 		return
 	}
+	c.drain()
 	m, n, p := c.m, c.n, c.p
 	for k := 0; k < pages; k++ {
 		c.drainInterrupts()

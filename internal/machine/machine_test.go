@@ -432,6 +432,7 @@ func TestCheckInvariantsMidRunTolerant(t *testing.T) {
 			ctx.Write(pg, 0, 16)
 		}
 		if proc == 0 {
+			ctx.Now() // run the queued writes before checking state
 			if err := m.CheckInvariants(false); err != nil {
 				t.Errorf("mid-run invariants: %v", err)
 			}

@@ -19,7 +19,10 @@ type Program interface {
 	// DataPages returns the virtual-memory footprint in pages (for
 	// reporting; Table 2 of the paper).
 	DataPages() int64
-	// Run executes thread `proc` of the application to completion.
+	// Run executes thread `proc` of the application to completion. A
+	// Touch or Compute may take effect after its call returns (see Ctx),
+	// so Go state shared between threads may be handed over only across
+	// a Barrier or Lock operation.
 	Run(ctx *Ctx, proc int)
 }
 
@@ -78,7 +81,9 @@ func (m *Machine) Run(prog Program) (*Result, error) {
 		m.E.Spawn(fmt.Sprintf("cpu%d", i), func(p *sim.Proc) {
 			ctx := newCtx(i, procs, m.Cfg.Seed)
 			ctx.m, ctx.n, ctx.p = m, n, p
+			ctx.ops, ctx.step = make([]cpuOp, 0, runAhead), ctx.wake
 			prog.Run(ctx, i)
+			ctx.drain()
 			n.doneAt = p.Now()
 		})
 	}

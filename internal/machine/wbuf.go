@@ -89,22 +89,34 @@ func (wb *writeBuffer) holds(page PageID, sub int) bool {
 	return wb.holdsKey(wbKey(page, sub))
 }
 
-// enqueue adds a write, coalescing with pending writes to the same block
-// (reported by the return value) and stalling p while the buffer is full.
-func (wb *writeBuffer) enqueue(p *sim.Proc, page PageID, sub int) (coalesced bool) {
+// tryEnqueue adds a write without waiting: it coalesces with a pending
+// write to the same block, or takes a free slot. ok is false, and nothing
+// changes, when every slot is taken.
+func (wb *writeBuffer) tryEnqueue(page PageID, sub int) (coalesced, ok bool) {
 	k := wbKey(page, sub)
 	if wb.holdsKey(k) {
 		wb.Coalesced++
-		return true
+		return true, true
 	}
-	for wb.occupancy() >= wb.depth {
-		wb.FullWaits++
-		wb.room.Wait(p)
+	if wb.occupancy() >= wb.depth {
+		return false, false
 	}
 	wb.keys[(wb.head+wb.count)%wb.depth] = k
 	wb.count++
 	wb.kick.Signal()
-	return false
+	return false, true
+}
+
+// enqueue adds a write like tryEnqueue, stalling p while the buffer is full.
+func (wb *writeBuffer) enqueue(p *sim.Proc, page PageID, sub int) (coalesced bool) {
+	for {
+		coalesced, ok := wb.tryEnqueue(page, sub)
+		if ok {
+			return coalesced
+		}
+		wb.FullWaits++
+		wb.room.Wait(p)
+	}
 }
 
 // occupancy counts queued plus in-flight writes (an entry being drained

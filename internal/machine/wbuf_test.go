@@ -154,8 +154,10 @@ func TestWriteBufferReadForwarding(t *testing.T) {
 		ctx.Barrier()
 		if proc == 1 {
 			ctx.Write(0, 0, 8) // buffered miss
+			ctx.Now()          // run the queued Write before reading state
 			before := m.Nodes[1].CC.Misses
 			ctx.Read(0, 0, 8) // must forward from the buffer, not miss
+			ctx.Now()
 			misses = m.Nodes[1].CC.Misses - before
 		}
 		ctx.Barrier()

@@ -17,6 +17,11 @@
 //     shared through the engine needs locking and results are
 //     deterministic.
 //
+// The two meet in a process that Parks while a callback chain does its
+// work: a callback hands the process a step that must block, or the end
+// of the chain, with Resume, which runs the process at the callback's own
+// (time, seq) slot without scheduling anything.
+//
 // The dispatch core is built for throughput (see MODEL.md, "Engine fast
 // path"): event slots are pooled and recycled, future events live in an
 // inlined 4-ary heap, and dispatch is batched per instant — advancing the
@@ -104,6 +109,8 @@ type Engine struct {
 	parkedList []*Proc // procs blocked on a primitive (no event pending)
 	current    *Proc   // proc currently holding control, nil in callbacks
 	handTo     *Proc   // proc the transfer loop resumes next, nil when none
+	inCallback bool    // a callback event is running (Resume is legal)
+	resumed    *Proc   // proc the running callback Resumed, nil when none
 	procPool   []*Proc // finished proc shells whose coroutines await reuse
 
 	// Dispatch statistics, maintained unconditionally: plain integer
@@ -371,22 +378,48 @@ func (e *Engine) drive(owner *Proc) bool {
 		// life.
 		kind, fn, p := ev.kind, ev.fn, ev.p
 		e.release(ev)
-		switch kind {
-		case evFunc:
+		if kind == evFunc {
 			e.current = nil
+			e.inCallback = true
 			fn()
-		default: // evWake, evStart
-			e.wakes++
-			e.current = p
-			if p == owner {
-				return true
+			e.inCallback = false
+			if p = e.resumed; p == nil {
+				continue
 			}
-			e.switches++
-			e.handTo = p
-			return false
+			e.resumed = nil
 		}
+		// A wake, a start, or a proc the callback just run Resumed.
+		e.wakes++
+		e.current = p
+		if p == owner {
+			return true
+		}
+		e.switches++
+		e.handTo = p
+		return false
 	}
 	return false
+}
+
+// Resume hands control to the parked process p as soon as the running
+// callback returns, ahead of every other event. p runs in the callback's
+// own (t, seq) slot: Resume schedules no event, so it consumes no sequence
+// number and leaves Dispatched and Pending alone. A callback chain uses it
+// to run a step that must block (wait on a Cond, Mutex, ...) on a process
+// parked for the purpose (see MODEL.md, "Engine fast path"). Resume panics
+// outside a callback, when called twice in one callback, and for a process
+// that is not parked.
+func (e *Engine) Resume(p *Proc) {
+	switch {
+	case !e.inCallback:
+		panic("sim: Resume outside a callback")
+	case e.resumed != nil:
+		panic("sim: second Resume in one callback")
+	case !p.isParked():
+		panic("sim: Resume of non-parked process " + p.name)
+	}
+	e.removeParked(p)
+	e.resumed = p
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past is a
@@ -422,8 +455,9 @@ func (e *Engine) Pending() int { return e.pending }
 // created.
 func (e *Engine) Dispatched() uint64 { return e.dispatched }
 
-// WakeHandoffs reports how many of the dispatched events were process
-// hand-overs (Sleep wake-ups, unparks, starts) rather than callbacks.
+// WakeHandoffs reports how many process hand-overs dispatch made: the
+// dispatched events that were Sleep wake-ups, unparks or starts rather than
+// callbacks, plus the Resumes callbacks made.
 func (e *Engine) WakeHandoffs() uint64 { return e.wakes }
 
 // Switches reports how many wake hand-overs cost a coroutine switch: the
@@ -440,6 +474,7 @@ func (e *Engine) HeapPeak() int { return e.heapPeak }
 func (e *Engine) Observe(sc *obs.Scope) {
 	sc.ProbeCounter("events_dispatched", func() int64 { return int64(e.dispatched) })
 	sc.ProbeCounter("wake_handoffs", func() int64 { return int64(e.wakes) })
+	sc.ProbeCounter("switches", func() int64 { return int64(e.switches) })
 	sc.ProbeGauge("heap_peak", func() int64 { return int64(e.heapPeak) })
 	sc.ProbeGauge("events_pending", func() int64 { return int64(e.pending) })
 	sc.ProbeGauge("now_pcycles", func() int64 { return e.now })

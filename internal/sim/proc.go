@@ -166,10 +166,11 @@ func (p *Proc) SleepUntil(t Time) {
 	p.Sleep(t - p.e.now)
 }
 
-// park blocks the process with no wake-up event scheduled; some other actor
-// must call unpark. Used by the synchronization primitives; `on` labels the
-// primitive for the blocked-proc dump of DeadlockError/LivelockError.
-func (p *Proc) park(on string) {
+// Park blocks the process with no wake-up event scheduled until another
+// actor wakes it: a synchronization primitive's Signal (unpark), or a
+// callback's Engine.Resume. `on` labels the wait for the blocked-proc dump
+// of DeadlockError/LivelockError.
+func (p *Proc) Park(on string) {
 	p.waitOn = on
 	p.parkedAt = p.e.now
 	p.e.addParked(p)

@@ -47,7 +47,7 @@ func (s *Server) Acquire(p *Proc, pri Priority) {
 	t0 := p.Now()
 	if s.busy {
 		s.queues[pri].push(waiter{p: p})
-		p.park(s.name)
+		p.Park(s.name)
 	}
 	s.busy = true
 	s.holder = p

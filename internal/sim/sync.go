@@ -56,7 +56,7 @@ func (c *Cond) Named(name string) *Cond {
 // Wait parks p until a Signal/Broadcast wakes it. Wakeups are FIFO.
 func (c *Cond) Wait(p *Proc) {
 	c.waiting.push(waiter{p: p})
-	p.park(c.name)
+	p.Park(c.name)
 }
 
 // WaitThen is Wait's continuation form: k joins the same FIFO, and the
