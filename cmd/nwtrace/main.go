@@ -1,128 +1,60 @@
-// Command nwtrace runs one application with event tracing enabled and
-// either writes the trace to a file (binary or JSON lines) or prints a
-// post-hoc analysis: latency distributions, ring occupancy, per-node
-// activity, hottest pages.
+// Command nwtrace summarizes a Chrome trace written by nwsim -trace-out
+// or nwbench -trace-out. For each simulated run in the file (one trace
+// process each) it prints the record counts, the fault and swap-out
+// latency distributions, the optical ring's occupancy (peak, mean,
+// timeline), the most-faulted pages, and how many events the trace's cap
+// dropped. The record names are listed in MODEL.md, "Spans".
 //
 // Usage:
 //
-//	nwtrace -app gauss -machine nwcache -prefetch optimal -summary
-//	nwtrace -app mg -out mg.trace            # binary trace file
-//	nwtrace -analyze mg.trace                # analyze an existing trace
-//	nwtrace -app mg -out mg.json -format json
+//	nwtrace FILE|-
+//
+// For example:
+//
+//	nwsim -app mg -scale 0.1 -mem 81920 -trace-out mg.json && nwtrace mg.json
+//	nwbench -table 3 -scale 0.5 -trace-out t3.json && nwtrace - < t3.json
 package main
 
 import (
-	"flag"
+	"errors"
 	"fmt"
+	"io"
 	"os"
-	"strings"
 
-	"nwcache/internal/core"
-	"nwcache/internal/trace"
+	"nwcache/internal/obs"
 )
 
 func main() {
-	var (
-		app      = flag.String("app", "gauss", "application: "+strings.Join(core.Apps(), ", "))
-		machineF = flag.String("machine", "nwcache", "machine kind: standard or nwcache")
-		prefetch = flag.String("prefetch", "optimal", "prefetch mode: naive, optimal, or streamed")
-		scale    = flag.Float64("scale", 1.0, "workload scale")
-		seed     = flag.Int64("seed", 1, "simulation seed")
-		mem      = flag.Int("mem", 0, "memory per node in bytes (0 = default; shrink to force paging)")
-		out      = flag.String("out", "", "write trace to this file")
-		format   = flag.String("format", "binary", "trace file format: binary or json")
-		summary  = flag.Bool("summary", true, "print trace analysis")
-		analyze  = flag.String("analyze", "", "analyze an existing trace file instead of running")
-		maxEv    = flag.Int("max-events", 10_000_000, "event buffer cap (0 = unbounded)")
-	)
-	flag.Parse()
-
-	if *analyze != "" {
-		f, err := os.Open(*analyze)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		// Single pass: ReadAuto sniffs the binary magic instead of
-		// reading the whole file as binary and re-reading it as JSON.
-		events, err := trace.ReadAuto(f)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(trace.Analyze(events))
-		return
-	}
-
-	cfg := core.DefaultConfig()
-	cfg.Scale = *scale
-	cfg.Seed = *seed
-	if *mem > 0 {
-		cfg.MemPerNode = *mem
-	}
-	var kind core.Kind
-	switch *machineF {
-	case "standard":
-		kind = core.Standard
-	case "nwcache":
-		kind = core.NWCache
-	default:
-		fatal(fmt.Errorf("unknown machine %q", *machineF))
-	}
-	var mode core.PrefetchMode
-	switch *prefetch {
-	case "naive":
-		mode = core.Naive
-	case "optimal":
-		mode = core.Optimal
-	case "streamed":
-		mode = core.Streamed
-	default:
-		fatal(fmt.Errorf("unknown prefetch mode %q", *prefetch))
-	}
-	cfg = core.ApplyPaperMinFree(cfg, kind, mode)
-
-	prog, err := core.NewProgram(*app, cfg)
-	if err != nil {
-		fatal(err)
-	}
-	m, err := core.NewMachine(cfg, kind, mode)
-	if err != nil {
-		fatal(err)
-	}
-	tr := trace.New(*maxEv)
-	m.Tracer = tr
-	res, err := m.Run(prog)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "ran %s on %s/%s: %d pcycles, %d trace events (%d dropped)\n",
-		*app, kind, mode, res.ExecTime, tr.Len(), tr.Dropped)
-
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		switch *format {
-		case "binary":
-			err = trace.WriteBinary(f, tr.Events())
-		case "json":
-			err = trace.WriteJSON(f, tr.Events())
-		default:
-			err = fmt.Errorf("unknown format %q", *format)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *out)
-	}
-	if *summary {
-		fmt.Println(trace.Analyze(tr.Events()))
+	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "nwtrace:", err)
+		os.Exit(1)
 	}
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "nwtrace:", err)
-	os.Exit(1)
+// run reads the trace named by args ("-" is stdin) and writes one
+// summary per process to out.
+func run(args []string, stdin io.Reader, out io.Writer) error {
+	if len(args) != 1 {
+		return errors.New("usage: nwtrace FILE|-")
+	}
+	r := stdin
+	if args[0] != "-" {
+		f, err := os.Open(args[0])
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		r = f
+	}
+	runs, err := obs.ReadChrome(r)
+	if err != nil {
+		return err
+	}
+	for i, nt := range runs {
+		if i > 0 {
+			fmt.Fprintln(out)
+		}
+		fmt.Fprintf(out, "== %s ==\n%s", nt.Name, analyze(nt.Trace))
+	}
+	return nil
 }

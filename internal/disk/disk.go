@@ -157,7 +157,7 @@ type Disk struct {
 	// and write-back paths then pay one nil check each.
 	tgDirty *obs.TimeGauge // dirty-slot count over simulated time
 	hGroup  *obs.Histogram // write-combining run lengths
-	tr      *obs.Trace     // media access spans
+	tr      *obs.Trace     // media access spans (a write-back names its group's first page)
 	track   int
 
 	// Fault injection (nil = perfect hardware): transient media errors
@@ -413,7 +413,7 @@ func (d *Disk) Read(p *sim.Proc, from int, page PageID, block int64) ReadOutcome
 	dur := d.seekTime(mediaBlock) + d.rot + d.pageXfer
 	t0 := p.Now()
 	d.mediaAccess(p, sim.High, dur, true)
-	d.tr.Span(d.track, "disk.read", t0, p.Now())
+	d.tr.Span(d.track, "disk.read", t0, p.Now(), page)
 	d.headPos = mediaBlock
 	d.installClean(page, block, false)
 	switch d.mode {
@@ -609,7 +609,7 @@ func (d *Disk) writebackLoop(p *sim.Proc) {
 			dur := d.seekTime(start) + d.rot + int64(len(group))*d.pageXfer
 			t0 := p.Now()
 			d.mediaAccess(p, sim.Low, dur, false) // background write-back: low priority
-			d.tr.Span(d.track, "disk.write", t0, p.Now())
+			d.tr.Span(d.track, "disk.write", t0, p.Now(), d.slots[group[0]].page)
 			d.headPos = start + int64(len(group))
 			d.MediaWrite++
 			d.Combining.Add(float64(len(group)))

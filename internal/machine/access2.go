@@ -8,7 +8,6 @@ import (
 	"nwcache/internal/optical"
 	"nwcache/internal/sim"
 	"nwcache/internal/stats"
-	"nwcache/internal/trace"
 	"nwcache/internal/vm"
 )
 
@@ -60,7 +59,7 @@ func (m *Machine) ensureResidentLocked(p *sim.Proc, n *Node, en *vm.Entry) (owne
 			t0 := p.Now()
 			en.Arrived.Wait(p)
 			n.charge(cat, p.Now()-t0)
-			m.emit(trace.FaultWait, n.ID, en.Page, p.Now()-t0)
+			m.Spans.Span(m.cpuTrack(n.ID), "fault.wait", t0, p.Now(), en.Page)
 			lockT0 := p.Now()
 			en.Lock.Lock(p)
 			n.charge(stats.Fault, p.Now()-lockT0)
@@ -103,7 +102,6 @@ func (m *Machine) faultFromRing(p *sim.Proc, n *Node, en *vm.Entry) bool {
 		en.State = vm.Transit
 		en.TransitBy = n.ID
 		en.Lock.Unlock()
-		m.emit(trace.FaultStart, n.ID, en.Page, 0)
 		t0 := p.Now()
 		m.ringReadInto(p, n, ringEn)
 		// Tell the responsible I/O node's interface the page must not go
@@ -115,10 +113,9 @@ func (m *Machine) faultFromRing(p *sim.Proc, n *Node, en *vm.Entry) bool {
 		g.kind, g.to, g.en = msgCancel, dn, ringEn
 		m.E.At(arrive, g.run)
 		n.charge(stats.Fault, p.Now()-t0)
-		m.emit(trace.RingVictim, n.ID, en.Page, 0)
-		m.emit(trace.FaultRing, n.ID, en.Page, p.Now()-t0)
+		m.Spans.Instant(m.cpuTrack(n.ID), "ring.victim", p.Now(), en.Page)
 		m.hFaultRing.Observe(p.Now() - t0)
-		m.Spans.Span(m.cpuTrack(n.ID), "fault.ring", t0, p.Now())
+		m.Spans.Span(m.cpuTrack(n.ID), "fault.ring", t0, p.Now(), en.Page)
 		m.finishFault(p, n, en, true /*dirty: disk never got it*/)
 		n.Faults++
 		n.RingHits++
@@ -132,13 +129,11 @@ func (m *Machine) faultFromRing(p *sim.Proc, n *Node, en *vm.Entry) bool {
 		en.State = vm.Transit
 		en.TransitBy = n.ID
 		en.Lock.Unlock()
-		m.emit(trace.FaultStart, n.ID, en.Page, 0)
 		t0 := p.Now()
 		m.ringReadInto(p, n, ringEn)
 		n.charge(stats.Fault, p.Now()-t0)
-		m.emit(trace.FaultRing, n.ID, en.Page, p.Now()-t0)
 		m.hFaultRing.Observe(p.Now() - t0)
-		m.Spans.Span(m.cpuTrack(n.ID), "fault.ring", t0, p.Now())
+		m.Spans.Span(m.cpuTrack(n.ID), "fault.ring", t0, p.Now(), en.Page)
 		m.finishFault(p, n, en, false)
 		n.Faults++
 		n.RingHits++
@@ -165,14 +160,12 @@ func (m *Machine) faultFromDisk(p *sim.Proc, n *Node, en *vm.Entry) {
 	en.State = vm.Transit
 	en.TransitBy = n.ID
 	en.Lock.Unlock()
-	m.emit(trace.FaultStart, n.ID, en.Page, 0)
 	t0 := p.Now()
 	outcome := m.diskReadInto(p, n, en.Page)
 	d := p.Now() - t0
 	n.charge(stats.Fault, d)
-	m.emit(trace.FaultDisk, n.ID, en.Page, d)
 	m.hFaultDisk.Observe(d)
-	m.Spans.Span(m.cpuTrack(n.ID), "fault.disk", t0, p.Now())
+	m.Spans.Span(m.cpuTrack(n.ID), "fault.disk", t0, p.Now(), en.Page)
 	if outcome.Hit() {
 		n.DiskHits++
 		// Table 8 measures the latency of faults served straight from the

@@ -28,7 +28,6 @@ import (
 	"nwcache/internal/sim"
 	"nwcache/internal/stats"
 	"nwcache/internal/tlb"
-	"nwcache/internal/trace"
 	"nwcache/internal/vm"
 )
 
@@ -100,9 +99,8 @@ type Node struct {
 	LocalAccs      uint64
 	SwapOuts       uint64
 	CleanEvicts    uint64
-	SwapTime       stats.Mean      // frame-release latency per swap-out
-	FaultHitLat    stats.Mean      // fault latency when served by a disk cache hit
-	SwapHist       stats.Histogram // distribution of swap-out times
+	SwapTime       stats.Mean // frame-release latency per swap-out
+	FaultHitLat    stats.Mean // fault latency when served by a disk cache hit
 }
 
 // Machine is one simulated multiprocessor instance.
@@ -123,14 +121,11 @@ type Machine struct {
 	// each page's current frame; see internal/coherence).
 	Dir *coherence.Directory
 
-	// Tracer, when non-nil, receives typed events for every fault,
-	// swap-out, and ring/disk protocol action (see internal/trace).
-	Tracer *trace.Tracer
-
 	// Spans receives simulated-clock spans ("fault.disk", "swap.ring",
-	// ...) when observation is wired via Observe; nil otherwise. The
-	// histograms aggregate fault and swap-out latencies for the metric
-	// snapshot.
+	// ...) and protocol instants ("ring.insert", "clean.evict", ...; see
+	// MODEL.md, "Spans") when observation is wired via Observe; nil
+	// otherwise. The histograms aggregate fault and swap-out latencies
+	// for the metric snapshot.
 	Spans      *obs.Trace
 	hFaultDisk *obs.Histogram
 	hFaultRing *obs.Histogram
@@ -224,11 +219,6 @@ func (n *Node) dropOK(c *sim.Cond) {
 	}
 }
 
-// emit records a trace event if tracing is enabled.
-func (m *Machine) emit(kind trace.Kind, node int, page PageID, arg int64) {
-	m.Tracer.Emit(m.E.Now(), kind, node, page, arg)
-}
-
 // New builds a machine of the given kind and prefetch mode.
 func New(cfg param.Config, kind Kind, mode disk.PrefetchMode) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
@@ -276,11 +266,7 @@ func New(cfg param.Config, kind Kind, mode disk.PrefetchMode) (*Machine, error) 
 			d := m.Disks[ioNode]
 			f.DiskHasRoom = func() bool { return d.HasWriteRoom() }
 			f.DiskInstall = func(p *sim.Proc, page optical.PageID) bool {
-				ok := d.Write(p, ioNode, page, m.Layout.BlockFor(page)) == disk.ACK
-				if ok {
-					m.emit(trace.RingDrain, ioNode, page, 0)
-				}
-				return ok
+				return d.Write(p, ioNode, page, m.Layout.BlockFor(page)) == disk.ACK
 			}
 			f.SendACK = func(en *optical.Entry) { m.deliverRingACK(ioNode, en) }
 			d.OnRoom = f.Kick
@@ -344,7 +330,7 @@ func (m *Machine) ringACKArrived(to int, en *optical.Entry) {
 		pte.Dirty = false // the disk controller now holds the data
 		pte.Arrived.Broadcast()
 	}
-	m.emit(trace.RingRelease, to, en.Page, 0)
+	m.Spans.Instant(m.swapTrack(to), "ring.release", m.E.Now(), en.Page)
 	m.flt.NoteRingRelease(m.E.Now(), en.InsertedAt)
 	m.Ring.Release(en)
 	m.Nodes[to].chanRoom.Broadcast()

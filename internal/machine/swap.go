@@ -4,7 +4,6 @@ import (
 	"nwcache/internal/disk"
 	"nwcache/internal/optical"
 	"nwcache/internal/sim"
-	"nwcache/internal/trace"
 	"nwcache/internal/vm"
 )
 
@@ -58,7 +57,7 @@ func (m *Machine) replace(n *Node) {
 				en.Arrived.Broadcast()
 				en.Lock.Unlock()
 				n.CleanEvicts++
-				m.emit(trace.CleanEvict, n.ID, page, 0)
+				m.Spans.Instant(m.swapTrack(n.ID), "clean.evict", m.E.Now(), page)
 				m.invalidateCaches(page)
 				continue
 			}
@@ -72,7 +71,6 @@ func (m *Machine) replace(n *Node) {
 			en.Lock.Unlock()
 			m.invalidateCaches(page)
 			n.SwapOuts++
-			m.emit(trace.SwapStart, n.ID, page, 0)
 			j := n.takeJob(m)
 			j.en, j.start, j.at = en, m.E.Now(), sjSend // Standard: straight to the mesh
 			if m.Kind == NWCache {
@@ -183,7 +181,7 @@ func (j *swapJob) run() {
 			j.entry = m.Ring.Insert(n.ID, page)
 			n.ringTx.Unlock()
 			m.flt.NoteRingInsert(m.E.Now())
-			m.emit(trace.RingInsert, n.ID, page, 0)
+			m.Spans.Instant(m.swapTrack(n.ID), "ring.insert", m.E.Now(), page)
 			if !m.conservative() {
 				// The frame is reusable right away — the page now lives
 				// on the ring.
@@ -254,7 +252,7 @@ func (j *swapJob) run() {
 			d, dn := m.DiskFor(page)
 			if d.AnswerWrite(n.ID, page, m.Layout.BlockFor(page)) == disk.NACK {
 				// The controller recorded us; wait for its OK message.
-				m.emit(trace.DiskNACK, n.ID, page, int64(dn))
+				m.Spans.Instant(m.swapTrack(n.ID), "disk.nack", m.E.Now(), page)
 				n.queueOK(page, j.okc)
 				j.okc.WaitThen(j.step)
 				j.at = sjOK
@@ -269,8 +267,7 @@ func (j *swapJob) run() {
 			}
 		case sjOK:
 			n.dropOK(j.okc)
-			_, dn := m.DiskFor(page)
-			m.emit(trace.DiskOK, n.ID, page, int64(dn))
+			m.Spans.Instant(m.swapTrack(n.ID), "disk.ok", m.E.Now(), page)
 			j.at = sjSend
 		case sjAcked:
 			if j.entry != nil {
@@ -311,10 +308,8 @@ func (j *swapJob) release(span string) {
 	now := m.E.Now()
 	dur := now - j.start
 	n.SwapTime.Add(float64(dur))
-	n.SwapHist.Add(float64(dur))
 	m.hSwap.Observe(dur)
-	m.Spans.Span(m.swapTrack(n.ID), span, j.start, now)
-	m.emit(trace.SwapDone, n.ID, j.en.Page, dur)
+	m.Spans.Span(m.swapTrack(n.ID), span, j.start, now, j.en.Page)
 }
 
 // finish returns the swap-out's permit and the job to its node's pool.

@@ -16,10 +16,12 @@ import (
 // the original spans bit-for-bit.
 
 // chromeArgs is the args payload of an exported event: pc/dpc are exact
-// pcycle start/duration; name is used by "M" metadata records.
+// pcycle start/duration, page the span's or instant's page; name is used
+// by "M" metadata records.
 type chromeArgs struct {
 	PC   int64  `json:"pc,omitempty"`
 	DPC  int64  `json:"dpc,omitempty"`
+	Page int64  `json:"page,omitempty"`
 	Name string `json:"name,omitempty"`
 }
 
@@ -36,12 +38,14 @@ type chromeEvent struct {
 }
 
 // chromeDoc is the JSON Object Format envelope. NSPerTick rides in
-// otherData so a decoder can invert the timestamp scaling.
+// otherData so a decoder can invert the timestamp scaling, and so do the
+// per-pid counts of events each trace's cap discarded.
 type chromeDoc struct {
 	TraceEvents     []chromeEvent `json:"traceEvents"`
 	DisplayTimeUnit string        `json:"displayTimeUnit,omitempty"`
 	OtherData       struct {
-		NSPerTick float64 `json:"nsPerTick,omitempty"`
+		NSPerTick float64        `json:"nsPerTick,omitempty"`
+		Dropped   map[int]uint64 `json:"dropped,omitempty"`
 	} `json:"otherData,omitempty"`
 }
 
@@ -76,6 +80,12 @@ func WriteChromeMulti(w io.Writer, traces []NamedTrace) error {
 		if t == nil {
 			continue
 		}
+		if t.dropped > 0 {
+			if doc.OtherData.Dropped == nil {
+				doc.OtherData.Dropped = make(map[int]uint64)
+			}
+			doc.OtherData.Dropped[pid] = t.dropped
+		}
 		doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
 			Name: "process_name", Ph: "M", Pid: pid,
 			Args: chromeArgs{Name: nt.Name},
@@ -95,14 +105,14 @@ func WriteChromeMulti(w io.Writer, traces []NamedTrace) error {
 			doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
 				Name: s.Name, Ph: "X", Pid: pid, Tid: s.Track,
 				Ts: float64(s.Start) * usPerTick, Dur: float64(s.End-s.Start) * usPerTick,
-				Args: chromeArgs{PC: s.Start, DPC: s.End - s.Start},
+				Args: chromeArgs{PC: s.Start, DPC: s.End - s.Start, Page: s.Page},
 			})
 		}
 		for _, in := range t.instants {
 			doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
 				Name: in.Name, Ph: "i", Pid: pid, Tid: in.Track,
 				Ts: float64(in.At) * usPerTick, Scope: "t",
-				Args: chromeArgs{PC: in.At},
+				Args: chromeArgs{PC: in.At, Page: in.Page},
 			})
 		}
 	}
@@ -110,10 +120,16 @@ func WriteChromeMulti(w io.Writer, traces []NamedTrace) error {
 	return enc.Encode(&doc)
 }
 
+// maxNSPerTick bounds the clock scale ReadChrome accepts: one second per
+// pcycle.
+const maxNSPerTick = 1e9
+
 // ReadChrome decodes a file produced by WriteChrome/WriteChromeMulti
 // back into per-process traces, in pid order. Spans and instants are
-// restored exactly from the pc/dpc args; events written by other tools
-// (without those args) fall back to rounding the microsecond timestamps.
+// restored exactly from the pc/dpc/page args; events written by other
+// tools (without those args) fall back to rounding the microsecond
+// timestamps. A trace's drop count is what otherData records plus what
+// its own cap discards on reading.
 func ReadChrome(r io.Reader) ([]NamedTrace, error) {
 	var doc chromeDoc
 	if err := json.NewDecoder(r).Decode(&doc); err != nil {
@@ -122,6 +138,11 @@ func ReadChrome(r io.Reader) ([]NamedTrace, error) {
 	nsPerTick := doc.OtherData.NSPerTick
 	if nsPerTick <= 0 {
 		nsPerTick = 5
+	}
+	if nsPerTick > maxNSPerTick {
+		// Exported timestamps would overflow to ±Inf, which JSON cannot
+		// carry, so such a file could not be written back.
+		return nil, fmt.Errorf("obs: implausible nsPerTick %g", nsPerTick)
 	}
 	byPid := make(map[int]*NamedTrace)
 	pids := []int{}
@@ -154,14 +175,17 @@ func ReadChrome(r io.Reader) ([]NamedTrace, error) {
 			if start == 0 && dur == 0 && (ev.Ts != 0 || ev.Dur != 0) {
 				start, dur = ticks(ev.Ts), ticks(ev.Dur)
 			}
-			nt.Trace.Span(ev.Tid, ev.Name, start, start+dur)
+			nt.Trace.Span(ev.Tid, ev.Name, start, start+dur, ev.Args.Page)
 		case "i", "I":
 			at := ev.Args.PC
 			if at == 0 && ev.Ts != 0 {
 				at = ticks(ev.Ts)
 			}
-			nt.Trace.Instant(ev.Tid, ev.Name, at)
+			nt.Trace.Instant(ev.Tid, ev.Name, at, ev.Args.Page)
 		}
+	}
+	for pid, n := range doc.OtherData.Dropped {
+		get(pid).Trace.dropped += n
 	}
 	sort.Ints(pids)
 	out := make([]NamedTrace, 0, len(pids))

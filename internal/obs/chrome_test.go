@@ -15,10 +15,10 @@ func TestChromeRoundTrip(t *testing.T) {
 	tr := NewTrace(0)
 	tr.SetTrack(0, "cpu0")
 	tr.SetTrack(3, "disk@2")
-	tr.Span(0, "fault.disk", 17, 4211)   // 17 pcycles = 0.085 µs: sub-µs precision
-	tr.Span(0, "fault.ring", 4300, 4301) // 1-pcycle span
-	tr.Span(3, "disk.write", 100000, 250000)
-	tr.Instant(3, "nack", 123457)
+	tr.Span(0, "fault.disk", 17, 4211, 92)  // 17 pcycles = 0.085 µs: sub-µs precision
+	tr.Span(0, "fault.ring", 4300, 4301, 0) // 1-pcycle span
+	tr.Span(3, "disk.write", 100000, 250000, 7)
+	tr.Instant(3, "disk.nack", 123457, 7)
 
 	var buf bytes.Buffer
 	if err := tr.WriteChrome(&buf, "nwsim"); err != nil {
@@ -48,9 +48,10 @@ func TestChromeRoundTrip(t *testing.T) {
 
 func TestChromeMultiProcess(t *testing.T) {
 	a := NewTrace(0)
-	a.Span(1, "x", 0, 10)
-	b := NewTrace(0)
-	b.Span(2, "y", 5, 6)
+	a.Span(1, "x", 0, 10, 0)
+	b := NewTrace(1)
+	b.Span(2, "y", 5, 6, 3)
+	b.Instant(2, "z", 6, 3) // over b's cap: dropped
 	var buf bytes.Buffer
 	if err := WriteChromeMulti(&buf, []NamedTrace{{"run-a", a}, {"run-b", b}}); err != nil {
 		t.Fatal(err)
@@ -66,6 +67,9 @@ func TestChromeMultiProcess(t *testing.T) {
 		!reflect.DeepEqual(got[1].Trace.Spans(), b.Spans()) {
 		t.Fatal("per-process spans mismatch")
 	}
+	if got[0].Trace.Dropped() != 0 || got[1].Trace.Dropped() != 1 {
+		t.Fatalf("dropped %d/%d, want 0/1", got[0].Trace.Dropped(), got[1].Trace.Dropped())
+	}
 }
 
 // The file must be the JSON Object Format viewers expect: a traceEvents
@@ -73,7 +77,7 @@ func TestChromeMultiProcess(t *testing.T) {
 func TestChromeFormatShape(t *testing.T) {
 	tr := NewTrace(0)
 	tr.SetTrack(0, "cpu0")
-	tr.Span(0, "op", 200, 400) // 200 pcycles @5ns = 1 µs
+	tr.Span(0, "op", 200, 400, 0) // 200 pcycles @5ns = 1 µs
 	var buf bytes.Buffer
 	if err := tr.WriteChrome(&buf, "p"); err != nil {
 		t.Fatal(err)
@@ -141,4 +145,45 @@ func TestManifestRoundTrip(t *testing.T) {
 	if d3.Sum() == m.Digest {
 		t.Fatal("digest failed to distinguish outputs")
 	}
+}
+
+// FuzzReadChrome pins the Chrome reader: arbitrary bytes never panic it,
+// and an accepted document reaches a fixed point after one
+// WriteChromeMulti → ReadChrome round trip (timestamps recovered from
+// rounded microseconds are written back as exact pcycles).
+func FuzzReadChrome(f *testing.F) {
+	tr := NewTrace(0)
+	tr.SetTrack(0, "cpu0")
+	tr.Span(0, "fault.ring", 4300, 13653, 92)
+	tr.Instant(16, "ring.insert", 4100, 92)
+	var buf bytes.Buffer
+	if err := tr.WriteChrome(&buf, "nwsim mg/nwcache/optimal"); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte(`{"traceEvents":[{"name":"x","ph":"X","pid":3,"tid":1,"ts":1.5,"dur":2},` +
+		`{"name":"y","ph":"i","pid":-1,"tid":0,"ts":0.25,"args":{"page":4}}],` +
+		`"otherData":{"nsPerTick":2,"dropped":{"3":2,"7":1}}}`))
+	f.Add([]byte(`{}`))
+	// A clock scale this coarse would export ts = +Inf, which JSON cannot
+	// carry: ReadChrome must reject it rather than accept a file it
+	// cannot write back.
+	f.Add([]byte(`{"traceEvents":[{"name":"x","ph":"X","args":{"pc":1000000000000000000}}],"otherData":{"nsPerTick":1e300}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		first, err := ReadChrome(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteChromeMulti(&out, first); err != nil {
+			t.Fatalf("writing accepted trace: %v", err)
+		}
+		second, err := ReadChrome(bytes.NewReader(out.Bytes()))
+		if err != nil {
+			t.Fatalf("re-reading written trace: %v\n%s", err, out.Bytes())
+		}
+		if !reflect.DeepEqual(first, second) {
+			t.Fatalf("round trip is not a fixed point:\n first %+v\nsecond %+v", first, second)
+		}
+	})
 }

@@ -2,19 +2,22 @@ package obs
 
 // Span is one completed interval on the simulated clock: a named
 // operation on a track (a lane in the trace viewer — one per CPU, disk
-// arm, or NWCache interface), from Start to End in pcycles.
+// arm, or NWCache interface), from Start to End in pcycles, about Page
+// (the virtual page concerned).
 type Span struct {
 	Track int    `json:"track"`
 	Name  string `json:"name"`
 	Start int64  `json:"start"`
 	End   int64  `json:"end"`
+	Page  int64  `json:"page,omitempty"`
 }
 
-// Instant is a zero-duration mark on a track.
+// Instant is a zero-duration mark on a track, about Page.
 type Instant struct {
 	Track int    `json:"track"`
 	Name  string `json:"name"`
 	At    int64  `json:"at"`
+	Page  int64  `json:"page,omitempty"`
 }
 
 // Trace collects spans and instants stamped with simulated time. A nil
@@ -54,8 +57,8 @@ func (t *Trace) SetTrack(track int, name string) {
 	t.tracks[track] = name
 }
 
-// Span records a completed interval. Nil-safe.
-func (t *Trace) Span(track int, name string, start, end int64) {
+// Span records a completed interval about page. Nil-safe.
+func (t *Trace) Span(track int, name string, start, end, page int64) {
 	if t == nil {
 		return
 	}
@@ -63,11 +66,11 @@ func (t *Trace) Span(track int, name string, start, end int64) {
 		t.dropped++
 		return
 	}
-	t.spans = append(t.spans, Span{Track: track, Name: name, Start: start, End: end})
+	t.spans = append(t.spans, Span{Track: track, Name: name, Start: start, End: end, Page: page})
 }
 
-// Instant records a point event. Nil-safe.
-func (t *Trace) Instant(track int, name string, at int64) {
+// Instant records a point event about page. Nil-safe.
+func (t *Trace) Instant(track int, name string, at, page int64) {
 	if t == nil {
 		return
 	}
@@ -75,7 +78,7 @@ func (t *Trace) Instant(track int, name string, at int64) {
 		t.dropped++
 		return
 	}
-	t.instants = append(t.instants, Instant{Track: track, Name: name, At: at})
+	t.instants = append(t.instants, Instant{Track: track, Name: name, At: at, Page: page})
 }
 
 // Spans returns the recorded spans in emission order.

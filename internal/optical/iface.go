@@ -248,7 +248,7 @@ func (f *Iface) drainLoop(p *sim.Proc) {
 			}
 			f.Drained++
 			f.ring.NoteDrain(en.Channel)
-			f.tr.Span(f.track, "ring.drain", t0, p.Now())
+			f.tr.Span(f.track, "ring.drain", t0, p.Now(), en.Page)
 			f.SendACK(en)
 		}
 	}

@@ -84,8 +84,8 @@ func bytesRepeat(b byte, n int) []byte {
 var sparkGlyphs = []byte(" .:-=+*#%@")
 
 // Sparkline renders values scaled against max as one glyph per value —
-// the one-line time-series companion to BarChart, shared by the trace
-// analyzer, the live -watch dashboard, and nwreport.
+// the one-line time-series companion to BarChart, shared by nwtrace's
+// ring timeline and the live -watch dashboard.
 func Sparkline(values []float64, max float64) string {
 	if max <= 0 {
 		max = 1

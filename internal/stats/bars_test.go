@@ -71,8 +71,7 @@ func TestBarChartZeroValues(t *testing.T) {
 }
 
 // Sparkline maps 0 to the blank glyph and max to the densest one, one
-// glyph per value. (Moved here with the function itself, which used to
-// live in internal/trace.)
+// glyph per value.
 func TestSparklineScaling(t *testing.T) {
 	out := Sparkline([]float64{0, 0.5, 1}, 1)
 	if len(out) != 3 {

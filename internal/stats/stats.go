@@ -1,14 +1,13 @@
 // Package stats provides the measurement primitives used throughout the
-// simulator: counters, running means, histograms, and per-processor
-// execution-time breakdowns matching the categories of the paper's
-// Figures 3 and 4 (NoFree, Transit, Fault, TLB, Other).
+// simulator: counters, running means, and per-processor execution-time
+// breakdowns matching the categories of the paper's Figures 3 and 4
+// (NoFree, Transit, Fault, TLB, Other).
 package stats
 
 import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strings"
 )
@@ -37,63 +36,6 @@ func (m *Mean) Value() float64 {
 func (m *Mean) Merge(other Mean) {
 	m.Sum += other.Sum
 	m.Count += other.Count
-}
-
-// Histogram is a fixed-bucket histogram over [0, +inf) with power-of-two
-// bucket edges; useful for latency distributions.
-type Histogram struct {
-	Buckets [64]uint64
-	Total   uint64
-	SumV    float64
-	MaxV    float64
-}
-
-// Add records one nonnegative sample.
-func (h *Histogram) Add(v float64) {
-	if v < 0 {
-		v = 0
-	}
-	b := 0
-	if v >= 1 {
-		b = int(math.Log2(v)) + 1
-		if b >= len(h.Buckets) {
-			b = len(h.Buckets) - 1
-		}
-	}
-	h.Buckets[b]++
-	h.Total++
-	h.SumV += v
-	if v > h.MaxV {
-		h.MaxV = v
-	}
-}
-
-// Mean returns the mean of recorded samples.
-func (h *Histogram) Mean() float64 {
-	if h.Total == 0 {
-		return 0
-	}
-	return h.SumV / float64(h.Total)
-}
-
-// Percentile returns an upper bound on the p-quantile (0 < p <= 1) using
-// bucket upper edges.
-func (h *Histogram) Percentile(p float64) float64 {
-	if h.Total == 0 {
-		return 0
-	}
-	target := uint64(math.Ceil(p * float64(h.Total)))
-	var seen uint64
-	for b, c := range h.Buckets {
-		seen += c
-		if seen >= target {
-			if b == 0 {
-				return 1
-			}
-			return math.Pow(2, float64(b))
-		}
-	}
-	return h.MaxV
 }
 
 // Category is one component of the execution-time breakdown in the paper's
