@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"nwcache"
-	"nwcache/internal/core"
 	"nwcache/internal/stats"
 )
 
@@ -46,11 +45,12 @@ func BenchmarkAblationDrainPolicy(b *testing.B) {
 		var ratio stats.Mean
 		for _, app := range ablationApps {
 			cfg := nwcache.ApplyPaperMinFree(benchCfg(), nwcache.NWCache, nwcache.Optimal)
-			ml, err := core.RunDrainPolicy(app, core.Optimal, cfg, false)
+			ml, err := nwcache.Run(app, nwcache.NWCache, nwcache.Optimal, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
-			rr, err := core.RunDrainPolicy(app, core.Optimal, cfg, true)
+			cfg.DrainRoundRobin = true
+			rr, err := nwcache.Run(app, nwcache.NWCache, nwcache.Optimal, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}

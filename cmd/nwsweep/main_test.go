@@ -7,6 +7,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"nwcache/internal/core"
+	"nwcache/internal/sweep"
 )
 
 // TestMain doubles the test binary as the nwsweep CLI: when re-exec'd
@@ -69,12 +72,17 @@ func TestGridExitComplete(t *testing.T) {
 
 func TestGridExitHardError(t *testing.T) {
 	spec, dir := writeSpec(t, "1..1")
-	// Missing -dir, nonexistent spec, and a malformed shard must all
-	// take the hard-error path.
+	// Missing -grid or -dir, nonexistent spec, and a malformed shard
+	// (trailing input included) must all take the hard-error path.
 	for _, args := range [][]string{
+		{"-dir", dir},
 		{"-grid", spec},
 		{"-grid", filepath.Join(dir, "nope.txt"), "-dir", dir},
 		{"-grid", spec, "-dir", dir, "-shard", "5/2"},
+		{"-grid", spec, "-dir", dir, "-shard", "0/2abc"},
+		{"-grid", spec, "-dir", dir, "-shard", "0/2/3"},
+		{"-grid", spec, "-dir", dir, "-shard", "0/"},
+		{"-grid", spec, "-dir", dir, "-shard", "0"},
 	} {
 		code, out := runCLI(t, args...)
 		if code != exitHard {
@@ -130,5 +138,54 @@ func TestGridChaosFSRunsClean(t *testing.T) {
 	}
 	if !strings.Contains(out, "nwsweep: chaos:") {
 		t.Fatalf("missing chaos stats line:\n%s", out)
+	}
+}
+
+// TestCheckedInSweepSpecs walks the paper's sweeps under sweeps/: each
+// spec parses, enumerates its pinned number of cells, and never runs one
+// cell twice under two coordinates.
+func TestCheckedInSweepSpecs(t *testing.T) {
+	want := map[string]int{
+		"armsched":  56, // 7 apps x 2 kinds x 2 modes x 2 policies
+		"baseline":  28,
+		"channels":  28,
+		"diskcache": 70,
+		"drain":     14,
+		"minfree":   70,
+		"nodes":     56,
+		"prefetch":  42,
+		"ring":      35,
+		"swapdepth": 56,
+		"wbuf":      56,
+	}
+	paths, err := filepath.Glob("../../sweeps/*.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) != len(want) {
+		t.Fatalf("found %d specs, want %d: %v", len(paths), len(want), paths)
+	}
+	for _, path := range paths {
+		name := strings.TrimSuffix(filepath.Base(path), ".txt")
+		spec, err := sweep.ParseSpecFile(path)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if spec.Name != name {
+			t.Errorf("%s: spec name %q", name, spec.Name)
+		}
+		if got := spec.NumCells(); got != want[name] {
+			t.Errorf("%s: NumCells = %d, want %d", name, got, want[name])
+		}
+		seen := make(map[string]int)
+		if err := spec.EachCell(func(idx int, c core.Cell) error {
+			if prev, ok := seen[c.Key()]; ok {
+				t.Errorf("%s: cells %d and %d share key %.12s", name, prev, idx, c.Key())
+			}
+			seen[c.Key()] = idx
+			return nil
+		}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 	}
 }

@@ -23,7 +23,6 @@ import (
 	"nwcache/internal/disk"
 	"nwcache/internal/fault"
 	"nwcache/internal/machine"
-	"nwcache/internal/optical"
 	"nwcache/internal/param"
 	"nwcache/internal/sim"
 	"nwcache/internal/workload"
@@ -156,18 +155,18 @@ func NewMachine(cfg Config, kind Kind, mode PrefetchMode) (*machine.Machine, err
 }
 
 // Cell identifies one simulation of the evaluation space completely: a
-// built-in application, a machine kind, a prefetch mode, the full
-// configuration, and any ablation switches. Cells are the unit of
-// scheduling and memoization for the experiment harness (internal/exp and
-// internal/exp/pool): two cells with equal Keys produce bit-identical
-// Results, so one simulation can serve every table, figure, and sweep that
-// asks for it.
+// built-in application, a machine kind, a prefetch mode, and the full
+// configuration (ablation switches such as DrainRoundRobin and
+// DiskReadPriority are configuration fields), plus an optional fault
+// plan. Cells are the unit of scheduling and memoization for the
+// experiment harness (internal/exp and internal/exp/pool): two cells with
+// equal Keys produce bit-identical Results, so one simulation can serve
+// every table, figure, and sweep that asks for it.
 type Cell struct {
-	App     string
-	Kind    Kind
-	Mode    PrefetchMode
-	RRDrain bool // run the NWCache drain-policy ablation (round-robin)
-	Cfg     Config
+	App  string
+	Kind Kind
+	Mode PrefetchMode
+	Cfg  Config
 
 	// Fault injection (all zero = perfect hardware, the default).
 	// FaultPlan is a fault-plan spec in the internal/fault syntax,
@@ -205,20 +204,9 @@ func (c Cell) Run() (*Result, error) {
 
 // run executes prog on a fresh machine set up as the cell describes.
 func (c Cell) run(prog Program) (*Result, error) {
-	kind := c.Kind
-	if c.RRDrain {
-		kind = NWCache
-	}
-	m, err := machine.New(c.Cfg, kind, c.Mode)
+	m, err := machine.New(c.Cfg, c.Kind, c.Mode)
 	if err != nil {
 		return nil, err
-	}
-	if c.RRDrain {
-		for _, f := range m.Ifaces {
-			if f != nil {
-				f.Policy = optical.RoundRobin
-			}
-		}
 	}
 	if c.faulted() {
 		plan, err := fault.Parse(c.FaultPlan)
@@ -257,7 +245,7 @@ func (c Cell) Key() string {
 		panic(fmt.Sprintf("core: hashing config: %v", err))
 	}
 	h := sha256.New()
-	fmt.Fprintf(h, "%s|%d|%d|%t|", c.App, c.Kind, c.Mode, c.RRDrain)
+	fmt.Fprintf(h, "%s|%d|%d|", c.App, c.Kind, c.Mode)
 	if c.faulted() {
 		// Gated so fault-free cells keep their historical keys.
 		fmt.Fprintf(h, "fault|%d|%s|%s|", c.FaultSeed, c.Recovery, c.FaultPlan)
@@ -269,9 +257,6 @@ func (c Cell) Key() string {
 // Label renders the cell for progress reporting.
 func (c Cell) Label() string {
 	l := fmt.Sprintf("%s / %s / %s", c.App, c.Kind, c.Mode)
-	if c.RRDrain {
-		l += " / rr-drain"
-	}
 	if c.faulted() {
 		policy, _ := fault.ParsePolicy(c.Recovery)
 		l += fmt.Sprintf(" / faults(%s)", policy)
@@ -324,26 +309,4 @@ func RunSeeds(app string, kind Kind, mode PrefetchMode, cfg Config, n int) (*See
 		}
 	}
 	return agg, nil
-}
-
-// RunDrainPolicy runs an application on an NWCache machine with the ring
-// interfaces' drain policy switched to round-robin when rr is true (the
-// ablation of the paper's most-loaded-channel choice).
-func RunDrainPolicy(app string, mode PrefetchMode, cfg Config, rr bool) (*Result, error) {
-	prog, err := NewProgram(app, cfg)
-	if err != nil {
-		return nil, err
-	}
-	m, err := machine.New(cfg, NWCache, mode)
-	if err != nil {
-		return nil, err
-	}
-	if rr {
-		for _, f := range m.Ifaces {
-			if f != nil {
-				f.Policy = optical.RoundRobin
-			}
-		}
-	}
-	return m.Run(prog)
 }

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"nwcache/internal/optical"
 	"nwcache/internal/sim"
 )
 
@@ -76,15 +77,29 @@ func TestPaperMinFree(t *testing.T) {
 	}
 }
 
-func TestRunDrainPolicyBothSettings(t *testing.T) {
-	cfg := fastCfg()
+func TestDrainRoundRobinBothSettings(t *testing.T) {
 	for _, rr := range []bool{false, true} {
-		res, err := RunDrainPolicy("sor", Naive, cfg, rr)
+		cfg := fastCfg()
+		cfg.DrainRoundRobin = rr
+		res, err := Run("sor", NWCache, Naive, cfg)
 		if err != nil {
 			t.Fatalf("rr=%v: %v", rr, err)
 		}
 		if res.ExecTime <= 0 {
 			t.Fatalf("rr=%v: empty result", rr)
+		}
+		m, err := NewMachine(cfg, NWCache, Naive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := optical.MostLoaded
+		if rr {
+			want = optical.RoundRobin
+		}
+		for node, f := range m.Ifaces {
+			if f != nil && f.Policy != want {
+				t.Fatalf("rr=%v: interface %d drains with policy %v, want %v", rr, node, f.Policy, want)
+			}
 		}
 	}
 }

@@ -79,9 +79,8 @@ func (s *Suite) pool() *pool.Pool {
 	return s.sched
 }
 
-// Pool exposes the suite's scheduler so callers can tune it — e.g.
-// attach an on-disk result cache (pool.Backing) or adjust the memo
-// bound before running the matrix.
+// Pool exposes the suite's scheduler so callers can tune it (e.g.
+// adjust the memo bound) or share it, before running the matrix.
 func (s *Suite) Pool() *pool.Pool {
 	return s.pool()
 }

@@ -2,12 +2,15 @@
 // pool with a memoizing result cache.
 //
 // Every consumer of the evaluation matrix — the table/figure harness
-// (internal/exp), cmd/nwbench, cmd/nwsweep, cmd/nwsim's multi-seed mode —
-// funnels its runs through one Pool, so (1) total simulation concurrency
+// (internal/exp), cmd/nwbench, the sweep fabric (internal/sweep, behind
+// cmd/nwsweep and cmd/nwserve), cmd/nwsim's multi-seed mode — funnels
+// its runs through one Pool, so (1) total simulation concurrency
 // is bounded once (the -j flag) no matter how many tables fan out, and
 // (2) identical cells are simulated exactly once: the cache is keyed by
 // core.Cell.Key, a canonical hash of the application, machine kind,
-// prefetch mode, ablation switches, and the full configuration.
+// prefetch mode, the full configuration, and any fault plan. The memo is
+// in-process only; the sweep fabric keeps its own on-disk result cache
+// and consults it before submitting a cell.
 //
 // Each simulation is single-threaded and shares no state with its
 // siblings, and results are deterministic functions of the cell key, so
@@ -30,20 +33,9 @@ import (
 // DefaultMemoLimit bounds the in-process memo cache. A million-cell
 // sweep must not accumulate a million retained Results: once the memo
 // holds this many completed futures, the least-recently-used ones are
-// evicted (an evicted cell re-simulates — or reloads from a Backing —
-// on its next submission). SetMemoLimit adjusts or disables the bound.
+// evicted (an evicted cell re-simulates on its next submission).
+// SetMemoLimit adjusts or disables the bound.
 const DefaultMemoLimit = 1 << 16
-
-// Backing is an optional second-level result store behind the memo
-// cache — in practice sweep.Cache, the content-addressed on-disk cache.
-// Load is consulted before simulating a memo miss; Store is called
-// after every fresh simulation. Implementations must be safe for
-// concurrent use; Store failures are the implementation's to swallow
-// (a lost cache write only costs a future re-run).
-type Backing interface {
-	Load(key string) (*core.Result, bool)
-	Store(key string, c core.Cell, res *core.Result)
-}
 
 // Future is the pending (or completed) result of one cell.
 type Future struct {
@@ -110,10 +102,8 @@ type Pool struct {
 	memo     map[string]*Future
 	lru      *list.List // completed futures, most recent at the front
 	limit    int        // max completed futures retained; <= 0: unbounded
-	backing  Backing
 	runs     int
 	hits     int
-	loads    int // memo misses served by the backing store
 	evicts   int
 	inflight int // fresh submissions not yet completed (queued + running)
 }
@@ -148,15 +138,6 @@ func (p *Pool) SetMemoLimit(n int) {
 	p.evictOverLimit()
 }
 
-// SetBacking routes memoization through a second-level store: memo
-// misses consult b.Load before simulating, and fresh results are handed
-// to b.Store. Pass nil to detach.
-func (p *Pool) SetBacking(b Backing) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.backing = b
-}
-
 // evictOverLimit drops least-recently-used completed futures until the
 // bound holds. Caller holds p.mu.
 func (p *Pool) evictOverLimit() {
@@ -172,9 +153,8 @@ func (p *Pool) evictOverLimit() {
 
 // Submit schedules the cell for simulation and returns its future
 // immediately. fresh reports whether this call started a new execution
-// slot (false: the cell was already memoized or in flight — note a
-// "fresh" slot may still be satisfied by the backing store without
-// simulating). Submit never blocks on simulation work.
+// slot (false: the cell was already memoized or in flight). Submit never
+// blocks on simulation work.
 func (p *Pool) Submit(c core.Cell) (f *Future, fresh bool) {
 	key := c.Key()
 	p.mu.Lock()
@@ -189,7 +169,6 @@ func (p *Pool) Submit(c core.Cell) (f *Future, fresh bool) {
 	f = &Future{cell: c, key: key, done: make(chan struct{})}
 	p.memo[key] = f
 	p.inflight++
-	b := p.backing
 	p.mu.Unlock()
 	go func() {
 		p.sem <- struct{}{}
@@ -217,22 +196,10 @@ func (p *Pool) Submit(c core.Cell) (f *Future, fresh bool) {
 				f.err = &PanicError{Cell: c, Key: key, Value: r, Stack: debug.Stack()}
 			}
 		}()
-		if b != nil {
-			if res, ok := b.Load(key); ok {
-				f.res = res
-				p.mu.Lock()
-				p.loads++
-				p.mu.Unlock()
-				return
-			}
-		}
 		p.mu.Lock()
 		p.runs++
 		p.mu.Unlock()
 		f.res, f.err = c.Run()
-		if b != nil && f.err == nil {
-			b.Store(key, c, f.res)
-		}
 	}()
 	return f, true
 }
@@ -249,14 +216,6 @@ func (p *Pool) Stats() (runs, hits int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.runs, p.hits
-}
-
-// CacheStats reports the memo's second-level traffic: backing-store
-// loads that avoided a simulation and LRU evictions.
-func (p *Pool) CacheStats() (loads, evicts int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.loads, p.evicts
 }
 
 // MemoLen returns the number of futures currently memoized (completed
@@ -282,7 +241,6 @@ func (p *Pool) QueueDepth() int {
 //
 //	runs         distinct simulations executed (counter)
 //	hits         submissions served by the memo (counter)
-//	loads        memo misses served by the backing store (counter)
 //	evicts       LRU evictions (counter)
 //	hit_pct      share of submissions that avoided a simulation (gauge)
 //	queue_depth  fresh submissions queued or running (gauge)
@@ -302,11 +260,6 @@ func (p *Pool) Observe(sc *obs.Scope) {
 		defer p.mu.Unlock()
 		return int64(p.hits)
 	})
-	sc.ProbeCounter("loads", func() int64 {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		return int64(p.loads)
-	})
 	sc.ProbeCounter("evicts", func() int64 {
 		p.mu.Lock()
 		defer p.mu.Unlock()
@@ -315,11 +268,11 @@ func (p *Pool) Observe(sc *obs.Scope) {
 	sc.ProbeGauge("hit_pct", func() int64 {
 		p.mu.Lock()
 		defer p.mu.Unlock()
-		subs := p.runs + p.hits + p.loads
+		subs := p.runs + p.hits
 		if subs == 0 {
 			return 0
 		}
-		return int64(100 * (p.hits + p.loads) / subs)
+		return int64(100 * p.hits / subs)
 	})
 	sc.ProbeGauge("queue_depth", func() int64 {
 		p.mu.Lock()

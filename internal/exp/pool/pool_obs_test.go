@@ -62,19 +62,10 @@ func TestQueueDepthTracksInFlight(t *testing.T) {
 }
 
 // TestObserveProbesPinCounters drives every accounting path — fresh
-// run, memo hit, backing load, LRU evict — and pins the exact probe
-// values a snapshot reports.
+// run, memo hit, LRU evict — and pins the exact probe values a snapshot
+// reports.
 func TestObserveProbesPinCounters(t *testing.T) {
-	b := newMapBacking()
-	seed := New(1)
-	seed.SetBacking(b)
-	lu := cell("lu", core.Standard, core.Optimal)
-	if _, err := seed.Run(lu); err != nil {
-		t.Fatal(err)
-	}
-
 	p := New(1)
-	p.SetBacking(b)
 	p.SetMemoLimit(2)
 	reg := obs.NewRegistry()
 	p.Observe(reg.Root().Scope("pool"))
@@ -82,9 +73,9 @@ func TestObserveProbesPinCounters(t *testing.T) {
 	for _, c := range []core.Cell{
 		badCell(0), // fresh run
 		badCell(0), // memo hit
-		lu,         // backing load (stored by the seed pool)
 		badCell(1), // fresh run
-		badCell(2), // fresh run; memo limit 2 -> 2 evictions by now
+		badCell(2), // fresh run; memo limit 2 -> 1 eviction
+		badCell(3), // fresh run; 2 evictions
 	} {
 		f, _ := p.Submit(c)
 		f.Wait()
@@ -93,11 +84,10 @@ func TestObserveProbesPinCounters(t *testing.T) {
 
 	snap := reg.Snapshot()
 	want := map[string]int64{
-		"pool.runs":        3,
+		"pool.runs":        4,
 		"pool.hits":        1,
-		"pool.loads":       1,
 		"pool.evicts":      2,
-		"pool.hit_pct":     40, // (1 hit + 1 load) of 5 submissions
+		"pool.hit_pct":     20, // 1 hit of 5 submissions
 		"pool.queue_depth": 0,
 		"pool.memo_len":    2,
 	}

@@ -77,11 +77,12 @@ func TestCellKeyDiscriminates(t *testing.T) {
 		cell("gauss", core.NWCache, core.Optimal),
 		cell("lu", core.Standard, core.Optimal),
 		cell("lu", core.NWCache, core.Naive),
-		{App: "lu", Kind: core.NWCache, Mode: core.Optimal, RRDrain: true, Cfg: base.Cfg},
 	}
 	cfgVar := base
 	cfgVar.Cfg.Scale = 0.06
-	variants = append(variants, cfgVar)
+	rrVar := base
+	rrVar.Cfg.DrainRoundRobin = true
+	variants = append(variants, cfgVar, rrVar)
 	for i, v := range variants {
 		if v.Key() == base.Key() {
 			t.Errorf("variant %d collides with base key", i)
@@ -180,7 +181,10 @@ func TestMemoBoundedByLRU(t *testing.T) {
 	if got := p.MemoLen(); got != limit {
 		t.Fatalf("MemoLen = %d, want %d", got, limit)
 	}
-	if _, evicts := p.CacheStats(); evicts != len(cells)-limit {
+	p.mu.Lock()
+	evicts := p.evicts
+	p.mu.Unlock()
+	if evicts != len(cells)-limit {
 		t.Fatalf("evicts = %d, want %d", evicts, len(cells)-limit)
 	}
 	// The most recent cells are retained; the oldest were evicted and
@@ -212,62 +216,6 @@ func TestSetMemoLimitShrinkEvictsImmediately(t *testing.T) {
 	}
 	if got := p.MemoLen(); got != 8 {
 		t.Fatalf("MemoLen unbounded = %d, want 8", got)
-	}
-}
-
-// mapBacking is an in-memory Backing for tests.
-type mapBacking struct {
-	mu     sync.Mutex
-	m      map[string]*core.Result
-	loads  int
-	stores int
-}
-
-func newMapBacking() *mapBacking { return &mapBacking{m: make(map[string]*core.Result)} }
-
-func (b *mapBacking) Load(key string) (*core.Result, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.loads++
-	r, ok := b.m[key]
-	return r, ok
-}
-
-func (b *mapBacking) Store(key string, c core.Cell, res *core.Result) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.stores++
-	b.m[key] = res
-}
-
-func TestBackingServesEvictedCells(t *testing.T) {
-	b := newMapBacking()
-	p := New(2)
-	p.SetBacking(b)
-	c := cell("lu", core.Standard, core.Optimal)
-	res1, err := p.Run(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.stores != 1 {
-		t.Fatalf("stores = %d, want 1 after a fresh run", b.stores)
-	}
-	// A second pool sharing the backing serves the cell without
-	// simulating it.
-	p2 := New(2)
-	p2.SetBacking(b)
-	res2, err := p2.Run(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2 != res1 {
-		t.Fatal("backing returned a different result pointer than it stored")
-	}
-	if runs, _ := p2.Stats(); runs != 0 {
-		t.Fatalf("runs = %d, want 0 (served by backing)", runs)
-	}
-	if loads, _ := p2.CacheStats(); loads != 1 {
-		t.Fatalf("loads = %d, want 1", loads)
 	}
 }
 

@@ -263,6 +263,9 @@ func New(cfg param.Config, kind Kind, mode disk.PrefetchMode) (*Machine, error) 
 		m.Ring = optical.New(e, cfg)
 		for _, ioNode := range m.Layout.IONodes() {
 			f := optical.NewIface(e, m.Ring, ioNode)
+			if cfg.DrainRoundRobin {
+				f.Policy = optical.RoundRobin
+			}
 			d := m.Disks[ioNode]
 			f.DiskHasRoom = func() bool { return d.HasWriteRoom() }
 			f.DiskInstall = func(p *sim.Proc, page optical.PageID) bool {

@@ -65,6 +65,11 @@ type Config struct {
 	RingRoundTrip int64   // pcycles (52 µs = 10400)
 	RingMBs       float64 // 1250 (1.25 GB/s)
 	RingChanBytes int     // storage per channel (64 KB)
+	// DrainRoundRobin makes each NWCache interface drain its channels
+	// round-robin instead of most-loaded-first (the paper's choice). Off
+	// by default; exposed for the drain-policy ablation. Inert on the
+	// standard machine.
+	DrainRoundRobin bool
 
 	// Disk.
 	DiskCacheBytes int     // controller cache (16 KB = 4 pages)

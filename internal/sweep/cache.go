@@ -93,10 +93,8 @@ func (r *Record) Verify() bool {
 // (atomic on POSIX) followed by a read-back verification, so concurrent
 // shard processes can share one cache directory: a racing double-write
 // of the same key is idempotent (same key → same bytes), and a torn
-// write can never be observed under the final name.
-//
-// Cache is safe for concurrent use and implements pool.Backing, so a
-// worker pool can route its memoization through it (Load/Store).
+// write can never be observed under the final name. Cache is safe for
+// concurrent use.
 type Cache struct {
 	dir   string
 	fsys  guard.FS
@@ -229,23 +227,6 @@ func (c *Cache) putOnce(final, key string, blob []byte) error {
 		return guard.MarkTransient(fmt.Errorf("sweep: cache verify failed for %s", final))
 	}
 	return nil
-}
-
-// Load implements pool.Backing: a digest-verified cache read returning
-// only the result.
-func (c *Cache) Load(key string) (*core.Result, bool) {
-	e, ok := c.Get(key)
-	if !ok {
-		return nil, false
-	}
-	return e.Result, true
-}
-
-// Store implements pool.Backing: persist a freshly computed result
-// (without metrics or series — pool consumers attach their own obs).
-// Backing stores are best-effort; an I/O failure only loses caching.
-func (c *Cache) Store(key string, cell core.Cell, res *core.Result) {
-	_ = c.Put(&Entry{Record: NewRecord(cell, res, nil, nil)})
 }
 
 // Stats reports cache traffic: verified hits, plain misses, entries

@@ -87,23 +87,3 @@ func TestCacheCorruptEntryIsAMiss(t *testing.T) {
 		t.Fatal("truncated entry was served")
 	}
 }
-
-func TestCacheBackingLoadStore(t *testing.T) {
-	cache, err := OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := fastCell(2)
-	res := runCell(t, c)
-	cache.Store(c.Key(), c, res)
-	got, ok := cache.Load(c.Key())
-	if !ok {
-		t.Fatal("Load missed a stored result")
-	}
-	if ResultDigest(got) != ResultDigest(res) {
-		t.Fatalf("Load returned %+v, want %+v", got, res)
-	}
-	if _, ok := cache.Load(stateKey(9)); ok {
-		t.Fatal("Load hit on a never-stored key")
-	}
-}

@@ -11,8 +11,9 @@ import "testing"
 func FuzzParseSpec(f *testing.F) {
 	f.Add(runnerSpecText)
 	f.Add("name x\napps gauss\nkinds standard\nmodes naive\nseeds 1..3\nscale 0.1\n")
-	f.Add("name y\napps gauss,fft\nkinds nwcache\nmodes optimal\nseeds 1,5,9\nscale 1\nsample 2\n")
-	f.Add("# comment\n\nname z\napps gauss\nkinds standard\nmodes naive\nseeds 2..2\nscale 0.5\nset min_free_frames 4,8\n")
+	f.Add("name y\napps gauss,fft\nkinds nwcache\nmodes optimal\nseeds 1,5,9\nscale 1\nseries 200000\n")
+	f.Add("# comment\n\nname z\napps gauss\nkinds standard\nmodes naive\nseeds 2..2\nscale 0.5\nparam MinFreeFrames 4,8\n")
+	f.Add("name t\nkinds standard,nwcache\nmodes optimal\nparam Nodes/MeshW/MeshH/IONodes/RingChannels 4/2/2/2/4,8/4/2/4/8\nparam DCD false,true\n")
 	f.Fuzz(func(t *testing.T, text string) {
 		s, err := ParseSpec(text)
 		if err != nil {

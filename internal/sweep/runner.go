@@ -7,6 +7,7 @@ import (
 	"io"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -543,8 +544,10 @@ func sweepManifest(spec *Spec, shard string, cells int, merged obs.Snapshot, dig
 // — interrupted or not, whatever the shard count — produce byte-
 // identical merged artifacts.
 //
-// The summary table (per-application cell counts and execution-time
-// rollups) is written to out.
+// The summary is written to out: two pivot tables, execution time
+// (Mpcycles) and average swap-out time (Kpcycles), with one row per
+// application and one column per combination of the other axes (see
+// pivotColumns). They hold two formatted numbers per cell.
 func Merge(spec *Spec, dir string, shards int, out io.Writer) (int, error) {
 	return MergeOn(nil, nil, spec, dir, shards, out)
 }
@@ -600,7 +603,9 @@ func MergeOn(fsys guard.FS, retry *guard.Retrier, spec *Spec, dir string, shards
 	}
 	dw := obs.NewDigestWriter(&guard.RetryWriter{W: f, R: retry})
 	enc := json.NewEncoder(dw)
-	agg := make(map[string]*AppAggregate)
+	axes, cols := spec.pivotColumns()
+	exec := make([][]string, len(spec.Apps))
+	swap := make([][]string, len(spec.Apps))
 	seriesByName := make(map[string]obs.SeriesData)
 	cells := 0
 	err = spec.EachCell(func(idx int, c core.Cell) error {
@@ -617,7 +622,9 @@ func MergeOn(fsys guard.FS, retry *guard.Retrier, spec *Spec, dir string, shards
 			return fmt.Errorf("sweep: cell %d (%s) fails digest verification in shard output", idx, line.Label)
 		}
 		cells++
-		aggregateInto(agg, line.App, line.Result.ExecTime)
+		row := idx / len(cols)
+		exec[row] = append(exec[row], stats.FmtF(float64(line.Result.ExecTime)/1e6, 1))
+		swap[row] = append(swap[row], stats.FmtF(line.Result.AvgSwapTime/1e3, 1))
 		for _, sd := range line.Series {
 			if have, ok := seriesByName[sd.Name]; ok {
 				seriesByName[sd.Name] = have.Merge(sd)
@@ -682,19 +689,25 @@ func MergeOn(fsys guard.FS, retry *guard.Retrier, spec *Spec, dir string, shards
 		if name == "" {
 			name = "sweep"
 		}
-		t := &stats.Table{
-			// No shard count in the title: the summary, like the merged
-			// artifacts, must not depend on how the sweep was partitioned.
-			Title:   fmt.Sprintf("Sweep %s (%.12s…): %d cells", name, spec.Digest(), cells),
-			Headers: []string{"Application", "Cells", "MeanExec (Mpc)", "MinExec (Mpc)", "MaxExec (Mpc)"},
+		by := ""
+		if len(axes) > 0 {
+			by = "; columns: " + strings.Join(axes, " ")
 		}
-		for _, a := range sortedAggregates(agg) {
-			t.AddRow(a.App, fmt.Sprintf("%d", a.Cells),
-				stats.FmtF(a.MeanExec/1e6, 2),
-				stats.FmtF(float64(a.MinExec)/1e6, 2),
-				stats.FmtF(float64(a.MaxExec)/1e6, 2))
+		for _, tab := range []struct {
+			metric string
+			rows   [][]string
+		}{{"exec Mpcycles", exec}, {"average swap-out Kpcycles", swap}} {
+			t := &stats.Table{
+				// No shard count in the title: the summary, like the merged
+				// artifacts, must not depend on how the sweep was partitioned.
+				Title:   fmt.Sprintf("Sweep %s (%.12s…): %d cells, %s%s", name, spec.Digest(), cells, tab.metric, by),
+				Headers: append([]string{"Application"}, cols...),
+			}
+			for i, app := range spec.Apps {
+				t.AddRow(append([]string{app}, tab.rows[i]...)...)
+			}
+			fmt.Fprintln(out, t)
 		}
-		fmt.Fprintln(out, t)
 	}
 	return cells, nil
 }

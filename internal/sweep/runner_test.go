@@ -6,9 +6,11 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"nwcache/internal/core"
+	"nwcache/internal/stats"
 )
 
 const runnerSpecText = `
@@ -195,5 +197,52 @@ func TestDigestMismatchedCacheEntryReRuns(t *testing.T) {
 	cleanND, _, _ := MergedPaths(clean)
 	if !bytes.Equal(readFileT(t, dirtyND), readFileT(t, cleanND)) {
 		t.Fatal("repaired sweep's merged NDJSON differs from a clean sweep")
+	}
+}
+
+// TestMergePrintsPivot runs a 2-app x 2-value grid and checks the merge
+// summary: an exec table and a swap-out table, one row per app, one
+// column per MemPerNode value, each number the merged cell's own. The
+// smaller memory swaps, so every number in a row differs.
+func TestMergePrintsPivot(t *testing.T) {
+	s, err := ParseSpec("name pivot\napps em3d,gauss\nkinds standard\nmodes naive\nscale 0.05\nparam MemPerNode 32768,262144\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	out := string(runSweep(t, s, dir, 1, 0))
+
+	ndjson, _, _ := MergedPaths(dir)
+	want := [2][2][2]string{} // table, row, column
+	err = ReadLines(bytes.NewReader(readFileT(t, ndjson)), func(l Line) error {
+		want[0][l.Idx/2][l.Idx%2] = stats.FmtF(float64(l.Result.ExecTime)/1e6, 1)
+		want[1][l.Idx/2][l.Idx%2] = stats.FmtF(l.Result.AvgSwapTime/1e3, 1)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	tables := strings.Split(strings.TrimSpace(out), "\n\n")
+	if len(tables) != 2 {
+		t.Fatalf("want 2 tables, got %d:\n%s", len(tables), out)
+	}
+	for ti, metric := range []string{"exec Mpcycles", "average swap-out Kpcycles"} {
+		lines := strings.Split(tables[ti], "\n")
+		if len(lines) != 5 {
+			t.Fatalf("table %d: want title, header, rule and 2 rows:\n%s", ti, tables[ti])
+		}
+		if !strings.Contains(lines[0], metric+"; columns: MemPerNode") {
+			t.Errorf("table %d title = %q", ti, lines[0])
+		}
+		if got := strings.Fields(lines[1]); strings.Join(got, " ") != "Application 32768 262144" {
+			t.Errorf("table %d header = %q", ti, got)
+		}
+		for r, app := range []string{"em3d", "gauss"} {
+			row := strings.Fields(lines[3+r])
+			if len(row) != 3 || row[0] != app || row[1] != want[ti][r][0] || row[2] != want[ti][r][1] {
+				t.Errorf("table %d row %d = %q, want [%s %s %s]", ti, r, row, app, want[ti][r][0], want[ti][r][1])
+			}
+		}
 	}
 }

@@ -9,8 +9,9 @@
 // The design targets parameter spaces of 10⁵–10⁶ cells: no stage holds
 // the whole grid's results in memory (cells are enumerated lazily,
 // submissions run through a bounded window, aggregation is a streaming
-// merge), a killed sweep resumes exactly where it stopped (the STATE
-// file is replayed and completed cells are skipped), and a repeated or
+// merge whose summary pivot keeps two formatted numbers per cell), a
+// killed sweep resumes exactly where it stopped (the STATE file is
+// replayed and completed cells are skipped), and a repeated or
 // overlapping sweep only pays for cells it has never run (the cache is
 // consulted — and digest-verified — before any execution).
 package sweep
@@ -23,7 +24,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -67,9 +67,23 @@ func (v FaultVariant) render() string {
 // ParamAxis is one swept configuration field: Field names a
 // param.Config JSON field, Values are its JSON-encoded points. Axes
 // cross in declaration order (the last axis varies fastest).
+//
+// A tuple axis moves several fields together: Field joins their names
+// with "/" and each value joins one JSON point per field the same way
+// ("Nodes/MeshW" with values "4/2", "8/4").
 type ParamAxis struct {
 	Field  string
 	Values []string
+}
+
+// point splits the axis into its field names and the JSON points of
+// value v, one per field. A single-field axis is one part, whatever v
+// contains.
+func (ax ParamAxis) point(v string) (fields, vals []string) {
+	if !strings.Contains(ax.Field, "/") {
+		return []string{ax.Field}, []string{v}
+	}
+	return strings.Split(ax.Field, "/"), strings.Split(v, "/")
 }
 
 // MinFree selects how the free-frame floor is chosen per cell.
@@ -119,6 +133,7 @@ type Spec struct {
 //	minfree paper               # paper (default) or config
 //	series 200000               # per-cell sampling interval; default off
 //	param MinFreeFrames 2,8     # sweep a config field (JSON values)
+//	param MeshW/MeshH 4/2,4/4   # move fields together (a tuple axis)
 //	fault none                  # fault variants, one per line
 //	fault recovery=conservative seed=3 plan=disk read-error rate=0.02; ring outage node=1 from=0 until=1e6
 //
@@ -345,16 +360,34 @@ func (s *Spec) Validate() error {
 	if err != nil {
 		return err
 	}
+	swept := make(map[string]bool)
 	for _, ax := range s.Params {
-		if _, ok := fields[ax.Field]; !ok {
-			return fmt.Errorf("sweep: param %q is not a config field", ax.Field)
-		}
 		if len(ax.Values) == 0 {
 			return fmt.Errorf("sweep: param %q has no values", ax.Field)
 		}
+		names, _ := ax.point(ax.Values[0])
+		for _, name := range names {
+			if _, ok := fields[name]; !ok {
+				return fmt.Errorf("sweep: param %q is not a config field", name)
+			}
+			if dir := map[string]string{"Seed": "seeds", "Scale": "scale"}[name]; dir != "" {
+				// An axis would silently override the directive.
+				return fmt.Errorf("sweep: param %s: use the %s directive", name, dir)
+			}
+			if swept[name] {
+				return fmt.Errorf("sweep: param %s is swept twice", name)
+			}
+			swept[name] = true
+		}
 		for _, v := range ax.Values {
-			if !json.Valid([]byte(v)) {
-				return fmt.Errorf("sweep: param %s value %q is not valid JSON", ax.Field, v)
+			_, vals := ax.point(v)
+			if len(vals) != len(names) {
+				return fmt.Errorf("sweep: param %s value %q has %d parts, want %d", ax.Field, v, len(vals), len(names))
+			}
+			for _, pv := range vals {
+				if !json.Valid([]byte(pv)) {
+					return fmt.Errorf("sweep: param %s value %q is not valid JSON", ax.Field, v)
+				}
 			}
 		}
 	}
@@ -515,7 +548,8 @@ func odometer(combo, counts []int) bool {
 
 // cellConfig applies the param-axis combination to the base config via
 // a JSON round-trip. explicitMinFree reports whether a MinFreeFrames
-// axis set the floor (suppressing the paper default).
+// axis (alone or in a tuple) set the floor, suppressing the paper
+// default.
 func (s *Spec) cellConfig(seed int64, combo []int) (cfg param.Config, explicitMinFree bool, err error) {
 	cfg = s.base
 	cfg.Seed = seed
@@ -527,9 +561,12 @@ func (s *Spec) cellConfig(seed int64, combo []int) (cfg param.Config, explicitMi
 		return cfg, false, err
 	}
 	for i, ax := range s.Params {
-		fields[ax.Field] = json.RawMessage(ax.Values[combo[i]])
-		if ax.Field == "MinFreeFrames" {
-			explicitMinFree = true
+		names, vals := ax.point(ax.Values[combo[i]])
+		for j, name := range names {
+			fields[name] = json.RawMessage(vals[j])
+			if name == "MinFreeFrames" {
+				explicitMinFree = true
+			}
 		}
 	}
 	blob, err := json.Marshal(fields)
@@ -575,42 +612,52 @@ func (s *Spec) ShardSize(i, n int) int {
 	return size
 }
 
-// AppAggregate is the per-application rollup the merge summary prints.
-type AppAggregate struct {
-	App      string
-	Cells    int
-	MeanExec float64
-	MinExec  int64
-	MaxExec  int64
-}
+// pivotColumns labels the columns of the merge summary's pivot: every
+// coordinate of a cell but its app, in canonical grid order (kind, mode,
+// seed, param axes, fault variant). Only the axes that vary name a
+// column; axes lists their names.
+func (s *Spec) pivotColumns() (axes, labels []string) {
+	type axis struct {
+		name string
+		vals []string
+	}
+	all := []axis{{name: "kind"}, {name: "mode"}, {name: "seed"}}
+	for _, k := range s.Kinds {
+		all[0].vals = append(all[0].vals, k.String())
+	}
+	for _, m := range s.Modes {
+		all[1].vals = append(all[1].vals, m.String())
+	}
+	for _, sd := range s.Seeds {
+		all[2].vals = append(all[2].vals, strconv.FormatInt(sd, 10))
+	}
+	for _, ax := range s.Params {
+		all = append(all, axis{ax.Field, ax.Values})
+	}
+	faults := axis{name: "fault"}
+	for _, v := range s.Faults {
+		faults.vals = append(faults.vals, v.render())
+	}
+	all = append(all, faults)
 
-// aggregateInto folds one cell result into the per-app rollup map.
-func aggregateInto(agg map[string]*AppAggregate, app string, exec int64) {
-	a := agg[app]
-	if a == nil {
-		a = &AppAggregate{App: app, MinExec: 1<<63 - 1}
-		agg[app] = a
+	labels = []string{""}
+	for _, ax := range all {
+		if len(ax.vals) < 2 {
+			continue
+		}
+		axes = append(axes, ax.name)
+		next := make([]string, 0, len(labels)*len(ax.vals))
+		for _, l := range labels {
+			for _, v := range ax.vals {
+				next = append(next, strings.TrimSpace(l+" "+v))
+			}
+		}
+		labels = next
 	}
-	a.Cells++
-	a.MeanExec += float64(exec)
-	if exec < a.MinExec {
-		a.MinExec = exec
+	if len(axes) == 0 {
+		labels = []string{"all"}
 	}
-	if exec > a.MaxExec {
-		a.MaxExec = exec
-	}
-}
-
-// sortedAggregates finalizes the rollup (means divided, apps sorted).
-func sortedAggregates(agg map[string]*AppAggregate) []AppAggregate {
-	out := make([]AppAggregate, 0, len(agg))
-	for _, a := range agg {
-		cp := *a
-		cp.MeanExec /= float64(cp.Cells)
-		out = append(out, cp)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].App < out[j].App })
-	return out
+	return axes, labels
 }
 
 // readLines streams NDJSON lines from r, calling fn per decoded line.

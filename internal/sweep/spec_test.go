@@ -208,3 +208,138 @@ func TestShardPartitionCompleteAndDisjoint(t *testing.T) {
 		}
 	}
 }
+
+// TestCanonPinsSingleFieldAxes pins the canonical text of a spec with
+// single-field axes: its digest keys STATE files and manifests, so the
+// rendering must not drift.
+func TestCanonPinsSingleFieldAxes(t *testing.T) {
+	want := `name unit
+apps em3d,gauss
+kinds standard,nwcache
+modes naive,optimal
+seeds 1,2
+scale 0.05
+minfree paper
+param MinFreeFrames 2,8
+fault none
+fault recovery=conservative seed=3 plan=disk read-error rate=0.01
+`
+	if got := testSpec(t).Canon(); got != want {
+		t.Fatalf("Canon =\n%s\nwant\n%s", got, want)
+	}
+}
+
+const tupleSpecText = `
+apps gauss
+kinds standard,nwcache
+modes naive
+scale 0.05
+param Nodes/MeshW/MeshH/IONodes/RingChannels 4/2/2/2/4,16/4/4/4/16
+param DCD false,true
+`
+
+func TestTupleAxisMovesFieldsTogether(t *testing.T) {
+	s, err := ParseSpec(tupleSpecText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.NumCells(); got != 1*2*1*2*2 {
+		t.Fatalf("NumCells = %d, want 8", got)
+	}
+	shapes := map[[5]int]int{}
+	if err := s.EachCell(func(idx int, c core.Cell) error {
+		cfg := c.Cfg
+		shapes[[5]int{cfg.Nodes, cfg.MeshW, cfg.MeshH, cfg.IONodes, cfg.RingChannels}]++
+		if want := core.PaperMinFree(c.Kind, c.Mode); cfg.MinFreeFrames != want {
+			t.Fatalf("cell %d: MinFreeFrames = %d, want paper %d", idx, cfg.MinFreeFrames, want)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := map[[5]int]int{{4, 2, 2, 2, 4}: 4, {16, 4, 4, 4, 16}: 4}
+	if len(shapes) != len(want) || shapes[[5]int{4, 2, 2, 2, 4}] != 4 || shapes[[5]int{16, 4, 4, 4, 16}] != 4 {
+		t.Fatalf("machine shapes = %v, want %v", shapes, want)
+	}
+
+	c1 := s.Canon()
+	if !strings.Contains(c1, "param Nodes/MeshW/MeshH/IONodes/RingChannels 4/2/2/2/4,16/4/4/4/16\n") {
+		t.Fatalf("Canon lost the tuple axis:\n%s", c1)
+	}
+	s2, err := ParseSpec(c1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s2.Canon() != c1 || s2.Digest() != s.Digest() {
+		t.Fatalf("tuple Canon not a fixed point:\n%s\nvs\n%s", c1, s2.Canon())
+	}
+}
+
+func TestTupleAxisWithMinFreeFramesOverridesPaperFloor(t *testing.T) {
+	s, err := ParseSpec("apps gauss\nkinds standard,nwcache\nmodes naive,optimal\nscale 0.05\n" +
+		"param SwapQueueDepth/MinFreeFrames 1/2,4/16\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.EachCell(func(idx int, c core.Cell) error {
+		want := map[int]int{1: 2, 4: 16}[c.Cfg.SwapQueueDepth]
+		if c.Cfg.MinFreeFrames != want {
+			t.Fatalf("cell %d (%s): MinFreeFrames = %d, want %d from the tuple",
+				idx, c.Label(), c.Cfg.MinFreeFrames, want)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestParseSpecRejectsBadAxes(t *testing.T) {
+	for _, tc := range []struct {
+		name, text, want string
+	}{
+		{"field swept twice", "param MinFreeFrames 2,4\nparam MinFreeFrames 8\n", "swept twice"},
+		{"field twice in one tuple", "param MeshW/MeshW 2/2\n", "swept twice"},
+		{"field in a tuple and an axis", "param MeshW 2,4\nparam MeshW/MeshH 4/2\n", "swept twice"},
+		{"seed axis", "seeds 1..3\nparam Seed 7\n", "seeds directive"},
+		{"scale axis", "param Scale 0.5\n", "scale directive"},
+		{"seed in a tuple", "param MeshW/Seed 4/7\n", "seeds directive"},
+		{"tuple arity short", "param MeshW/MeshH 4/2,4\n", "has 1 parts, want 2"},
+		{"tuple arity long", "param MeshW/MeshH 4/2/1\n", "has 3 parts, want 2"},
+		{"unknown field in a tuple", "param MeshW/NoSuchField 4/2\n", "not a config field"},
+		{"bad JSON in a tuple", "param MeshW/MeshH 4/x\n", "not valid JSON"},
+	} {
+		_, err := ParseSpec(tc.text)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: ParseSpec(%q) error = %v, want it to mention %q", tc.name, tc.text, err, tc.want)
+		}
+	}
+}
+
+func TestPivotColumnsFollowGridOrder(t *testing.T) {
+	s, err := ParseSpec("apps gauss,fft\nkinds standard,nwcache\nmodes naive\nseeds 1..2\nscale 0.05\n" +
+		"param MeshW/MeshH 4/2,2/4\nparam DCD false\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	axes, labels := s.pivotColumns()
+	if got, want := strings.Join(axes, "|"), "kind|seed|MeshW/MeshH"; got != want {
+		t.Fatalf("axes = %s, want %s", got, want)
+	}
+	want := []string{
+		"standard 1 4/2", "standard 1 2/4", "standard 2 4/2", "standard 2 2/4",
+		"nwcache 1 4/2", "nwcache 1 2/4", "nwcache 2 4/2", "nwcache 2 2/4",
+	}
+	if strings.Join(labels, "|") != strings.Join(want, "|") {
+		t.Fatalf("labels = %q, want %q", labels, want)
+	}
+	if len(labels)*len(s.Apps) != s.NumCells() {
+		t.Fatalf("%d columns x %d apps != %d cells", len(labels), len(s.Apps), s.NumCells())
+	}
+	one, err := ParseSpec("apps gauss,fft\nkinds standard\nmodes naive\nscale 0.05\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if axes, labels := one.pivotColumns(); len(axes) != 0 || len(labels) != 1 {
+		t.Fatalf("no varying axis: axes %q labels %q, want none and one column", axes, labels)
+	}
+}
