@@ -77,25 +77,13 @@ func main() {
 		if len(tr.Ops) != cfg.Nodes {
 			fatal(fmt.Errorf("trace has %d op streams, the machine has %d processors", len(tr.Ops), cfg.Nodes))
 		}
-		var kind core.Kind
-		switch *machineF {
-		case "standard":
-			kind = core.Standard
-		case "nwcache":
-			kind = core.NWCache
-		default:
-			fatal(fmt.Errorf("unknown machine %q", *machineF))
+		kind, err := core.ParseKind(*machineF)
+		if err != nil {
+			fatal(err)
 		}
-		var mode core.PrefetchMode
-		switch *prefetch {
-		case "naive":
-			mode = core.Naive
-		case "optimal":
-			mode = core.Optimal
-		case "streamed":
-			mode = core.Streamed
-		default:
-			fatal(fmt.Errorf("unknown prefetch %q", *prefetch))
+		mode, err := core.ParseMode(*prefetch)
+		if err != nil {
+			fatal(err)
 		}
 		runCfg := core.ApplyPaperMinFree(cfg, kind, mode)
 		res, err := core.RunProgram(tr, kind, mode, runCfg)

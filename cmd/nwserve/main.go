@@ -48,7 +48,6 @@ func main() {
 		workers    = flag.Int("j", 0, "pool workers per job (0 = GOMAXPROCS)")
 		budget     = flag.Duration("cell-budget", 0, "wall-clock budget per cell (0 = unlimited)")
 		stall      = flag.Duration("cell-stall", 0, "max tolerated simulated-time stall per cell (0 = off)")
-		liveIv     = flag.Int64("live-interval", 0, "live sampling interval in pcycles for series-less specs (0 = default)")
 		hostSample = flag.Duration("host-sample", 250*time.Millisecond, "host resource sampling period (negative = off)")
 		quiet      = flag.Bool("q", false, "suppress per-job log lines")
 	)
@@ -58,13 +57,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, format+"\n", args...)
 	}
 	cfg := serve.Config{
-		Dir:          *data,
-		Jobs:         *jobs,
-		Workers:      *workers,
-		Guard:        guard.CellGuard{Budget: *budget, Stall: *stall},
-		LiveInterval: *liveIv,
-		HostSample:   *hostSample,
-		Logf:         logf,
+		Dir:        *data,
+		Jobs:       *jobs,
+		Workers:    *workers,
+		Guard:      guard.CellGuard{Budget: *budget, Stall: *stall},
+		HostSample: *hostSample,
+		Logf:       logf,
 	}
 	if *quiet {
 		cfg.Logf = nil

@@ -283,30 +283,3 @@ func (a *SeedAggregate) Spread() float64 {
 	}
 	return float64(a.MaxExec-a.MinExec) / a.MeanExec
 }
-
-// RunSeeds executes the application once per seed (cfg.Seed, cfg.Seed+1,
-// ...) and aggregates the results.
-func RunSeeds(app string, kind Kind, mode PrefetchMode, cfg Config, n int) (*SeedAggregate, error) {
-	if n < 1 {
-		n = 1
-	}
-	agg := &SeedAggregate{Runs: n, MinExec: 1<<63 - 1}
-	for i := 0; i < n; i++ {
-		runCfg := cfg
-		runCfg.Seed = cfg.Seed + int64(i)
-		res, err := Run(app, kind, mode, runCfg)
-		if err != nil {
-			return nil, err
-		}
-		agg.MeanExec += float64(res.ExecTime) / float64(n)
-		agg.MeanRingHitRate += res.RingHitRate / float64(n)
-		agg.MeanSwapTime += res.AvgSwapTime / float64(n)
-		if res.ExecTime < agg.MinExec {
-			agg.MinExec = res.ExecTime
-		}
-		if res.ExecTime > agg.MaxExec {
-			agg.MaxExec = res.ExecTime
-		}
-	}
-	return agg, nil
-}

@@ -151,43 +151,3 @@ func TestCellProbeAttached(t *testing.T) {
 		t.Fatal("attaching a probe changed the result")
 	}
 }
-
-func TestRunSeedsAggregates(t *testing.T) {
-	cfg := fastCfg()
-	agg, err := RunSeeds("radix", NWCache, Naive, cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if agg.Runs != 3 {
-		t.Fatalf("runs %d", agg.Runs)
-	}
-	if agg.MinExec <= 0 || agg.MaxExec < agg.MinExec {
-		t.Fatalf("exec range [%d,%d]", agg.MinExec, agg.MaxExec)
-	}
-	if agg.MeanExec < float64(agg.MinExec) || agg.MeanExec > float64(agg.MaxExec) {
-		t.Fatalf("mean %f outside [%d,%d]", agg.MeanExec, agg.MinExec, agg.MaxExec)
-	}
-	if agg.Spread() < 0 {
-		t.Fatalf("spread %f", agg.Spread())
-	}
-}
-
-func TestRunSeedsSeedInvariantApp(t *testing.T) {
-	// SOR has no randomized pattern: all seeds give identical runs.
-	agg, err := RunSeeds("sor", Standard, Naive, fastCfg(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if agg.MinExec != agg.MaxExec {
-		t.Fatalf("sor varied across seeds: [%d,%d]", agg.MinExec, agg.MaxExec)
-	}
-	if agg.Spread() != 0 {
-		t.Fatalf("spread %f", agg.Spread())
-	}
-}
-
-func TestRunSeedsPropagatesErrors(t *testing.T) {
-	if _, err := RunSeeds("nosuch", Standard, Naive, fastCfg(), 2); err == nil {
-		t.Fatal("unknown app accepted")
-	}
-}

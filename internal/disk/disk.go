@@ -289,9 +289,6 @@ func (d *Disk) DCDLogged() int {
 // Mode returns the prefetch mode.
 func (d *Disk) Mode() PrefetchMode { return d.mode }
 
-// CacheSlots returns the controller cache capacity in pages.
-func (d *Disk) CacheSlots() int { return len(d.slots) }
-
 // seekTime returns the head movement cost from the current position to
 // block, proportional to distance over the in-use span.
 func (d *Disk) seekTime(block int64) int64 {

@@ -287,9 +287,9 @@ func (p *Pool) Observe(sc *obs.Scope) {
 }
 
 // RunSeeds executes the application once per seed (cfg.Seed, cfg.Seed+1,
-// ...) through the pool and aggregates the results exactly like
-// core.RunSeeds: futures are collected in seed order, so the aggregate is
-// bit-identical to a sequential run.
+// ...) through the pool and aggregates the results. Futures are
+// collected in seed order, so the aggregate is bit-identical to a
+// sequential run.
 func RunSeeds(p *Pool, app string, kind core.Kind, mode core.PrefetchMode, cfg core.Config, n int) (*core.SeedAggregate, error) {
 	if n < 1 {
 		n = 1

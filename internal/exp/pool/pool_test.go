@@ -121,18 +121,83 @@ func TestParallelResultsMatchSerial(t *testing.T) {
 	}
 }
 
+// TestRunSeedsMatchesSequential checks the aggregate against mean, min
+// and max computed here from one core.Run per seed.
 func TestRunSeedsMatchesSequential(t *testing.T) {
 	cfg := fastCfg() // em3d is seed-randomized, so the aggregate is nontrivial
-	got, err := RunSeeds(New(4), "em3d", core.NWCache, core.Optimal, cfg, 3)
+	const n = 3
+	got, err := RunSeeds(New(4), "em3d", core.NWCache, core.Optimal, cfg, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.RunSeeds("em3d", core.NWCache, core.Optimal, cfg, 3)
+	want := core.SeedAggregate{Runs: n}
+	for i := 0; i < n; i++ {
+		runCfg := cfg
+		runCfg.Seed = cfg.Seed + int64(i)
+		res, err := core.Run("em3d", core.NWCache, core.Optimal, runCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.MeanExec += float64(res.ExecTime) / n
+		want.MeanRingHitRate += res.RingHitRate / n
+		want.MeanSwapTime += res.AvgSwapTime / n
+		if i == 0 || res.ExecTime < want.MinExec {
+			want.MinExec = res.ExecTime
+		}
+		if res.ExecTime > want.MaxExec {
+			want.MaxExec = res.ExecTime
+		}
+	}
+	if *got != want {
+		t.Fatalf("pool aggregate %+v != per-seed aggregate %+v", *got, want)
+	}
+}
+
+// seedCfg is a small, memory-pressured configuration for the seed
+// fan-out tests.
+func seedCfg() core.Config {
+	cfg := core.DefaultConfig()
+	cfg.Scale = 0.1
+	cfg.MemPerNode = 16 * cfg.PageSize
+	return cfg
+}
+
+func TestRunSeedsAggregates(t *testing.T) {
+	agg, err := RunSeeds(New(2), "radix", core.NWCache, core.Naive, seedCfg(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *got != *want {
-		t.Fatalf("pool aggregate %+v != sequential aggregate %+v", got, want)
+	if agg.Runs != 3 {
+		t.Fatalf("runs %d", agg.Runs)
+	}
+	if agg.MinExec <= 0 || agg.MaxExec < agg.MinExec {
+		t.Fatalf("exec range [%d,%d]", agg.MinExec, agg.MaxExec)
+	}
+	if agg.MeanExec < float64(agg.MinExec) || agg.MeanExec > float64(agg.MaxExec) {
+		t.Fatalf("mean %f outside [%d,%d]", agg.MeanExec, agg.MinExec, agg.MaxExec)
+	}
+	if agg.Spread() < 0 {
+		t.Fatalf("spread %f", agg.Spread())
+	}
+}
+
+func TestRunSeedsSeedInvariantApp(t *testing.T) {
+	// SOR has no randomized pattern: all seeds give identical runs.
+	agg, err := RunSeeds(New(2), "sor", core.Standard, core.Naive, seedCfg(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if agg.MinExec != agg.MaxExec {
+		t.Fatalf("sor varied across seeds: [%d,%d]", agg.MinExec, agg.MaxExec)
+	}
+	if agg.Spread() != 0 {
+		t.Fatalf("spread %f", agg.Spread())
+	}
+}
+
+func TestRunSeedsPropagatesErrors(t *testing.T) {
+	if _, err := RunSeeds(New(2), "nosuch", core.Standard, core.Naive, seedCfg(), 2); err == nil {
+		t.Fatal("unknown app accepted")
 	}
 }
 

@@ -126,9 +126,6 @@ func (r *Ring) OwnedChannels(n int) []int { return r.owned[n] }
 // Channel returns channel i.
 func (r *Ring) Channel(i int) *Channel { return r.channels[i] }
 
-// PageXfer returns the time to insert or extract one page at channel rate.
-func (r *Ring) PageXfer() int64 { return r.pageXfer }
-
 // RoundTrip returns the ring's circulation period.
 func (r *Ring) RoundTrip() int64 { return r.roundTrip }
 

@@ -51,9 +51,6 @@ type Config struct {
 	QueueLen int
 	// Guard supervises each cell (zero value: unsupervised).
 	Guard guard.CellGuard
-	// LiveInterval is the live-only sampling interval in pcycles for
-	// specs that record no series (default sweep.DefaultLiveInterval).
-	LiveInterval int64
 	// HostSample is the wall-clock period of the per-job host resource
 	// sampler — heap, GC, goroutines, pool stats (default 250ms;
 	// negative disables it).
@@ -165,9 +162,6 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	if cfg.QueueLen <= 0 {
 		cfg.QueueLen = 256
-	}
-	if cfg.LiveInterval <= 0 {
-		cfg.LiveInterval = sweep.DefaultLiveInterval
 	}
 	if cfg.HostSample == 0 {
 		cfg.HostSample = 250 * time.Millisecond
@@ -308,14 +302,13 @@ func (s *Server) run(j *Job) {
 
 	r := &sweep.Runner{
 		Spec: j.Spec, Shard: 0, Shards: 1,
-		Dir:          j.Dir,
-		Pool:         p,
-		CacheDir:     filepath.Join(s.cfg.Dir, "cache"),
-		Guard:        s.cfg.Guard,
-		Live:         j.live,
-		LiveInterval: s.cfg.LiveInterval,
-		Draining:     j.draining.Load,
-		OnEvent:      j.record,
+		Dir:      j.Dir,
+		Pool:     p,
+		CacheDir: filepath.Join(s.cfg.Dir, "cache"),
+		Guard:    s.cfg.Guard,
+		Live:     j.live,
+		Draining: j.draining.Load,
+		OnEvent:  j.record,
 	}
 	sum, err := r.Run()
 	stopHost()

@@ -465,9 +465,6 @@ func (e *Engine) WakeHandoffs() uint64 { return e.wakes }
 // process whose body returned count as none, so every start switches).
 func (e *Engine) Switches() uint64 { return e.switches }
 
-// HeapPeak reports the high-water mark of the future-event heap.
-func (e *Engine) HeapPeak() int { return e.heapPeak }
-
 // Observe registers the engine's dispatch statistics as pull-based
 // probes under sc (conventionally the "sim" scope). Probes are evaluated
 // only at snapshot time, so observation adds no per-event work.

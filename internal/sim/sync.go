@@ -89,9 +89,6 @@ func (c *Cond) Broadcast() {
 	}
 }
 
-// Waiting reports how many waiters are queued.
-func (c *Cond) Waiting() int { return c.waiting.len() }
-
 // Semaphore is a counting semaphore with FIFO granting.
 type Semaphore struct {
 	n    int

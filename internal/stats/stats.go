@@ -8,7 +8,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -193,15 +192,4 @@ func FmtF(v float64, decimals int) string {
 // FmtPct formats a fraction as a percentage string like "42%".
 func FmtPct(frac float64) string {
 	return fmt.Sprintf("%.0f%%", frac*100)
-}
-
-// SortedKeys returns the keys of m in sorted order, for deterministic
-// iteration when rendering results.
-func SortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

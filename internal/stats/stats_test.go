@@ -102,17 +102,6 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestSortedKeys(t *testing.T) {
-	m := map[string]int{"b": 1, "a": 2, "c": 3}
-	got := SortedKeys(m)
-	want := []string{"a", "b", "c"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("keys %v", got)
-		}
-	}
-}
-
 func TestFmtHelpers(t *testing.T) {
 	if FmtF(1.2345, 2) != "1.23" {
 		t.Fatal(FmtF(1.2345, 2))

@@ -120,7 +120,7 @@ func TestObservedRunIsByteIdentical(t *testing.T) {
 			live := &obs.LiveSet{}
 			var evs []obs.Event
 			r := &Runner{Spec: s, Shard: 0, Shards: 1, Dir: observed,
-				OnEvent: collect(&evs), Live: live, LiveInterval: 50_000}
+				OnEvent: collect(&evs), Live: live}
 			if _, err := r.Run(); err != nil {
 				t.Fatal(err)
 			}

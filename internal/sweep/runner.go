@@ -128,12 +128,9 @@ type Runner struct {
 	// Live, if set, receives a published live view per fresh cell (the
 	// service layer's /metrics and /series feed). When the spec samples
 	// series the record sampler is published as-is; otherwise a live-only
-	// sampler at LiveInterval is attached, which never reaches the cell's
-	// cache record — merged artifacts stay byte-identical either way.
+	// sampler at DefaultLiveInterval is attached, which never reaches the
+	// cell's cache record — merged artifacts stay byte-identical either way.
 	Live *obs.LiveSet
-	// LiveInterval is the live-only sampling interval in pcycles
-	// (<= 0: DefaultLiveInterval). Ignored when the spec samples series.
-	LiveInterval int64
 
 	cache *Cache
 }
@@ -259,11 +256,7 @@ func (r *Runner) Run() (Summary, error) {
 			// No recorded series: attach a live-only sampler. It is never
 			// exported, so the cell's cache record — and with it every
 			// artifact digest — is exactly what an unobserved run writes.
-			iv := r.LiveInterval
-			if iv <= 0 {
-				iv = DefaultLiveInterval
-			}
-			live := obs.NewSampler(oc.reg, iv, 0)
+			live := obs.NewSampler(oc.reg, DefaultLiveInterval, 0)
 			r.Live.Add(live.Publish(liveRun))
 			m.StartSampler(live)
 		}

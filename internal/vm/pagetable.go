@@ -122,15 +122,3 @@ func (t *Table) Lookup(page PageID) (*Entry, bool) {
 
 // Len returns the number of instantiated entries.
 func (t *Table) Len() int { return t.count }
-
-// ResidentCount returns how many pages are currently Resident (for
-// invariant checks in tests).
-func (t *Table) ResidentCount() int {
-	n := 0
-	for _, en := range t.entries {
-		if en != nil && en.State == Resident {
-			n++
-		}
-	}
-	return n
-}
