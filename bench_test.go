@@ -271,6 +271,7 @@ func (t touchProg) Run(ctx *machine.Ctx, proc int) {
 
 // BenchmarkCtxTouch measures one CPU's Touch path on resident pages: the
 // run-ahead queue, the callback chain, the TLB and the coherent cache.
+// inline/op counts the chain's sleeps that advanced the clock in place.
 // Touches alternate between a block that always hits and 192 blocks that
 // cycle through the 128-block cache and always miss to local memory.
 func BenchmarkCtxTouch(b *testing.B) {
@@ -285,7 +286,7 @@ func BenchmarkCtxTouch(b *testing.B) {
 		}
 		ctx.Now() // fault the pages in before timing
 		cc := m.Nodes[0].CC
-		misses0 := cc.Misses
+		misses0, inline0 := cc.Misses, m.E.InlineAdvances()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -299,6 +300,7 @@ func BenchmarkCtxTouch(b *testing.B) {
 		ctx.Now()
 		b.StopTimer()
 		b.ReportMetric(float64(cc.Misses-misses0)/float64(b.N), "cc-misses/op")
+		b.ReportMetric(float64(m.E.InlineAdvances()-inline0)/float64(b.N), "inline/op")
 	}}
 	if _, err := m.Run(prog); err != nil {
 		b.Fatal(err)

@@ -35,7 +35,7 @@ import (
 type Flags struct {
 	TraceOut       string // Chrome trace, one process per fresh simulation
 	ManifestOut    string // run manifest with the stdout digest
-	SeriesOut      string // time series: CSV with a .csv suffix, else NDJSON
+	SeriesOut      string // time series, NDJSON
 	SeriesInterval int64  // sampling interval in pcycles
 	Watch          bool   // live ANSI dashboard on stderr
 	HTTP           string // live /metrics and /series address
@@ -51,12 +51,23 @@ type Flags struct {
 func (f *Flags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.TraceOut, "trace-out", "", "write a Chrome trace-event JSON, one process per simulation (Perfetto-loadable)")
 	fs.StringVar(&f.ManifestOut, "manifest-out", "", "write a run manifest JSON (params, seed, merged metrics, stdout digest)")
-	fs.StringVar(&f.SeriesOut, "series-out", "", "write per-simulation time-series telemetry to this file (NDJSON, or CSV with a .csv suffix)")
+	fs.Func("series-out", "write per-simulation time-series telemetry to this file (NDJSON)", f.setSeriesOut)
 	fs.Int64Var(&f.SeriesInterval, "series-interval", 500_000, "telemetry sampling interval in pcycles")
 	fs.BoolVar(&f.Watch, "watch", false, "render a live ANSI telemetry dashboard on stderr while simulations run")
 	fs.StringVar(&f.HTTP, "http", "", "serve live telemetry over HTTP on this address (/metrics Prometheus text, /series NDJSON stream)")
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&f.MemProfile, "memprofile", "", "write a heap profile to this file on exit")
+}
+
+// setSeriesOut sets -series-out, refusing a .csv path before any run:
+// series of runs of different length do not align into one CSV matrix,
+// so NDJSON is the one series format.
+func (f *Flags) setSeriesOut(path string) error {
+	if strings.HasSuffix(path, ".csv") {
+		return errors.New("series are written as NDJSON only (CSV output was removed); name a .ndjson file")
+	}
+	f.SeriesOut = path
+	return nil
 }
 
 func (f *Flags) live() bool   { return f.Watch || f.HTTP != "" }
@@ -219,39 +230,36 @@ func (s *Session) StopWatch() {
 
 // Finish stops the dashboard and writes the requested artifacts: the
 // series file, the Chrome trace (one process per run, in label order) and
-// the manifest. man carries the tool-specific fields (App, Machine,
-// Prefetch, SimPcycles for a single run); Finish fills in the rest.
+// the manifest. Each is written on its own, so one that fails does not
+// cost the others; the error joins every failure. man carries the
+// tool-specific fields (App, Machine, Prefetch, SimPcycles for a single
+// run); Finish fills in the rest.
 func (s *Session) Finish(cfg core.Config, man obs.Manifest) error {
 	s.StopWatch()
 	runs := s.sortedRuns()
+	var errs []error
 	if s.SeriesOut != "" {
 		var series []obs.SeriesData
 		for _, r := range runs {
 			series = append(series, r.smp.Export(r.label)...)
 		}
-		err := writeFile(s.SeriesOut, func(w io.Writer) error {
-			if strings.HasSuffix(s.SeriesOut, ".csv") {
-				return obs.WriteSeriesCSV(w, series)
-			}
-			return obs.WriteSeriesNDJSON(w, series)
-		})
-		if err != nil {
-			return err
-		}
+		errs = append(errs, writeFile(s.SeriesOut, func(w io.Writer) error { return obs.WriteSeriesNDJSON(w, series) }))
 	}
 	if s.TraceOut != "" {
 		named := make([]obs.NamedTrace, len(runs))
 		for i, r := range runs {
 			named[i] = obs.NamedTrace{Name: r.label, Trace: r.tr}
 		}
-		err := writeFile(s.TraceOut, func(w io.Writer) error { return obs.WriteChromeMulti(w, named) })
-		if err != nil {
-			return err
-		}
+		errs = append(errs, writeFile(s.TraceOut, func(w io.Writer) error { return obs.WriteChromeMulti(w, named) }))
 	}
-	if s.ManifestOut == "" {
-		return nil
+	if s.ManifestOut != "" {
+		errs = append(errs, s.writeManifest(cfg, man, runs))
 	}
+	return errors.Join(errs...)
+}
+
+// writeManifest fills in man's invocation-wide fields and writes it.
+func (s *Session) writeManifest(cfg core.Config, man obs.Manifest, runs []obsRun) error {
 	params, err := json.Marshal(cfg)
 	if err != nil {
 		return err

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -130,5 +131,93 @@ func TestObserveIdleWithoutConsumers(t *testing.T) {
 func TestStartRejectsNonPositiveInterval(t *testing.T) {
 	if _, err := (Flags{SeriesOut: "x.ndjson"}).Start("test", &bytes.Buffer{}); err == nil {
 		t.Fatal("-series-interval 0 accepted with -series-out")
+	}
+}
+
+// Each artifact is written on its own: when one cannot be written, the
+// others still are, and Finish reports the one that failed. The two runs
+// differ in length, so their series do not align.
+func TestFinishWritesEveryWritableArtifact(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.Scale = 0.05
+	for _, broken := range []string{"series", "trace", "manifest", ""} {
+		name := "unwritable " + broken
+		if broken == "" {
+			name = "all writable"
+		}
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			paths := map[string]string{
+				"series":   filepath.Join(dir, "series.ndjson"),
+				"trace":    filepath.Join(dir, "trace.json"),
+				"manifest": filepath.Join(dir, "manifest.json"),
+			}
+			if broken != "" {
+				paths[broken] = filepath.Join(dir, "missing", broken)
+			}
+			f := Flags{
+				SeriesOut:      paths["series"],
+				TraceOut:       paths["trace"],
+				ManifestOut:    paths["manifest"],
+				SeriesInterval: 100_000,
+			}
+			s, err := f.Start("test", &bytes.Buffer{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			var ends []int64
+			for _, app := range []string{"sor", "fft"} {
+				c := core.Cell{App: app, Kind: core.NWCache, Mode: core.Naive, Cfg: cfg, Obs: s.Observe}
+				res, err := c.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				ends = append(ends, res.ExecTime)
+			}
+			if ends[0] == ends[1] {
+				t.Fatalf("both runs end at %d: the series align", ends[0])
+			}
+			err = s.Finish(cfg, obs.Manifest{})
+			if broken == "" && err != nil {
+				t.Fatal(err)
+			}
+			if broken != "" && (err == nil || !strings.Contains(err.Error(), paths[broken])) {
+				t.Fatalf("Finish error %v, want one naming %s", err, paths[broken])
+			}
+			for name, path := range paths {
+				if name == broken {
+					continue
+				}
+				raw, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatalf("%s not written: %v", name, err)
+				}
+				var n int
+				switch name {
+				case "series":
+					series, err := obs.ReadSeriesNDJSON(bytes.NewReader(raw))
+					if err != nil {
+						t.Fatal(err)
+					}
+					n = len(series)
+				case "trace":
+					traces, err := obs.ReadChrome(bytes.NewReader(raw))
+					if err != nil {
+						t.Fatal(err)
+					}
+					n = len(traces)
+				case "manifest":
+					man, err := obs.ReadManifest(bytes.NewReader(raw))
+					if err != nil {
+						t.Fatal(err)
+					}
+					n = man.Runs
+				}
+				if n < 2 {
+					t.Fatalf("%s holds %d entries, want both runs", name, n)
+				}
+			}
+		})
 	}
 }

@@ -91,12 +91,12 @@ func TestTraceOutIsOneProcess(t *testing.T) {
 	}
 }
 
+// -series-out writes NDJSON. A .csv path is refused at flag parse, before
+// any run, by a message that names the one series format.
 func TestSeriesOutBySuffix(t *testing.T) {
 	dir := t.TempDir()
 	nd, csv := filepath.Join(dir, "s.ndjson"), filepath.Join(dir, "s.csv")
 	runT(t, append(small, "-series-out", nd, "-series-interval", "200000")...)
-	runT(t, append(small, "-series-out", csv, "-series-interval", "200000")...)
-
 	series, err := obs.ReadSeriesNDJSON(bytes.NewReader(readFile(t, nd)))
 	if err != nil {
 		t.Fatal(err)
@@ -104,10 +104,17 @@ func TestSeriesOutBySuffix(t *testing.T) {
 	if len(series) == 0 || series[0].Run != smallCell().Label() || len(series[0].Points) < 2 {
 		t.Fatalf("NDJSON series: %d columns, first %+v", len(series), series[0])
 	}
-	lines := strings.Split(strings.TrimSpace(string(readFile(t, csv))), "\n")
-	if !strings.HasPrefix(lines[0], "t,") || len(lines) != len(series[0].Points)+1 {
-		t.Fatalf("CSV: header %q and %d rows, want a t column and %d rows",
-			lines[0], len(lines)-1, len(series[0].Points))
+
+	var out bytes.Buffer
+	err = run(append(small, "-series-out", csv, "-series-interval", "200000"), &out)
+	if err == nil || !strings.Contains(err.Error(), "NDJSON") {
+		t.Fatalf("-series-out %s: err %v, want a refusal naming NDJSON", csv, err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("the refused invocation ran and printed %q", out.String())
+	}
+	if _, err := os.Stat(csv); err == nil {
+		t.Fatal("the refused invocation wrote the .csv file")
 	}
 }
 

@@ -48,13 +48,7 @@ func (m *Machine) ensureResidentLocked(p *sim.Proc, n *Node, en *vm.Entry) (owne
 			return owner
 
 		case vm.Transit:
-			// TransitBy >= 0: another node is fetching the page (the
-			// paper's Transit category). TransitBy < 0: the page is being
-			// swapped out; waiting for that is fault-path overhead.
-			cat := stats.Transit
-			if en.TransitBy < 0 {
-				cat = stats.Fault
-			}
+			cat := transitWait(en)
 			en.Lock.Unlock()
 			t0 := p.Now()
 			en.Arrived.Wait(p)
@@ -87,6 +81,17 @@ func (m *Machine) ensureResidentLocked(p *sim.Proc, n *Node, en *vm.Entry) (owne
 			return n.ID
 		}
 	}
+}
+
+// transitWait is what a wait for the in-transit page en is charged to.
+// TransitBy >= 0: another node is fetching the page (the paper's Transit
+// category). TransitBy < 0: the page is being swapped out; waiting for
+// that is fault-path overhead.
+func transitWait(en *vm.Entry) stats.Category {
+	if en.TransitBy < 0 {
+		return stats.Fault
+	}
+	return stats.Transit
 }
 
 // faultFromRing serves a fault for a page stored on the optical ring

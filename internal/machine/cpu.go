@@ -31,6 +31,7 @@ const (
 	csStart    cpuStep = iota // begin the operation
 	csTLB                     // look the page up in the TLB
 	csResident                // make the page resident
+	csArrived                 // an in-transit page arrived: charge the wait
 	csLocked                  // fault the page in, entry lock held
 	csData                    // coherent cache check
 	csWBuf                    // queue the write in the write buffer
@@ -43,7 +44,7 @@ type chainState uint8
 
 const (
 	chainDrained chainState = iota // the queue is empty
-	chainTimed                     // the chain sleeps; its step is scheduled
+	chainTimed                     // the chain waits; its step is scheduled or queued
 	chainBlocked                   // the step at c.at must block: run it on the process
 )
 
@@ -57,6 +58,8 @@ type cpu struct {
 	owner int             // the Touch's resident page's owner
 	st    coherence.State // the block's cache state before a buffered write
 	tlb   int64           // TLB cycles (interrupts, a miss) the ending sleep paid
+	cat   stats.Category  // what a wait for an in-transit page is charged to
+	t0    sim.Time        // when that wait began
 	step  func()          // pre-bound c.wake
 }
 
@@ -89,10 +92,15 @@ func (c *Ctx) wake() {
 	}
 }
 
-// sleepUntil schedules the chain's next step at t.
-func (c *Ctx) sleepUntil(t sim.Time) chainState {
+// sleepUntil moves the chain's next step to t. It reports whether the
+// step was scheduled, ending the chain until it fires; otherwise the clock
+// is already at t (sim.Engine.AdvanceTo) and the chain runs on in place.
+func (c *Ctx) sleepUntil(t sim.Time) bool {
+	if c.m.E.AdvanceTo(t) {
+		return false
+	}
 	c.m.E.At(t, c.step)
-	return chainTimed
+	return true
 }
 
 // advance runs queued operations from step c.at until the queue drains or
@@ -108,27 +116,35 @@ func (c *Ctx) advance(p *sim.Proc) chainState {
 		case csStart:
 			if op.compute {
 				c.at = csNext
-				return c.sleepUntil(m.E.Now() + op.arg)
+				if c.sleepUntil(m.E.Now() + op.arg) {
+					return chainTimed
+				}
+				continue
 			}
 			c.at = csTLB
 			if d := n.pendingIntr; d > 0 {
 				n.pendingIntr, c.tlb = 0, d
-				return c.sleepUntil(m.E.Now() + d)
+				if c.sleepUntil(m.E.Now() + d) {
+					return chainTimed
+				}
 			}
 		case csTLB:
 			n.charge(stats.TLB, c.tlb)
 			c.tlb, c.at = 0, csResident
 			if !n.TLB.Lookup(page) {
 				c.tlb = m.Cfg.TLBMissLat
-				return c.sleepUntil(m.E.Now() + c.tlb)
+				if c.sleepUntil(m.E.Now() + c.tlb) {
+					return chainTimed
+				}
 			}
 		case csResident:
 			n.charge(stats.TLB, c.tlb)
 			c.tlb = 0
-			// The common case, an idle lock on a resident page, runs here;
-			// the fault protocol runs on the process, where it can block.
-			// A failed TryLock changes nothing, so the process re-runs
-			// this step against the same state.
+			// The common case, an idle lock on a resident page, runs here,
+			// and so does a wait for a page in transit; the fault protocol
+			// runs on the process, where it can block. A failed TryLock
+			// changes nothing, so the process re-runs this step against
+			// the same state.
 			c.en = m.Table.Get(page)
 			switch {
 			case !c.en.Lock.TryLock():
@@ -136,6 +152,14 @@ func (c *Ctx) advance(p *sim.Proc) chainState {
 					return chainBlocked
 				}
 				c.owner = m.ensureResident(p, n, c.en)
+			case c.en.State == vm.Transit:
+				// As ensureResidentLocked's Transit case, with the charge
+				// category fixed before the wait: the continuation queues
+				// where the process would, and wakes in the same slot.
+				c.cat, c.t0, c.at = transitWait(c.en), m.E.Now(), csArrived
+				c.en.Lock.Unlock()
+				c.en.Arrived.WaitThen(c.step)
+				return chainTimed
 			case c.en.State != vm.Resident:
 				c.at = csLocked
 				if p == nil {
@@ -147,6 +171,10 @@ func (c *Ctx) advance(p *sim.Proc) chainState {
 				c.en.Lock.Unlock()
 			}
 			c.at = csData
+		case csArrived:
+			n.charge(c.cat, m.E.Now()-c.t0)
+			m.Spans.Span(m.cpuTrack(n.ID), "fault.wait", c.t0, m.E.Now(), c.en.Page)
+			c.at = csResident
 		case csLocked:
 			c.owner = m.ensureResidentLocked(p, n, c.en)
 			c.at = csData
@@ -175,8 +203,8 @@ func (c *Ctx) advance(p *sim.Proc) chainState {
 					n.CC.Upgrades++
 				}
 				c.at = csCCFinish
-				if t := m.ccStart(n, c.owner, page, sub, write); t > m.E.Now() {
-					return c.sleepUntil(t)
+				if t := m.ccStart(n, c.owner, page, sub, write); t > m.E.Now() && c.sleepUntil(t) {
+					return chainTimed
 				}
 			}
 		case csWBuf:

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 )
 
 // Time-series telemetry: a Sampler attached to a Registry snapshots every
@@ -305,39 +304,4 @@ func ReadSeriesNDJSON(r io.Reader) ([]SeriesData, error) {
 		out = append(out, s)
 	}
 	return out, nil
-}
-
-// WriteSeriesCSV writes time-aligned series as one CSV matrix: a "t"
-// column followed by one column per series. Every series must carry the
-// same timestamps (true for the columns of one sampler); mixed-run
-// exports should use NDJSON instead.
-func WriteSeriesCSV(w io.Writer, series []SeriesData) error {
-	if len(series) == 0 {
-		return nil
-	}
-	base := series[0].Points
-	bw := bufio.NewWriter(w)
-	bw.WriteString("t")
-	for i := range series {
-		if len(series[i].Points) != len(base) {
-			return fmt.Errorf("obs: series %q has %d points, want %d (CSV needs aligned series)",
-				series[i].Name, len(series[i].Points), len(base))
-		}
-		bw.WriteByte(',')
-		bw.WriteString(series[i].Name)
-	}
-	bw.WriteByte('\n')
-	for row := range base {
-		bw.WriteString(strconv.FormatInt(int64(base[row][0]), 10))
-		for i := range series {
-			if series[i].Points[row][0] != base[row][0] {
-				return fmt.Errorf("obs: series %q timestamp mismatch at row %d (CSV needs aligned series)",
-					series[i].Name, row)
-			}
-			bw.WriteByte(',')
-			bw.WriteString(strconv.FormatFloat(series[i].Points[row][1], 'g', -1, 64))
-		}
-		bw.WriteByte('\n')
-	}
-	return bw.Flush()
 }

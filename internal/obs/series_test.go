@@ -2,8 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"math"
-	"strings"
 	"testing"
 )
 
@@ -248,31 +246,5 @@ func TestSeriesNDJSONRoundTrip(t *testing.T) {
 				t.Fatalf("series %d point %d: %v vs %v", i, j, out[i].Points[j], in[i].Points[j])
 			}
 		}
-	}
-}
-
-func TestSeriesCSV(t *testing.T) {
-	in := []SeriesData{
-		{Name: "a", Kind: "counter", Points: [][2]float64{{10, 1}, {20, 2}}},
-		{Name: "b", Kind: "gauge", Points: [][2]float64{{10, 0.5}, {20, math.Pi}}},
-	}
-	var buf bytes.Buffer
-	if err := WriteSeriesCSV(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("CSV lines %d, want 3:\n%s", len(lines), buf.String())
-	}
-	if lines[0] != "t,a,b" {
-		t.Fatalf("CSV header %q", lines[0])
-	}
-	if !strings.HasPrefix(lines[1], "10,1,0.5") {
-		t.Fatalf("CSV row %q", lines[1])
-	}
-	// Misaligned series must error, not emit a ragged matrix.
-	bad := []SeriesData{in[0], {Name: "c", Points: [][2]float64{{10, 1}}}}
-	if err := WriteSeriesCSV(&buf, bad); err == nil {
-		t.Fatal("misaligned CSV write did not error")
 	}
 }

@@ -20,7 +20,9 @@
 // The two meet in a process that Parks while a callback chain does its
 // work: a callback hands the process a step that must block, or the end
 // of the chain, with Resume, which runs the process at the callback's own
-// (time, seq) slot without scheduling anything.
+// (time, seq) slot without scheduling anything. A chain whose next step
+// would be the very next event anyway can skip scheduling it altogether:
+// AdvanceTo moves the clock there and the chain runs on in place.
 //
 // The dispatch core is built for throughput (see MODEL.md, "Engine fast
 // path"): event slots are pooled and recycled, future events live in an
@@ -120,6 +122,7 @@ type Engine struct {
 	wakes      uint64 // proc hand-overs/resumes among the dispatched
 	switches   uint64 // wakes that resumed a proc other than the driver
 	heapPeak   int    // high-water mark of the future-event heap
+	inline     uint64 // steps AdvanceTo ran in place (counted in dispatched too)
 
 	// Clock-boundary tick hook (SetTick): tickFn fires whenever dispatch
 	// crosses a multiple of tickEvery. The hook lives outside the event
@@ -297,6 +300,30 @@ func (e *Engine) nextInstant() *event {
 	if t < e.now {
 		panic("sim: event queue returned event in the past")
 	}
+	e.setClock(t)
+	first := e.heapPop()
+	for len(e.heap) > 0 && e.heap[0].t == t {
+		e.ready = append(e.ready, e.heapPop())
+	}
+	return first
+}
+
+// setClock moves the clock forward to t. Both dispatch paths use it:
+// nextInstant before the first event of an instant, and AdvanceTo before
+// an inline step. It is small enough to inline; crossing a boundary takes
+// the out-of-line crossBoundaries.
+func (e *Engine) setClock(t Time) {
+	if t >= e.nextTick || t >= e.nextProbe {
+		e.crossBoundaries(t)
+		return
+	}
+	e.now = t
+}
+
+// crossBoundaries moves the clock forward to t, firing the tick hook at
+// each tick boundary crossed on the way and honoring the progress probe
+// at a probe boundary.
+func (e *Engine) crossBoundaries(t Time) {
 	if t >= e.nextTick {
 		// Crossing one or more tick boundaries: advance the clock to
 		// each boundary and fire the hook there, so samples carry
@@ -314,8 +341,8 @@ func (e *Engine) nextInstant() *event {
 		// Probe boundary: publish the clock for the watchdog and honor
 		// a pending abort. Like the tick hook this consumes no sequence
 		// numbers and schedules nothing, so dispatch order is untouched;
-		// an abort finishes the event nextInstant returns, then stops
-		// (the same finish-then-stop semantics as the livelock guard).
+		// an abort finishes the event at t, then stops (the same
+		// finish-then-stop semantics as the livelock guard).
 		for t >= e.nextProbe {
 			e.nextProbe += e.probeEvery
 		}
@@ -326,11 +353,36 @@ func (e *Engine) nextInstant() *event {
 			e.stopped = true
 		}
 	}
-	first := e.heapPop()
-	for len(e.heap) > 0 && e.heap[0].t == t {
-		e.ready = append(e.ready, e.heapPop())
+}
+
+// AdvanceTo runs a step due at t in place of scheduling it: when the step
+// would be the very next event dispatched anyway, it moves the clock to t
+// (crossing tick and probe boundaries exactly as dispatch would), counts
+// the step as one dispatched event, and returns true; the caller then runs
+// the step at once. Otherwise it changes nothing and returns false, and
+// the caller schedules the step with At.
+//
+// The step at t is next when the ready FIFO is empty (nothing else is due
+// now), every heap event is strictly later than t (a heap event at t was
+// scheduled earlier, so its smaller sequence number fires it first), the
+// engine is not stopped, and the livelock budget is not on its last event
+// (the trip then happens on the ordinary path). Under those conditions an
+// inline advance and At(t) dispatch the same events in the same order at
+// the same times, with the same Dispatched count at every point; only the
+// heap push and pop, the sequence number and the callback are saved.
+func (e *Engine) AdvanceTo(t Time) bool {
+	if e.readyHead < len(e.ready) || e.stopped || e.dispatched+1 >= e.stopAt ||
+		(len(e.heap) > 0 && e.heap[0].t <= t) || t < e.now {
+		return false
 	}
-	return first
+	// Pending counts the step while boundary hooks run, as it would
+	// count the scheduled event.
+	e.pending++
+	e.setClock(t)
+	e.pending--
+	e.dispatched++
+	e.inline++
+	return true
 }
 
 // drive is the dispatch loop, executed by whichever coroutine currently
@@ -460,6 +512,10 @@ func (e *Engine) Dispatched() uint64 { return e.dispatched }
 // callbacks, plus the Resumes callbacks made.
 func (e *Engine) WakeHandoffs() uint64 { return e.wakes }
 
+// InlineAdvances reports how many steps AdvanceTo ran in place of an
+// event; each is also counted in Dispatched.
+func (e *Engine) InlineAdvances() uint64 { return e.inline }
+
 // Switches reports how many wake hand-overs cost a coroutine switch: the
 // woken process was not the one driving dispatch (Run's caller and a
 // process whose body returned count as none, so every start switches).
@@ -473,6 +529,7 @@ func (e *Engine) Observe(sc *obs.Scope) {
 	sc.ProbeCounter("wake_handoffs", func() int64 { return int64(e.wakes) })
 	sc.ProbeCounter("switches", func() int64 { return int64(e.switches) })
 	sc.ProbeGauge("heap_peak", func() int64 { return int64(e.heapPeak) })
+	sc.ProbeCounter("inline_advances", func() int64 { return int64(e.inline) })
 	sc.ProbeGauge("events_pending", func() int64 { return int64(e.pending) })
 	sc.ProbeGauge("now_pcycles", func() int64 { return e.now })
 }

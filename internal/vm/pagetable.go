@@ -64,8 +64,9 @@ type Entry struct {
 	// Arrived is broadcast when a Transit completes, waking processors
 	// that faulted on a page already being fetched.
 	Arrived *sim.Cond
-	// transitEnd records when the in-flight fetch completes (for Transit
-	// waiters' accounting).
+	// TransitBy is, while State == Transit, the node fetching the page,
+	// or -1 while a swap-out carries it away (what a waiter is charged
+	// to depends on which).
 	TransitBy int
 }
 

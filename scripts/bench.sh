@@ -9,8 +9,6 @@
 #   BenchmarkProcHandoff            hand-off between two procs (coroutine switch)
 #   BenchmarkCallbackHandoff        hand-off between two continuations via a Cond
 #   BenchmarkCtxTouch               one CPU's Touch chain on resident pages (CC hits + misses)
-#   BenchmarkSingleRunGauss         end-to-end run, swap-heavy application
-#   BenchmarkSingleRunFFT           end-to-end run, communication-heavy
 #   BenchmarkMeshTransit            precomputed-route mesh reservation
 #   BenchmarkFramePoolTouch         LRU refresh on the per-access path
 #   BenchmarkFramePoolEvict         reserve/adopt/unmap/release cycle
@@ -19,9 +17,6 @@
 #   BenchmarkCoherentCacheAccess    coherent cache State/Insert/DropPage
 #
 # Methodology (pinned, so snapshots are comparable):
-#   - End-to-end benchmarks run a fixed iteration count (default 3x, so
-#     per-op numbers always average >2 full runs instead of whatever a
-#     wall-clock budget happens to fit).
 #   - Micro-benchmarks run under GOMAXPROCS=1 (the simulator is
 #     single-threaded; background GC workers otherwise add scheduler
 #     noise) and are sampled NWCACHE_BENCH_SAMPLES times (default 10,
@@ -32,8 +27,11 @@
 #     sampling parameters) so a diff between two snapshots can tell
 #     code drift from environment drift.
 #
-# Compare against a previous emission with scripts/benchdiff.sh; gate
-# hard with scripts/benchdiff.sh --gate.
+# The snapshots are history, not baselines: compare two of them with
+# scripts/benchdiff.sh. The regression gate is scripts/benchgate.sh, which
+# runs the same micro-benchmarks for a base revision and the working tree
+# alternately on one host. End-to-end timing lives in the benchmark/
+# harness.
 #
 # Output shape: {"env": {...}, "benchmarks": [{name, iterations,
 # ns_per_op, bytes_per_op, allocs_per_op}, ...]} — one benchmark per
@@ -45,21 +43,14 @@ cd "$(dirname "$0")/.."
 out="${1:-BENCH_12.json}"
 samples="${NWCACHE_BENCH_SAMPLES:-10}"
 micro_bt="${NWCACHE_BENCHTIME:-300ms}"
-run_bt="${NWCACHE_RUN_BENCHTIME:-3x}"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
-
-# End-to-end runs: fixed iteration count. NWCACHE_BENCH_SCALE (see
-# bench_test.go) applies as usual.
-go test -run '^$' \
-  -bench '^(BenchmarkSingleRunGauss|BenchmarkSingleRunFFT)$' \
-  -benchmem -benchtime "$run_bt" . | tee "$raw" >&2
 
 # Micro-benchmarks: GOMAXPROCS=1, N samples each via -count; the awk
 # pass below keeps the minimum per benchmark.
 GOMAXPROCS=1 go test -run '^$' \
   -bench '^(BenchmarkEngineEventThroughput|BenchmarkProcSwitch|BenchmarkProcHandoff|BenchmarkCallbackHandoff|BenchmarkCtxTouch|BenchmarkMeshTransit)$' \
-  -benchmem -benchtime "$micro_bt" -count "$samples" . | tee -a "$raw" >&2
+  -benchmem -benchtime "$micro_bt" -count "$samples" . | tee "$raw" >&2
 GOMAXPROCS=1 go test -run '^$' \
   -bench '^(BenchmarkFramePoolTouch|BenchmarkFramePoolEvict)$' \
   -benchmem -benchtime "$micro_bt" -count "$samples" ./internal/vm | tee -a "$raw" >&2
@@ -76,7 +67,7 @@ if [ -r /proc/cpuinfo ]; then
 fi
 
 awk -v go_ver="$go_ver" -v hostarch="$hostarch" -v cpu="$cpu" -v samples="$samples" \
-    -v micro_bt="$micro_bt" -v run_bt="$run_bt" '
+    -v micro_bt="$micro_bt" '
   /^Benchmark/ {
     bench = $1
     sub(/-[0-9]+$/, "", bench)
@@ -95,8 +86,8 @@ awk -v go_ver="$go_ver" -v hostarch="$hostarch" -v cpu="$cpu" -v samples="$sampl
   }
   END {
     printf "{\n"
-    printf "  \"env\": {\"go\":\"%s\",\"hostarch\":\"%s\",\"cpu\":\"%s\",\"micro_gomaxprocs\":1,\"micro_samples\":%s,\"micro_benchtime\":\"%s\",\"run_benchtime\":\"%s\",\"estimator\":\"min\"},\n",
-           go_ver, hostarch, cpu, samples, micro_bt, run_bt
+    printf "  \"env\": {\"go\":\"%s\",\"hostarch\":\"%s\",\"cpu\":\"%s\",\"micro_gomaxprocs\":1,\"micro_samples\":%s,\"micro_benchtime\":\"%s\",\"estimator\":\"min\"},\n",
+           go_ver, hostarch, cpu, samples, micro_bt
     printf "  \"benchmarks\": [\n"
     for (i = 1; i <= n; i++)
       printf "  %s%s\n", rec[order[i]], (i < n ? "," : "")
