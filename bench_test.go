@@ -307,6 +307,53 @@ func BenchmarkCtxTouch(b *testing.B) {
 	}
 }
 
+// BenchmarkPageFault measures the VM fault path: one CPU cycling over
+// twice as many pages as its node has frames, so every touch faults.
+// Written pages swap out to the ring and fault back in off it (ring-hits
+// per op); read pages are evicted clean and fault back in from the disk
+// controller cache (optimal prefetch). The fault path and the daemons run
+// as engine callbacks, so a fault costs no coroutine switch (switches/op)
+// and, once the pools are warm, no allocation.
+func BenchmarkPageFault(b *testing.B) {
+	cfg := param.Default()
+	cfg.MemPerNode = 16 * cfg.PageSize
+	cfg.MinFreeFrames = 4
+	m, err := machine.New(cfg, machine.NWCache, disk.Optimal)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const pages = 32
+	touch := func(ctx *machine.Ctx, i int) {
+		pg := machine.PageID(i % pages)
+		if pg%2 == 0 {
+			ctx.Write(pg, 0, 1)
+		} else {
+			ctx.Read(pg, 0, 1)
+		}
+	}
+	prog := touchProg{fn: func(ctx *machine.Ctx) {
+		for i := 0; i < 4*pages; i++ {
+			touch(ctx, i) // warm the pools before timing
+		}
+		ctx.Now()
+		n := m.Nodes[0]
+		faults0, ring0, sw0 := n.Faults, n.RingHits, m.E.Switches()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			touch(ctx, i)
+		}
+		ctx.Now()
+		b.StopTimer()
+		b.ReportMetric(float64(n.Faults-faults0)/float64(b.N), "faults/op")
+		b.ReportMetric(float64(n.RingHits-ring0)/float64(b.N), "ring-hits/op")
+		b.ReportMetric(float64(m.E.Switches()-sw0)/float64(b.N), "switches/op")
+	}}
+	if _, err := m.Run(prog); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkMeshTransit measures network reservation cost.
 func BenchmarkMeshTransit(b *testing.B) {
 	e := sim.New()

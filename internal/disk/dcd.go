@@ -10,11 +10,13 @@ import (
 // pages are destaged from the controller cache to the log disk with
 // cheap, sequential log writes (no seek: the log head stays at the tail),
 // freeing cache slots far faster than data-disk writes would. A
-// background daemon later copies logged blocks to the data disk when the
+// background chain later copies logged blocks to the data disk when the
 // data mechanism is idle. Reading a logged block costs a full
 // seek+rotation on the log mechanism, "comparable to those of accesses to
 // the data disk" (§6).
 type dcdLog struct {
+	e        *sim.Engine
+	d        *Disk          // the owning disk (its data mechanism)
 	arm      *sim.Resource  // the log disk mechanism
 	rot      int64          // rotational latency
 	seek     int64          // average seek for non-sequential log access
@@ -23,13 +25,22 @@ type dcdLog struct {
 	index    map[int64]bool // data blocks currently living in the log
 	fifo     []int64        // destage order
 	room     *sim.Cond      // signaled when log space frees
-	kick     *sim.Cond      // wakes the destage daemon
+	kick     *sim.Cond      // wakes the destage chain
+
+	// The destage chain: the step to resume at, its pre-bound
+	// continuation and data-disk access, and the segment in flight.
+	at    uint8
+	step  func()
+	media mediaOp
+	batch []int64
 }
 
-// newDCDLog builds the log disk and starts its destage daemon against the
+// newDCDLog builds the log disk and starts its destage chain against the
 // owning disk's data mechanism.
 func newDCDLog(e *sim.Engine, d *Disk, capacity int) *dcdLog {
 	l := &dcdLog{
+		e:        e,
+		d:        d,
 		arm:      sim.NewResource(e, d.name+".log"),
 		rot:      d.rot,
 		seek:     (d.minSeek + d.maxSeek) / 2,
@@ -39,18 +50,26 @@ func newDCDLog(e *sim.Engine, d *Disk, capacity int) *dcdLog {
 		room:     sim.NewCond(e),
 		kick:     sim.NewCond(e),
 	}
-	e.SpawnDaemon(d.name+".destage", func(p *sim.Proc) { l.destageLoop(p, d) })
+	l.step = l.destage
+	l.media.bind(d, l.step)
+	e.At(e.Now(), l.step)
 	return l
 }
 
 // hasRoom reports whether n more blocks fit in the log.
 func (l *dcdLog) hasRoom(n int) bool { return len(l.fifo)+n <= l.capacity }
 
-// appendBatch writes n blocks sequentially at the log tail in p's
-// context: one rotational settle plus the transfers — no seek, the log
-// head never leaves the tail.
-func (l *dcdLog) appendBatch(p *sim.Proc, blocks []int64) {
-	l.arm.Use(p, l.rot+int64(len(blocks))*l.xfer)
+// appendBatch books a sequential write of n blocks at the log tail: one
+// rotational settle plus the transfers — no seek, the log head never
+// leaves the tail. It reports whether the write is already over;
+// otherwise k runs when it is, and the caller then records the blocks
+// with logged.
+func (l *dcdLog) appendBatch(n int, k func()) bool {
+	return reserveThen(l.e, l.arm, l.rot+int64(n)*l.xfer, k)
+}
+
+// logged records blocks as living in the log and wakes the destage chain.
+func (l *dcdLog) logged(blocks []int64) {
 	for _, b := range blocks {
 		if !l.index[b] {
 			l.index[b] = true
@@ -63,59 +82,73 @@ func (l *dcdLog) appendBatch(p *sim.Proc, blocks []int64) {
 // contains reports whether a data block currently lives in the log.
 func (l *dcdLog) contains(block int64) bool { return l.index[block] }
 
-// readBlock services a demand read of a logged block: a random access on
-// the log mechanism.
-func (l *dcdLog) readBlock(p *sim.Proc) {
-	l.arm.Use(p, l.seek+l.rot+l.xfer)
+// readBlock books a demand read of a logged block, a random access on the
+// log mechanism, and reports whether it is already over; otherwise k runs
+// when it is.
+func (l *dcdLog) readBlock(k func()) bool {
+	return reserveThen(l.e, l.arm, l.seek+l.rot+l.xfer, k)
 }
 
 // destageBatch is how many blocks one destage operation moves.
 const destageBatch = 8
 
-// destageLoop copies logged blocks to the data disk whenever the data
-// mechanism is idle, in log (FIFO) order.
-func (l *dcdLog) destageLoop(p *sim.Proc, d *Disk) {
-	for {
-		if len(l.fifo) == 0 {
-			l.kick.Wait(p)
-			continue
-		}
-		// Only run while the data mechanism is otherwise idle, per the
-		// DCD design; poll with a dwell so demand traffic goes first.
-		if !d.armIdle() {
-			p.Sleep(d.wbDwell)
-			continue
-		}
-		n := destageBatch
-		if n > len(l.fifo) {
-			n = len(l.fifo)
-		}
-		batch := append([]int64(nil), l.fifo[:n]...)
-		// Read the segment from the log (sequential from the head).
-		l.arm.Use(p, l.rot+int64(n)*l.xfer)
-		// Write to the data disk: one seek+rotation for the batch, then a
-		// transfer per block (blocks in a segment are rarely contiguous on
-		// the data disk, but a single sweep covers a batch reasonably).
-		d.arm.Use(p, sim.Low, d.seekTime(batch[0])+d.rot+int64(n)*d.pageXfer)
-		d.headPos = batch[n-1]
-		d.MediaWrite++
-		d.Combining.Add(float64(n))
-		l.fifo = l.fifo[n:]
-		for _, b := range batch {
-			delete(l.index, b)
-		}
-		l.room.Broadcast()
-	}
-}
+// Destage steps (dcdLog.at).
+const (
+	dsIdle    uint8 = iota // wait for logged blocks and an idle data mechanism
+	dsLogRead              // the segment is read off the log
+	dsWritten              // the segment is on the data disk
+)
 
-// armIdle reports whether the data mechanism is currently free (used by
-// the destage daemon's idleness gate).
-func (d *Disk) armIdle() bool {
-	switch a := d.arm.(type) {
-	case fcfsArm:
-		return a.r.FreeAt() <= d.e.Now()
-	case prioArm:
-		return a.s.Idle()
+// destage copies logged blocks to the data disk whenever the data
+// mechanism is idle, in log (FIFO) order. It is a callback chain started
+// at construction, resumed through l.step at step l.at.
+func (l *dcdLog) destage() {
+	d := l.d
+	for {
+		switch l.at {
+		case dsIdle:
+			if len(l.fifo) == 0 {
+				l.kick.WaitThen(l.step)
+				return
+			}
+			// Only run while the data mechanism is otherwise idle, per
+			// the DCD design; poll with a dwell so demand traffic goes
+			// first.
+			if !d.arm.idle(l.e.Now()) {
+				l.e.At(l.e.Now()+d.wbDwell, l.step)
+				return
+			}
+			n := destageBatch
+			if n > len(l.fifo) {
+				n = len(l.fifo)
+			}
+			l.batch = append(l.batch[:0], l.fifo[:n]...)
+			// Read the segment from the log (sequential from the head).
+			l.at = dsLogRead
+			if !reserveThen(l.e, l.arm, l.rot+int64(n)*l.xfer, l.step) {
+				return
+			}
+		case dsLogRead:
+			// Write to the data disk: one seek+rotation for the batch,
+			// then a transfer per block (blocks in a segment are rarely
+			// contiguous on the data disk, but a single sweep covers a
+			// batch reasonably).
+			n := len(l.batch)
+			l.at = dsWritten
+			if !l.media.start(sim.Low, d.seekTime(l.batch[0])+d.rot+int64(n)*d.pageXfer, false, false) {
+				return
+			}
+		case dsWritten:
+			n := len(l.batch)
+			d.headPos = l.batch[n-1]
+			d.MediaWrite++
+			d.Combining.Add(float64(n))
+			l.fifo = l.fifo[n:]
+			for _, b := range l.batch {
+				delete(l.index, b)
+			}
+			l.room.Broadcast()
+			l.at = dsIdle
+		}
 	}
-	return true
 }

@@ -125,12 +125,21 @@ type Disk struct {
 	nackFIFO  []nackEntry
 	nackBatch []nackEntry // scratch for releaseNACKs
 
-	// Write-back scratch buffers, reused across writebackLoop iterations so
-	// the steady-state drain allocates nothing.
+	// Write-back chain state: the step to resume at, its pre-bound
+	// continuation and media access, and the group in flight. The scratch
+	// buffers are reused across groups so the steady-state drain
+	// allocates nothing.
+	wbAt    uint8
+	wbStep  func()
+	wbMedia mediaOp
+	wbT0    sim.Time
+	wbStart int64 // the group's first media block
 	wbDirty []blockIdx
 	wbGroup []int
 	wbSeqs  []uint64
 	wbBlks  []int64
+
+	pfJobs []*prefetchJob // idle prefetch jobs
 
 	// NotifyOK is invoked when controller-cache room appears for a
 	// previously NACKed write; the machine layer turns it into an OK
@@ -141,7 +150,7 @@ type Disk struct {
 	// interface's drain loop).
 	OnRoom func()
 
-	wbKick *sim.Cond // wakes the write-back daemon
+	wbKick *sim.Cond // wakes the write-back chain
 
 	// Statistics.
 	Reads      uint64
@@ -167,13 +176,14 @@ type Disk struct {
 	fltID int // this disk's index in the fault plan's disk= namespace
 }
 
-// New constructs a disk and starts its write-back daemon.
+// New constructs a disk and starts its write-back chain (and, with the
+// DCD log, the log's destage chain).
 func New(e *sim.Engine, name string, cfg param.Config, mode PrefetchMode) *Disk {
 	var arm armSched
 	if cfg.DiskReadPriority {
-		arm = prioArm{sim.NewServer(e, name+".arm")}
+		arm.prio = sim.NewServer(e, name+".arm")
 	} else {
-		arm = fcfsArm{sim.NewResource(e, name+".arm")}
+		arm.fcfs = sim.NewResource(e, name+".arm")
 	}
 	d := &Disk{
 		e:            e,
@@ -198,7 +208,9 @@ func New(e *sim.Engine, name string, cfg param.Config, mode PrefetchMode) *Disk 
 	if cfg.DCD {
 		d.dcd = newDCDLog(e, d, cfg.DCDLogBlocks)
 	}
-	e.SpawnDaemon(name+".writeback", d.writebackLoop)
+	d.wbStep = d.writeback
+	d.wbMedia.bind(d, d.wbStep)
+	e.At(e.Now(), d.wbStep)
 	return d
 }
 
@@ -233,39 +245,6 @@ func (d *Disk) SetTrace(tr *obs.Trace, track int) {
 // plan's disk= namespace. A nil injector restores perfect hardware.
 func (d *Disk) SetFaults(inj *fault.Injector, id int) {
 	d.flt, d.fltID = inj, id
-}
-
-// mediaAccess performs one mechanism access of dur pcycles. With a fault
-// injector attached it applies the active degraded-mode latency
-// multiplier and the transient-error protocol: on an injected error the
-// controller retries with exponential backoff up to the plan's budget,
-// then gives up (the stale data ages in place; a later pass rewrites it).
-func (d *Disk) mediaAccess(p *sim.Proc, pri sim.Priority, dur int64, read bool) {
-	if d.flt == nil {
-		d.arm.Use(p, pri, dur)
-		return
-	}
-	dur *= d.flt.DegradeMult(d.fltID, p.Now())
-	retries, backoff := d.flt.RetrySpec(read)
-	for attempt := 0; ; attempt++ {
-		d.arm.Use(p, pri, dur)
-		var failed bool
-		if read {
-			failed = d.flt.DiskReadError()
-		} else {
-			failed = d.flt.DiskWriteError()
-		}
-		if !failed {
-			return
-		}
-		if attempt >= retries {
-			d.flt.NoteGiveUp(read)
-			return
-		}
-		slept := backoff << attempt
-		d.flt.NoteRetry(slept)
-		p.Sleep(slept)
-	}
 }
 
 // noteDirty samples the dirty-slot gauge (call after any transition).
@@ -360,72 +339,151 @@ const (
 // Hit reports whether the outcome avoided a dedicated media access.
 func (o ReadOutcome) Hit() bool { return o != Miss }
 
-// Read services a page read request from node `from` in the context of p
-// (one proc per request; the controller can overlap cache hits with media
-// activity). It returns when the page data is available in the controller
-// buffer, ready for the caller to move across the I/O bus.
-func (d *Disk) Read(p *sim.Proc, from int, page PageID, block int64) ReadOutcome {
-	d.Reads++
-	d.ctrl.Use(p, d.ctrlOverhead)
-	streaming := d.mode == Streamed && d.streamHead[from]+1 == block
-	d.streamHead[from] = block
-	if i := d.find(page); i >= 0 {
-		d.touch(i)
-		d.ReadHits++
-		if streaming {
-			d.extendStream(page, block)
-		}
-		return HitCache
-	}
-	if d.mode == Optimal {
-		// Idealized prefetching: every request is satisfied from the
-		// cache; the media read happened in the background.
-		d.ReadHits++
-		d.installClean(page, block, false)
-		return HitCache
-	}
-	// A sequential prefetch for this block is already streaming off the
-	// media: wait for it rather than issuing a duplicate access.
-	if d.pendingPF[block] {
-		for d.pendingPF[block] {
-			d.pendingPFDone.Wait(p)
-		}
-		d.ReadHits++
-		if streaming {
-			d.extendStream(page, block)
-		}
-		return HitInflight
-	}
-	// A block still sitting in the DCD log is read from the log mechanism
-	// (a random log access, comparable in cost to the data disk — §6).
-	if d.dcd != nil && d.dcd.contains(block) {
-		d.MediaReads++
-		d.dcd.readBlock(p)
-		d.installClean(page, block, false)
-		return Miss
-	}
-	// Dedicated media read.
-	d.MediaReads++
-	mediaBlock := d.flt.RemapBlock(d.fltID, block)
-	dur := d.seekTime(mediaBlock) + d.rot + d.pageXfer
-	t0 := p.Now()
-	d.mediaAccess(p, sim.High, dur, true)
-	d.tr.Span(d.track, "disk.read", t0, p.Now(), page)
-	d.headPos = mediaBlock
-	d.installClean(page, block, false)
-	switch d.mode {
-	case Naive:
-		// Fill the remaining clean slots with sequentially-following
-		// pages, whether or not the requester is actually sequential.
-		d.spawnSequentialPrefetch(page, block, d.prefetchableSlots())
-	case Streamed:
-		// Read ahead only for a confirmed sequential stream, and only a
-		// bounded window, so random requesters do not trash the cache.
-		if streaming {
-			d.extendStream(page, block)
+// readStep is where a page read resumes.
+type readStep uint8
+
+const (
+	rdCtrl    readStep = iota // book the controller firmware
+	rdLookup                  // controller done: cache, prefetch, log or media
+	rdPending                 // wait for an in-flight sequential prefetch
+	rdLogged                  // the DCD log read is over
+	rdMedia                   // the dedicated media read is over
+)
+
+// ReadReq is one page read request at the controller, a continuation the
+// requester owns and reuses: it fills From, Page, Block and Done, and Read
+// reports how the controller served the read in Outcome.
+type ReadReq struct {
+	From    int    // requesting node
+	Page    PageID // the page
+	Block   int64  // its disk block
+	Done    func() // run once the data is in the controller buffer
+	Outcome ReadOutcome
+
+	d          *Disk
+	at         readStep
+	streaming  bool
+	mediaBlock int64
+	t0         sim.Time
+	media      mediaOp
+	step       func() // pre-bound resume
+}
+
+// Read services the page read r from node r.From (one request per
+// ReadReq; the controller can overlap cache hits with media activity).
+// It reports true when the read finished at once; otherwise r.Done runs,
+// from a callback, when the page data is available in the controller
+// buffer, ready for the requester to move across the I/O bus.
+func (d *Disk) Read(r *ReadReq) bool {
+	if r.step == nil {
+		r.step = func() {
+			if r.advance() {
+				r.Done()
+			}
 		}
 	}
-	return Miss
+	r.d = d
+	r.media.bind(d, r.step)
+	r.at = rdCtrl
+	return r.advance()
+}
+
+// advance runs the read until it must wait (false) or is served (true).
+func (r *ReadReq) advance() bool {
+	d := r.d
+	for {
+		switch r.at {
+		case rdCtrl:
+			d.Reads++
+			r.at = rdLookup
+			if !reserveThen(d.e, d.ctrl, d.ctrlOverhead, r.step) {
+				return false
+			}
+		case rdLookup:
+			from, page, block := r.From, r.Page, r.Block
+			r.streaming = d.mode == Streamed && d.streamHead[from]+1 == block
+			d.streamHead[from] = block
+			if i := d.find(page); i >= 0 {
+				d.touch(i)
+				d.ReadHits++
+				if r.streaming {
+					d.extendStream(page, block)
+				}
+				r.Outcome = HitCache
+				return true
+			}
+			if d.mode == Optimal {
+				// Idealized prefetching: every request is satisfied from
+				// the cache; the media read happened in the background.
+				d.ReadHits++
+				d.installClean(page, block, false)
+				r.Outcome = HitCache
+				return true
+			}
+			// A sequential prefetch for this block is already streaming
+			// off the media: wait for it rather than issuing a duplicate
+			// access.
+			if d.pendingPF[block] {
+				r.at = rdPending
+				continue
+			}
+			// A block still sitting in the DCD log is read from the log
+			// mechanism (a random log access, comparable in cost to the
+			// data disk — §6).
+			if d.dcd != nil && d.dcd.contains(block) {
+				d.MediaReads++
+				r.at = rdLogged
+				if !d.dcd.readBlock(r.step) {
+					return false
+				}
+				continue
+			}
+			// Dedicated media read.
+			d.MediaReads++
+			r.mediaBlock = d.flt.RemapBlock(d.fltID, block)
+			dur := d.seekTime(r.mediaBlock) + d.rot + d.pageXfer
+			r.t0 = d.e.Now()
+			r.at = rdMedia
+			if !r.media.start(sim.High, dur, true, true) {
+				return false
+			}
+		case rdPending:
+			if d.pendingPF[r.Block] {
+				d.pendingPFDone.WaitThen(r.step)
+				return false
+			}
+			d.ReadHits++
+			if r.streaming {
+				d.extendStream(r.Page, r.Block)
+			}
+			r.Outcome = HitInflight
+			return true
+		case rdLogged:
+			d.installClean(r.Page, r.Block, false)
+			r.Outcome = Miss
+			return true
+		case rdMedia:
+			page, block := r.Page, r.Block
+			d.tr.Span(d.track, "disk.read", r.t0, d.e.Now(), page)
+			d.headPos = r.mediaBlock
+			d.installClean(page, block, false)
+			switch d.mode {
+			case Naive:
+				// Fill the remaining clean slots with sequentially-following
+				// pages, whether or not the requester is actually sequential.
+				d.spawnSequentialPrefetch(page, block, d.prefetchableSlots())
+			case Streamed:
+				// Read ahead only for a confirmed sequential stream, and only
+				// a bounded window, so random requesters do not trash the
+				// cache.
+				if r.streaming {
+					d.extendStream(page, block)
+				}
+			}
+			r.Outcome = Miss
+			return true
+		}
+	}
 }
 
 // extendStream prefetches the Streamed mode's read-ahead window beyond
@@ -479,6 +537,17 @@ func (d *Disk) installClean(page PageID, block int64, prefetched bool) {
 	d.touch(i)
 }
 
+// prefetchJob is one background sequential prefetch in flight, pooled
+// per disk with its steps pre-bound.
+type prefetchJob struct {
+	d     *Disk
+	page  PageID
+	block int64
+	n     int
+	media mediaOp
+	run   func() // pre-bound start
+}
+
 // spawnSequentialPrefetch reads the n blocks sequentially following
 // `block` into clean cache slots, in the background.
 func (d *Disk) spawnSequentialPrefetch(page PageID, block int64, n int) {
@@ -488,29 +557,40 @@ func (d *Disk) spawnSequentialPrefetch(page PageID, block int64, n int) {
 	for k := 1; k <= n; k++ {
 		d.pendingPF[block+int64(k)] = true
 	}
-	d.e.SpawnDaemon(d.name+".prefetch", func(p *sim.Proc) {
-		// Head is already at block: sequential read costs transfer only.
-		d.mediaAccess(p, sim.High, int64(n)*d.pageXfer, true)
-		d.headPos = block + int64(n)
-		for k := 1; k <= n; k++ {
-			d.installClean(page+int64(k), block+int64(k), true)
-			delete(d.pendingPF, block+int64(k))
+	var j *prefetchJob
+	if k := len(d.pfJobs); k > 0 {
+		j = d.pfJobs[k-1]
+		d.pfJobs = d.pfJobs[:k-1]
+	} else {
+		j = &prefetchJob{d: d}
+		j.media.bind(d, j.fill)
+		j.run = func() {
+			// Head is already at block: sequential read costs transfer only.
+			if j.media.start(sim.High, int64(j.n)*j.d.pageXfer, true, true) {
+				j.fill()
+			}
 		}
-		d.pendingPFDone.Broadcast()
-	})
+	}
+	j.page, j.block, j.n = page, block, n
+	d.e.At(d.e.Now(), j.run)
 }
 
-// Write services a swap-out arriving at the controller in the context of
-// p: BookWrite's controller occupancy, then AnswerWrite's decision.
-func (d *Disk) Write(p *sim.Proc, node int, page PageID, block int64) WriteStatus {
-	p.SleepUntil(d.BookWrite())
-	return d.AnswerWrite(node, page, block)
+// fill installs the prefetched pages once the media read is over, wakes
+// the reads waiting for them and returns the job to the pool.
+func (j *prefetchJob) fill() {
+	d, page, block, n := j.d, j.page, j.block, j.n
+	d.headPos = block + int64(n)
+	for k := 1; k <= n; k++ {
+		d.installClean(page+int64(k), block+int64(k), true)
+		delete(d.pendingPF, block+int64(k))
+	}
+	d.pendingPFDone.Broadcast()
+	d.pfJobs = append(d.pfJobs, j)
 }
 
 // BookWrite books the controller firmware for a swap-out write arriving
 // now and returns when the controller answers it; the caller calls
-// AnswerWrite at that time. The split lets callback-driven swap-outs
-// wait on the engine instead of a process.
+// AnswerWrite at that time.
 func (d *Disk) BookWrite() sim.Time {
 	d.Writes++
 	return d.ctrl.Reserve(d.e.Now(), d.ctrlOverhead) + d.ctrlOverhead
@@ -564,66 +644,106 @@ func (d *Disk) DirtySlots() int {
 // PendingNACKs returns the depth of the NACK FIFO.
 func (d *Disk) PendingNACKs() int { return len(d.nackFIFO) }
 
-// writebackLoop drains dirty slots to the media, combining consecutive
-// blocks into single accesses, and releases OKs for NACKed writes as room
-// appears.
-func (d *Disk) writebackLoop(p *sim.Proc) {
+// Write-back steps (Disk.wbAt).
+const (
+	wbPick    uint8 = iota // pick the next write group, or wait for one
+	wbDwell                // woken from idle: dwell before picking
+	wbLogRoom              // DCD: wait for log room for the group
+	wbLogged               // DCD: the group is on the log
+	wbWritten              // the group's media write is over
+)
+
+// writeback drains dirty slots to the media, combining consecutive blocks
+// into single accesses, and releases OKs for NACKed writes as room
+// appears. It is a callback chain started at construction: d.wbAt names
+// the step to resume at and d.wbStep is its pre-bound continuation.
+func (d *Disk) writeback() {
 	for {
-		group := d.pickWriteGroup()
-		if len(group) == 0 {
-			d.wbKick.Wait(p)
-			// Dwell briefly after waking from idle so a burst of
-			// consecutive swap-outs can accumulate and be combined.
-			p.Sleep(d.wbDwell)
-			continue
-		}
-		// Mark the group busy: the slots cannot be evicted or selected for
-		// another write-back while their data streams to the media, though
-		// reads may still hit them and a re-write to the same page bumps
-		// the sequence number (handled below).
-		seqs := d.wbSeqs[:0]
-		for _, i := range group {
-			d.slots[i].busy = true
-			seqs = append(seqs, d.slots[i].seq)
-		}
-		d.wbSeqs = seqs[:0]
-		d.hGroup.Observe(int64(len(group)))
-		if d.dcd != nil {
-			// DCD: destage to the log disk with a cheap sequential write;
-			// the destage daemon moves it to the data disk later. Block
-			// when the log is full (the DCD's own back-pressure).
-			for !d.dcd.hasRoom(len(group)) {
-				d.dcd.room.Wait(p)
+		switch d.wbAt {
+		case wbPick:
+			group := d.pickWriteGroup()
+			if len(group) == 0 {
+				d.wbAt = wbDwell
+				d.wbKick.WaitThen(d.wbStep)
+				return
 			}
-			blocks := d.wbBlks[:0]
+			// Mark the group busy: the slots cannot be evicted or selected
+			// for another write-back while their data streams to the
+			// media, though reads may still hit them and a re-write to the
+			// same page bumps the sequence number (handled below).
+			seqs := d.wbSeqs[:0]
 			for _, i := range group {
-				blocks = append(blocks, d.slots[i].block)
+				d.slots[i].busy = true
+				seqs = append(seqs, d.slots[i].seq)
 			}
-			d.wbBlks = blocks[:0]
-			d.dcd.appendBatch(p, blocks)
-		} else {
+			d.wbSeqs = seqs
+			d.hGroup.Observe(int64(len(group)))
+			if d.dcd != nil {
+				// DCD: destage to the log disk with a cheap sequential
+				// write; the destage chain moves it to the data disk
+				// later. Wait while the log is full (the DCD's own
+				// back-pressure).
+				d.wbAt = wbLogRoom
+				continue
+			}
 			start := d.flt.RemapBlock(d.fltID, d.slots[group[0]].block)
 			dur := d.seekTime(start) + d.rot + int64(len(group))*d.pageXfer
-			t0 := p.Now()
-			d.mediaAccess(p, sim.Low, dur, false) // background write-back: low priority
-			d.tr.Span(d.track, "disk.write", t0, p.Now(), d.slots[group[0]].page)
-			d.headPos = start + int64(len(group))
+			d.wbT0, d.wbStart = d.e.Now(), start
+			d.wbAt = wbWritten
+			// Background write-back: low priority.
+			if !d.wbMedia.start(sim.Low, dur, false, true) {
+				return
+			}
+		case wbDwell:
+			// Dwell briefly after waking from idle so a burst of
+			// consecutive swap-outs can accumulate and be combined.
+			d.wbAt = wbPick
+			d.e.At(d.e.Now()+d.wbDwell, d.wbStep)
+			return
+		case wbLogRoom:
+			if !d.dcd.hasRoom(len(d.wbGroup)) {
+				d.dcd.room.WaitThen(d.wbStep)
+				return
+			}
+			blocks := d.wbBlks[:0]
+			for _, i := range d.wbGroup {
+				blocks = append(blocks, d.slots[i].block)
+			}
+			d.wbBlks = blocks
+			d.wbAt = wbLogged
+			if !d.dcd.appendBatch(len(blocks), d.wbStep) {
+				return
+			}
+		case wbLogged:
+			d.dcd.logged(d.wbBlks)
+			d.wbDone()
+		case wbWritten:
+			group := d.wbGroup
+			d.tr.Span(d.track, "disk.write", d.wbT0, d.e.Now(), d.slots[group[0]].page)
+			d.headPos = d.wbStart + int64(len(group))
 			d.MediaWrite++
 			d.Combining.Add(float64(len(group)))
-		}
-		for k, i := range group {
-			d.slots[i].busy = false
-			if d.slots[i].seq == seqs[k] {
-				d.slots[i].dirty = false // clean; still cached for reads
-			}
-			// else: overwritten mid-flight, stays dirty for another pass.
-		}
-		d.noteDirty()
-		d.releaseNACKs()
-		if d.OnRoom != nil {
-			d.OnRoom()
+			d.wbDone()
 		}
 	}
+}
+
+// wbDone retires the write group once it is on the media or the log, and
+// lets waiting writers know room may have appeared.
+func (d *Disk) wbDone() {
+	for k, i := range d.wbGroup {
+		d.slots[i].busy = false
+		if d.slots[i].seq == d.wbSeqs[k] {
+			d.slots[i].dirty = false // clean; still cached for reads
+		}
+		// else: overwritten mid-flight, stays dirty for another pass.
+	}
+	d.noteDirty()
+	d.releaseNACKs()
+	if d.OnRoom != nil {
+		d.OnRoom()
+	}
+	d.wbAt = wbPick
 }
 
 // blockIdx pairs a cache slot index with its disk block (write-back sort).
@@ -635,8 +755,8 @@ type blockIdx struct {
 // pickWriteGroup chooses the dirty slots for the next media write: the
 // oldest dirty slot plus every dirty slot whose block is consecutive with
 // it (in either direction), written in one access. Returned indices are in
-// ascending block order. The result aliases a scratch buffer valid until
-// the next call.
+// ascending block order. The result is d.wbGroup, a scratch buffer valid
+// until the next call.
 func (d *Disk) pickWriteGroup() []int {
 	oldest := -1
 	for i := range d.slots {
@@ -646,6 +766,7 @@ func (d *Disk) pickWriteGroup() []int {
 		}
 	}
 	if oldest == -1 {
+		d.wbGroup = d.wbGroup[:0]
 		return nil
 	}
 	// Collect dirty slots in ascending block order (insertion sort: the
@@ -683,7 +804,7 @@ func (d *Disk) pickWriteGroup() []int {
 	for k := lo; k <= hi; k++ {
 		group = append(group, dirty[k].idx)
 	}
-	d.wbGroup = group[:0]
+	d.wbGroup = group
 	return group
 }
 

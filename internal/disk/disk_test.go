@@ -16,12 +16,30 @@ func newDisk(mode PrefetchMode) (*sim.Engine, *Disk, param.Config) {
 	return e, d, cfg
 }
 
+// read serves one page read on the continuation form from process p,
+// parked until the controller has the data.
+func read(p *sim.Proc, d *Disk, from int, page PageID, block int64) ReadOutcome {
+	r := &ReadReq{From: from, Page: page, Block: block}
+	r.Done = func() { p.Engine().Resume(p) }
+	if !d.Read(r) {
+		p.Park("disk read")
+	}
+	return r.Outcome
+}
+
+// write delivers one swap-out write from process p: the controller's
+// booking, then its ACK/NACK answer.
+func write(p *sim.Proc, d *Disk, node int, page PageID, block int64) WriteStatus {
+	p.SleepUntil(d.BookWrite())
+	return d.AnswerWrite(node, page, block)
+}
+
 func TestReadMissThenHitNaive(t *testing.T) {
 	e, d, _ := newDisk(Naive)
 	var first, second ReadOutcome
 	e.Spawn("r", func(p *sim.Proc) {
-		first = d.Read(p, 0, 10, 10)
-		second = d.Read(p, 0, 10, 10)
+		first = read(p, d, 0, 10, 10)
+		second = read(p, d, 0, 10, 10)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -42,7 +60,7 @@ func TestReadMissTakesMediaTime(t *testing.T) {
 	var took sim.Time
 	e.Spawn("r", func(p *sim.Proc) {
 		start := p.Now()
-		d.Read(p, 0, 5, 5)
+		read(p, d, 0, 5, 5)
 		took = p.Now() - start
 	})
 	if err := e.Run(); err != nil {
@@ -59,7 +77,7 @@ func TestOptimalModeAllReadsHit(t *testing.T) {
 	e, d, _ := newDisk(Optimal)
 	e.Spawn("r", func(p *sim.Proc) {
 		for pg := PageID(0); pg < 50; pg++ {
-			if !d.Read(p, 0, pg, int64(pg)).Hit() {
+			if !read(p, d, 0, pg, int64(pg)).Hit() {
 				t.Errorf("optimal read of page %d missed", pg)
 			}
 		}
@@ -76,11 +94,11 @@ func TestNaivePrefetchFillsSequentialPages(t *testing.T) {
 	e, d, _ := newDisk(Naive)
 	var followUp, immediate ReadOutcome
 	e.Spawn("r", func(p *sim.Proc) {
-		d.Read(p, 0, 100, 100)
+		read(p, d, 0, 100, 100)
 		// Request the next page while its prefetch is still streaming.
-		immediate = d.Read(p, 0, 101, 101)
+		immediate = read(p, d, 0, 101, 101)
 		p.Sleep(10 * param.PcyclesPerMsec) // let the rest finish
-		followUp = d.Read(p, 0, 102, 102)
+		followUp = read(p, d, 0, 102, 102)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -97,7 +115,7 @@ func TestWriteACKWhenRoom(t *testing.T) {
 	e, d, _ := newDisk(Naive)
 	var st WriteStatus
 	e.Spawn("w", func(p *sim.Proc) {
-		st = d.Write(p, 1, 7, 7)
+		st = write(p, d, 1, 7, 7)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -118,7 +136,7 @@ func TestWriteNACKWhenFullOfSwapOutsAndOKFollows(t *testing.T) {
 		// Fill all 4 slots plus one extra; use scattered blocks so no
 		// combining hides the backlog.
 		for i := 0; i < 5; i++ {
-			statuses = append(statuses, d.Write(p, 2, PageID(i*100), int64(i*100)))
+			statuses = append(statuses, write(p, d, 2, PageID(i*100), int64(i*100)))
 		}
 	})
 	if err := e.Run(); err != nil {
@@ -141,11 +159,11 @@ func TestWriteNACKWhenFullOfSwapOutsAndOKFollows(t *testing.T) {
 func TestWritesPreferredOverPrefetches(t *testing.T) {
 	e, d, _ := newDisk(Naive)
 	e.Spawn("x", func(p *sim.Proc) {
-		d.Read(p, 0, 100, 100) // miss + prefetch fills cache with 101..103
+		read(p, d, 0, 100, 100) // miss + prefetch fills cache with 101..103
 		p.Sleep(10 * param.PcyclesPerMsec)
 		// Now the cache is full of clean data; writes must evict it.
 		for i := 0; i < 4; i++ {
-			if st := d.Write(p, 1, PageID(500+i*50), int64(500+i*50)); st != ACK {
+			if st := write(p, d, 1, PageID(500+i*50), int64(500+i*50)); st != ACK {
 				t.Errorf("write %d got %v, want ACK over prefetched data", i, st)
 			}
 		}
@@ -160,7 +178,7 @@ func TestWriteCombiningConsecutiveBlocks(t *testing.T) {
 	e.Spawn("w", func(p *sim.Proc) {
 		// Four consecutive blocks land in the cache together.
 		for i := 0; i < 4; i++ {
-			d.Write(p, 1, PageID(200+i), int64(200+i))
+			write(p, d, 1, PageID(200+i), int64(200+i))
 		}
 	})
 	if err := e.Run(); err != nil {
@@ -178,7 +196,7 @@ func TestNoCombiningForScatteredBlocks(t *testing.T) {
 	e, d, _ := newDisk(Naive)
 	e.Spawn("w", func(p *sim.Proc) {
 		for i := 0; i < 4; i++ {
-			d.Write(p, 1, PageID(i*1000), int64(i*1000))
+			write(p, d, 1, PageID(i*1000), int64(i*1000))
 		}
 	})
 	if err := e.Run(); err != nil {
@@ -210,8 +228,8 @@ func TestSeekTimeProportionalToDistance(t *testing.T) {
 func TestDirtyOverwriteInCache(t *testing.T) {
 	e, d, _ := newDisk(Naive)
 	e.Spawn("w", func(p *sim.Proc) {
-		d.Write(p, 1, 7, 7)
-		d.Write(p, 1, 7, 7) // overwrite same page: must not consume a second slot
+		write(p, d, 1, 7, 7)
+		write(p, d, 1, 7, 7) // overwrite same page: must not consume a second slot
 		if d.DirtySlots() > 1 {
 			t.Errorf("dirty slots %d after overwrite, want <= 1", d.DirtySlots())
 		}
@@ -224,11 +242,11 @@ func TestDirtyOverwriteInCache(t *testing.T) {
 func TestInvalidateCleanOnly(t *testing.T) {
 	e, d, _ := newDisk(Naive)
 	e.Spawn("x", func(p *sim.Proc) {
-		d.Read(p, 0, 42, 42)
+		read(p, d, 0, 42, 42)
 		if !d.Invalidate(42) {
 			t.Error("clean page not invalidated")
 		}
-		d.Write(p, 1, 43, 43)
+		write(p, d, 1, 43, 43)
 		if d.Invalidate(43) {
 			t.Error("dirty page invalidated; its data would be lost")
 		}
@@ -256,10 +274,10 @@ func TestAllWritesEventuallyReachMediaProperty(t *testing.T) {
 		d.NotifyOK = func(node int, page PageID) { resend.Push(page) }
 		e.Spawn("w", func(p *sim.Proc) {
 			for _, pg := range pagesRaw {
-				if d.Write(p, 0, PageID(pg), int64(pg)) == NACK {
+				if write(p, d, 0, PageID(pg), int64(pg)) == NACK {
 					// Wait for the OK and resend, as a node would.
 					got := resend.Pop(p)
-					for d.Write(p, 0, got, int64(got)) == NACK {
+					for write(p, d, 0, got, int64(got)) == NACK {
 						got = resend.Pop(p)
 					}
 				}
@@ -289,7 +307,7 @@ func TestStreamedModeDetectsSequentialStream(t *testing.T) {
 		// A sequential stream from node 0: first two misses establish the
 		// stream, then read-ahead starts covering subsequent blocks.
 		for b := int64(10); b < 18; b++ {
-			outcomes = append(outcomes, d.Read(p, 0, PageID(b), b))
+			outcomes = append(outcomes, read(p, d, 0, PageID(b), b))
 			p.Sleep(100_000) // think time between requests
 		}
 	})
@@ -312,7 +330,7 @@ func TestStreamedModeIgnoresRandomRequester(t *testing.T) {
 	e.Spawn("r", func(p *sim.Proc) {
 		// Non-sequential requests must not trigger read-ahead.
 		for _, b := range []int64{10, 500, 90, 3000, 42} {
-			d.Read(p, 0, PageID(b), b)
+			read(p, d, 0, PageID(b), b)
 		}
 	})
 	if err := e.Run(); err != nil {
@@ -334,15 +352,15 @@ func TestStreamedModeTracksStreamsPerNode(t *testing.T) {
 		// Node 0 and node 1 run independent sequential streams; stream
 		// state is tracked per requester, so node 1's intervening read
 		// must not break node 0's stream detection.
-		d.Read(p, 0, 10, 10)
-		d.Read(p, 1, 500, 500)
-		d.Read(p, 0, 11, 11) // node 0 stream confirmed -> read-ahead of 12
+		read(p, d, 0, 10, 10)
+		read(p, d, 1, 500, 500)
+		read(p, d, 0, 11, 11) // node 0 stream confirmed -> read-ahead of 12
 		p.Sleep(10 * param.PcyclesPerMsec)
-		n0Hit = d.Read(p, 0, 12, 12)
+		n0Hit = read(p, d, 0, 12, 12)
 		// Now node 1 continues its own stream.
-		d.Read(p, 1, 501, 501) // node 1 stream confirmed -> read-ahead of 502
+		read(p, d, 1, 501, 501) // node 1 stream confirmed -> read-ahead of 502
 		p.Sleep(10 * param.PcyclesPerMsec)
-		n1Hit = d.Read(p, 1, 502, 502)
+		n1Hit = read(p, d, 1, 502, 502)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -367,10 +385,10 @@ func TestReadPriorityArmServesReadsFirst(t *testing.T) {
 		// arm. Then issue a read; with priority scheduling it should be
 		// served before the remaining write-backs.
 		for i := 0; i < 4; i++ {
-			d.Write(p, 1, PageID(i*1000), int64(i*1000))
+			write(p, d, 1, PageID(i*1000), int64(i*1000))
 		}
 		p.Sleep(1000) // let the first write-back start
-		d.Read(p, 0, 9000, 9000)
+		read(p, d, 0, 9000, 9000)
 		readDone = p.Now()
 	})
 	if err := e.Run(); err != nil {
@@ -415,7 +433,7 @@ func TestDCDAbsorbsScatteredWritesQuickly(t *testing.T) {
 		e.Spawn("w", func(p *sim.Proc) {
 			for i := 0; i < 12; i++ {
 				pg := PageID(i * 997) // scattered
-				for d.Write(p, 0, pg, int64(pg)) == NACK {
+				for write(p, d, 0, pg, int64(pg)) == NACK {
 					resend.Pop(p)
 				}
 			}
@@ -443,15 +461,15 @@ func TestDCDLoggedBlocksReadableBeforeDestage(t *testing.T) {
 		// Write a page, let it destage to the log, evict it from the RAM
 		// cache with other traffic, then read it back: the read must be
 		// servable (from the log) without corrupting state.
-		d.Write(p, 0, 7, 7)
+		write(p, d, 0, 7, 7)
 		p.Sleep(5 * param.PcyclesPerMsec)
 		for i := 0; i < 4; i++ {
-			d.Read(p, 0, PageID(100+i*50), int64(100+i*50)) // evict page 7 from RAM cache
+			read(p, d, 0, PageID(100+i*50), int64(100+i*50)) // evict page 7 from RAM cache
 		}
 		if d.find(7) >= 0 {
 			t.Error("page 7 still in RAM cache; test premise broken")
 		}
-		outcome = d.Read(p, 0, 7, 7)
+		outcome = read(p, d, 0, 7, 7)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -465,7 +483,7 @@ func TestDCDDestagesEventually(t *testing.T) {
 	e, d, _ := newDCDDisk()
 	e.Spawn("w", func(p *sim.Proc) {
 		for i := 0; i < 8; i++ {
-			d.Write(p, 0, PageID(i*500), int64(i*500))
+			write(p, d, 0, PageID(i*500), int64(i*500))
 			p.Sleep(param.PcyclesPerMsec)
 		}
 	})
@@ -494,7 +512,7 @@ func TestDCDLogFullBlocksWritebackUntilDestage(t *testing.T) {
 	e.Spawn("w", func(p *sim.Proc) {
 		for i := 0; i < 16; i++ {
 			pg := PageID(i * 777)
-			for d.Write(p, 0, pg, int64(pg)) == NACK {
+			for write(p, d, 0, pg, int64(pg)) == NACK {
 				resend.Pop(p)
 			}
 		}
@@ -523,10 +541,10 @@ func TestReadPriorityDiskStillDrainsWrites(t *testing.T) {
 	d.NotifyOK = func(node int, page PageID) {}
 	e.Spawn("x", func(p *sim.Proc) {
 		for i := 0; i < 3; i++ {
-			d.Write(p, 0, PageID(i*333), int64(i*333))
+			write(p, d, 0, PageID(i*333), int64(i*333))
 		}
 		for i := 0; i < 6; i++ {
-			d.Read(p, 0, PageID(9000+i*111), int64(9000+i*111))
+			read(p, d, 0, PageID(9000+i*111), int64(9000+i*111))
 		}
 	})
 	if err := e.Run(); err != nil {

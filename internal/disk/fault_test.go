@@ -28,7 +28,7 @@ func TestReadRetriesThenGivesUp(t *testing.T) {
 	var s fault.Stats
 	e.Spawn("r", func(p *sim.Proc) {
 		t0 := p.Now()
-		d.Read(p, 0, 5, 5)
+		read(p, d, 0, 5, 5)
 		faulted = p.Now() - t0
 		s = inj.Stats // before the background prefetch retries too
 	})
@@ -37,7 +37,7 @@ func TestReadRetriesThenGivesUp(t *testing.T) {
 	}
 	eb.Spawn("r", func(p *sim.Proc) {
 		t0 := p.Now()
-		db.Read(p, 0, 5, 5)
+		read(p, db, 0, 5, 5)
 		clean = p.Now() - t0
 	})
 	if err := eb.Run(); err != nil {
@@ -58,7 +58,7 @@ func TestBadBlockRemapSlipsHead(t *testing.T) {
 	e, d, inj := faultedDisk(t, "disk bad-block disk=0 block=50\n")
 	var head int64
 	e.Spawn("r", func(p *sim.Proc) {
-		d.Read(p, 0, 50, 50)
+		read(p, d, 0, 50, 50)
 		head = d.headPos // before the background prefetch moves it
 	})
 	if err := e.Run(); err != nil {
@@ -78,7 +78,7 @@ func TestDegradedWindowMultipliesLatency(t *testing.T) {
 	var faulted, clean sim.Time
 	e.Spawn("r", func(p *sim.Proc) {
 		t0 := p.Now()
-		d.Read(p, 0, 5, 5)
+		read(p, d, 0, 5, 5)
 		faulted = p.Now() - t0
 	})
 	if err := e.Run(); err != nil {
@@ -86,7 +86,7 @@ func TestDegradedWindowMultipliesLatency(t *testing.T) {
 	}
 	eb.Spawn("r", func(p *sim.Proc) {
 		t0 := p.Now()
-		db.Read(p, 0, 5, 5)
+		read(p, db, 0, 5, 5)
 		clean = p.Now() - t0
 	})
 	if err := eb.Run(); err != nil {
@@ -105,7 +105,7 @@ func TestDegradedWindowMultipliesLatency(t *testing.T) {
 func TestWritebackInjectsWriteErrors(t *testing.T) {
 	e, d, inj := faultedDisk(t, "disk write-error rate=1 retries=1 backoff=50\n")
 	e.Spawn("w", func(p *sim.Proc) {
-		d.Write(p, 0, 7, 7)
+		write(p, d, 0, 7, 7)
 		// Let the write-back daemon drain (dwell + seek + rot + xfer + retries).
 		p.Sleep(20_000_000)
 	})
@@ -128,8 +128,8 @@ func TestEmptyPlanLeavesTimingUntouched(t *testing.T) {
 	var faulted, clean sim.Time
 	e.Spawn("r", func(p *sim.Proc) {
 		t0 := p.Now()
-		d.Read(p, 0, 5, 5)
-		d.Write(p, 0, 9, 9)
+		read(p, d, 0, 5, 5)
+		write(p, d, 0, 9, 9)
 		faulted = p.Now() - t0
 	})
 	if err := e.Run(); err != nil {
@@ -137,8 +137,8 @@ func TestEmptyPlanLeavesTimingUntouched(t *testing.T) {
 	}
 	eb.Spawn("r", func(p *sim.Proc) {
 		t0 := p.Now()
-		db.Read(p, 0, 5, 5)
-		db.Write(p, 0, 9, 9)
+		read(p, db, 0, 5, 5)
+		write(p, db, 0, 9, 9)
 		clean = p.Now() - t0
 	})
 	if err := eb.Run(); err != nil {

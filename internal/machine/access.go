@@ -3,11 +3,8 @@ package machine
 import (
 	"math/rand"
 
-	"nwcache/internal/disk"
-	"nwcache/internal/optical"
 	"nwcache/internal/sim"
 	"nwcache/internal/stats"
-	"nwcache/internal/vm"
 )
 
 // Ctx is the execution context handed to one application thread. All
@@ -178,62 +175,4 @@ func (c *Ctx) Touch(page PageID, sub, lines int, write bool) {
 		return
 	}
 	c.push(cpuOp{arg: page, sub: int32(sub), write: write})
-}
-
-// finishFault installs the fetched page as Resident on n.
-func (m *Machine) finishFault(p *sim.Proc, n *Node, en *vm.Entry, dirty bool) {
-	en.Lock.Lock(p)
-	en.State = vm.Resident
-	en.Owner = n.ID
-	en.RingEntry = nil
-	en.Dirty = dirty
-	n.Pool.AdoptReserved(en.Page)
-	en.Arrived.Broadcast()
-	en.Lock.Unlock()
-}
-
-// allocFrame reserves a page frame on n, stalling in NoFree while the node
-// is out of free frames.
-func (m *Machine) allocFrame(p *sim.Proc, n *Node) {
-	t0 := p.Now()
-	for !n.Pool.HasFree() {
-		n.Pool.FrameFreed.Wait(p)
-	}
-	n.Pool.Reserve()
-	n.charge(stats.NoFree, p.Now()-t0)
-}
-
-// diskReadInto performs the full page-read protocol: request message to
-// the I/O node, controller/media service, and the data transfer back
-// through the I/O bus, mesh, and the requester's memory bus. Reports how
-// the disk controller served it.
-func (m *Machine) diskReadInto(p *sim.Proc, n *Node, page PageID) disk.ReadOutcome {
-	d, dn := m.DiskFor(page)
-	arrive := m.Mesh.Transit(p.Now(), n.ID, dn, m.Cfg.CtrlMsgLen)
-	p.SleepUntil(arrive)
-	outcome := d.Read(p, n.ID, page, m.Layout.BlockFor(page))
-	stages := append(n.stageBuf[:0], sim.Stage{
-		Res: m.Nodes[dn].IOBus, Occupy: m.Cfg.PageIOBusTime(), Forward: m.Cfg.HopLatency,
-	})
-	stages = m.Mesh.AppendPathStages(stages, dn, n.ID, m.Cfg.PageSize)
-	stages = append(stages, sim.Stage{Res: n.MemBus, Occupy: m.Cfg.PageMemBusTime()})
-	_, dataArrive := sim.Pipeline(p.Now(), stages)
-	n.stageBuf = stages[:0]
-	p.SleepUntil(dataArrive)
-	return outcome
-}
-
-// ringReadInto snoops a page off its cache channel into n's memory: wait
-// for the next pass, stream it off the fiber, and cross the local I/O and
-// memory buses. The mesh is never touched — the contention benefit the
-// paper measures.
-func (m *Machine) ringReadInto(p *sim.Proc, n *Node, en *optical.Entry) {
-	m.Ring.Snoop(p, en, n.ID)
-	stages := append(n.stageBuf[:0],
-		sim.Stage{Res: n.IOBus, Occupy: m.Cfg.PageIOBusTime(), Forward: m.Cfg.HopLatency},
-		sim.Stage{Res: n.MemBus, Occupy: m.Cfg.PageMemBusTime()},
-	)
-	_, arrive := sim.Pipeline(p.Now(), stages)
-	n.stageBuf = stages[:0]
-	p.SleepUntil(arrive)
 }

@@ -11,20 +11,12 @@ package machine
 
 import (
 	"nwcache/internal/coherence"
-	"nwcache/internal/param"
 	"nwcache/internal/sim"
 	"nwcache/internal/vm"
 )
 
 // BlockBytes is the coherence unit (one sub-page).
 const BlockBytes = 4096 / coherence.SubPerPage
-
-// ccAccess performs the coherence transaction for one block access and
-// sleeps p until the access can architecturally proceed.
-func (m *Machine) ccAccess(p *sim.Proc, n *Node, home int, page PageID, sub int, write bool) {
-	p.SleepUntil(m.ccStart(n, home, page, sub, write))
-	m.ccFinish(n, page, sub, write)
-}
 
 // ccStart runs the directory transaction for one block access and returns
 // the time the access can architecturally proceed, when ccFinish
@@ -54,11 +46,11 @@ func (m *Machine) ccStart(n *Node, home int, page PageID, sub int, write bool) s
 			// Sharing write-back: the dirty data also returns to the home
 			// memory (asynchronously; the requester does not wait).
 			wb := m.Mesh.Transit(a, owner, home, BlockBytes)
-			m.Nodes[home].MemBus.Reserve(wb, param.TransferPcycles(BlockBytes, m.Cfg.MemBusMBs))
+			m.Nodes[home].MemBus.Reserve(wb, m.blockMemBus)
 		}
 
 	case txn.MemoryData:
-		memDur := param.TransferPcycles(BlockBytes, m.Cfg.MemBusMBs)
+		memDur := m.blockMemBus
 		if home == n.ID {
 			start := n.MemBus.Reserve(now, memDur)
 			dataArrive = start + memDur
@@ -133,7 +125,7 @@ func (m *Machine) ccEvict(now sim.Time, n *Node, ev coherence.Evicted) {
 		if home != n.ID {
 			arrive = m.Mesh.Transit(now, n.ID, home, BlockBytes)
 		}
-		m.Nodes[home].MemBus.Reserve(arrive, param.TransferPcycles(BlockBytes, m.Cfg.MemBusMBs))
+		m.Nodes[home].MemBus.Reserve(arrive, m.blockMemBus)
 	} else {
 		m.Dir.EvictShared(ev.Page, ev.Sub, n.ID)
 	}

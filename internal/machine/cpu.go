@@ -2,11 +2,14 @@ package machine
 
 // A thread's Touch and Compute operations run as a chain of engine
 // callbacks fed by a bounded run-ahead queue (see Ctx, and MODEL.md,
-// "Engine fast path"). A step that must block runs on the thread's
-// process, which the chain wakes with sim.Engine.Resume.
+// "Engine fast path"). The whole fault path is steps of that chain; the
+// thread's process only parks while the chain runs and is resumed with
+// sim.Engine.Resume once the queue has drained.
 
 import (
 	"nwcache/internal/coherence"
+	"nwcache/internal/disk"
+	"nwcache/internal/optical"
 	"nwcache/internal/sim"
 	"nwcache/internal/stats"
 	"nwcache/internal/vm"
@@ -31,8 +34,15 @@ const (
 	csStart    cpuStep = iota // begin the operation
 	csTLB                     // look the page up in the TLB
 	csResident                // make the page resident
+	csLock                    // take the page's entry lock
+	csState                   // entry lock held: act on the page's state
 	csArrived                 // an in-transit page arrived: charge the wait
-	csLocked                  // fault the page in, entry lock held
+	csInFlux                  // a ring entry in flux settled: charge the wait
+	csFrame                   // reserve a page frame for a fault
+	csRingPass                // the page streamed off the fiber: cross the buses
+	csRingIn                  // a ring fetch is in memory
+	csDiskIn                  // a disk fetch is in memory
+	csFinish                  // install the fetched page
 	csData                    // coherent cache check
 	csWBuf                    // queue the write in the write buffer
 	csCCFinish                // the coherence transaction's data arrived
@@ -45,22 +55,35 @@ type chainState uint8
 const (
 	chainDrained chainState = iota // the queue is empty
 	chainTimed                     // the chain waits; its step is scheduled or queued
-	chainBlocked                   // the step at c.at must block: run it on the process
 )
 
 // cpu is a thread's run-ahead queue and the state of the chain that runs
 // it. The queue is allocated by Machine.Run.
 type cpu struct {
-	ops   []cpuOp // queued operations; ops[next] runs at step at
-	next  int
-	at    cpuStep
-	en    *vm.Entry       // the Touch's page entry
-	owner int             // the Touch's resident page's owner
-	st    coherence.State // the block's cache state before a buffered write
-	tlb   int64           // TLB cycles (interrupts, a miss) the ending sleep paid
-	cat   stats.Category  // what a wait for an in-transit page is charged to
-	t0    sim.Time        // when that wait began
-	step  func()          // pre-bound c.wake
+	ops      []cpuOp // queued operations; ops[next] runs at step at
+	next     int
+	at       cpuStep
+	en       *vm.Entry       // the Touch's page entry
+	owner    int             // the Touch's resident page's owner
+	st       coherence.State // the block's cache state before a buffered write
+	tlb      int64           // TLB cycles (interrupts, a miss) the ending sleep paid
+	cat      stats.Category  // what a wait for an in-transit page is charged to
+	t0       sim.Time        // when the current wait (lock, frame, transit, fetch) began
+	reserved bool            // a frame is reserved for the fault in progress
+	ringEn   *optical.Entry  // a ring fetch's entry; nil for a disk fetch
+	victim   bool            // the ring fetch claimed the entry (not a ride-along)
+	dirty    bool            // the fetched page is installed dirty
+	fetch    pageRead        // the disk fetch (faults and FileRead)
+	step     func()          // pre-bound c.wake
+	resume   func()          // pre-bound: hand control back to the parked thread
+}
+
+// bind readies the context to run on m's node n as process p.
+func (c *Ctx) bind(m *Machine, n *Node, p *sim.Proc) {
+	c.m, c.n, c.p = m, n, p
+	c.ops, c.step = make([]cpuOp, 0, runAhead), c.wake
+	c.resume = func() { m.E.Resume(p) }
+	c.fetch.bind(m, n)
 }
 
 // push queues one operation, running the queue once it is full.
@@ -71,23 +94,20 @@ func (c *Ctx) push(op cpuOp) {
 	}
 }
 
-// drain runs the queued operations to completion on the thread's process:
-// inline until the chain sleeps, then parked until a callback resumes the
-// process with the queue drained or a step to block in.
+// drain runs the queued operations to completion: inline on the thread's
+// process until the chain first waits, then parked until the callback
+// that drains the queue resumes the process.
 func (c *Ctx) drain() {
-	for c.advance(c.p) != chainDrained {
+	if c.advance() == chainTimed {
 		c.p.Park("run-ahead")
-		if c.next == len(c.ops) {
-			break
-		}
 	}
 	c.ops, c.next = c.ops[:0], 0
 }
 
-// wake is the chain's callback: it runs on, and resumes the process when
-// the queue has drained or a step must block.
+// wake is the chain's callback: it runs on, and resumes the process once
+// the queue has drained.
 func (c *Ctx) wake() {
-	if c.advance(nil) != chainTimed {
+	if c.advance() == chainDrained {
 		c.m.E.Resume(c.p)
 	}
 }
@@ -103,11 +123,26 @@ func (c *Ctx) sleepUntil(t sim.Time) bool {
 	return true
 }
 
+// waitUntil is sleepUntil for a wait that may already be over: a time not
+// in the future runs the next step on at once, scheduling nothing.
+func (c *Ctx) waitUntil(t sim.Time) bool {
+	return t > c.m.E.Now() && c.sleepUntil(t)
+}
+
 // advance runs queued operations from step c.at until the queue drains or
-// the chain must wait. p is the thread's process when advance runs on it,
-// and nil in a callback, where a step that must block stops the chain
-// with chainBlocked instead (the process then re-runs the step).
-func (c *Ctx) advance(p *sim.Proc) chainState {
+// the chain must wait.
+//
+// A Touch whose page is not resident runs the fault protocol as steps of
+// the chain. Frame reservation happens BEFORE any page-table claim is
+// made: a fault that stalls in NoFree while holding a claim on a ring
+// entry would deadlock against its own node's swap-outs (the frame it
+// waits for can only be freed by a swap-out, which may be waiting for the
+// channel slot occupied by the very entry the fault claimed). Reserving
+// first breaks the cycle; if the world changes while stalled, the
+// reservation is returned and the state is re-evaluated. The fault
+// charges NoFree, Transit and Fault to the CPU, and the remainder falls
+// to Other.
+func (c *Ctx) advance() chainState {
 	m, n := c.m, c.n
 	for c.next < len(c.ops) {
 		op := &c.ops[c.next]
@@ -140,44 +175,115 @@ func (c *Ctx) advance(p *sim.Proc) chainState {
 		case csResident:
 			n.charge(stats.TLB, c.tlb)
 			c.tlb = 0
-			// The common case, an idle lock on a resident page, runs here,
-			// and so does a wait for a page in transit; the fault protocol
-			// runs on the process, where it can block. A failed TryLock
-			// changes nothing, so the process re-runs this step against
-			// the same state.
-			c.en = m.Table.Get(page)
-			switch {
-			case !c.en.Lock.TryLock():
-				if p == nil {
-					return chainBlocked
-				}
-				c.owner = m.ensureResident(p, n, c.en)
-			case c.en.State == vm.Transit:
-				// As ensureResidentLocked's Transit case, with the charge
-				// category fixed before the wait: the continuation queues
-				// where the process would, and wakes in the same slot.
-				c.cat, c.t0, c.at = transitWait(c.en), m.E.Now(), csArrived
-				c.en.Lock.Unlock()
-				c.en.Arrived.WaitThen(c.step)
-				return chainTimed
-			case c.en.State != vm.Resident:
-				c.at = csLocked
-				if p == nil {
-					return chainBlocked
-				}
-				c.owner = m.ensureResidentLocked(p, n, c.en)
-			default:
-				c.owner = c.en.Owner
-				c.en.Lock.Unlock()
+			en := m.Table.Get(page)
+			if en.State == vm.Resident && en.Lock.Idle() {
+				// The common case: taking and releasing the idle entry
+				// lock of a resident page would change nothing.
+				c.en, c.owner, c.at = en, en.Owner, csData
+				continue
 			}
-			c.at = csData
+			c.en, c.reserved, c.t0, c.at = en, false, m.E.Now(), csLock
+			fallthrough
+		case csLock:
+			// A woken continuation re-checks the lock, as a woken process
+			// does, and re-queues at the back if it was taken again.
+			if !c.en.Lock.TryLock() {
+				c.en.Lock.WaitThen(c.step)
+				return chainTimed
+			}
+			n.charge(stats.Fault, m.E.Now()-c.t0)
+			c.at = csState
+			fallthrough
+		case csState:
+			if c.locked() {
+				return chainTimed
+			}
 		case csArrived:
 			n.charge(c.cat, m.E.Now()-c.t0)
 			m.Spans.Span(m.cpuTrack(n.ID), "fault.wait", c.t0, m.E.Now(), c.en.Page)
-			c.at = csResident
-		case csLocked:
-			c.owner = m.ensureResidentLocked(p, n, c.en)
-			c.at = csData
+			c.t0, c.at = m.E.Now(), csLock
+		case csInFlux:
+			n.charge(stats.Transit, m.E.Now()-c.t0)
+			c.t0, c.at = m.E.Now(), csLock
+		case csFrame:
+			if !n.Pool.HasFree() {
+				n.Pool.FrameFreed.WaitThen(c.step)
+				return chainTimed
+			}
+			n.Pool.Reserve()
+			n.charge(stats.NoFree, m.E.Now()-c.t0)
+			c.reserved = true
+			c.t0, c.at = m.E.Now(), csLock
+		case csRingPass:
+			// Cross the local I/O and memory buses. The mesh is never
+			// touched — the contention benefit the paper measures.
+			stages := append(n.stageBuf[:0],
+				sim.Stage{Res: n.IOBus, Occupy: m.pageIOBus, Forward: m.Cfg.HopLatency},
+				sim.Stage{Res: n.MemBus, Occupy: m.pageMemBus},
+			)
+			_, arrive := sim.Pipeline(m.E.Now(), stages)
+			n.stageBuf = stages[:0]
+			c.at = csRingIn
+			if c.waitUntil(arrive) {
+				return chainTimed
+			}
+		case csRingIn:
+			now, t0 := m.E.Now(), c.t0
+			if c.victim {
+				// Tell the responsible I/O node's interface the page must
+				// not go to disk; it dequeues the notice and ACKs the
+				// swapper (asynchronously).
+				dn := m.Layout.NodeFor(page)
+				g := m.takeMsg()
+				g.kind, g.to, g.en = msgCancel, dn, c.ringEn
+				m.E.At(m.Mesh.Transit(now, n.ID, dn, m.Cfg.CtrlMsgLen), g.run)
+			}
+			n.charge(stats.Fault, now-t0)
+			if c.victim {
+				m.Spans.Instant(m.cpuTrack(n.ID), "ring.victim", now, page)
+			}
+			m.hFaultRing.Observe(now - t0)
+			m.Spans.Span(m.cpuTrack(n.ID), "fault.ring", t0, now, page)
+			// A claimed page is dirty: the disk never got it. A ride-along
+			// copy is clean: the disk is receiving an identical copy.
+			c.dirty, c.at = c.victim, csFinish
+		case csDiskIn:
+			now, d := m.E.Now(), m.E.Now()-c.t0
+			n.charge(stats.Fault, d)
+			m.hFaultDisk.Observe(d)
+			m.Spans.Span(m.cpuTrack(n.ID), "fault.disk", c.t0, now, page)
+			if outcome := c.fetch.req.Outcome; outcome.Hit() {
+				n.DiskHits++
+				// Table 8 measures the latency of faults served straight
+				// from the controller cache; in-flight prefetch waits are
+				// partial media waits and are excluded.
+				if outcome == disk.HitCache {
+					n.FaultHitLat.Add(float64(d))
+				}
+			} else {
+				n.DiskMisses++
+			}
+			c.dirty, c.at = false, csFinish
+		case csFinish:
+			en := c.en
+			if !en.Lock.TryLock() {
+				en.Lock.WaitThen(c.step)
+				return chainTimed
+			}
+			en.State = vm.Resident
+			en.Owner = n.ID
+			en.RingEntry = nil
+			en.Dirty = c.dirty
+			n.Pool.AdoptReserved(en.Page)
+			en.Arrived.Broadcast()
+			en.Lock.Unlock()
+			n.Faults++
+			if c.ringEn != nil {
+				n.RingHits++
+				m.Ring.NoteVictim(c.ringEn.Channel)
+				c.ringEn = nil
+			}
+			c.reserved, c.owner, c.at = false, n.ID, csData
 		case csData:
 			m.Nodes[c.owner].Pool.Touch(page)
 			if write {
@@ -203,17 +309,17 @@ func (c *Ctx) advance(p *sim.Proc) chainState {
 					n.CC.Upgrades++
 				}
 				c.at = csCCFinish
-				if t := m.ccStart(n, c.owner, page, sub, write); t > m.E.Now() && c.sleepUntil(t) {
+				if c.waitUntil(m.ccStart(n, c.owner, page, sub, write)) {
 					return chainTimed
 				}
 			}
 		case csWBuf:
 			coalesced, ok := n.WB.tryEnqueue(page, sub)
 			if !ok {
-				if p == nil {
-					return chainBlocked
-				}
-				coalesced = n.WB.enqueue(p, page, sub)
+				// Full: stall until a drain frees a slot, then retry.
+				n.WB.FullWaits++
+				n.WB.room.WaitThen(c.step)
+				return chainTimed
 			}
 			if coalesced {
 				n.CC.Hits++
@@ -233,4 +339,169 @@ func (c *Ctx) advance(p *sim.Proc) chainState {
 		}
 	}
 	return chainDrained
+}
+
+// locked acts on the Touch's page with its entry lock held, setting the
+// next step; it reports whether the chain now waits.
+func (c *Ctx) locked() bool {
+	m, n, en := c.m, c.n, c.en
+	switch en.State {
+	case vm.Resident:
+		c.owner = en.Owner
+		if c.reserved {
+			n.Pool.Unreserve()
+			c.reserved = false
+		}
+		en.Lock.Unlock()
+		c.at = csData
+		return false
+	case vm.Transit:
+		// The charge category is fixed before the wait: the page may be
+		// claimed by another node's fault in the very instant it ends.
+		c.cat, c.t0, c.at = transitWait(en), m.E.Now(), csArrived
+		en.Lock.Unlock()
+		en.Arrived.WaitThen(c.step)
+		return true
+	}
+	// OnRing or Unmapped: a fault is needed. Hold a frame reservation
+	// before claiming anything, re-checking the state afterwards (it may
+	// have changed while stalled in NoFree).
+	if !c.reserved {
+		en.Lock.Unlock()
+		c.t0, c.at = m.E.Now(), csFrame
+		return false
+	}
+	if en.State == vm.Unmapped {
+		// Fetch the page from its disk.
+		en.State = vm.Transit
+		en.TransitBy = n.ID
+		en.Lock.Unlock()
+		c.t0, c.at = m.E.Now(), csDiskIn
+		c.fetch.done = c.step
+		return !c.fetch.start(en.Page)
+	}
+	ringEn := en.RingEntry
+	switch ringEn.State {
+	case optical.OnRing, optical.Draining:
+		// OnRing: victim caching — claim the page and snoop it straight
+		// off the cache channel, no disk, no mesh page transfer. Draining:
+		// the interface is already copying it to the disk cache; ride
+		// along the broadcast medium.
+		c.victim = ringEn.State == optical.OnRing
+		if c.victim {
+			ringEn.State = optical.Claimed
+		}
+		en.State = vm.Transit
+		en.TransitBy = n.ID
+		en.Lock.Unlock()
+		c.ringEn, c.t0, c.at = ringEn, m.E.Now(), csRingPass
+		return c.waitUntil(m.Ring.SnoopDone(ringEn, n.ID, m.E.Now()))
+	default:
+		// Claimed/Gone are unobservable under the entry lock; if they
+		// ever appear, wait out the in-flight transition and re-evaluate.
+		en.Lock.Unlock()
+		c.t0, c.at = m.E.Now(), csInFlux
+		en.Arrived.WaitThen(c.step)
+		return true
+	}
+}
+
+// transitWait is what a wait for the in-transit page en is charged to.
+// TransitBy >= 0: another node is fetching the page (the paper's Transit
+// category). TransitBy < 0: the page is being swapped out; waiting for
+// that is fault-path overhead.
+func transitWait(en *vm.Entry) stats.Category {
+	if en.TransitBy < 0 {
+		return stats.Fault
+	}
+	return stats.Transit
+}
+
+// pageRead steps.
+const (
+	prRequest uint8 = iota // the request message crosses the mesh
+	prDisk                 // the controller serves the read
+	prData                 // the page crosses the I/O bus, mesh and memory bus
+	prDone
+)
+
+// pageRead is the page-read protocol from a disk into a node's memory:
+// request message to the I/O node, controller/media service, and the data
+// transfer back through the I/O bus, mesh, and the requester's memory bus.
+// Each CPU owns one, for its faults and its FileReads; done runs once the
+// page has arrived, unless start reports that it already has.
+type pageRead struct {
+	m    *Machine
+	n    *Node
+	dn   int
+	d    *disk.Disk
+	at   uint8
+	req  disk.ReadReq // req.Outcome: how the controller served the read
+	done func()
+	step func() // pre-bound resume
+}
+
+// bind ties the read to node n of m.
+func (r *pageRead) bind(m *Machine, n *Node) {
+	r.m, r.n = m, n
+	r.step = func() {
+		if r.advance() {
+			r.done()
+		}
+	}
+	r.req.Done = r.step
+}
+
+// start begins reading page into the node's memory and reports whether it
+// is already there.
+func (r *pageRead) start(page PageID) bool {
+	r.d, r.dn = r.m.DiskFor(page)
+	r.req.From, r.req.Page, r.req.Block = r.n.ID, page, r.m.Layout.BlockFor(page)
+	r.at = prRequest
+	return r.advance()
+}
+
+// advance runs the read until it must wait (false) or is done (true).
+func (r *pageRead) advance() bool {
+	m, n := r.m, r.n
+	for {
+		switch r.at {
+		case prRequest:
+			r.at = prDisk
+			if r.waitUntil(m.Mesh.Transit(m.E.Now(), n.ID, r.dn, m.Cfg.CtrlMsgLen)) {
+				return false
+			}
+		case prDisk:
+			r.at = prData
+			if !r.d.Read(&r.req) {
+				return false
+			}
+		case prData:
+			stages := append(n.stageBuf[:0], sim.Stage{
+				Res: m.Nodes[r.dn].IOBus, Occupy: m.pageIOBus, Forward: m.Cfg.HopLatency,
+			})
+			stages = m.Mesh.AppendPathStages(stages, r.dn, n.ID, m.Cfg.PageSize)
+			stages = append(stages, sim.Stage{Res: n.MemBus, Occupy: m.pageMemBus})
+			_, arrive := sim.Pipeline(m.E.Now(), stages)
+			n.stageBuf = stages[:0]
+			r.at = prDone
+			if r.waitUntil(arrive) {
+				return false
+			}
+		case prDone:
+			return true
+		}
+	}
+}
+
+// waitUntil schedules the read's next step at t, or runs it on in place
+// when t is not in the future or would be the next event anyway
+// (sim.Engine.AdvanceTo); it reports whether the step was scheduled.
+func (r *pageRead) waitUntil(t sim.Time) bool {
+	e := r.m.E
+	if t <= e.Now() || e.AdvanceTo(t) {
+		return false
+	}
+	e.At(t, r.step)
+	return true
 }

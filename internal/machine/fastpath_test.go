@@ -7,7 +7,7 @@ import (
 )
 
 // wbForBench builds a machine with the write buffer enabled and returns
-// node 0's buffer. The engine never runs: enqueue's push and coalesce
+// node 0's buffer. The engine never runs: tryEnqueue's push and coalesce
 // paths are pure bookkeeping (the kick Signal has no waiter yet), so they
 // can be driven directly.
 func wbForBench(t testing.TB) *writeBuffer {
@@ -31,15 +31,15 @@ func TestWriteBufferEnqueueZeroAlloc(t *testing.T) {
 	if avg := testing.AllocsPerRun(500, func() {
 		wb.head, wb.count = 0, 0
 		for i := 0; i < wb.depth/2; i++ {
-			if wb.enqueue(nil, PageID(i), 0) {
+			if c, _ := wb.tryEnqueue(PageID(i), 0); c {
 				t.Fatal("fresh key coalesced")
 			}
 		}
-		if !wb.enqueue(nil, 0, 0) {
+		if c, _ := wb.tryEnqueue(0, 0); !c {
 			t.Fatal("repeat key did not coalesce")
 		}
 	}); avg != 0 {
-		t.Fatalf("enqueue allocates %.2f/op", avg)
+		t.Fatalf("tryEnqueue allocates %.2f/op", avg)
 	}
 }
 
@@ -61,7 +61,7 @@ func TestWBKeyRejectsUnpackablePages(t *testing.T) {
 	}
 }
 
-// BenchmarkWriteBufferEnqueue measures the enqueue fast path: half fresh
+// BenchmarkWriteBufferEnqueue measures the tryEnqueue fast path: half fresh
 // keys (ring push), half coalescing hits (ring scan).
 func BenchmarkWriteBufferEnqueue(b *testing.B) {
 	wb := wbForBench(b)
@@ -70,6 +70,6 @@ func BenchmarkWriteBufferEnqueue(b *testing.B) {
 		if wb.count >= wb.depth/2 {
 			wb.head, wb.count = 0, 0
 		}
-		wb.enqueue(nil, PageID(i%4), i%2)
+		wb.tryEnqueue(PageID(i%4), i%2)
 	}
 }

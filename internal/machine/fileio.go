@@ -37,11 +37,16 @@ func (c *Ctx) FileRead(page PageID, pages int) {
 		c.drainInterrupts()
 		p.Sleep(m.Cfg.SyscallOverhead)
 		n.charge(stats.Other, m.Cfg.SyscallOverhead)
+		// The disk-read steps of a fault, with the process parked until
+		// they finish.
 		t0 := p.Now()
-		m.diskReadInto(p, n, page+PageID(k))
+		c.fetch.done = c.resume
+		if !c.fetch.start(page + PageID(k)) {
+			p.Park("file-read")
+		}
 		n.charge(stats.Fault, p.Now()-t0)
 		// Kernel buffer -> user buffer copy.
-		dur := m.Cfg.PageMemBusTime()
+		dur := m.pageMemBus
 		start := n.MemBus.Reserve(p.Now(), dur)
 		p.SleepUntil(start + dur)
 		n.ExplicitReads++
@@ -64,7 +69,7 @@ func (c *Ctx) FileWrite(page PageID, pages int) {
 		p.Sleep(m.Cfg.SyscallOverhead)
 		n.charge(stats.Other, m.Cfg.SyscallOverhead)
 		// User buffer -> kernel buffer copy.
-		dur := m.Cfg.PageMemBusTime()
+		dur := m.pageMemBus
 		start := n.MemBus.Reserve(p.Now(), dur)
 		p.SleepUntil(start + dur)
 		t0 := p.Now()
@@ -81,14 +86,15 @@ func (m *Machine) explicitWrite(p *sim.Proc, n *Node, page PageID) {
 	block := m.Layout.BlockFor(page)
 	for {
 		stages := append(n.stageBuf[:0], sim.Stage{
-			Res: n.MemBus, Occupy: m.Cfg.PageMemBusTime(), Forward: m.Cfg.HopLatency,
+			Res: n.MemBus, Occupy: m.pageMemBus, Forward: m.Cfg.HopLatency,
 		})
 		stages = m.Mesh.AppendPathStages(stages, n.ID, dn, m.Cfg.PageSize)
-		stages = append(stages, sim.Stage{Res: m.Nodes[dn].IOBus, Occupy: m.Cfg.PageIOBusTime()})
+		stages = append(stages, sim.Stage{Res: m.Nodes[dn].IOBus, Occupy: m.pageIOBus})
 		_, arrive := sim.Pipeline(p.Now(), stages)
 		n.stageBuf = stages[:0]
 		p.SleepUntil(arrive)
-		if d.Write(p, n.ID, page, block) == disk.ACK {
+		p.SleepUntil(d.BookWrite())
+		if d.AnswerWrite(n.ID, page, block) == disk.ACK {
 			break
 		}
 		n.queueOK(page, n.fileOK)

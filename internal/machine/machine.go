@@ -121,6 +121,11 @@ type Machine struct {
 	// each page's current frame; see internal/coherence).
 	Dir *coherence.Directory
 
+	// Transfer times fixed by the configuration, computed once at build:
+	// a page across a memory bus, an I/O bus and onto the ring, and a
+	// coherence block across a memory bus.
+	pageMemBus, pageIOBus, pageRing, blockMemBus int64
+
 	// Spans receives simulated-clock spans ("fault.disk", "swap.ring",
 	// ...) and protocol instants ("ring.insert", "clean.evict", ...; see
 	// MODEL.md, "Spans") when observation is wired via Observe; nil
@@ -237,6 +242,11 @@ func New(cfg param.Config, kind Kind, mode disk.PrefetchMode) (*Machine, error) 
 		Disks:  make([]*disk.Disk, cfg.Nodes),
 		Dir:    coherence.NewDirectory(),
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
+
+		pageMemBus:  cfg.PageMemBusTime(),
+		pageIOBus:   cfg.PageIOBusTime(),
+		pageRing:    cfg.PageRingTime(),
+		blockMemBus: param.TransferPcycles(BlockBytes, cfg.MemBusMBs),
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		n := &Node{
@@ -267,16 +277,17 @@ func New(cfg param.Config, kind Kind, mode disk.PrefetchMode) (*Machine, error) 
 				f.Policy = optical.RoundRobin
 			}
 			d := m.Disks[ioNode]
-			f.DiskHasRoom = func() bool { return d.HasWriteRoom() }
-			f.DiskInstall = func(p *sim.Proc, page optical.PageID) bool {
-				return d.Write(p, ioNode, page, m.Layout.BlockFor(page)) == disk.ACK
+			f.DiskHasRoom = d.HasWriteRoom
+			f.DiskBook = d.BookWrite
+			f.DiskInstall = func(page optical.PageID) bool {
+				return d.AnswerWrite(ioNode, page, m.Layout.BlockFor(page)) == disk.ACK
 			}
 			f.SendACK = func(en *optical.Entry) { m.deliverRingACK(ioNode, en) }
 			d.OnRoom = f.Kick
 			m.Ifaces[ioNode] = f
 		}
 	}
-	// Start the per-node replacement daemons and (optionally) the
+	// Start the per-node replacement chains and (optionally) the
 	// coalescing write buffers of Figure 1.
 	for _, n := range m.Nodes {
 		n := n

@@ -80,8 +80,7 @@ func (m *Machine) Run(prog Program) (*Result, error) {
 		n := m.Nodes[i]
 		m.E.Spawn(fmt.Sprintf("cpu%d", i), func(p *sim.Proc) {
 			ctx := newCtx(i, procs, m.Cfg.Seed)
-			ctx.m, ctx.n, ctx.p = m, n, p
-			ctx.ops, ctx.step = make([]cpuOp, 0, runAhead), ctx.wake
+			ctx.bind(m, n, p)
 			prog.Run(ctx, i)
 			ctx.drain()
 			n.doneAt = p.Now()

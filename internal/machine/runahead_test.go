@@ -27,10 +27,12 @@ func slowPathSummary(m *Machine, r *Result) string {
 		r.ExecTime, r.Breakdown.T, hits, misses, upgrades, fullWaits, r.Faults)
 }
 
-// Each case forces one step of the CPU's Touch chain that must block, or
+// Each case forces one step of the CPU's Touch chain that used to block on
+// the CPU's process (a full write buffer, a busy entry lock, a fault), or
 // a drain of the run-ahead queue, and pins what the run produced before
-// Touch and Compute ran as callbacks (the values are the blocking
-// implementation's, recorded once): the chain must reproduce them exactly.
+// Touch, Compute and the fault path ran as callbacks (the values are the
+// blocking implementation's, recorded once): the chain must reproduce
+// them exactly.
 func TestSlowPathPins(t *testing.T) {
 	type pinCase struct {
 		name  string

@@ -163,8 +163,8 @@ func (j *swapJob) run() {
 				return
 			}
 			stages := append(n.stageBuf[:0],
-				sim.Stage{Res: n.MemBus, Occupy: m.Cfg.PageMemBusTime(), Forward: m.Cfg.HopLatency},
-				sim.Stage{Res: n.IOBus, Occupy: m.Cfg.PageIOBusTime()},
+				sim.Stage{Res: n.MemBus, Occupy: m.pageMemBus, Forward: m.Cfg.HopLatency},
+				sim.Stage{Res: n.IOBus, Occupy: m.pageIOBus},
 			)
 			_, arrive := sim.Pipeline(m.E.Now(), stages)
 			n.stageBuf = stages[:0]
@@ -175,7 +175,7 @@ func (j *swapJob) run() {
 			}
 		case sjModulate:
 			j.at = sjInserted
-			m.E.At(m.E.Now()+m.Cfg.PageRingTime(), j.step) // onto the writable channel
+			m.E.At(m.E.Now()+m.pageRing, j.step) // onto the writable channel
 			return
 		case sjInserted:
 			j.entry = m.Ring.Insert(n.ID, page)
@@ -230,10 +230,10 @@ func (j *swapJob) run() {
 			// Page transfer: memory bus -> mesh -> I/O bus at the disk node.
 			_, dn := m.DiskFor(page)
 			stages := append(n.stageBuf[:0], sim.Stage{
-				Res: n.MemBus, Occupy: m.Cfg.PageMemBusTime(), Forward: m.Cfg.HopLatency,
+				Res: n.MemBus, Occupy: m.pageMemBus, Forward: m.Cfg.HopLatency,
 			})
 			stages = m.Mesh.AppendPathStages(stages, n.ID, dn, m.Cfg.PageSize)
-			stages = append(stages, sim.Stage{Res: m.Nodes[dn].IOBus, Occupy: m.Cfg.PageIOBusTime()})
+			stages = append(stages, sim.Stage{Res: m.Nodes[dn].IOBus, Occupy: m.pageIOBus})
 			_, arrive := sim.Pipeline(m.E.Now(), stages)
 			n.stageBuf = stages[:0]
 			j.at = sjCtrl

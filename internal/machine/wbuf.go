@@ -39,6 +39,8 @@ func wbKey(page PageID, sub int) int64 {
 // scans the (small, bounded) ring instead of keeping a side map, so the
 // enqueue/drain cycle allocates nothing.
 type writeBuffer struct {
+	m        *Machine
+	n        *Node
 	depth    int
 	keys     []int64 // ring storage, len == depth
 	head     int     // index of the oldest queued entry
@@ -48,24 +50,27 @@ type writeBuffer struct {
 	kick     *sim.Cond // work available
 	room     *sim.Cond // slot freed
 	empty    *sim.Cond // fully drained
+	finish   bool      // the drain resumes with the in-flight write's ccFinish
+	step     func()    // pre-bound drain
 
 	Coalesced uint64
 	Drained   uint64
 	FullWaits uint64
 }
 
-// newWriteBuffer builds the buffer and starts its drain daemon.
+// newWriteBuffer builds the buffer and starts its drain chain.
 func newWriteBuffer(m *Machine, n *Node, depth int) *writeBuffer {
 	wb := &writeBuffer{
+		m:     m,
+		n:     n,
 		depth: depth,
 		keys:  make([]int64, depth),
 		kick:  sim.NewCond(m.E),
 		room:  sim.NewCond(m.E),
 		empty: sim.NewCond(m.E),
 	}
-	m.E.SpawnDaemon(fmt.Sprintf("wbuf%d", n.ID), func(p *sim.Proc) {
-		wb.drainLoop(p, m, n)
-	})
+	wb.step = wb.drain
+	m.E.At(m.E.Now(), wb.step)
 	return wb
 }
 
@@ -107,18 +112,6 @@ func (wb *writeBuffer) tryEnqueue(page PageID, sub int) (coalesced, ok bool) {
 	return false, true
 }
 
-// enqueue adds a write like tryEnqueue, stalling p while the buffer is full.
-func (wb *writeBuffer) enqueue(p *sim.Proc, page PageID, sub int) (coalesced bool) {
-	for {
-		coalesced, ok := wb.tryEnqueue(page, sub)
-		if ok {
-			return coalesced
-		}
-		wb.FullWaits++
-		wb.room.Wait(p)
-	}
-}
-
 // occupancy counts queued plus in-flight writes (an entry being drained
 // still holds its buffer slot).
 func (wb *writeBuffer) occupancy() int {
@@ -140,12 +133,20 @@ func (wb *writeBuffer) fence(p *sim.Proc) {
 	}
 }
 
-// drainLoop retires buffered writes through the coherence protocol.
-func (wb *writeBuffer) drainLoop(p *sim.Proc, m *Machine, n *Node) {
+// drain retires buffered writes through the coherence protocol. It is a
+// callback chain started at construction and resumed through wb.step.
+func (wb *writeBuffer) drain() {
+	m, n := wb.m, wb.n
 	for {
+		if wb.finish {
+			wb.finish = false
+			k := wb.inFlyKey
+			m.ccFinish(n, PageID(k/coherence.SubPerPage), int(k%coherence.SubPerPage), true)
+			wb.retire()
+		}
 		if wb.count == 0 {
-			wb.kick.Wait(p)
-			continue
+			wb.kick.WaitThen(wb.step)
+			return
 		}
 		k := wb.keys[wb.head]
 		wb.head = (wb.head + 1) % wb.depth
@@ -157,13 +158,23 @@ func (wb *writeBuffer) drainLoop(p *sim.Proc, m *Machine, n *Node) {
 		// buffered; its frame-level dirtiness was recorded at issue time,
 		// so the entry simply retires.
 		if en, ok := m.Table.Lookup(page); ok && en.State == vm.Resident {
-			m.ccAccess(p, n, en.Owner, page, sub, true)
+			wb.finish = true
+			if t := m.ccStart(n, en.Owner, page, sub, true); t > m.E.Now() {
+				m.E.At(t, wb.step)
+				return
+			}
+			continue
 		}
-		wb.Drained++
-		wb.inFly = false
-		wb.room.Signal()
-		if wb.count == 0 {
-			wb.empty.Broadcast()
-		}
+		wb.retire()
+	}
+}
+
+// retire frees the in-flight write's slot.
+func (wb *writeBuffer) retire() {
+	wb.Drained++
+	wb.inFly = false
+	wb.room.Signal()
+	if wb.count == 0 {
+		wb.empty.Broadcast()
 	}
 }

@@ -75,16 +75,28 @@ type Iface struct {
 	fifos []chanFIFO // per channel, FIFO
 	kick  *sim.Cond
 
+	// The drain chain: the step to resume at and its pre-bound
+	// continuation, the round-robin cursor, the channel being drained and
+	// the page being copied.
+	at   drainStep
+	step func()
+	rr   int
+	ch   int
+	cur  *Entry
+	t0   sim.Time
+
 	// DrainPolicy selects which channel to drain next; default MostLoaded.
 	Policy DrainPolicy
 
 	// Injected by the machine layer.
 	DiskHasRoom func() bool
-	// DiskInstall copies a drained page into the disk controller cache in
-	// p's context (paying controller overhead and media scheduling);
-	// returns false if the controller rejected it after all (slot raced
-	// away), in which case the notice is retried.
-	DiskInstall func(p *sim.Proc, page PageID) bool
+	// DiskBook books the disk controller for a drained page arriving now
+	// and returns when the controller answers; DiskInstall, called then,
+	// copies the page into the controller cache and returns false if the
+	// controller rejected it after all (slot raced away), in which case
+	// the notice is retried.
+	DiskBook    func() sim.Time
+	DiskInstall func(page PageID) bool
 	// SendACK delivers the ACK for a page that left the ring to the node
 	// that swapped it out (entry.Channel).
 	SendACK func(en *Entry)
@@ -113,7 +125,7 @@ const (
 	RoundRobin
 )
 
-// NewIface creates the interface and starts its drain daemon.
+// NewIface creates the interface and starts its drain chain.
 func NewIface(e *sim.Engine, ring *Ring, node int) *Iface {
 	f := &Iface{
 		e:     e,
@@ -122,7 +134,8 @@ func NewIface(e *sim.Engine, ring *Ring, node int) *Iface {
 		fifos: make([]chanFIFO, ring.Channels()),
 		kick:  sim.NewCond(e).Named("nwc-iface.kick"),
 	}
-	e.SpawnDaemon("nwc-iface", f.drainLoop)
+	f.step = f.drain
+	e.At(e.Now(), f.step)
 	return f
 }
 
@@ -201,55 +214,97 @@ func (f *Iface) pickChannel(rr *int) int {
 	}
 }
 
-// drainLoop is the interface's main daemon: whenever the disk controller
-// has room, pick a channel and copy as many of its pages as possible, in
-// swap-out order, before considering another channel.
-func (f *Iface) drainLoop(p *sim.Proc) {
-	rr := 0
+// drainStep is where the drain chain resumes.
+type drainStep uint8
+
+const (
+	drIdle   drainStep = iota // wait for notices and disk room, pick a channel
+	drNext                    // copy the channel's next page, if any
+	drPassed                  // the page streamed past: check for corruption
+	drAnswer                  // the controller answers the copy
+)
+
+// drain is the interface's drain chain: whenever the disk controller has
+// room, pick a channel and copy as many of its pages as possible, in
+// swap-out order, before considering another channel. It is a callback
+// chain started at construction, resumed through f.step at step f.at.
+func (f *Iface) drain() {
 	for {
-		if f.Pending() == 0 || !f.DiskHasRoom() {
-			f.kick.Wait(p)
-			continue
-		}
-		ch := f.pickChannel(&rr)
-		if ch < 0 {
-			continue
-		}
-		f.Batches++
-		// Exhaust this channel's swap-outs before switching (paper §3.2
-		// property b), as long as the disk keeps providing room.
-		for f.fifos[ch].len() > 0 && f.DiskHasRoom() {
-			en := f.fifos[ch].front()
+		switch f.at {
+		case drIdle:
+			if f.Pending() == 0 || !f.DiskHasRoom() {
+				f.kick.WaitThen(f.step)
+				return
+			}
+			if f.ch = f.pickChannel(&f.rr); f.ch < 0 {
+				continue
+			}
+			f.Batches++
+			f.at = drNext
+		case drNext:
+			// Exhaust this channel's swap-outs before switching (paper
+			// §3.2 property b), as long as the disk keeps providing room.
+			q := &f.fifos[f.ch]
+			if q.len() == 0 || !f.DiskHasRoom() {
+				f.at = drIdle
+				continue
+			}
+			en := q.front()
+			q.pop()
 			if en.State != OnRing {
 				// Claimed by a victim read (Cancel will drop it) or
 				// already gone; skip past it.
-				f.fifos[ch].pop()
 				continue
 			}
 			en.State = Draining
-			f.fifos[ch].pop()
-			t0 := p.Now()
+			f.cur, f.t0 = en, f.e.Now()
 			// Wait for the page to circulate past this interface and
 			// stream it off the fiber. The disk is plugged directly into
 			// the NWCache interface, so the copy bypasses the node's
 			// memory and I/O buses entirely.
-			f.ring.Snoop(p, en, f.node)
-			// Injected fiber corruption detected at extraction: the page
-			// still circulates (a delay line has no partial reads), so the
-			// "retransmit from the home node" costs exactly one more pass.
-			for f.flt.DrainCorrupted() {
-				f.ring.Snoop(p, en, f.node)
+			f.at = drPassed
+			if f.waitUntil(f.ring.SnoopDone(en, f.node, f.e.Now())) {
+				return
 			}
-			if !f.DiskInstall(p, en.Page) {
+		case drPassed:
+			// Injected fiber corruption detected at extraction: the page
+			// still circulates (a delay line has no partial reads), so
+			// the "retransmit from the home node" costs exactly one more
+			// pass.
+			if f.flt.DrainCorrupted() {
+				if f.waitUntil(f.ring.SnoopDone(f.cur, f.node, f.e.Now())) {
+					return
+				}
+				continue
+			}
+			f.at = drAnswer
+			if f.waitUntil(f.DiskBook()) {
+				return
+			}
+		case drAnswer:
+			en := f.cur
+			f.cur = nil
+			f.at = drNext
+			if !f.DiskInstall(en.Page) {
 				// Lost the slot race; put the notice back and retry.
 				en.State = OnRing
-				f.fifos[ch].unpop(en)
+				f.fifos[f.ch].unpop(en)
 				continue
 			}
 			f.Drained++
 			f.ring.NoteDrain(en.Channel)
-			f.tr.Span(f.track, "ring.drain", t0, p.Now(), en.Page)
+			f.tr.Span(f.track, "ring.drain", f.t0, f.e.Now(), en.Page)
 			f.SendACK(en)
 		}
 	}
+}
+
+// waitUntil schedules the drain chain's next step at t and reports true,
+// or reports false when t is not in the future and the step runs on now.
+func (f *Iface) waitUntil(t sim.Time) bool {
+	if t <= f.e.Now() {
+		return false
+	}
+	f.e.At(t, f.step)
+	return true
 }

@@ -14,8 +14,9 @@ type testDisk struct {
 	iface     *Iface
 }
 
-func (d *testDisk) hasRoom() bool { return d.room > 0 }
-func (d *testDisk) install(p *sim.Proc, page PageID) bool {
+func (d *testDisk) hasRoom() bool  { return d.room > 0 }
+func (d *testDisk) book() sim.Time { return d.iface.e.Now() }
+func (d *testDisk) install(page PageID) bool {
 	if d.room == 0 {
 		return false
 	}
@@ -32,6 +33,7 @@ func newIfaceHarness(room int) (*sim.Engine, *Ring, *Iface, *testDisk, *[]*Entry
 	d := &testDisk{room: room, iface: f}
 	acks := &[]*Entry{}
 	f.DiskHasRoom = d.hasRoom
+	f.DiskBook = d.book
 	f.DiskInstall = d.install
 	f.SendACK = func(en *Entry) {
 		*acks = append(*acks, en)
@@ -168,7 +170,7 @@ func TestCancelDropsNoticeAndACKs(t *testing.T) {
 		p.Sleep(100)
 		// Victim read claims the page off the ring.
 		en.State = Claimed
-		r.Snoop(p, en, 4)
+		p.SleepUntil(r.SnoopDone(en, 4, p.Now()))
 		f.Cancel(en)
 	})
 	if err := e.Run(); err != nil {
@@ -223,7 +225,8 @@ func TestDrainRetriesWhenInstallRaces(t *testing.T) {
 	installed := []PageID{}
 	acks := 0
 	f.DiskHasRoom = func() bool { return true }
-	f.DiskInstall = func(p *sim.Proc, page PageID) bool {
+	f.DiskBook = e.Now
+	f.DiskInstall = func(page PageID) bool {
 		attempts++
 		if attempts <= 2 {
 			return false // lose the race twice
@@ -262,7 +265,8 @@ func TestPendingCounts(t *testing.T) {
 	r := New(e, cfg)
 	f := NewIface(e, r, 0)
 	f.DiskHasRoom = func() bool { return false } // freeze the drain
-	f.DiskInstall = func(p *sim.Proc, page PageID) bool { return true }
+	f.DiskBook = e.Now
+	f.DiskInstall = func(page PageID) bool { return true }
 	f.SendACK = func(en *Entry) { r.Release(en) }
 	e.Spawn("s", func(p *sim.Proc) {
 		f.Notify(r.Insert(1, 10))

@@ -255,12 +255,12 @@ func (r *Ring) NextPass(en *Entry, reader int, now sim.Time) sim.Time {
 	return first + k*r.roundTrip
 }
 
-// Snoop sleeps p until the entry's page has fully streamed past reader's
-// interface (next pass + extraction time). The entry must be Claimed or
-// Draining by the caller beforehand so no one else grabs it.
-func (r *Ring) Snoop(p *sim.Proc, en *Entry, reader int) {
-	pass := r.NextPass(en, reader, p.Now())
-	p.SleepUntil(pass + r.pageXfer)
+// SnoopDone returns when a snoop of the entry's page starting at now has
+// fully streamed it past reader's interface (next pass + extraction
+// time). The entry must be Claimed or Draining by the caller beforehand
+// so no one else grabs it.
+func (r *Ring) SnoopDone(en *Entry, reader int, now sim.Time) sim.Time {
+	return r.NextPass(en, reader, now) + r.pageXfer
 }
 
 // TotalUsed returns the number of pages currently stored on the ring.

@@ -107,7 +107,7 @@ func TestSnoopSleepsUntilPassPlusTransfer(t *testing.T) {
 	e.Spawn("snooper", func(p *sim.Proc) {
 		en := r.Insert(0, 9)
 		en.State = Claimed
-		r.Snoop(p, en, 2) // node 2 is 2/8 of the ring away
+		p.SleepUntil(r.SnoopDone(en, 2, p.Now())) // node 2 is 2/8 of the ring away
 		done = p.Now()
 	})
 	if err := e.Run(); err != nil {

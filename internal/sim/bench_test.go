@@ -49,8 +49,8 @@ func BenchmarkUnparkStorm(b *testing.B) {
 	b.ReportAllocs()
 	e := New()
 	c := NewCond(e)
-	e.SpawnDaemon("waiter", func(p *Proc) {
-		for {
+	e.Spawn("waiter", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
 			c.Wait(p)
 		}
 	})

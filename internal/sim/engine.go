@@ -8,7 +8,8 @@
 // Two execution styles are supported and freely mixed:
 //
 //   - plain callbacks scheduled with At/After, which can also wait on a
-//     Cond, Semaphore or Mutex (WaitThen) wherever a process would; and
+//     Cond, Semaphore, Mutex (WaitThen) or Server (AcquireThen) wherever
+//     a process would; and
 //   - cooperative processes (Proc) — runtime coroutines (iter.Pull) that
 //     own the engine while they run and suspend whenever they Sleep or
 //     block on a synchronization primitive. Control passes between them
@@ -18,9 +19,9 @@
 //     deterministic.
 //
 // The two meet in a process that Parks while a callback chain does its
-// work: a callback hands the process a step that must block, or the end
-// of the chain, with Resume, which runs the process at the callback's own
-// (time, seq) slot without scheduling anything. A chain whose next step
+// work: the callback that ends the chain hands the process back its turn
+// with Resume, which runs the process at the callback's own (time, seq)
+// slot without scheduling anything. A chain whose next step
 // would be the very next event anyway can skip scheduling it altogether:
 // AdvanceTo moves the clock there and the chain runs on in place.
 //
@@ -123,6 +124,7 @@ type Engine struct {
 	switches   uint64 // wakes that resumed a proc other than the driver
 	heapPeak   int    // high-water mark of the future-event heap
 	inline     uint64 // steps AdvanceTo ran in place (counted in dispatched too)
+	resumes    uint64 // wakes that were a callback's Resume (counted in wakes too)
 
 	// Clock-boundary tick hook (SetTick): tickFn fires whenever dispatch
 	// crosses a multiple of tickEvery. The hook lives outside the event
@@ -457,8 +459,8 @@ func (e *Engine) drive(owner *Proc) bool {
 // callback returns, ahead of every other event. p runs in the callback's
 // own (t, seq) slot: Resume schedules no event, so it consumes no sequence
 // number and leaves Dispatched and Pending alone. A callback chain uses it
-// to run a step that must block (wait on a Cond, Mutex, ...) on a process
-// parked for the purpose (see MODEL.md, "Engine fast path"). Resume panics
+// to hand control back to the process that parked while the chain ran
+// (see MODEL.md, "Engine fast path"). Resume panics
 // outside a callback, when called twice in one callback, and for a process
 // that is not parked.
 func (e *Engine) Resume(p *Proc) {
@@ -472,6 +474,7 @@ func (e *Engine) Resume(p *Proc) {
 	}
 	e.removeParked(p)
 	e.resumed = p
+	e.resumes++
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past is a
@@ -511,6 +514,10 @@ func (e *Engine) Dispatched() uint64 { return e.dispatched }
 // dispatched events that were Sleep wake-ups, unparks or starts rather than
 // callbacks, plus the Resumes callbacks made.
 func (e *Engine) WakeHandoffs() uint64 { return e.wakes }
+
+// Resumes reports how many of the wake hand-overs were a callback's Resume
+// of a parked process.
+func (e *Engine) Resumes() uint64 { return e.resumes }
 
 // InlineAdvances reports how many steps AdvanceTo ran in place of an
 // event; each is also counted in Dispatched.
@@ -582,12 +589,14 @@ func (b BlockedProc) String() string {
 }
 
 // DeadlockError reports processes left parked with no pending events: they
-// can never run again.
+// can never run again. Continuations left waiting on a primitive are not
+// processes and are not reported: an actor written as a callback chain
+// (a disk's write-back, say) idles on its wake-up condition forever once
+// the simulation's work is done.
 type DeadlockError struct {
-	Now           Time
-	Procs         []string      // names of parked, non-daemon processes
-	Blocked       []BlockedProc // structured dump of the same processes
-	DaemonsParked int           // parked daemons (normal at shutdown)
+	Now     Time
+	Procs   []string      // names of the parked processes
+	Blocked []BlockedProc // structured dump of the same processes
 }
 
 func (d *DeadlockError) Error() string {
@@ -599,9 +608,6 @@ func (d *DeadlockError) Error() string {
 	}
 	if len(d.Blocked) == 0 {
 		fmt.Fprintf(&sb, ": %v", d.Procs)
-	}
-	if d.DaemonsParked > 0 {
-		fmt.Fprintf(&sb, "\n  (+%d parked daemon(s), normal at shutdown)", d.DaemonsParked)
 	}
 	return sb.String()
 }
@@ -623,26 +629,19 @@ func (l *LivelockError) Error() string {
 	return sb.String()
 }
 
-// blockedProcs snapshots the parked list: a name-sorted structured dump of
-// the non-daemon processes plus a count of parked daemons.
-func (e *Engine) blockedProcs() (blocked []BlockedProc, daemons int) {
+// blockedProcs snapshots the parked list as a name-sorted structured dump.
+func (e *Engine) blockedProcs() (blocked []BlockedProc) {
 	for _, p := range e.parkedList {
-		if p.daemon {
-			daemons++
-			continue
-		}
 		blocked = append(blocked, BlockedProc{Name: p.name, On: p.waitOn, Since: p.parkedAt})
 	}
 	sort.Slice(blocked, func(i, j int) bool { return blocked[i].Name < blocked[j].Name })
-	return blocked, daemons
+	return blocked
 }
 
 // Run executes events in order until the queues drain or Stop is called.
-// If they drain while non-daemon processes are parked on synchronization
-// primitives, Run kills all parked processes and returns a *DeadlockError
-// naming the non-daemon ones (with a structured blocked-proc dump). Daemon
-// processes parked at drain time are considered normal and are killed
-// silently. If an event limit is armed (SetEventLimit) and the budget is
+// If they drain while processes are parked on synchronization primitives,
+// Run kills them and returns a *DeadlockError naming them (with a
+// structured blocked-proc dump). If an event limit is armed (SetEventLimit) and the budget is
 // exhausted, Run discards the remaining events, kills every process, and
 // returns a *LivelockError.
 func (e *Engine) Run() error {
@@ -668,7 +667,7 @@ func (e *Engine) Run() error {
 // livelockTeardown turns a tripped event budget into a *LivelockError and
 // unwinds the engine completely.
 func (e *Engine) livelockTeardown() error {
-	blocked, _ := e.blockedProcs()
+	blocked := e.blockedProcs()
 	lerr := &LivelockError{Now: e.now, Dispatched: e.dispatched, Blocked: blocked}
 	// Teardown: drop the still-growing event storm (re-parking procs
 	// whose wakes are discarded), then unwind everything without a
@@ -692,17 +691,17 @@ func (e *Engine) transfer() {
 	}
 }
 
-// finishDrained is Run's drain-time tail: report parked non-daemon
-// processes as a deadlock and unwind everything.
+// finishDrained is Run's drain-time tail: report parked processes as a
+// deadlock and unwind everything.
 func (e *Engine) finishDrained() error {
-	blocked, daemons := e.blockedProcs()
+	blocked := e.blockedProcs()
 	e.KillParked()
 	if len(blocked) > 0 {
 		stuck := make([]string, len(blocked))
 		for i, b := range blocked {
 			stuck[i] = b.Name
 		}
-		return &DeadlockError{Now: e.now, Procs: stuck, Blocked: blocked, DaemonsParked: daemons}
+		return &DeadlockError{Now: e.now, Procs: stuck, Blocked: blocked}
 	}
 	return nil
 }
@@ -761,7 +760,7 @@ func (e *Engine) removeParked(p *Proc) {
 	p.parkedIdx = -1
 }
 
-// KillParked terminates every parked process (daemons included) so that no
+// KillParked terminates every parked process so that no
 // coroutines leak when a simulation is abandoned. Killing a process runs its
 // defers, which may unpark other processes (e.g. by releasing a semaphore);
 // those are resumed to quiescence before the next victim is killed, so

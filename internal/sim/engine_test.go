@@ -219,17 +219,20 @@ func TestDeadlockDetected(t *testing.T) {
 	}
 }
 
-func TestDaemonParkedIsNotDeadlock(t *testing.T) {
+// A server written as a continuation chain idles on its wake-up condition
+// forever once the work is done; that is not a deadlock.
+func TestWaitingContinuationIsNotDeadlock(t *testing.T) {
 	e := New()
 	c := NewCond(e)
-	e.SpawnDaemon("server", func(p *Proc) {
-		for {
-			c.Wait(p)
-		}
-	})
+	var serve func()
+	serve = func() { c.WaitThen(serve) }
+	e.At(0, serve)
 	e.Spawn("client", func(p *Proc) { p.Sleep(5) })
 	if err := e.Run(); err != nil {
-		t.Fatalf("daemon flagged as deadlock: %v", err)
+		t.Fatalf("idle continuation flagged as deadlock: %v", err)
+	}
+	if c.waiting.len() != 1 {
+		t.Fatalf("%d waiters left, want the idle server", c.waiting.len())
 	}
 }
 
@@ -237,12 +240,12 @@ func TestKilledProcRunsDefers(t *testing.T) {
 	e := New()
 	c := NewCond(e)
 	cleaned := false
-	e.SpawnDaemon("d", func(p *Proc) {
+	e.Spawn("d", func(p *Proc) {
 		defer func() { cleaned = true }()
 		c.Wait(p)
 	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
+	if _, ok := e.Run().(*DeadlockError); !ok {
+		t.Fatal("parked proc not reported")
 	}
 	if !cleaned {
 		t.Fatal("defer did not run on kill")

@@ -9,9 +9,9 @@ import "testing"
 func TestKilledProcClearsCurrentAndEngineReusable(t *testing.T) {
 	e := New()
 	c := NewCond(e)
-	e.SpawnDaemon("server", func(p *Proc) { c.Wait(p) })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
+	e.Spawn("server", func(p *Proc) { c.Wait(p) })
+	if _, ok := e.Run().(*DeadlockError); !ok {
+		t.Fatal("parked proc not reported")
 	}
 	if e.current != nil {
 		t.Fatalf("current = %q after teardown kill, want nil", e.current.name)

@@ -6,20 +6,20 @@ import (
 )
 
 // The deadlock dump must name what each stuck proc is blocked on and when
-// it parked, and count parked daemons separately.
+// it parked, and leave out continuations still waiting.
 func TestDeadlockDumpIsStructured(t *testing.T) {
 	e := New()
 	c := NewCond(e).Named("chanRoom0")
-	srv := NewServer(e, "disk0.arm")
+	mu := NewMutex(e).Named("disk0.arm")
 	e.Spawn("hog", func(p *Proc) {
-		srv.Acquire(p, High)
-		c.Wait(p) // parked holding the server
+		mu.Lock(p)
+		c.Wait(p) // parked holding the mutex
 	})
 	e.Spawn("waiter", func(p *Proc) {
 		p.Sleep(10)
-		srv.Acquire(p, High) // parked behind hog forever
+		mu.Lock(p) // parked behind hog forever
 	})
-	e.SpawnDaemon("idle-server", func(p *Proc) { c.Wait(p) })
+	c.WaitThen(func() { t.Error("idle continuation woken") })
 	err := e.Run()
 	de, ok := err.(*DeadlockError)
 	if !ok {
@@ -35,12 +35,9 @@ func TestDeadlockDumpIsStructured(t *testing.T) {
 	if de.Blocked[1] != (BlockedProc{Name: "waiter", On: "disk0.arm", Since: 10}) {
 		t.Fatalf("waiter entry %+v", de.Blocked[1])
 	}
-	if de.DaemonsParked != 1 {
-		t.Fatalf("daemons parked %d, want 1", de.DaemonsParked)
-	}
 	msg := de.Error()
 	for _, frag := range []string{"hog blocked on chanRoom0 since t=0",
-		"waiter blocked on disk0.arm since t=10", "+1 parked daemon"} {
+		"waiter blocked on disk0.arm since t=10", "2 process(es) parked forever"} {
 		if !strings.Contains(msg, frag) {
 			t.Fatalf("dump %q missing %q", msg, frag)
 		}

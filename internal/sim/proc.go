@@ -17,15 +17,13 @@ type procKilled struct{ name string }
 //
 // Proc shells (struct and coroutine) are pooled: when a body returns, the
 // shell parks on Engine.procPool and its coroutine suspends awaiting the
-// next spawn, so steady-state process churn (naive prefetching spawns a
-// short-lived process per read-ahead) allocates nothing. Recycling never
+// next spawn, so steady-state process churn allocates nothing. Recycling never
 // perturbs dispatch order: spawn consumes exactly the same two sequence
 // numbers (process id, start event) whether the shell is fresh or pooled.
 type Proc struct {
 	e         *Engine
 	id        uint64
 	name      string
-	daemon    bool
 	resume    func() (struct{}, bool) // switch into the coroutine until it suspends
 	stop      func()                  // retire the coroutine (KillParked)
 	suspend   func(struct{}) bool     // switch back to whoever resumed us
@@ -40,17 +38,6 @@ type Proc struct {
 // process body runs when the engine reaches the start event. When fn
 // returns, the process ends.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	return e.spawn(name, false, fn)
-}
-
-// SpawnDaemon starts a process that is allowed to be parked forever when
-// the simulation ends (e.g. servers waiting for requests that will never
-// come). Daemons do not trigger DeadlockError.
-func (e *Engine) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
-	return e.spawn(name, true, fn)
-}
-
-func (e *Engine) spawn(name string, daemon bool, fn func(p *Proc)) *Proc {
 	e.seq++
 	var p *Proc
 	if k := len(e.procPool); k > 0 {
@@ -63,7 +50,6 @@ func (e *Engine) spawn(name string, daemon bool, fn func(p *Proc)) *Proc {
 	}
 	p.id = e.seq
 	p.name = name
-	p.daemon = daemon
 	p.killed = false
 	p.parkedIdx = -1
 	p.body = fn

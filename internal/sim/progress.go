@@ -116,7 +116,7 @@ func (e *Engine) AttachProgress(p *Progress) {
 // abortTeardown turns a probe-boundary abort into an *AbortError and
 // unwinds the engine completely, mirroring livelockTeardown.
 func (e *Engine) abortTeardown() error {
-	blocked, _ := e.blockedProcs()
+	blocked := e.blockedProcs()
 	aerr := &AbortError{Now: e.now, Dispatched: e.dispatched, Reason: e.aborted, Blocked: blocked}
 	// Detach the probe before teardown dispatch: KillParked resumes
 	// procs to quiescence, and a still-armed probe boundary would

@@ -54,15 +54,6 @@ func (r *Resource) Reserve(earliest Time, dur Time) (start Time) {
 // reservations.
 func (r *Resource) FreeAt() Time { return r.freeAt }
 
-// Use reserves the resource starting now and sleeps the calling process
-// through queueing plus service. It returns the time spent queued.
-func (r *Resource) Use(p *Proc, dur Time) (waited Time) {
-	start := r.Reserve(p.Now(), dur)
-	waited = start - p.Now()
-	p.SleepUntil(start + dur)
-	return waited
-}
-
 // Utilization returns the fraction of time [0, now] the resource was busy.
 func (r *Resource) Utilization() float64 {
 	if r.e.now == 0 {

@@ -6,13 +6,23 @@ import (
 	"testing/quick"
 )
 
+// useFor books r for dur from now and sleeps p through queueing plus
+// service, returning the time spent queued: a Reserve plus the wait a
+// caller models for itself.
+func useFor(p *Proc, r *Resource, dur Time) (waited Time) {
+	t0 := p.Now()
+	start := r.Reserve(t0, dur)
+	p.SleepUntil(start + dur)
+	return start - t0
+}
+
 func TestResourceSerializesFCFS(t *testing.T) {
 	e := New()
 	r := NewResource(e, "bus")
 	var ends []Time
 	for i := 0; i < 3; i++ {
 		e.Spawn("u", func(p *Proc) {
-			r.Use(p, 100)
+			useFor(p, r, 100)
 			ends = append(ends, p.Now())
 		})
 	}
@@ -36,10 +46,10 @@ func TestResourceSerializesFCFS(t *testing.T) {
 func TestResourceIdleGapsNotCharged(t *testing.T) {
 	e := New()
 	r := NewResource(e, "bus")
-	e.Spawn("a", func(p *Proc) { r.Use(p, 10) })
+	e.Spawn("a", func(p *Proc) { useFor(p, r, 10) })
 	e.Spawn("b", func(p *Proc) {
 		p.Sleep(1000) // resource long idle
-		if w := r.Use(p, 10); w != 0 {
+		if w := useFor(p, r, 10); w != 0 {
 			t.Errorf("waited %d after idle gap, want 0", w)
 		}
 	})
@@ -79,7 +89,7 @@ func TestUtilization(t *testing.T) {
 	e := New()
 	r := NewResource(e, "x")
 	e.Spawn("u", func(p *Proc) {
-		r.Use(p, 25)
+		useFor(p, r, 25)
 		p.Sleep(75)
 	})
 	if err := e.Run(); err != nil {

@@ -55,6 +55,9 @@ func TestResumeRunsBeforeSameInstantEvents(t *testing.T) {
 	if got := e.WakeHandoffs() - wakes0; got != 5 {
 		t.Fatalf("wake hand-offs = %d, want 5", got)
 	}
+	if got := e.Resumes(); got != 1 {
+		t.Fatalf("resumes = %d, want 1", got)
+	}
 	if got := e.Dispatched(); got != 6 {
 		t.Fatalf("dispatched = %d, want 6 (2 starts, 2 wakes, 2 callbacks)", got)
 	}

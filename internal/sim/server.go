@@ -6,23 +6,30 @@ package sim
 // served before any LOW-class waiter. It models schedulers like a disk
 // controller that services demand reads ahead of background write-backs.
 //
-// Usage from a process:
+// Usage from a callback chain, with k the chain's pre-bound step:
 //
-//	srv.Acquire(p, sim.High)
-//	p.Sleep(serviceTime)
-//	srv.Release()
+//	if srv.AcquireThen(sim.High, k) {
+//		// held now
+//	} // else k runs once the server is handed over
+//	...
+//	srv.Release() // at the end of service
 type Server struct {
 	e      *Engine
 	name   string
 	busy   bool
-	queues [2]waitFIFO
+	queues [2]fifo[request]
 
 	// Stats.
-	Busy   Time // cumulative service time (from Acquire to Release)
+	Busy   Time // cumulative service time (from grant to Release)
 	Waited Time // cumulative queueing time
 	Grants uint64
-	holder *Proc
 	heldAt Time
+}
+
+// request is a queued AcquireThen: its continuation and when it queued.
+type request struct {
+	k     func()
+	since Time
 }
 
 // Priority classes for Server.
@@ -42,27 +49,34 @@ func NewServer(e *Engine, name string) *Server {
 // Name returns the server's name.
 func (s *Server) Name() string { return s.name }
 
-// Acquire takes the server in priority order, parking p while it is held.
-func (s *Server) Acquire(p *Proc, pri Priority) {
-	t0 := p.Now()
+// AcquireThen takes the server in priority order. A free server is taken
+// at once and AcquireThen reports true; otherwise k joins the class's FIFO
+// and AcquireThen reports false, and the Release that reaches k hands the
+// server over by scheduling k at that instant, holding the server for it.
+func (s *Server) AcquireThen(pri Priority, k func()) bool {
 	if s.busy {
-		s.queues[pri].push(waiter{p: p})
-		p.Park(s.name)
+		s.queues[pri].push(request{k, s.e.now})
+		return false
 	}
-	s.busy = true
-	s.holder = p
-	s.heldAt = p.Now()
-	s.Waited += p.Now() - t0
-	s.Grants++
+	s.grant(s.e.now)
+	return true
 }
 
-// TryAcquire takes the server without blocking; reports success.
-func (s *Server) TryAcquire(p *Proc, pri Priority) bool {
+// TryAcquire takes the server without queueing; reports success.
+func (s *Server) TryAcquire() bool {
 	if s.busy {
 		return false
 	}
-	s.Acquire(p, pri)
+	s.grant(s.e.now)
 	return true
+}
+
+// grant marks the server held from now by a request queued since.
+func (s *Server) grant(since Time) {
+	s.busy = true
+	s.heldAt = s.e.now
+	s.Waited += s.e.now - since
+	s.Grants++
 }
 
 // Release frees the server and hands it to the oldest high-priority
@@ -72,33 +86,16 @@ func (s *Server) Release() {
 		panic("sim: Release of idle server " + s.name)
 	}
 	s.Busy += s.e.now - s.heldAt
-	s.holder = nil
 	for pri := range s.queues {
-		for {
-			w, ok := s.queues[pri].pop()
-			if !ok {
-				break
-			}
-			if w.p.isParked() {
-				// Hand over directly: the server stays busy and the waiter
-				// resumes inside its Acquire.
-				s.e.unpark(w.p)
-				return
-			}
-			// Waiter was killed; skip.
+		if r, ok := s.queues[pri].pop(); ok {
+			// Hand over directly: the server stays busy, and the waiter
+			// runs in the slot where an unpark would wake a process.
+			s.grant(r.since)
+			s.e.schedule(s.e.now, evFunc, r.k, nil)
+			return
 		}
 	}
 	s.busy = false
-}
-
-// Use acquires, holds for dur, and releases; returns queueing time.
-func (s *Server) Use(p *Proc, pri Priority, dur Time) (waited Time) {
-	t0 := p.Now()
-	s.Acquire(p, pri)
-	waited = p.Now() - t0
-	p.Sleep(dur)
-	s.Release()
-	return waited
 }
 
 // QueueLen returns the number of waiters in the given class.

@@ -1,15 +1,39 @@
 package sim
 
-import "testing"
+import (
+	"strconv"
+	"testing"
+)
+
+// serve runs one service of dur on s at priority pri as a continuation
+// chain, the way a callback-driven client does: AcquireThen (queueing k
+// if the server is held), hold it for dur, Release, then done. It returns
+// the time spent queued through waited when the service ends.
+func serve(e *Engine, s *Server, pri Priority, dur Time, done func(waited Time)) {
+	t0 := e.Now()
+	served := func() {
+		e.At(e.Now()+dur, func() {
+			s.Release()
+			if done != nil {
+				done(e.Now() - dur - t0)
+			}
+		})
+	}
+	if s.AcquireThen(pri, served) {
+		served()
+	}
+}
+
+// at runs fn at time t.
+func at(e *Engine, t Time, fn func()) { e.At(t, fn) }
 
 func TestServerSerializes(t *testing.T) {
 	e := New()
 	s := NewServer(e, "arm")
 	var ends []Time
 	for i := 0; i < 3; i++ {
-		e.Spawn("u", func(p *Proc) {
-			s.Use(p, High, 100)
-			ends = append(ends, p.Now())
+		at(e, 0, func() {
+			serve(e, s, High, 100, func(Time) { ends = append(ends, e.Now()) })
 		})
 	}
 	if err := e.Run(); err != nil {
@@ -30,18 +54,13 @@ func TestServerHighPriorityJumpsQueue(t *testing.T) {
 	e := New()
 	s := NewServer(e, "arm")
 	var order []string
-	e.Spawn("holder", func(p *Proc) {
-		s.Use(p, High, 100)
+	at(e, 0, func() { serve(e, s, High, 100, nil) })
+	at(e, 10, func() {
+		serve(e, s, Low, 10, func(Time) { order = append(order, "low") })
 	})
-	e.Spawn("low", func(p *Proc) {
-		p.Sleep(10)
-		s.Use(p, Low, 10)
-		order = append(order, "low")
-	})
-	e.Spawn("high", func(p *Proc) {
-		p.Sleep(20) // arrives AFTER low, but must be served first
-		s.Use(p, High, 10)
-		order = append(order, "high")
+	at(e, 20, func() {
+		// Arrives AFTER low, but must be served first.
+		serve(e, s, High, 10, func(Time) { order = append(order, "high") })
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -55,13 +74,11 @@ func TestServerFIFOWithinClass(t *testing.T) {
 	e := New()
 	s := NewServer(e, "arm")
 	var order []int
-	e.Spawn("holder", func(p *Proc) { s.Use(p, High, 100) })
+	at(e, 0, func() { serve(e, s, High, 100, nil) })
 	for i := 0; i < 3; i++ {
 		i := i
-		e.Spawn("w", func(p *Proc) {
-			p.Sleep(Time(i + 1))
-			s.Use(p, Low, 1)
-			order = append(order, i)
+		at(e, Time(i+1), func() {
+			serve(e, s, Low, 1, func(Time) { order = append(order, i) })
 		})
 	}
 	if err := e.Run(); err != nil {
@@ -77,14 +94,14 @@ func TestServerFIFOWithinClass(t *testing.T) {
 func TestServerIdleAndTryAcquire(t *testing.T) {
 	e := New()
 	s := NewServer(e, "arm")
-	e.Spawn("a", func(p *Proc) {
+	at(e, 0, func() {
 		if !s.Idle() {
 			t.Error("fresh server not idle")
 		}
-		if !s.TryAcquire(p, High) {
+		if !s.TryAcquire() {
 			t.Error("TryAcquire failed on idle server")
 		}
-		if s.TryAcquire(p, High) {
+		if s.TryAcquire() {
 			t.Error("TryAcquire succeeded on busy server")
 		}
 		s.Release()
@@ -111,11 +128,13 @@ func TestServerReleaseIdlePanics(t *testing.T) {
 func TestServerWaitStats(t *testing.T) {
 	e := New()
 	s := NewServer(e, "arm")
-	e.Spawn("a", func(p *Proc) { s.Use(p, High, 50) })
-	e.Spawn("b", func(p *Proc) {
-		if w := s.Use(p, High, 10); w != 50 {
-			t.Errorf("waited %d, want 50", w)
-		}
+	at(e, 0, func() { serve(e, s, High, 50, nil) })
+	at(e, 0, func() {
+		serve(e, s, High, 10, func(w Time) {
+			if w != 50 {
+				t.Errorf("waited %d, want 50", w)
+			}
+		})
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -134,20 +153,56 @@ func TestServerStarvationOfLowUnderHighLoad(t *testing.T) {
 	e := New()
 	s := NewServer(e, "arm")
 	var lowDone Time
-	e.Spawn("low", func(p *Proc) {
-		p.Sleep(5)
-		s.Use(p, Low, 10)
-		lowDone = p.Now()
+	at(e, 5, func() {
+		serve(e, s, Low, 10, func(Time) { lowDone = e.Now() })
 	})
 	for i := 0; i < 5; i++ {
-		e.Spawn("high", func(p *Proc) {
-			s.Use(p, High, 100)
-		})
+		at(e, 0, func() { serve(e, s, High, 100, nil) })
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if lowDone < 500 {
 		t.Fatalf("low served at %d, want after the high stream (>=500)", lowDone)
+	}
+}
+
+// A Release hands the server to a queued continuation in the slot where it
+// would unpark a process: at the releasing instant, after the events
+// already due then, and holding the server for it.
+func TestServerHandsOverAtReleaseInstant(t *testing.T) {
+	e := New()
+	s := NewServer(e, "arm")
+	var log []string
+	at(e, 0, func() {
+		if !s.AcquireThen(High, nil) {
+			t.Error("idle server not taken at once")
+		}
+		e.At(40, func() {
+			log = append(log, "release")
+			s.Release()
+			if s.Idle() {
+				t.Error("server idle after hand-over")
+			}
+		})
+	})
+	at(e, 10, func() {
+		s.AcquireThen(Low, func() { log = append(log, "granted@"+strconv.FormatInt(e.Now(), 10)) })
+	})
+	at(e, 40, func() { log = append(log, "same-instant") })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"same-instant", "release", "granted@40"}
+	if len(log) != len(want) {
+		t.Fatalf("log %v, want %v", log, want)
+	}
+	for i := range want {
+		if log[i] != want[i] {
+			t.Fatalf("log %v, want %v", log, want)
+		}
+	}
+	if s.Waited != 30 || s.Grants != 2 {
+		t.Fatalf("Waited %d Grants %d, want 30 and 2", s.Waited, s.Grants)
 	}
 }

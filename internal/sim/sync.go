@@ -6,31 +6,40 @@ type waiter struct {
 	k func()
 }
 
-// waitFIFO is a head-indexed waiter queue: pop does not reslice away
-// capacity, so a queue that empties regularly reuses one backing array
-// instead of crawling through it allocation by allocation.
-type waitFIFO struct {
-	s    []waiter
+// fifo is a head-indexed queue: pop does not reslice away capacity, so a
+// queue that empties regularly reuses one backing array instead of
+// crawling through it allocation by allocation.
+type fifo[T any] struct {
+	s    []T
 	head int
 }
 
-func (q *waitFIFO) push(w waiter) { q.s = append(q.s, w) }
+func (q *fifo[T]) push(v T) { q.s = append(q.s, v) }
 
-func (q *waitFIFO) pop() (waiter, bool) {
+func (q *fifo[T]) pop() (T, bool) {
+	var zero T
 	if q.head == len(q.s) {
-		return waiter{}, false
+		return zero, false
 	}
-	w := q.s[q.head]
-	q.s[q.head] = waiter{}
+	v := q.s[q.head]
+	q.s[q.head] = zero
 	q.head++
 	if q.head == len(q.s) {
 		q.s = q.s[:0]
 		q.head = 0
 	}
-	return w, true
+	return v, true
 }
 
-func (q *waitFIFO) len() int { return len(q.s) - q.head }
+func (q *fifo[T]) peek() (T, bool) {
+	if q.head == len(q.s) {
+		var zero T
+		return zero, false
+	}
+	return q.s[q.head], true
+}
+
+func (q *fifo[T]) len() int { return len(q.s) - q.head }
 
 // Cond is a FIFO wait queue. Wait parks the calling process (WaitThen
 // queues a continuation) until another actor calls Signal or Broadcast.
@@ -40,7 +49,7 @@ func (q *waitFIFO) len() int { return len(q.s) - q.head }
 type Cond struct {
 	e       *Engine
 	name    string
-	waiting waitFIFO
+	waiting fifo[waiter]
 }
 
 // NewCond returns an empty condition queue.
@@ -156,6 +165,10 @@ func (m *Mutex) Lock(p *Proc) { m.s.Acquire(p) }
 // TryLock acquires the mutex if it is free; reports success.
 func (m *Mutex) TryLock() bool { return m.s.TryAcquire() }
 
+// Idle reports whether the mutex is free with no waiter: taking and
+// releasing it now would change nothing.
+func (m *Mutex) Idle() bool { return m.s.n > 0 && m.s.cond.waiting.len() == 0 }
+
 // WaitThen is Lock's continuation form (see Semaphore.WaitThen).
 func (m *Mutex) WaitThen(k func()) { m.s.WaitThen(k) }
 
@@ -194,11 +207,8 @@ func (b *Barrier) Arrive(p *Proc) Time {
 
 // Queue is an unbounded FIFO mailbox. Push never blocks and may be called
 // from event callbacks; Pop parks the caller until an item is available.
-// Like waitFIFO, the item buffer is head-indexed so a queue that drains
-// regularly reuses its backing array.
 type Queue[T any] struct {
-	items []T
-	head  int
+	items fifo[T]
 	cond  *Cond
 }
 
@@ -207,21 +217,8 @@ func NewQueue[T any](e *Engine) *Queue[T] { return &Queue[T]{cond: NewCond(e).Na
 
 // Push appends an item and wakes one waiting consumer.
 func (q *Queue[T]) Push(v T) {
-	q.items = append(q.items, v)
+	q.items.push(v)
 	q.cond.Signal()
-}
-
-// take removes the head item; the queue must be non-empty.
-func (q *Queue[T]) take() T {
-	var zero T
-	v := q.items[q.head]
-	q.items[q.head] = zero
-	q.head++
-	if q.head == len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
-	}
-	return v
 }
 
 // Pop removes and returns the oldest item, parking p while empty.
@@ -229,26 +226,15 @@ func (q *Queue[T]) Pop(p *Proc) T {
 	for q.Len() == 0 {
 		q.cond.Wait(p)
 	}
-	return q.take()
+	v, _ := q.items.pop()
+	return v
 }
 
 // TryPop removes the oldest item without blocking.
-func (q *Queue[T]) TryPop() (T, bool) {
-	var zero T
-	if q.Len() == 0 {
-		return zero, false
-	}
-	return q.take(), true
-}
+func (q *Queue[T]) TryPop() (T, bool) { return q.items.pop() }
 
 // Len returns the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) - q.head }
+func (q *Queue[T]) Len() int { return q.items.len() }
 
 // Peek returns the oldest item without removing it.
-func (q *Queue[T]) Peek() (T, bool) {
-	var zero T
-	if q.Len() == 0 {
-		return zero, false
-	}
-	return q.items[q.head], true
-}
+func (q *Queue[T]) Peek() (T, bool) { return q.items.peek() }

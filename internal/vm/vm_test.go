@@ -119,12 +119,14 @@ func TestFramePoolPressureSignaled(t *testing.T) {
 	e := sim.New()
 	f := NewFramePool(e, 0, 4, 2)
 	woken := false
-	e.SpawnDaemon("daemon", func(p *sim.Proc) {
-		for {
-			f.Pressure.Wait(p)
+	var daemon func()
+	daemon = func() {
+		f.Pressure.WaitThen(func() {
 			woken = true
-		}
-	})
+			daemon()
+		})
+	}
+	daemon()
 	e.Spawn("alloc", func(p *sim.Proc) {
 		p.Sleep(1)
 		f.Alloc(1)

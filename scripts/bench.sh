@@ -9,6 +9,7 @@
 #   BenchmarkProcHandoff            hand-off between two procs (coroutine switch)
 #   BenchmarkCallbackHandoff        hand-off between two continuations via a Cond
 #   BenchmarkCtxTouch               one CPU's Touch chain on resident pages (CC hits + misses)
+#   BenchmarkPageFault              one CPU faulting pages in from the ring and the disk cache
 #   BenchmarkMeshTransit            precomputed-route mesh reservation
 #   BenchmarkFramePoolTouch         LRU refresh on the per-access path
 #   BenchmarkFramePoolEvict         reserve/adopt/unmap/release cycle
@@ -49,7 +50,7 @@ trap 'rm -f "$raw"' EXIT
 # Micro-benchmarks: GOMAXPROCS=1, N samples each via -count; the awk
 # pass below keeps the minimum per benchmark.
 GOMAXPROCS=1 go test -run '^$' \
-  -bench '^(BenchmarkEngineEventThroughput|BenchmarkProcSwitch|BenchmarkProcHandoff|BenchmarkCallbackHandoff|BenchmarkCtxTouch|BenchmarkMeshTransit)$' \
+  -bench '^(BenchmarkEngineEventThroughput|BenchmarkProcSwitch|BenchmarkProcHandoff|BenchmarkCallbackHandoff|BenchmarkCtxTouch|BenchmarkPageFault|BenchmarkMeshTransit)$' \
   -benchmem -benchtime "$micro_bt" -count "$samples" . | tee "$raw" >&2
 GOMAXPROCS=1 go test -run '^$' \
   -bench '^(BenchmarkFramePoolTouch|BenchmarkFramePoolEvict)$' \

@@ -43,6 +43,7 @@ benches='. BenchmarkEngineEventThroughput
 . BenchmarkProcHandoff
 . BenchmarkCallbackHandoff
 . BenchmarkCtxTouch
+. BenchmarkPageFault
 . BenchmarkMeshTransit
 ./internal/vm BenchmarkFramePoolTouch
 ./internal/vm BenchmarkFramePoolEvict

@@ -24,4 +24,4 @@ else
   echo "tier1: staticcheck not installed, skipping (CI runs it)" >&2
 fi
 go test ./...
-go test -race ./internal/sim/... ./internal/exp/pool/... ./internal/machine/... ./internal/obs/... ./internal/core/... ./internal/sweep/... ./internal/guard/... ./internal/serve/... ./cmd/internal/cli/...
+go test -race ./internal/sim/... ./internal/disk/... ./internal/optical/... ./internal/exp/pool/... ./internal/machine/... ./internal/obs/... ./internal/core/... ./internal/sweep/... ./internal/guard/... ./internal/serve/... ./cmd/internal/cli/...
