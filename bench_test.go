@@ -191,48 +191,9 @@ func BenchmarkEngineEventThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkProcSwitch measures coroutine transfer cost.
-func BenchmarkProcSwitch(b *testing.B) {
-	e := sim.New()
-	n := b.N
-	e.Spawn("p", func(p *sim.Proc) {
-		for i := 0; i < n; i++ {
-			p.Sleep(1)
-		}
-	})
-	b.ResetTimer()
-	if err := e.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkProcHandoff measures a hand-off between two procs: they sleep
-// in alternation, so every wake resumes the proc that is not driving and
-// costs a switch (one per op, reported as switches/op).
-func BenchmarkProcHandoff(b *testing.B) {
-	e := sim.New()
-	n := b.N
-	e.Spawn("ping", func(p *sim.Proc) {
-		for i := 0; i < (n+1)/2; i++ {
-			p.Sleep(2)
-		}
-	})
-	e.Spawn("pong", func(p *sim.Proc) {
-		p.Sleep(1)
-		for i := 0; i < n/2; i++ {
-			p.Sleep(2)
-		}
-	})
-	b.ResetTimer()
-	if err := e.Run(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(e.Switches())/float64(n), "switches/op")
-}
-
-// BenchmarkCallbackHandoff is BenchmarkProcHandoff for continuations:
-// two continuations alternate through a Cond (each signals the other and
-// waits), so every hand-off is one callback dispatch and no switch.
+// BenchmarkCallbackHandoff measures a hand-off between two continuations:
+// they alternate through a Cond (each signals the other and waits), so
+// every hand-off is one callback dispatch.
 func BenchmarkCallbackHandoff(b *testing.B) {
 	e := sim.New()
 	c := sim.NewCond(e)
@@ -266,6 +227,52 @@ func (touchProg) DataPages() int64 { return 64 }
 func (t touchProg) Run(ctx *machine.Ctx, proc int) {
 	if proc == 0 {
 		t.fn(ctx)
+	}
+}
+
+// threadsProg is a Program whose every thread runs fn.
+type threadsProg struct {
+	fn func(ctx *machine.Ctx, proc int)
+}
+
+func (threadsProg) Name() string                     { return "threads" }
+func (threadsProg) DataPages() int64                 { return 64 }
+func (t threadsProg) Run(ctx *machine.Ctx, proc int) { t.fn(ctx, proc) }
+
+// BenchmarkThreadResume measures the block/resume round trip of a CPU
+// thread. Threads 0 and 1 alternate Compute(1) and Now() in lockstep, so
+// neither's sleep is ever the very next event (a lone thread would run on
+// in place, sim.Engine.AdvanceTo): each op blocks both threads once, and a
+// callback resumes each (resumes/op).
+func BenchmarkThreadResume(b *testing.B) {
+	m, err := machine.New(param.Default(), machine.NWCache, disk.Optimal)
+	if err != nil {
+		b.Fatal(err)
+	}
+	done := false
+	prog := threadsProg{fn: func(ctx *machine.Ctx, proc int) {
+		switch proc {
+		case 0:
+			ctx.Now()
+			res0 := m.ThreadResumes()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ctx.Compute(1)
+				ctx.Now()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(m.ThreadResumes()-res0)/float64(b.N), "resumes/op")
+			done = true
+		case 1:
+			for !done {
+				ctx.Compute(1)
+				ctx.Now()
+			}
+		}
+	}}
+	if _, err := m.Run(prog); err != nil {
+		b.Fatal(err)
 	}
 }
 
@@ -312,8 +319,8 @@ func BenchmarkCtxTouch(b *testing.B) {
 // Written pages swap out to the ring and fault back in off it (ring-hits
 // per op); read pages are evicted clean and fault back in from the disk
 // controller cache (optimal prefetch). The fault path and the daemons run
-// as engine callbacks, so a fault costs no coroutine switch (switches/op)
-// and, once the pools are warm, no allocation.
+// as engine callbacks, so a fault resumes no thread (resumes/op counts the
+// thread's resumes) and, once the pools are warm, allocates nothing.
 func BenchmarkPageFault(b *testing.B) {
 	cfg := param.Default()
 	cfg.MemPerNode = 16 * cfg.PageSize
@@ -337,7 +344,7 @@ func BenchmarkPageFault(b *testing.B) {
 		}
 		ctx.Now()
 		n := m.Nodes[0]
-		faults0, ring0, sw0 := n.Faults, n.RingHits, m.E.Switches()
+		faults0, ring0, res0 := n.Faults, n.RingHits, m.ThreadResumes()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -347,7 +354,7 @@ func BenchmarkPageFault(b *testing.B) {
 		b.StopTimer()
 		b.ReportMetric(float64(n.Faults-faults0)/float64(b.N), "faults/op")
 		b.ReportMetric(float64(n.RingHits-ring0)/float64(b.N), "ring-hits/op")
-		b.ReportMetric(float64(m.E.Switches()-sw0)/float64(b.N), "switches/op")
+		b.ReportMetric(float64(m.ThreadResumes()-res0)/float64(b.N), "resumes/op")
 	}}
 	if _, err := m.Run(prog); err != nil {
 		b.Fatal(err)

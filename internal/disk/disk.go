@@ -199,12 +199,12 @@ func New(e *sim.Engine, name string, cfg param.Config, mode PrefetchMode) *Disk 
 		pageXfer:     cfg.PageDiskTime(),
 		maxBlockSeen: 1,
 		wbDwell:      cfg.WBDwell,
-		wbKick:       sim.NewCond(e).Named(name + ".wbKick"),
+		wbKick:       sim.NewCond(e),
 		pendingPF:    make(map[int64]bool),
 		streamHead:   make([]int64, cfg.Nodes),
 		streamDepth:  cfg.StreamDepth,
 	}
-	d.pendingPFDone = sim.NewCond(e).Named(name + ".pfDone")
+	d.pendingPFDone = sim.NewCond(e)
 	if cfg.DCD {
 		d.dcd = newDCDLog(e, d, cfg.DCDLogBlocks)
 	}

@@ -16,31 +16,125 @@ func newDisk(mode PrefetchMode) (*sim.Engine, *Disk, param.Config) {
 	return e, d, cfg
 }
 
-// read serves one page read on the continuation form from process p,
-// parked until the controller has the data.
-func read(p *sim.Proc, d *Disk, from int, page PageID, block int64) ReadOutcome {
-	r := &ReadReq{From: from, Page: page, Block: block}
-	r.Done = func() { p.Engine().Resume(p) }
-	if !d.Read(r) {
-		p.Park("disk read")
+// step is one step of a test script: it does its work and then calls
+// next, at once or from the callback that ends its wait.
+type step func(next func())
+
+// script runs steps one after another as a callback chain starting at
+// time 0, as the requests of one driver node.
+func script(e *sim.Engine, steps ...step) {
+	var run func(i int)
+	run = func(i int) {
+		if i < len(steps) {
+			steps[i](func() { run(i + 1) })
+		}
 	}
-	return r.Outcome
+	e.At(0, func() { run(0) })
 }
 
-// write delivers one swap-out write from process p: the controller's
-// booking, then its ACK/NACK answer.
-func write(p *sim.Proc, d *Disk, node int, page PageID, block int64) WriteStatus {
-	p.SleepUntil(d.BookWrite())
-	return d.AnswerWrite(node, page, block)
+// sleep waits d pcycles.
+func sleep(e *sim.Engine, d sim.Time) step {
+	return func(next func()) { e.After(d, next) }
+}
+
+// do runs f and goes on.
+func do(f func()) step {
+	return func(next func()) {
+		f()
+		next()
+	}
+}
+
+// read serves one page read on the continuation form, storing its
+// outcome in out (when non-nil). The script goes on once the controller
+// has the data: at once when Read serves it synchronously, otherwise as
+// soon as the disk callback that delivers it returns.
+func read(e *sim.Engine, d *Disk, from int, page PageID, block int64, out *ReadOutcome) step {
+	return func(next func()) {
+		r := &ReadReq{From: from, Page: page, Block: block}
+		done := func() {
+			if out != nil {
+				*out = r.Outcome
+			}
+			next()
+		}
+		r.Done = func() { e.Resume(done) }
+		if d.Read(r) {
+			done()
+		}
+	}
+}
+
+// write delivers one swap-out write: the controller's booking, then its
+// ACK/NACK answer, stored in out (when non-nil).
+func write(e *sim.Engine, d *Disk, node int, page PageID, block int64, out *WriteStatus) step {
+	return func(next func()) {
+		answer := func() {
+			st := d.AnswerWrite(node, page, block)
+			if out != nil {
+				*out = st
+			}
+			next()
+		}
+		if t := d.BookWrite(); t > e.Now() {
+			e.At(t, answer)
+		} else {
+			answer()
+		}
+	}
+}
+
+// okQueue collects the pages whose OK arrived, so a script can resend a
+// NACKed write once its OK comes, as a node does.
+type okQueue struct {
+	e     *sim.Engine
+	d     *Disk
+	pages []PageID
+	ok    *sim.Cond
+}
+
+func newOKQueue(e *sim.Engine, d *Disk) *okQueue {
+	q := &okQueue{e: e, d: d, ok: sim.NewCond(e)}
+	d.NotifyOK = func(node int, page PageID) {
+		q.pages = append(q.pages, page)
+		q.ok.Signal()
+	}
+	return q
+}
+
+// writeAcked writes page until a write is ACKed: after each NACK it
+// waits for the next OK and resends the page that OK names.
+func (q *okQueue) writeAcked(node int, page PageID) step {
+	return func(next func()) {
+		var st WriteStatus
+		var try func(pg PageID)
+		var pop func()
+		try = func(pg PageID) {
+			write(q.e, q.d, node, pg, int64(pg), &st)(func() {
+				if st == ACK {
+					next()
+					return
+				}
+				pop()
+			})
+		}
+		pop = func() {
+			if len(q.pages) == 0 {
+				q.ok.WaitThen(pop)
+				return
+			}
+			pg := q.pages[0]
+			q.pages = q.pages[1:]
+			try(pg)
+		}
+		try(page)
+	}
 }
 
 func TestReadMissThenHitNaive(t *testing.T) {
 	e, d, _ := newDisk(Naive)
 	var first, second ReadOutcome
-	e.Spawn("r", func(p *sim.Proc) {
-		first = read(p, d, 0, 10, 10)
-		second = read(p, d, 0, 10, 10)
-	})
+	script(e, read(e, d, 0, 10, 10, &first), read(e, d, 0, 10, 10, &second))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -58,11 +152,7 @@ func TestReadMissThenHitNaive(t *testing.T) {
 func TestReadMissTakesMediaTime(t *testing.T) {
 	e, d, cfg := newDisk(Naive)
 	var took sim.Time
-	e.Spawn("r", func(p *sim.Proc) {
-		start := p.Now()
-		read(p, d, 0, 5, 5)
-		took = p.Now() - start
-	})
+	script(e, read(e, d, 0, 5, 5, nil), do(func() { took = e.Now() }))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -75,15 +165,19 @@ func TestReadMissTakesMediaTime(t *testing.T) {
 
 func TestOptimalModeAllReadsHit(t *testing.T) {
 	e, d, _ := newDisk(Optimal)
-	e.Spawn("r", func(p *sim.Proc) {
-		for pg := PageID(0); pg < 50; pg++ {
-			if !read(p, d, 0, pg, int64(pg)).Hit() {
-				t.Errorf("optimal read of page %d missed", pg)
-			}
-		}
-	})
+	outcomes := make([]ReadOutcome, 50)
+	var steps []step
+	for pg := range outcomes {
+		steps = append(steps, read(e, d, 0, PageID(pg), int64(pg), &outcomes[pg]))
+	}
+	script(e, steps...)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
+	}
+	for pg, o := range outcomes {
+		if !o.Hit() {
+			t.Errorf("optimal read of page %d missed", pg)
+		}
 	}
 	if d.MediaReads != 0 {
 		t.Fatalf("optimal mode touched media %d times on the request path", d.MediaReads)
@@ -93,13 +187,13 @@ func TestOptimalModeAllReadsHit(t *testing.T) {
 func TestNaivePrefetchFillsSequentialPages(t *testing.T) {
 	e, d, _ := newDisk(Naive)
 	var followUp, immediate ReadOutcome
-	e.Spawn("r", func(p *sim.Proc) {
-		read(p, d, 0, 100, 100)
+	script(e,
+		read(e, d, 0, 100, 100, nil),
 		// Request the next page while its prefetch is still streaming.
-		immediate = read(p, d, 0, 101, 101)
-		p.Sleep(10 * param.PcyclesPerMsec) // let the rest finish
-		followUp = read(p, d, 0, 102, 102)
-	})
+		read(e, d, 0, 101, 101, &immediate),
+		sleep(e, 10*param.PcyclesPerMsec), // let the rest finish
+		read(e, d, 0, 102, 102, &followUp),
+	)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -114,9 +208,7 @@ func TestNaivePrefetchFillsSequentialPages(t *testing.T) {
 func TestWriteACKWhenRoom(t *testing.T) {
 	e, d, _ := newDisk(Naive)
 	var st WriteStatus
-	e.Spawn("w", func(p *sim.Proc) {
-		st = write(p, d, 1, 7, 7)
-	})
+	script(e, write(e, d, 1, 7, 7, &st))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -131,14 +223,14 @@ func TestWriteNACKWhenFullOfSwapOutsAndOKFollows(t *testing.T) {
 	d := New(e, "d0", cfg, Naive)
 	var oks []PageID
 	d.NotifyOK = func(node int, page PageID) { oks = append(oks, page) }
-	var statuses []WriteStatus
-	e.Spawn("w", func(p *sim.Proc) {
-		// Fill all 4 slots plus one extra; use scattered blocks so no
-		// combining hides the backlog.
-		for i := 0; i < 5; i++ {
-			statuses = append(statuses, write(p, d, 2, PageID(i*100), int64(i*100)))
-		}
-	})
+	// Fill all 4 slots plus one extra; use scattered blocks so no
+	// combining hides the backlog.
+	statuses := make([]WriteStatus, 5)
+	var steps []step
+	for i := range statuses {
+		steps = append(steps, write(e, d, 2, PageID(i*100), int64(i*100), &statuses[i]))
+	}
+	script(e, steps...)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -158,29 +250,34 @@ func TestWriteNACKWhenFullOfSwapOutsAndOKFollows(t *testing.T) {
 
 func TestWritesPreferredOverPrefetches(t *testing.T) {
 	e, d, _ := newDisk(Naive)
-	e.Spawn("x", func(p *sim.Proc) {
-		read(p, d, 0, 100, 100) // miss + prefetch fills cache with 101..103
-		p.Sleep(10 * param.PcyclesPerMsec)
-		// Now the cache is full of clean data; writes must evict it.
-		for i := 0; i < 4; i++ {
-			if st := write(p, d, 1, PageID(500+i*50), int64(500+i*50)); st != ACK {
-				t.Errorf("write %d got %v, want ACK over prefetched data", i, st)
-			}
-		}
-	})
+	statuses := make([]WriteStatus, 4)
+	steps := []step{
+		read(e, d, 0, 100, 100, nil), // miss + prefetch fills cache with 101..103
+		sleep(e, 10*param.PcyclesPerMsec),
+	}
+	// Now the cache is full of clean data; writes must evict it.
+	for i := range statuses {
+		steps = append(steps, write(e, d, 1, PageID(500+i*50), int64(500+i*50), &statuses[i]))
+	}
+	script(e, steps...)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
+	}
+	for i, st := range statuses {
+		if st != ACK {
+			t.Errorf("write %d got %v, want ACK over prefetched data", i, st)
+		}
 	}
 }
 
 func TestWriteCombiningConsecutiveBlocks(t *testing.T) {
 	e, d, _ := newDisk(Naive)
-	e.Spawn("w", func(p *sim.Proc) {
-		// Four consecutive blocks land in the cache together.
-		for i := 0; i < 4; i++ {
-			write(p, d, 1, PageID(200+i), int64(200+i))
-		}
-	})
+	// Four consecutive blocks land in the cache together.
+	var steps []step
+	for i := 0; i < 4; i++ {
+		steps = append(steps, write(e, d, 1, PageID(200+i), int64(200+i), nil))
+	}
+	script(e, steps...)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -194,11 +291,11 @@ func TestWriteCombiningConsecutiveBlocks(t *testing.T) {
 
 func TestNoCombiningForScatteredBlocks(t *testing.T) {
 	e, d, _ := newDisk(Naive)
-	e.Spawn("w", func(p *sim.Proc) {
-		for i := 0; i < 4; i++ {
-			write(p, d, 1, PageID(i*1000), int64(i*1000))
-		}
-	})
+	var steps []step
+	for i := 0; i < 4; i++ {
+		steps = append(steps, write(e, d, 1, PageID(i*1000), int64(i*1000), nil))
+	}
+	script(e, steps...)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -227,13 +324,15 @@ func TestSeekTimeProportionalToDistance(t *testing.T) {
 
 func TestDirtyOverwriteInCache(t *testing.T) {
 	e, d, _ := newDisk(Naive)
-	e.Spawn("w", func(p *sim.Proc) {
-		write(p, d, 1, 7, 7)
-		write(p, d, 1, 7, 7) // overwrite same page: must not consume a second slot
-		if d.DirtySlots() > 1 {
-			t.Errorf("dirty slots %d after overwrite, want <= 1", d.DirtySlots())
-		}
-	})
+	script(e,
+		write(e, d, 1, 7, 7, nil),
+		write(e, d, 1, 7, 7, nil), // overwrite same page: must not consume a second slot
+		do(func() {
+			if d.DirtySlots() > 1 {
+				t.Errorf("dirty slots %d after overwrite, want <= 1", d.DirtySlots())
+			}
+		}),
+	)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -241,16 +340,20 @@ func TestDirtyOverwriteInCache(t *testing.T) {
 
 func TestInvalidateCleanOnly(t *testing.T) {
 	e, d, _ := newDisk(Naive)
-	e.Spawn("x", func(p *sim.Proc) {
-		read(p, d, 0, 42, 42)
-		if !d.Invalidate(42) {
-			t.Error("clean page not invalidated")
-		}
-		write(p, d, 1, 43, 43)
-		if d.Invalidate(43) {
-			t.Error("dirty page invalidated; its data would be lost")
-		}
-	})
+	script(e,
+		read(e, d, 0, 42, 42, nil),
+		do(func() {
+			if !d.Invalidate(42) {
+				t.Error("clean page not invalidated")
+			}
+		}),
+		write(e, d, 1, 43, 43, nil),
+		do(func() {
+			if d.Invalidate(43) {
+				t.Error("dirty page invalidated; its data would be lost")
+			}
+		}),
+	)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -270,19 +373,13 @@ func TestAllWritesEventuallyReachMediaProperty(t *testing.T) {
 		e := sim.New()
 		cfg := param.Default()
 		d := New(e, "d0", cfg, Naive)
-		resend := sim.NewQueue[PageID](e)
-		d.NotifyOK = func(node int, page PageID) { resend.Push(page) }
-		e.Spawn("w", func(p *sim.Proc) {
-			for _, pg := range pagesRaw {
-				if write(p, d, 0, PageID(pg), int64(pg)) == NACK {
-					// Wait for the OK and resend, as a node would.
-					got := resend.Pop(p)
-					for write(p, d, 0, got, int64(got)) == NACK {
-						got = resend.Pop(p)
-					}
-				}
-			}
-		})
+		// A NACKed write waits for the OK and resends, as a node would.
+		oks := newOKQueue(e, d)
+		var steps []step
+		for _, pg := range pagesRaw {
+			steps = append(steps, oks.writeAcked(0, PageID(pg)))
+		}
+		script(e, steps...)
 		if err := e.Run(); err != nil {
 			return false
 		}
@@ -303,14 +400,16 @@ func TestModeString(t *testing.T) {
 func TestStreamedModeDetectsSequentialStream(t *testing.T) {
 	e, d, _ := newDisk(Streamed)
 	var outcomes []ReadOutcome
-	e.Spawn("r", func(p *sim.Proc) {
-		// A sequential stream from node 0: first two misses establish the
-		// stream, then read-ahead starts covering subsequent blocks.
-		for b := int64(10); b < 18; b++ {
-			outcomes = append(outcomes, read(p, d, 0, PageID(b), b))
-			p.Sleep(100_000) // think time between requests
-		}
-	})
+	// A sequential stream from node 0: first two misses establish the
+	// stream, then read-ahead starts covering subsequent blocks.
+	outcomes = make([]ReadOutcome, 8)
+	var steps []step
+	for i := range outcomes {
+		b := int64(10 + i)
+		steps = append(steps, read(e, d, 0, PageID(b), b, &outcomes[i]),
+			sleep(e, 100_000)) // think time between requests
+	}
+	script(e, steps...)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -327,12 +426,12 @@ func TestStreamedModeDetectsSequentialStream(t *testing.T) {
 
 func TestStreamedModeIgnoresRandomRequester(t *testing.T) {
 	e, d, _ := newDisk(Streamed)
-	e.Spawn("r", func(p *sim.Proc) {
-		// Non-sequential requests must not trigger read-ahead.
-		for _, b := range []int64{10, 500, 90, 3000, 42} {
-			read(p, d, 0, PageID(b), b)
-		}
-	})
+	// Non-sequential requests must not trigger read-ahead.
+	var steps []step
+	for _, b := range []int64{10, 500, 90, 3000, 42} {
+		steps = append(steps, read(e, d, 0, PageID(b), b, nil))
+	}
+	script(e, steps...)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -348,20 +447,20 @@ func TestStreamedModeIgnoresRandomRequester(t *testing.T) {
 func TestStreamedModeTracksStreamsPerNode(t *testing.T) {
 	e, d, _ := newDisk(Streamed)
 	var n0Hit, n1Hit ReadOutcome
-	e.Spawn("r", func(p *sim.Proc) {
-		// Node 0 and node 1 run independent sequential streams; stream
-		// state is tracked per requester, so node 1's intervening read
-		// must not break node 0's stream detection.
-		read(p, d, 0, 10, 10)
-		read(p, d, 1, 500, 500)
-		read(p, d, 0, 11, 11) // node 0 stream confirmed -> read-ahead of 12
-		p.Sleep(10 * param.PcyclesPerMsec)
-		n0Hit = read(p, d, 0, 12, 12)
+	// Node 0 and node 1 run independent sequential streams; stream
+	// state is tracked per requester, so node 1's intervening read must
+	// not break node 0's stream detection.
+	script(e,
+		read(e, d, 0, 10, 10, nil),
+		read(e, d, 1, 500, 500, nil),
+		read(e, d, 0, 11, 11, nil), // node 0 stream confirmed -> read-ahead of 12
+		sleep(e, 10*param.PcyclesPerMsec),
+		read(e, d, 0, 12, 12, &n0Hit),
 		// Now node 1 continues its own stream.
-		read(p, d, 1, 501, 501) // node 1 stream confirmed -> read-ahead of 502
-		p.Sleep(10 * param.PcyclesPerMsec)
-		n1Hit = read(p, d, 1, 502, 502)
-	})
+		read(e, d, 1, 501, 501, nil), // node 1 stream confirmed -> read-ahead of 502
+		sleep(e, 10*param.PcyclesPerMsec),
+		read(e, d, 1, 502, 502, &n1Hit),
+	)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -380,17 +479,18 @@ func TestReadPriorityArmServesReadsFirst(t *testing.T) {
 	d := New(e, "d0", cfg, Naive)
 	d.NotifyOK = func(node int, page PageID) {}
 	var readDone, firstWBDone sim.Time
-	e.Spawn("x", func(p *sim.Proc) {
-		// Queue several scattered writes: the write-back daemon grabs the
-		// arm. Then issue a read; with priority scheduling it should be
-		// served before the remaining write-backs.
-		for i := 0; i < 4; i++ {
-			write(p, d, 1, PageID(i*1000), int64(i*1000))
-		}
-		p.Sleep(1000) // let the first write-back start
-		read(p, d, 0, 9000, 9000)
-		readDone = p.Now()
-	})
+	// Queue several scattered writes: the write-back daemon grabs the
+	// arm. Then issue a read; with priority scheduling it should be
+	// served before the remaining write-backs.
+	var steps []step
+	for i := 0; i < 4; i++ {
+		steps = append(steps, write(e, d, 1, PageID(i*1000), int64(i*1000), nil))
+	}
+	script(e, append(steps,
+		sleep(e, 1000), // let the first write-back start
+		read(e, d, 0, 9000, 9000, nil),
+		do(func() { readDone = e.Now() }),
+	)...)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -428,17 +528,12 @@ func TestDCDAbsorbsScatteredWritesQuickly(t *testing.T) {
 		cfg := param.Default()
 		cfg.DCD = dcd
 		d := New(e, "d0", cfg, Naive)
-		resend := sim.NewQueue[PageID](e)
-		d.NotifyOK = func(node int, page PageID) { resend.Push(page) }
-		e.Spawn("w", func(p *sim.Proc) {
-			for i := 0; i < 12; i++ {
-				pg := PageID(i * 997) // scattered
-				for write(p, d, 0, pg, int64(pg)) == NACK {
-					resend.Pop(p)
-				}
-			}
-			doneAt = p.Now()
-		})
+		oks := newOKQueue(e, d)
+		var steps []step
+		for i := 0; i < 12; i++ {
+			steps = append(steps, oks.writeAcked(0, PageID(i*997))) // scattered
+		}
+		script(e, append(steps, do(func() { doneAt = e.Now() }))...)
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -457,20 +552,21 @@ func TestDCDAbsorbsScatteredWritesQuickly(t *testing.T) {
 func TestDCDLoggedBlocksReadableBeforeDestage(t *testing.T) {
 	e, d, _ := newDCDDisk()
 	var outcome ReadOutcome
-	e.Spawn("x", func(p *sim.Proc) {
-		// Write a page, let it destage to the log, evict it from the RAM
-		// cache with other traffic, then read it back: the read must be
-		// servable (from the log) without corrupting state.
-		write(p, d, 0, 7, 7)
-		p.Sleep(5 * param.PcyclesPerMsec)
-		for i := 0; i < 4; i++ {
-			read(p, d, 0, PageID(100+i*50), int64(100+i*50)) // evict page 7 from RAM cache
-		}
-		if d.find(7) >= 0 {
-			t.Error("page 7 still in RAM cache; test premise broken")
-		}
-		outcome = read(p, d, 0, 7, 7)
-	})
+	// Write a page, let it destage to the log, evict it from the RAM
+	// cache with other traffic, then read it back: the read must be
+	// servable (from the log) without corrupting state.
+	steps := []step{write(e, d, 0, 7, 7, nil), sleep(e, 5*param.PcyclesPerMsec)}
+	for i := 0; i < 4; i++ {
+		steps = append(steps, read(e, d, 0, PageID(100+i*50), int64(100+i*50), nil)) // evict page 7 from RAM cache
+	}
+	script(e, append(steps,
+		do(func() {
+			if d.find(7) >= 0 {
+				t.Error("page 7 still in RAM cache; test premise broken")
+			}
+		}),
+		read(e, d, 0, 7, 7, &outcome),
+	)...)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -481,12 +577,11 @@ func TestDCDLoggedBlocksReadableBeforeDestage(t *testing.T) {
 
 func TestDCDDestagesEventually(t *testing.T) {
 	e, d, _ := newDCDDisk()
-	e.Spawn("w", func(p *sim.Proc) {
-		for i := 0; i < 8; i++ {
-			write(p, d, 0, PageID(i*500), int64(i*500))
-			p.Sleep(param.PcyclesPerMsec)
-		}
-	})
+	var steps []step
+	for i := 0; i < 8; i++ {
+		steps = append(steps, write(e, d, 0, PageID(i*500), int64(i*500), nil), sleep(e, param.PcyclesPerMsec))
+	}
+	script(e, steps...)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -507,16 +602,12 @@ func TestDCDLogFullBlocksWritebackUntilDestage(t *testing.T) {
 	cfg.DCD = true
 	cfg.DCDLogBlocks = 4 // tiny log: fills immediately
 	d := New(e, "d0", cfg, Naive)
-	resend := sim.NewQueue[PageID](e)
-	d.NotifyOK = func(node int, page PageID) { resend.Push(page) }
-	e.Spawn("w", func(p *sim.Proc) {
-		for i := 0; i < 16; i++ {
-			pg := PageID(i * 777)
-			for write(p, d, 0, pg, int64(pg)) == NACK {
-				resend.Pop(p)
-			}
-		}
-	})
+	oks := newOKQueue(e, d)
+	var steps []step
+	for i := 0; i < 16; i++ {
+		steps = append(steps, oks.writeAcked(0, PageID(i*777)))
+	}
+	script(e, steps...)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -539,14 +630,14 @@ func TestReadPriorityDiskStillDrainsWrites(t *testing.T) {
 	cfg.DiskReadPriority = true
 	d := New(e, "d0", cfg, Naive)
 	d.NotifyOK = func(node int, page PageID) {}
-	e.Spawn("x", func(p *sim.Proc) {
-		for i := 0; i < 3; i++ {
-			write(p, d, 0, PageID(i*333), int64(i*333))
-		}
-		for i := 0; i < 6; i++ {
-			read(p, d, 0, PageID(9000+i*111), int64(9000+i*111))
-		}
-	})
+	var steps []step
+	for i := 0; i < 3; i++ {
+		steps = append(steps, write(e, d, 0, PageID(i*333), int64(i*333), nil))
+	}
+	for i := 0; i < 6; i++ {
+		steps = append(steps, read(e, d, 0, PageID(9000+i*111), int64(9000+i*111), nil))
+	}
+	script(e, steps...)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}

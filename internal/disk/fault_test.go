@@ -26,20 +26,14 @@ func TestReadRetriesThenGivesUp(t *testing.T) {
 	eb, db, cfg := newDisk(Naive) // fault-free baseline
 	var faulted, clean sim.Time
 	var s fault.Stats
-	e.Spawn("r", func(p *sim.Proc) {
-		t0 := p.Now()
-		read(p, d, 0, 5, 5)
-		faulted = p.Now() - t0
+	script(e, read(e, d, 0, 5, 5, nil), do(func() {
+		faulted = e.Now()
 		s = inj.Stats // before the background prefetch retries too
-	})
+	}))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	eb.Spawn("r", func(p *sim.Proc) {
-		t0 := p.Now()
-		read(p, db, 0, 5, 5)
-		clean = p.Now() - t0
-	})
+	script(eb, read(eb, db, 0, 5, 5, nil), do(func() { clean = eb.Now() }))
 	if err := eb.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -57,10 +51,9 @@ func TestReadRetriesThenGivesUp(t *testing.T) {
 func TestBadBlockRemapSlipsHead(t *testing.T) {
 	e, d, inj := faultedDisk(t, "disk bad-block disk=0 block=50\n")
 	var head int64
-	e.Spawn("r", func(p *sim.Proc) {
-		read(p, d, 0, 50, 50)
+	script(e, read(e, d, 0, 50, 50, nil), do(func() {
 		head = d.headPos // before the background prefetch moves it
-	})
+	}))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -76,19 +69,11 @@ func TestDegradedWindowMultipliesLatency(t *testing.T) {
 	e, d, inj := faultedDisk(t, "disk degraded disk=0 from=0 until=100000000 mult=4\n")
 	eb, db, cfg := newDisk(Naive)
 	var faulted, clean sim.Time
-	e.Spawn("r", func(p *sim.Proc) {
-		t0 := p.Now()
-		read(p, d, 0, 5, 5)
-		faulted = p.Now() - t0
-	})
+	script(e, read(e, d, 0, 5, 5, nil), do(func() { faulted = e.Now() }))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	eb.Spawn("r", func(p *sim.Proc) {
-		t0 := p.Now()
-		read(p, db, 0, 5, 5)
-		clean = p.Now() - t0
-	})
+	script(eb, read(eb, db, 0, 5, 5, nil), do(func() { clean = eb.Now() }))
 	if err := eb.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +89,11 @@ func TestDegradedWindowMultipliesLatency(t *testing.T) {
 // Write-back media accesses inject write errors, not read errors.
 func TestWritebackInjectsWriteErrors(t *testing.T) {
 	e, d, inj := faultedDisk(t, "disk write-error rate=1 retries=1 backoff=50\n")
-	e.Spawn("w", func(p *sim.Proc) {
-		write(p, d, 0, 7, 7)
+	script(e,
+		write(e, d, 0, 7, 7, nil),
 		// Let the write-back daemon drain (dwell + seek + rot + xfer + retries).
-		p.Sleep(20_000_000)
-	})
+		sleep(e, 20_000_000),
+	)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -126,21 +111,11 @@ func TestEmptyPlanLeavesTimingUntouched(t *testing.T) {
 	e, d, inj := faultedDisk(t, "")
 	eb, db, _ := newDisk(Naive)
 	var faulted, clean sim.Time
-	e.Spawn("r", func(p *sim.Proc) {
-		t0 := p.Now()
-		read(p, d, 0, 5, 5)
-		write(p, d, 0, 9, 9)
-		faulted = p.Now() - t0
-	})
+	script(e, read(e, d, 0, 5, 5, nil), write(e, d, 0, 9, 9, nil), do(func() { faulted = e.Now() }))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	eb.Spawn("r", func(p *sim.Proc) {
-		t0 := p.Now()
-		read(p, db, 0, 5, 5)
-		write(p, db, 0, 9, 9)
-		clean = p.Now() - t0
-	})
+	script(eb, read(eb, db, 0, 5, 5, nil), write(eb, db, 0, 9, 9, nil), do(func() { clean = eb.Now() }))
 	if err := eb.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 
 	"nwcache/internal/core"
 	"nwcache/internal/machine"
-	"nwcache/internal/sim"
 )
 
 func fastCfg() core.Config {
@@ -309,17 +308,14 @@ func TestSubmitRecoversPanickingCell(t *testing.T) {
 	}
 }
 
-// A panic inside a simulated process (not in the hook itself) surfaces
-// from the engine's Run on the worker goroutine, so the pool quarantines
-// it like any other crash and sibling cells still complete.
+// A panic inside the simulation (an event callback, not the hook itself)
+// surfaces from the engine's Run on the worker goroutine, so the pool
+// quarantines it like any other crash and sibling cells still complete.
 func TestProcPanicIsQuarantined(t *testing.T) {
 	p := New(2)
 	boom := cell("lu", core.Standard, core.Naive)
 	boom.Obs = func(_ core.Cell, m *machine.Machine) {
-		m.E.Spawn("crasher", func(q *sim.Proc) {
-			q.Sleep(10)
-			panic("proc crash")
-		})
+		m.E.At(10, func() { panic("proc crash") })
 	}
 	_, err := p.Run(boom)
 	var perr *PanicError

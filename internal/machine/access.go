@@ -8,12 +8,13 @@ import (
 )
 
 // Ctx is the execution context handed to one application thread. All
-// methods must be called from that thread's simulation process. Its
-// operations charge the owning processor's execution-time breakdown.
+// methods must be called from that thread's program, which runs as a
+// coroutine owned by the machine (thread.go). Its operations charge the
+// owning processor's execution-time breakdown.
 //
 // Touch (Read, Write) and Compute return nothing, so they are not run as
 // they are called: the thread queues up to runAhead of them and then
-// parks while its CPU runs them as a chain of engine callbacks (cpu.go).
+// blocks while its CPU runs them as a chain of engine callbacks (cpu.go).
 // The operations that wait or observe — Barrier, LockAcquire/LockRelease,
 // FileRead/FileWrite, Now and Machine — first drain the queue, so the
 // thread observes exactly the times and state it would if each operation
@@ -28,10 +29,18 @@ import (
 type Ctx struct {
 	m           *Machine
 	n           *Node
-	p           *sim.Proc
 	proc, procs int
 	rng         *rand.Rand
 	cpu
+
+	// The thread's coroutine (thread.go).
+	pull   func() (struct{}, bool) // run the thread until it blocks or ends
+	stop   func()                  // unwind the thread if it is stranded
+	yield  func(struct{}) bool     // give control back to the resuming callback
+	resume func()                  // pre-bound: count and pull
+	waitOn string                  // what the thread last blocked on
+	since  sim.Time                // when it blocked
+	done   bool                    // the program returned and its queue ran
 
 	rec func(OpEvent) // non-nil: recording mode, no simulation
 }
@@ -72,7 +81,7 @@ func (c *Ctx) Now() sim.Time {
 		panic("machine: Ctx.Now is unavailable in recording mode (the program must be time-oblivious)")
 	}
 	c.drain()
-	return c.p.Now()
+	return c.m.E.Now()
 }
 
 // Machine returns the machine the context runs on, once the queued
@@ -115,10 +124,10 @@ func (c *Ctx) Barrier() {
 	}
 	c.drain()
 	c.drainInterrupts()
-	if c.n.WB != nil {
-		c.n.WB.fence(c.p)
+	c.fence()
+	if !c.m.barrier.ArriveThen(c.resume) {
+		c.block("barrier")
 	}
-	c.m.barrier.Arrive(c.p)
 }
 
 // LockAcquire takes application lock id (created on demand).
@@ -129,7 +138,11 @@ func (c *Ctx) LockAcquire(id int) {
 	}
 	c.drain()
 	c.drainInterrupts()
-	c.m.Lock(id).Lock(c.p)
+	l := c.m.Lock(id)
+	for !l.TryLock() {
+		l.WaitThen(c.resume)
+		c.block("lock")
+	}
 }
 
 // LockRelease releases application lock id. A release operation fences
@@ -140,9 +153,7 @@ func (c *Ctx) LockRelease(id int) {
 		return
 	}
 	c.drain()
-	if c.n.WB != nil {
-		c.n.WB.fence(c.p)
-	}
+	c.fence()
 	c.m.Lock(id).Unlock()
 }
 
@@ -155,11 +166,24 @@ func (c *Ctx) Write(page PageID, sub, lines int) { c.Touch(page, sub, lines, tru
 
 // drainInterrupts pays for pending TLB-shootdown interrupts.
 func (c *Ctx) drainInterrupts() {
-	if c.n.pendingIntr > 0 {
-		d := c.n.pendingIntr
+	if d := c.n.pendingIntr; d > 0 {
 		c.n.pendingIntr = 0
-		c.p.Sleep(d)
+		c.sleep(d)
 		c.n.charge(stats.TLB, d)
+	}
+}
+
+// sleep blocks the thread for d >= 0 pcycles: one event, even for d == 0.
+func (c *Ctx) sleep(d sim.Time) {
+	c.m.E.After(d, c.resume)
+	c.block("sleep")
+}
+
+// sleepTill blocks the thread until t; a t not in the future returns at
+// once, scheduling nothing.
+func (c *Ctx) sleepTill(t sim.Time) {
+	if t > c.m.E.Now() {
+		c.sleep(t - c.m.E.Now())
 	}
 }
 

@@ -3,7 +3,7 @@ package machine
 // A thread's Touch and Compute operations run as a chain of engine
 // callbacks fed by a bounded run-ahead queue (see Ctx, and MODEL.md,
 // "Engine fast path"). The whole fault path is steps of that chain; the
-// thread's process only parks while the chain runs and is resumed with
+// thread only blocks while the chain runs and is resumed with
 // sim.Engine.Resume once the queue has drained.
 
 import (
@@ -16,7 +16,7 @@ import (
 )
 
 // runAhead bounds how many Touch/Compute operations a thread queues before
-// it parks to let its CPU run them.
+// it blocks to let its CPU run them.
 const runAhead = 64
 
 // cpuOp is one queued Touch or Compute.
@@ -75,15 +75,17 @@ type cpu struct {
 	dirty    bool            // the fetched page is installed dirty
 	fetch    pageRead        // the disk fetch (faults and FileRead)
 	step     func()          // pre-bound c.wake
-	resume   func()          // pre-bound: hand control back to the parked thread
 }
 
-// bind readies the context to run on m's node n as process p.
-func (c *Ctx) bind(m *Machine, n *Node, p *sim.Proc) {
-	c.m, c.n, c.p = m, n, p
+// bind readies the context to run on m's node n.
+func (c *Ctx) bind(m *Machine, n *Node) {
+	c.m, c.n = m, n
 	c.ops, c.step = make([]cpuOp, 0, runAhead), c.wake
-	c.resume = func() { m.E.Resume(p) }
 	c.fetch.bind(m, n)
+	// A read's Done can fire partway through a disk callback: the chain
+	// goes on from there, and with the queue drained (a FileRead) wake
+	// resumes the thread once that callback returns.
+	c.fetch.done = c.step
 }
 
 // push queues one operation, running the queue once it is full.
@@ -94,21 +96,21 @@ func (c *Ctx) push(op cpuOp) {
 	}
 }
 
-// drain runs the queued operations to completion: inline on the thread's
-// process until the chain first waits, then parked until the callback
-// that drains the queue resumes the process.
+// drain runs the queued operations to completion: inline on the thread
+// until the chain first waits, then blocked until the callback that
+// drains the queue resumes the thread.
 func (c *Ctx) drain() {
 	if c.advance() == chainTimed {
-		c.p.Park("run-ahead")
+		c.block("run-ahead")
 	}
 	c.ops, c.next = c.ops[:0], 0
 }
 
-// wake is the chain's callback: it runs on, and resumes the process once
+// wake is the chain's callback: it runs on, and resumes the thread once
 // the queue has drained.
 func (c *Ctx) wake() {
 	if c.advance() == chainDrained {
-		c.m.E.Resume(c.p)
+		c.m.E.Resume(c.resume)
 	}
 }
 
@@ -185,8 +187,8 @@ func (c *Ctx) advance() chainState {
 			c.en, c.reserved, c.t0, c.at = en, false, m.E.Now(), csLock
 			fallthrough
 		case csLock:
-			// A woken continuation re-checks the lock, as a woken process
-			// does, and re-queues at the back if it was taken again.
+			// A woken continuation re-checks the lock and re-queues at the
+			// back if it was taken again.
 			if !c.en.Lock.TryLock() {
 				c.en.Lock.WaitThen(c.step)
 				return chainTimed
@@ -377,7 +379,6 @@ func (c *Ctx) locked() bool {
 		en.TransitBy = n.ID
 		en.Lock.Unlock()
 		c.t0, c.at = m.E.Now(), csDiskIn
-		c.fetch.done = c.step
 		return !c.fetch.start(en.Page)
 	}
 	ringEn := en.RingEntry

@@ -32,23 +32,22 @@ func (c *Ctx) FileRead(page PageID, pages int) {
 		return
 	}
 	c.drain()
-	m, n, p := c.m, c.n, c.p
+	m, n := c.m, c.n
 	for k := 0; k < pages; k++ {
 		c.drainInterrupts()
-		p.Sleep(m.Cfg.SyscallOverhead)
+		c.sleep(m.Cfg.SyscallOverhead)
 		n.charge(stats.Other, m.Cfg.SyscallOverhead)
-		// The disk-read steps of a fault, with the process parked until
+		// The disk-read steps of a fault, with the thread blocked until
 		// they finish.
-		t0 := p.Now()
-		c.fetch.done = c.resume
+		t0 := m.E.Now()
 		if !c.fetch.start(page + PageID(k)) {
-			p.Park("file-read")
+			c.block("file-read")
 		}
-		n.charge(stats.Fault, p.Now()-t0)
+		n.charge(stats.Fault, m.E.Now()-t0)
 		// Kernel buffer -> user buffer copy.
 		dur := m.pageMemBus
-		start := n.MemBus.Reserve(p.Now(), dur)
-		p.SleepUntil(start + dur)
+		start := n.MemBus.Reserve(m.E.Now(), dur)
+		c.sleepTill(start + dur)
 		n.ExplicitReads++
 	}
 }
@@ -63,25 +62,26 @@ func (c *Ctx) FileWrite(page PageID, pages int) {
 		return
 	}
 	c.drain()
-	m, n, p := c.m, c.n, c.p
+	m, n := c.m, c.n
 	for k := 0; k < pages; k++ {
 		c.drainInterrupts()
-		p.Sleep(m.Cfg.SyscallOverhead)
+		c.sleep(m.Cfg.SyscallOverhead)
 		n.charge(stats.Other, m.Cfg.SyscallOverhead)
 		// User buffer -> kernel buffer copy.
 		dur := m.pageMemBus
-		start := n.MemBus.Reserve(p.Now(), dur)
-		p.SleepUntil(start + dur)
-		t0 := p.Now()
-		m.explicitWrite(p, n, page+PageID(k))
-		n.charge(stats.Fault, p.Now()-t0)
+		start := n.MemBus.Reserve(m.E.Now(), dur)
+		c.sleepTill(start + dur)
+		t0 := m.E.Now()
+		c.explicitWrite(page + PageID(k))
+		n.charge(stats.Fault, m.E.Now()-t0)
 		n.ExplicitWrites++
 	}
 }
 
 // explicitWrite pushes one page to its disk synchronously, honoring the
 // controller's NACK/OK protocol.
-func (m *Machine) explicitWrite(p *sim.Proc, n *Node, page PageID) {
+func (c *Ctx) explicitWrite(page PageID) {
+	m, n := c.m, c.n
 	d, dn := m.DiskFor(page)
 	block := m.Layout.BlockFor(page)
 	for {
@@ -90,19 +90,19 @@ func (m *Machine) explicitWrite(p *sim.Proc, n *Node, page PageID) {
 		})
 		stages = m.Mesh.AppendPathStages(stages, n.ID, dn, m.Cfg.PageSize)
 		stages = append(stages, sim.Stage{Res: m.Nodes[dn].IOBus, Occupy: m.pageIOBus})
-		_, arrive := sim.Pipeline(p.Now(), stages)
+		_, arrive := sim.Pipeline(m.E.Now(), stages)
 		n.stageBuf = stages[:0]
-		p.SleepUntil(arrive)
-		p.SleepUntil(d.BookWrite())
+		c.sleepTill(arrive)
+		c.sleepTill(d.BookWrite())
 		if d.AnswerWrite(n.ID, page, block) == disk.ACK {
 			break
 		}
 		n.queueOK(page, n.fileOK)
-		n.fileOK.Wait(p)
+		n.fileOK.WaitThen(c.resume)
+		c.block("disk OK")
 		n.dropOK(n.fileOK)
 	}
-	ackArrive := m.Mesh.Transit(p.Now(), dn, n.ID, m.Cfg.CtrlMsgLen)
-	p.SleepUntil(ackArrive)
+	c.sleepTill(m.Mesh.Transit(m.E.Now(), dn, n.ID, m.Cfg.CtrlMsgLen))
 }
 
 // ExplicitBufferPages returns how many pages of user buffer an

@@ -79,8 +79,8 @@ type Node struct {
 	swapJobs []*swapJob
 
 	// stageBuf is the node's scratch for assembling sim.Pipeline stage
-	// sequences. Safe to share across this node's processes because stage
-	// assembly and the Pipeline reservations never yield the processor.
+	// sequences. Safe to share across this node's actors because stage
+	// assembly and the Pipeline reservations never wait.
 	stageBuf []sim.Stage
 
 	// CPU accounting (the paper's Figures 3/4 categories).
@@ -137,8 +137,9 @@ type Machine struct {
 	hSwap      *obs.Histogram
 	sampler    *obs.Sampler // time-series telemetry (StartSampler); nil = off
 
-	barrier *sim.Barrier
-	locks   []*sim.Mutex // application locks by id, grown on demand
+	barrier       *sim.Barrier
+	locks         []*sim.Mutex // application locks by id, grown on demand
+	threadResumes uint64       // times a callback resumed a thread (thread.go)
 
 	// flt is the fault injector (nil = perfect hardware); see AttachFaults.
 	flt *fault.Injector
@@ -151,7 +152,7 @@ type Machine struct {
 	rng *rand.Rand
 }
 
-// okWait is one swap-out (or explicit write) parked on a disk's OK message.
+// okWait is one swap-out (or explicit write) waiting on a disk's OK message.
 type okWait struct {
 	page PageID
 	c    *sim.Cond
@@ -256,10 +257,10 @@ func New(cfg param.Config, kind Kind, mode disk.PrefetchMode) (*Machine, error) 
 			TLB:      tlb.New(cfg.TLBEntries),
 			CC:       coherence.NewCache(i, cfg.L2SubBlocks),
 			Pool:     vm.NewFramePool(e, i, cfg.FramesPerNode(), cfg.MinFreeFrames),
-			swapSem:  sim.NewSemaphore(e, cfg.SwapQueueDepth).Named(fmt.Sprintf("swapsem%d", i)),
-			fileOK:   sim.NewCond(e).Named("diskOK"),
-			chanRoom: sim.NewCond(e).Named(fmt.Sprintf("chanroom%d", i)),
-			ringTx:   sim.NewMutex(e).Named(fmt.Sprintf("ringtx%d", i)),
+			swapSem:  sim.NewSemaphore(e, cfg.SwapQueueDepth),
+			fileOK:   sim.NewCond(e),
+			chanRoom: sim.NewCond(e),
+			ringTx:   sim.NewMutex(e),
 		}
 		m.Nodes = append(m.Nodes, n)
 	}
@@ -310,7 +311,7 @@ func (m *Machine) deliverOK(from, to int, page PageID) {
 }
 
 // okArrived delivers a disk OK at its destination node, waking the waiter
-// parked on that page.
+// on that page.
 func (m *Machine) okArrived(to int, page PageID) {
 	n := m.Nodes[to]
 	for i := range n.okWaits {
@@ -374,3 +375,8 @@ func (m *Machine) DiskFor(page PageID) (*disk.Disk, int) {
 	node := m.Layout.NodeFor(page)
 	return m.Disks[node], node
 }
+
+// ThreadResumes reports how many times a callback resumed an application
+// thread: its start, the end of each wait it blocked on, and each Resume
+// of a thread whose run-ahead queue drained in a callback.
+func (m *Machine) ThreadResumes() uint64 { return m.threadResumes }

@@ -95,6 +95,7 @@ func (m *Machine) observeAggregates(sc *obs.Scope) {
 			return int64(t)
 		}
 	}
+	sc.ProbeCounter("thread_resumes", func() int64 { return int64(m.threadResumes) })
 	sc.ProbeCounter("explicit_reads", sum(func(n *Node) uint64 { return n.ExplicitReads }))
 	sc.ProbeCounter("explicit_writes", sum(func(n *Node) uint64 { return n.ExplicitWrites }))
 	sc.ProbeCounter("faults", sum(func(n *Node) uint64 { return n.Faults }))

@@ -75,23 +75,21 @@ func (m *Machine) Run(prog Program) (*Result, error) {
 		n.CC.Presize(pages)
 		n.Pool.Presize(pages)
 	}
-	for i := 0; i < procs; i++ {
-		i := i
-		n := m.Nodes[i]
-		m.E.Spawn(fmt.Sprintf("cpu%d", i), func(p *sim.Proc) {
-			ctx := newCtx(i, procs, m.Cfg.Seed)
-			ctx.bind(m, n, p)
-			prog.Run(ctx, i)
-			ctx.drain()
-			n.doneAt = p.Now()
-		})
+	threads := make([]*Ctx, procs)
+	for i := range threads {
+		c := newCtx(i, procs, m.Cfg.Seed)
+		c.bind(m, m.Nodes[i])
+		c.start(prog)
+		threads[i] = c
 	}
-	err := m.E.Run()
-	var dead *sim.DeadlockError
-	if err == nil || errors.As(err, &dead) {
-		// Swap-outs are continuations: the deadlock report cannot name them.
-		err = errors.Join(err, m.strandedSwapOuts())
-	}
+	// No thread outlives Run: a stranded one unwinds when stopped, and a
+	// finished one ignores the stop.
+	defer func() {
+		for _, c := range threads {
+			c.stop()
+		}
+	}()
+	err := errors.Join(m.E.Run(), m.strandedThreads(threads), m.strandedSwapOuts())
 	if err != nil {
 		return nil, fmt.Errorf("machine: %s on %s/%s: %w", prog.Name(), m.Kind, m.Mode, err)
 	}
@@ -100,6 +98,21 @@ func (m *Machine) Run(prog Program) (*Result, error) {
 	// not a tick multiple (Sampler.Tick ignores a repeated instant).
 	m.sampler.Tick(m.E.Now())
 	return m.collect(prog), nil
+}
+
+// strandedThreads reports the threads that never finished, each with what
+// it waits on and since when.
+func (m *Machine) strandedThreads(threads []*Ctx) error {
+	var stuck []string
+	for _, c := range threads {
+		if !c.done {
+			stuck = append(stuck, fmt.Sprintf("cpu%d waits on %s since t=%d", c.proc, c.waitOn, c.since))
+		}
+	}
+	if stuck == nil {
+		return nil
+	}
+	return fmt.Errorf("threads stranded at t=%d:\n  %s", m.E.Now(), strings.Join(stuck, "\n  "))
 }
 
 // strandedSwapOuts reports the nodes whose swap-outs never finished (their

@@ -6,7 +6,6 @@ import (
 
 	"nwcache/internal/disk"
 	"nwcache/internal/param"
-	"nwcache/internal/sim"
 	"nwcache/internal/stats"
 )
 
@@ -87,11 +86,10 @@ func TestSlowPathPins(t *testing.T) {
 		cfg:  smallCfg,
 		kind: NWCache,
 		setup: func(m *Machine) {
-			m.E.Spawn("locker", func(p *sim.Proc) {
-				en := m.Table.Get(5)
-				en.Lock.Lock(p)
-				p.Sleep(20_000)
-				en.Lock.Unlock()
+			en := m.Table.Get(5)
+			m.E.At(0, func() {
+				en.Lock.TryLock() // free at t=0
+				m.E.After(20_000, en.Lock.Unlock)
 			})
 		},
 		prog: func(ctx *Ctx, proc int, _ *[]string) {

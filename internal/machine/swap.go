@@ -19,8 +19,8 @@ const (
 // replace is one node's page-replacement daemon: whenever the free frame
 // count sinks to the OS floor, it picks LRU victims and either frees them
 // (clean) or starts swap-outs (dirty), with a bounded number of swap-outs
-// outstanding. Like a swap-out, it is a callback chain, not a process
-// (see MODEL.md, "Continuation waiters"): started at t=0, resumed through
+// outstanding. Like a swap-out, it is a callback chain (see MODEL.md,
+// "Continuation waiters"): started at t=0, resumed through
 // n.replaceK, with n.rp naming the step to resume at.
 func (m *Machine) replace(n *Node) {
 	for {
@@ -129,13 +129,13 @@ func (n *Node) takeJob(m *Machine) *swapJob {
 		n.swapJobs = n.swapJobs[:k-1]
 		return j
 	}
-	j := &swapJob{m: m, n: n, okc: sim.NewCond(m.E).Named("diskOK")}
+	j := &swapJob{m: m, n: n, okc: sim.NewCond(m.E)}
 	j.step = j.run
 	return j
 }
 
 // run advances the swap-out until it must wait or is done. A wait until a
-// time not in the future runs on at once, as SleepUntil returns.
+// time not in the future runs on at once, scheduling nothing.
 func (j *swapJob) run() {
 	m, n, en, page := j.m, j.n, j.en, j.en.Page
 	for {

@@ -5,7 +5,6 @@ import (
 
 	"nwcache/internal/disk"
 	"nwcache/internal/obs"
-	"nwcache/internal/sim"
 	"nwcache/internal/stats"
 	"nwcache/internal/vm"
 )
@@ -28,13 +27,16 @@ func TestTransitWaitCategoryFixedWhenWaitBegins(t *testing.T) {
 	}
 	tr := obs.NewTrace(0)
 	m.Observe(nil, tr)
-	m.E.Spawn("swapper", func(p *sim.Proc) {
-		en := m.Table.Get(page)
-		en.Lock.Lock(p)
+	// The swap-out holds the entry lock only for instants no CPU
+	// contends, so each TryLock takes it.
+	en := m.Table.Get(page)
+	m.E.At(0, func() {
+		en.Lock.TryLock()
 		en.State, en.TransitBy, en.Owner = vm.Transit, -1, -1
 		en.Lock.Unlock()
-		p.Sleep(swapEnd)
-		en.Lock.Lock(p)
+	})
+	m.E.At(swapEnd, func() {
+		en.Lock.TryLock()
 		en.State = vm.Unmapped
 		en.Arrived.Broadcast()
 		en.Lock.Unlock()

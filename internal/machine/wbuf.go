@@ -125,11 +125,13 @@ func (wb *writeBuffer) occupancy() int {
 // queued returns the number of entries waiting to drain (tests).
 func (wb *writeBuffer) queued() int { return wb.count }
 
-// fence waits until every buffered write has retired (a release operation
-// under Release Consistency).
-func (wb *writeBuffer) fence(p *sim.Proc) {
-	for wb.count > 0 || wb.inFly {
-		wb.empty.Wait(p)
+// fence blocks the thread until every buffered write has retired (a
+// release operation under Release Consistency).
+func (c *Ctx) fence() {
+	wb := c.n.WB
+	for wb != nil && (wb.count > 0 || wb.inFly) {
+		wb.empty.WaitThen(c.resume)
+		c.block("write-buffer fence")
 	}
 }
 

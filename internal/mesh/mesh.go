@@ -328,8 +328,8 @@ func (m *Mesh) PathStages(src, dst, bytes int) []sim.Stage {
 
 // Transit reserves the path for a message of `bytes` from src to dst
 // beginning no earlier than `earliest`, and returns the simulated arrival
-// time of the full payload at dst. It does not block any process; callers
-// sleep or schedule follow-up events at the returned time. Transit performs
+// time of the full payload at dst. It blocks nothing; callers schedule
+// follow-up events at the returned time. Transit performs
 // the same cut-through reservation arithmetic as sim.Pipeline directly over
 // the precomputed path, with no per-call allocation.
 func (m *Mesh) Transit(earliest sim.Time, src, dst, bytes int) (arrive sim.Time) {
@@ -358,11 +358,10 @@ func (m *Mesh) Transit(earliest sim.Time, src, dst, bytes int) (arrive sim.Time)
 	return arrive
 }
 
-// Send transfers a message and delivers it into q at arrival time. It is
+// Send transfers a message and runs deliver at its arrival time. It is
 // the ordinary fire-and-forget messaging primitive between nodes.
-func Send[T any](m *Mesh, q *sim.Queue[T], src, dst, bytes int, msg T) {
-	arrive := m.Transit(m.e.Now(), src, dst, bytes)
-	m.e.At(arrive, func() { q.Push(msg) })
+func (m *Mesh) Send(src, dst, bytes int, deliver func()) {
+	m.e.At(m.Transit(m.e.Now(), src, dst, bytes), deliver)
 }
 
 // LinkBusy returns the aggregate busy time across all links (for

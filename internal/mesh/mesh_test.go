@@ -109,18 +109,16 @@ func TestTransitDisjointPathsDoNotInterfere(t *testing.T) {
 
 func TestSendDeliversIntoQueue(t *testing.T) {
 	e, m, cfg := newTestMesh()
-	q := sim.NewQueue[string](e)
-	var got string
+	var got []string
 	var at sim.Time
-	e.Spawn("recv", func(p *sim.Proc) {
-		got = q.Pop(p)
-		at = p.Now()
+	m.Send(0, 7, cfg.CtrlMsgLen, func() {
+		got = append(got, "hello")
+		at = e.Now()
 	})
-	Send(m, q, 0, 7, cfg.CtrlMsgLen, "hello")
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got != "hello" {
+	if len(got) != 1 || got[0] != "hello" {
 		t.Fatalf("got %q", got)
 	}
 	if at <= 0 {
@@ -162,13 +160,10 @@ func TestTransitLowerBoundProperty(t *testing.T) {
 
 func TestMaxLinkUtilizationNonzeroUnderLoad(t *testing.T) {
 	e, m, cfg := newTestMesh()
-	e.Spawn("driver", func(p *sim.Proc) {
-		for i := 0; i < 10; i++ {
-			m.Transit(p.Now(), 0, 7, cfg.PageSize)
-			p.Sleep(10)
-		}
-		p.Sleep(1)
-	})
+	for i := 0; i < 10; i++ {
+		e.At(sim.Time(10*i), func() { m.Transit(e.Now(), 0, 7, cfg.PageSize) })
+	}
+	e.At(101, func() {})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}

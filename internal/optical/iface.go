@@ -132,7 +132,7 @@ func NewIface(e *sim.Engine, ring *Ring, node int) *Iface {
 		ring:  ring,
 		node:  node,
 		fifos: make([]chanFIFO, ring.Channels()),
-		kick:  sim.NewCond(e).Named("nwc-iface.kick"),
+		kick:  sim.NewCond(e),
 	}
 	f.step = f.drain
 	e.At(e.Now(), f.step)

@@ -44,13 +44,16 @@ func newIfaceHarness(room int) (*sim.Engine, *Ring, *Iface, *testDisk, *[]*Entry
 
 func TestDrainCopiesInSwapOutOrder(t *testing.T) {
 	e, r, f, d, acks := newIfaceHarness(10)
-	e.Spawn("swapper", func(p *sim.Proc) {
-		for i := 0; i < 4; i++ {
-			en := r.Insert(1, PageID(100+i))
-			f.Notify(en)
-			p.Sleep(10)
+	i := 0
+	var swap func()
+	swap = func() {
+		en := r.Insert(1, PageID(100+i))
+		f.Notify(en)
+		if i++; i < 4 {
+			e.After(10, swap)
 		}
-	})
+	}
+	e.At(0, swap)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +75,7 @@ func TestDrainCopiesInSwapOutOrder(t *testing.T) {
 
 func TestMostLoadedChannelDrainedFirst(t *testing.T) {
 	e, r, f, d, _ := newIfaceHarness(10)
-	e.Spawn("swappers", func(p *sim.Proc) {
+	e.At(0, func() {
 		// Channel 2 gets one page, channel 5 gets three: channel 5 must be
 		// drained first under the MostLoaded policy. Pre-queue everything
 		// before the drain loop sees room (insert back-to-back).
@@ -102,7 +105,7 @@ func TestMostLoadedChannelDrainedFirst(t *testing.T) {
 func TestRoundRobinPolicyAlternates(t *testing.T) {
 	e, r, f, d, _ := newIfaceHarness(10)
 	f.Policy = RoundRobin
-	e.Spawn("swappers", func(p *sim.Proc) {
+	e.At(0, func() {
 		a0 := r.Insert(1, 10)
 		a1 := r.Insert(1, 11)
 		b0 := r.Insert(6, 60)
@@ -130,14 +133,15 @@ func TestRoundRobinPolicyAlternates(t *testing.T) {
 func TestDrainStopsWhenDiskFull(t *testing.T) {
 	e, r, f, d, acks := newIfaceHarness(2)
 	var installedAtCheckpoint, pendingAtCheckpoint, acksAtCheckpoint int
-	e.Spawn("swapper", func(p *sim.Proc) {
+	e.At(0, func() {
 		for i := 0; i < 4; i++ {
 			en := r.Insert(3, PageID(i))
 			f.Notify(en)
 		}
-		// Give the drain loop ample time, then observe it stalled at the
-		// disk's capacity.
-		p.Sleep(100 * r.RoundTrip())
+	})
+	// Give the drain loop ample time, then observe it stalled at the
+	// disk's capacity.
+	e.At(100*r.RoundTrip(), func() {
 		installedAtCheckpoint = len(d.installed)
 		pendingAtCheckpoint = f.Pending()
 		acksAtCheckpoint = len(*acks)
@@ -164,14 +168,14 @@ func TestDrainStopsWhenDiskFull(t *testing.T) {
 
 func TestCancelDropsNoticeAndACKs(t *testing.T) {
 	e, r, f, d, acks := newIfaceHarness(0) // no disk room: nothing drains
-	e.Spawn("fault", func(p *sim.Proc) {
+	e.At(0, func() {
 		en := r.Insert(4, 77)
 		f.Notify(en)
-		p.Sleep(100)
-		// Victim read claims the page off the ring.
-		en.State = Claimed
-		p.SleepUntil(r.SnoopDone(en, 4, p.Now()))
-		f.Cancel(en)
+		e.After(100, func() {
+			// Victim read claims the page off the ring.
+			en.State = Claimed
+			e.At(r.SnoopDone(en, 4, e.Now()), func() { f.Cancel(en) })
+		})
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -192,16 +196,15 @@ func TestCancelDropsNoticeAndACKs(t *testing.T) {
 
 func TestClaimedEntrySkippedByDrain(t *testing.T) {
 	e, r, f, d, acks := newIfaceHarness(10)
-	e.Spawn("seq", func(p *sim.Proc) {
+	e.At(0, func() {
 		en1 := r.Insert(2, 1)
 		en2 := r.Insert(2, 2)
 		// Claim en1 (victim read in progress) before the drain sees room.
 		en1.State = Claimed
 		f.Notify(en1)
 		f.Notify(en2)
-		p.Sleep(2 * r.RoundTrip())
 		// Finish the victim read.
-		f.Cancel(en1)
+		e.After(2*r.RoundTrip(), func() { f.Cancel(en1) })
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -238,7 +241,7 @@ func TestDrainRetriesWhenInstallRaces(t *testing.T) {
 		acks++
 		r.Release(en)
 	}
-	e.Spawn("swapper", func(p *sim.Proc) {
+	e.At(0, func() {
 		en := r.Insert(3, 42)
 		f.Notify(en)
 	})
@@ -268,7 +271,7 @@ func TestPendingCounts(t *testing.T) {
 	f.DiskBook = e.Now
 	f.DiskInstall = func(page PageID) bool { return true }
 	f.SendACK = func(en *Entry) { r.Release(en) }
-	e.Spawn("s", func(p *sim.Proc) {
+	e.At(0, func() {
 		f.Notify(r.Insert(1, 10))
 		f.Notify(r.Insert(1, 11))
 		f.Notify(r.Insert(5, 50))

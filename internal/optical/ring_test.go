@@ -104,11 +104,11 @@ func TestNextPassOffsetByRingDistance(t *testing.T) {
 func TestSnoopSleepsUntilPassPlusTransfer(t *testing.T) {
 	e, r, cfg := newRing()
 	var done sim.Time
-	e.Spawn("snooper", func(p *sim.Proc) {
+	e.At(0, func() {
 		en := r.Insert(0, 9)
 		en.State = Claimed
-		p.SleepUntil(r.SnoopDone(en, 2, p.Now())) // node 2 is 2/8 of the ring away
-		done = p.Now()
+		// Node 2 is 2/8 of the ring away.
+		e.At(r.SnoopDone(en, 2, e.Now()), func() { done = e.Now() })
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)

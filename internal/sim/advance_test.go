@@ -6,10 +6,9 @@ import (
 	"testing"
 )
 
-// chainActor is a step chain that sleeps between marks: in a callback
-// (the next step scheduled with At) or on a process (p.Sleep). With
-// inline set, each sleep first tries AdvanceTo and runs on in place when
-// it succeeds, as a CPU's op chain does.
+// chainActor is a step chain that sleeps between marks, scheduling its
+// next step with At. With inline set, each sleep first tries AdvanceTo
+// and runs on in place when it succeeds, as a CPU's op chain does.
 type chainActor struct {
 	e      *Engine
 	name   string
@@ -24,7 +23,6 @@ func (a *chainActor) mark() {
 	*a.log = append(*a.log, mark{a.name, a.e.Now(), a.e.Dispatched()})
 }
 
-// run is the callback form.
 func (a *chainActor) run() {
 	for a.mark(); a.i < len(a.gaps); a.mark() {
 		t := a.e.Now() + a.gaps[a.i]
@@ -37,23 +35,11 @@ func (a *chainActor) run() {
 	}
 }
 
-// proc is the process form.
-func (a *chainActor) proc(p *Proc) {
-	for a.mark(); a.i < len(a.gaps); a.mark() {
-		d := a.gaps[a.i]
-		a.i++
-		if a.inline && a.e.AdvanceTo(p.Now()+d) {
-			continue
-		}
-		p.Sleep(d)
-	}
-}
-
-// advanceScenario builds one randomized mix on e: plain processes
-// sleeping short random gaps (zero gaps included), callbacks at random
-// times that schedule same-instant follow-ups, and two chains, one in
-// callbacks and one on a process. Short gaps make the chains' targets
-// collide with other events' times often.
+// advanceScenario builds one randomized mix on e: plain chains sleeping
+// short random gaps (zero gaps included), callbacks at random times that
+// schedule same-instant follow-ups, and two chains that may run inline.
+// Short gaps make the chains' targets collide with other events' times
+// often.
 func advanceScenario(e *Engine, seed int64, inline bool) *[]mark {
 	rng := rand.New(rand.NewSource(seed))
 	log := new([]mark)
@@ -65,13 +51,18 @@ func advanceScenario(e *Engine, seed int64, inline bool) *[]mark {
 		return g
 	}
 	for i := 0; i < 3; i++ {
-		name, g := "p"+string(rune('a'+i)), gaps(8)
-		e.Spawn(name, func(p *Proc) {
-			for _, d := range g {
-				p.Sleep(d)
-				*log = append(*log, mark{name, p.Now(), e.Dispatched()})
+		name, g, k := "p"+string(rune('a'+i)), gaps(8), 0
+		var step func()
+		step = func() {
+			if k > 0 {
+				*log = append(*log, mark{name, e.Now(), e.Dispatched()})
 			}
-		})
+			if k < len(g) {
+				e.After(g[k], step)
+				k++
+			}
+		}
+		e.At(0, step)
 	}
 	for i := 0; i < 10; i++ {
 		name, t, follow := "f"+string(rune('a'+i)), Time(rng.Intn(40)), rng.Intn(2) == 0
@@ -86,7 +77,8 @@ func advanceScenario(e *Engine, seed int64, inline bool) *[]mark {
 	cb.step = cb.run
 	e.At(Time(rng.Intn(3)), cb.step)
 	pc := &chainActor{e: e, name: "pc", gaps: gaps(20), inline: inline, log: log}
-	e.Spawn("pc", pc.proc)
+	pc.step = pc.run
+	e.At(0, pc.step)
 	return log
 }
 
@@ -120,9 +112,9 @@ func TestAdvanceToMatchesAtOrder(t *testing.T) {
 // every dispatch statistic matches.
 func TestAdvanceToIgnoresObservation(t *testing.T) {
 	type counts struct {
-		dispatched, wakes, switches, inline uint64
-		heapPeak                            int
-		now                                 Time
+		dispatched, inline uint64
+		heapPeak           int
+		now                Time
 	}
 	run := func(seed int64, observed bool) counts {
 		e := New()
@@ -135,7 +127,7 @@ func TestAdvanceToIgnoresObservation(t *testing.T) {
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return counts{e.Dispatched(), e.WakeHandoffs(), e.Switches(), e.InlineAdvances(), e.heapPeak, e.Now()}
+		return counts{e.Dispatched(), e.InlineAdvances(), e.heapPeak, e.Now()}
 	}
 	for seed := int64(1); seed <= 100; seed++ {
 		if bare, obs := run(seed, false), run(seed, true); bare != obs {

@@ -43,23 +43,28 @@ func BenchmarkSameInstantStorm(b *testing.B) {
 	}
 }
 
-// BenchmarkUnparkStorm measures park/unpark handoff between two procs via
-// a condition variable (the synchronization-primitive hot path).
+// BenchmarkUnparkStorm measures the wake-up of a continuation waiting on
+// a condition variable (the synchronization-primitive hot path): a waker
+// signals once per pcycle, and the waiter queues again each time.
 func BenchmarkUnparkStorm(b *testing.B) {
 	b.ReportAllocs()
 	e := New()
 	c := NewCond(e)
-	e.Spawn("waiter", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			c.Wait(p)
+	var wait, wake func()
+	waits, wakes := 0, 0
+	wait = func() {
+		if waits++; waits < b.N {
+			c.WaitThen(wait)
 		}
-	})
-	e.Spawn("waker", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
+	}
+	wake = func() {
+		if wakes++; wakes <= b.N {
 			c.Signal()
-			p.Sleep(1)
+			e.After(1, wake)
 		}
-	})
+	}
+	c.WaitThen(wait)
+	e.At(0, wake)
 	b.ResetTimer()
 	if err := e.Run(); err != nil {
 		b.Fatal(err)

@@ -5,10 +5,9 @@ import (
 	"testing"
 )
 
-// A scripted actor for the continuation tests: the same op list runs
-// either as a process (blocking forms) or as a continuation chain
-// (TryLock/TryAcquire, falling back to WaitThen), so the two styles can
-// be compared event for event.
+// A scripted actor for the continuation tests: an op list run as a
+// continuation chain (TryLock/TryAcquire, falling back to WaitThen), so
+// its wake-ups can be compared event for event with a pinned order.
 type opKind uint8
 
 const (
@@ -34,7 +33,6 @@ type mark struct {
 
 type actorSpec struct {
 	name string
-	cont bool // run as a continuation chain instead of a process
 	ops  []op
 }
 
@@ -43,27 +41,6 @@ type prims struct {
 	c   *Cond
 	mu  *Mutex
 	sem *Semaphore
-}
-
-func (pr prims) procRun(p *Proc, name string, ops []op, log *[]mark) {
-	for _, o := range ops {
-		switch o.kind {
-		case opSleep:
-			p.Sleep(o.d)
-		case opWait:
-			pr.c.Wait(p)
-		case opLock:
-			pr.mu.Lock(p)
-		case opUnlock:
-			pr.mu.Unlock()
-		case opAcquire:
-			pr.sem.Acquire(p)
-		case opRelease:
-			pr.sem.Release()
-		case opMark:
-			*log = append(*log, mark{name, p.Now(), p.e.Dispatched()})
-		}
-	}
 }
 
 // contActor interprets the op list as a continuation chain.
@@ -118,14 +95,9 @@ func runScenario(t *testing.T, actors []actorSpec, permits int, drive func(e *En
 	pr := prims{c: NewCond(e), mu: NewMutex(e), sem: NewSemaphore(e, permits)}
 	var log []mark
 	for _, a := range actors {
-		a := a
-		if a.cont {
-			ca := &contActor{e: e, pr: pr, name: a.name, ops: a.ops, log: &log}
-			ca.step = ca.run
-			e.At(e.Now(), ca.step) // where Spawn schedules a start event
-		} else {
-			e.Spawn(a.name, func(p *Proc) { pr.procRun(p, a.name, a.ops, &log) })
-		}
+		ca := &contActor{e: e, pr: pr, name: a.name, ops: a.ops, log: &log}
+		ca.step = ca.run
+		e.At(e.Now(), ca.step)
 	}
 	drive(e, pr)
 	if err := e.Run(); err != nil {
@@ -134,32 +106,19 @@ func runScenario(t *testing.T, actors []actorSpec, permits int, drive func(e *En
 	return log
 }
 
-// withStyles returns copies of actors in three styles: all processes,
-// alternating process/continuation, all continuations.
-func withStyles(actors []actorSpec) map[string][]actorSpec {
-	out := map[string][]actorSpec{}
-	for _, style := range []string{"procs", "mixed", "conts"} {
-		cp := make([]actorSpec, len(actors))
-		for i, a := range actors {
-			a.cont = style == "conts" || (style == "mixed" && i%2 == 1)
-			cp[i] = a
-		}
-		out[style] = cp
-	}
-	return out
-}
-
 func sleepFor(d Time) op { return op{kind: opSleep, d: d} }
 func do(k opKind) op     { return op{kind: k} }
 
-// Processes and continuations queued on one Cond, Mutex or Semaphore wake
-// at the same (time, seq) points as in an all-process reference run.
+// Continuations queued on one Cond, Mutex or Semaphore wake at the same
+// (time, seq) points as the blocking process forms these primitives once
+// had: each want is the mark log of that all-process reference run.
 func TestContinuationWaitsMatchProcessOrder(t *testing.T) {
 	cases := []struct {
 		name    string
 		permits int
 		actors  []actorSpec
 		drive   func(e *Engine, pr prims)
+		want    []mark
 	}{
 		{
 			name: "cond",
@@ -176,6 +135,8 @@ func TestContinuationWaitsMatchProcessOrder(t *testing.T) {
 				e.At(20, func() { pr.c.Broadcast() })
 				e.At(30, func() { pr.c.Broadcast() })
 			},
+			want: []mark{{"a", 10, 9}, {"b", 12, 12}, {"c", 12, 13}, {"d", 12, 14},
+				{"b", 20, 18}, {"d", 20, 19}, {"c", 20, 20}, {"a", 20, 21}},
 		},
 		{
 			name: "mutex",
@@ -187,6 +148,8 @@ func TestContinuationWaitsMatchProcessOrder(t *testing.T) {
 				{name: "e", ops: []op{sleepFor(5), do(opLock), do(opMark), do(opUnlock), do(opLock), do(opMark), do(opUnlock)}},
 			},
 			drive: func(e *Engine, pr prims) {},
+			want: []mark{{"a", 0, 1}, {"a", 5, 7}, {"c", 6, 12}, {"d", 6, 13},
+				{"e", 10, 15}, {"e", 10, 15}, {"b", 10, 16}, {"b", 12, 18}},
 		},
 		{
 			name:    "semaphore",
@@ -199,27 +162,14 @@ func TestContinuationWaitsMatchProcessOrder(t *testing.T) {
 				{name: "e", ops: []op{sleepFor(4), do(opAcquire), do(opMark), do(opRelease)}},
 			},
 			drive: func(e *Engine, pr prims) {},
+			want: []mark{{"a", 0, 1}, {"b", 0, 2}, {"a", 4, 7}, {"e", 4, 9},
+				{"c", 4, 10}, {"d", 4, 11}, {"c", 5, 12}},
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			styles := withStyles(tc.actors)
-			ref := runScenario(t, styles["procs"], tc.permits, tc.drive)
-			wantMarks := 0
-			for _, a := range tc.actors {
-				for _, x := range a.ops {
-					if x.kind == opMark {
-						wantMarks++
-					}
-				}
-			}
-			if len(ref) != wantMarks {
-				t.Fatalf("reference run: %d marks, want %d: %v", len(ref), wantMarks, ref)
-			}
-			for _, style := range []string{"mixed", "conts"} {
-				if got := runScenario(t, styles[style], tc.permits, tc.drive); !reflect.DeepEqual(got, ref) {
-					t.Errorf("%s:\n got %v\nwant %v", style, got, ref)
-				}
+			if got := runScenario(t, tc.actors, tc.permits, tc.drive); !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("\n got %v\nwant %v", got, tc.want)
 			}
 		})
 	}
@@ -227,7 +177,7 @@ func TestContinuationWaitsMatchProcessOrder(t *testing.T) {
 
 // A woken continuation whose permit is taken before its retry fires (a
 // TryLock barging in at the same instant) re-queues at the back, behind
-// a process that queued after it — exactly as a process would.
+// a waiter that queued after it.
 func TestContinuationLosingRetryRequeuesAtBack(t *testing.T) {
 	actors := []actorSpec{
 		{name: "holder", ops: []op{do(opLock), sleepFor(10), do(opUnlock)}},
@@ -248,25 +198,16 @@ func TestContinuationLosingRetryRequeuesAtBack(t *testing.T) {
 		e.At(9, func() { e.At(10, barge) })
 	}
 	want := []string{"second", "first"}
-	var ref []mark
-	for _, firstCont := range []bool{false, true} {
-		actors[1].cont = firstCont
-		log := runScenario(t, actors, 1, drive)
-		var names []string
-		for _, m := range log {
-			names = append(names, m.name)
-		}
-		if !reflect.DeepEqual(names, want) {
-			t.Fatalf("first as continuation=%v: lock order %v, want %v", firstCont, names, want)
-		}
-		if log[0].t != 15 || log[1].t != 16 {
-			t.Fatalf("first as continuation=%v: lock times %v, want 15 then 16", firstCont, log)
-		}
-		if ref == nil {
-			ref = log
-		} else if !reflect.DeepEqual(log, ref) {
-			t.Fatalf("continuation run %v differs from the process run %v", log, ref)
-		}
+	log := runScenario(t, actors, 1, drive)
+	var names []string
+	for _, m := range log {
+		names = append(names, m.name)
+	}
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("lock order %v, want %v", names, want)
+	}
+	if log[0].t != 15 || log[1].t != 16 {
+		t.Fatalf("lock times %v, want 15 then 16", log)
 	}
 }
 
@@ -289,39 +230,41 @@ func TestContinuationWaitAllocsAmortizedZero(t *testing.T) {
 			mu.Unlock()
 		}
 	}
-	cycles := map[string]func(p *Proc){
-		"cond": func(p *Proc) {
+	// Each cycle queues a continuation, wakes it, and runs the engine
+	// until the woken continuation has run.
+	run := func() {
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycles := map[string]func(){
+		"cond": func() {
 			c.WaitThen(k)
 			c.Signal()
-			p.Sleep(1)
+			run()
 		},
-		"semaphore": func(p *Proc) {
+		"semaphore": func() {
 			sem.WaitThen(acquire) // no permit: queues
 			sem.Release()
-			p.Sleep(1) // acquire runs and takes the permit
+			run() // acquire runs and takes the permit
 		},
-		"mutex": func(p *Proc) {
+		"mutex": func() {
 			mu.TryLock()
 			mu.WaitThen(lock) // held: queues
 			mu.Unlock()
-			p.Sleep(1)
+			run()
 		},
 	}
 	avg := map[string]float64{}
-	e.Spawn("driver", func(p *Proc) {
-		for name, cycle := range cycles {
-			for i := 0; i < 64; i++ { // warm the FIFO and the slot pool
-				cycle(p)
-			}
-			before := runs
-			avg[name] = testing.AllocsPerRun(1000, func() { cycle(p) })
-			if runs-before != 1001 { // AllocsPerRun adds one warm-up run
-				t.Errorf("%s: continuation ran %d times, want 1001", name, runs-before)
-			}
+	for name, cycle := range cycles {
+		for i := 0; i < 64; i++ { // warm the FIFO and the slot pool
+			cycle()
 		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
+		before := runs
+		avg[name] = testing.AllocsPerRun(1000, cycle)
+		if runs-before != 1001 { // AllocsPerRun adds one warm-up run
+			t.Errorf("%s: continuation ran %d times, want 1001", name, runs-before)
+		}
 	}
 	for name, a := range avg {
 		if a != 0 {

@@ -5,25 +5,20 @@
 // sequence number) order, so that simulations are fully reproducible:
 // events scheduled for the same instant fire in scheduling order.
 //
-// Two execution styles are supported and freely mixed:
+// Every actor is a chain of callbacks: a step scheduled with At/After
+// runs, and it waits by handing its next step to the engine or to a
+// primitive — a Cond, Semaphore, Mutex or Barrier (WaitThen, ArriveThen)
+// or a Server (AcquireThen) — which schedules that step at the instant
+// the wait ends. Exactly one callback runs at any instant, so no data
+// shared through the engine needs locking and results are deterministic.
 //
-//   - plain callbacks scheduled with At/After, which can also wait on a
-//     Cond, Semaphore, Mutex (WaitThen) or Server (AcquireThen) wherever
-//     a process would; and
-//   - cooperative processes (Proc) — runtime coroutines (iter.Pull) that
-//     own the engine while they run and suspend whenever they Sleep or
-//     block on a synchronization primitive. Control passes between them
-//     by coroutine switch, never through the Go scheduler, and exactly
-//     one of them (or Run's caller) runs at any instant, so no data
-//     shared through the engine needs locking and results are
-//     deterministic.
-//
-// The two meet in a process that Parks while a callback chain does its
-// work: the callback that ends the chain hands the process back its turn
-// with Resume, which runs the process at the callback's own (time, seq)
-// slot without scheduling anything. A chain whose next step
-// would be the very next event anyway can skip scheduling it altogether:
-// AdvanceTo moves the clock there and the chain runs on in place.
+// An actor that must not run inside the callback that ends its wait (a
+// step that fires partway through another component's callback) asks
+// for Resume instead: the step then runs as soon as the running callback
+// returns, in that callback's own (time, seq) slot, without scheduling
+// anything. A chain whose next step would be the very next event anyway
+// can skip scheduling it altogether: AdvanceTo moves the clock there and
+// the chain runs on in place.
 //
 // The dispatch core is built for throughput (see MODEL.md, "Engine fast
 // path"): event slots are pooled and recycled, future events live in an
@@ -31,7 +26,7 @@
 // clock drains every heap event bearing the new timestamp into a FIFO
 // ready queue in one pass, so the per-event path is a ready-queue pop that
 // never touches the heap, and events scheduled for the current instant
-// (the unpark/transfer storm of the synchronization primitives) join the
+// (the hand-off storm of the synchronization primitives) join the
 // same queue directly. Optional per-run machinery (the tick hook, the
 // livelock guard) is checked against sentinel values (a next-tick of
 // MaxInt64, an event budget of MaxUint64) chosen once when the feature is
@@ -43,24 +38,12 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strings"
 
 	"nwcache/internal/obs"
 )
 
 // Time is virtual simulation time in pcycles.
 type Time = int64
-
-// eventKind tags what firing an event does, so the common wake-ups carry a
-// *Proc directly instead of allocating a func() closure per occurrence.
-type eventKind uint8
-
-const (
-	evFunc  eventKind = iota // run fn()
-	evWake                   // hand control to proc p (Sleep wake-up, unpark)
-	evStart                  // first hand-over to a freshly spawned proc
-)
 
 // event is one scheduled occurrence. Slots are pooled: after an event
 // fires (or a canceled slot is drained) the slot returns to the free list
@@ -70,10 +53,8 @@ type event struct {
 	t        Time
 	seq      uint64
 	gen      uint32
-	kind     eventKind
 	canceled bool
 	fn       func()
-	p        *Proc
 }
 
 // Event is a handle to a scheduled callback, usable for cancellation. The
@@ -108,23 +89,16 @@ type Engine struct {
 	free      []*event // recycled event slots
 	pending   int      // scheduled events not yet fired or canceled
 
-	// process bookkeeping
-	parkedList []*Proc // procs blocked on a primitive (no event pending)
-	current    *Proc   // proc currently holding control, nil in callbacks
-	handTo     *Proc   // proc the transfer loop resumes next, nil when none
-	inCallback bool    // a callback event is running (Resume is legal)
-	resumed    *Proc   // proc the running callback Resumed, nil when none
-	procPool   []*Proc // finished proc shells whose coroutines await reuse
+	inCallback bool   // a callback event is running (Resume is legal)
+	resumed    func() // step the running callback Resumed, nil when none
 
 	// Dispatch statistics, maintained unconditionally: plain integer
 	// bumps on already-written cache lines, far below the noise floor of
 	// the ~18 ns dispatch. Exposed to the obs layer as pull-based probes.
 	dispatched uint64 // events fired
-	wakes      uint64 // proc hand-overs/resumes among the dispatched
-	switches   uint64 // wakes that resumed a proc other than the driver
 	heapPeak   int    // high-water mark of the future-event heap
 	inline     uint64 // steps AdvanceTo ran in place (counted in dispatched too)
-	resumes    uint64 // wakes that were a callback's Resume (counted in wakes too)
+	resumes    uint64 // steps run by a callback's Resume (not dispatched events)
 
 	// Clock-boundary tick hook (SetTick): tickFn fires whenever dispatch
 	// crosses a multiple of tickEvery. The hook lives outside the event
@@ -167,7 +141,7 @@ const eventChunk = 64
 
 // alloc takes an event slot from the pool and stamps it with the next
 // sequence number.
-func (e *Engine) alloc(t Time, kind eventKind, fn func(), p *Proc) *event {
+func (e *Engine) alloc(t Time, fn func()) *event {
 	var ev *event
 	if n := len(e.free); n > 0 {
 		// The popped slot is deliberately not nilled out of the backing
@@ -186,19 +160,16 @@ func (e *Engine) alloc(t Time, kind eventKind, fn func(), p *Proc) *event {
 	e.seq++
 	ev.t = t
 	ev.seq = e.seq
-	ev.kind = kind
 	ev.canceled = false
 	ev.fn = fn
-	ev.p = p
 	return ev
 }
 
 // release returns a slot to the pool. The generation bump invalidates
-// every outstanding handle to the slot's previous life. The fn and p
-// references are deliberately left for the slot's next alloc to
-// overwrite: the retention is bounded (one stale closure per pooled
-// slot, and Proc shells are pooled on the engine anyway), and skipping
-// the stores keeps GC write barriers off the per-event path.
+// every outstanding handle to the slot's previous life. The fn reference
+// is deliberately left for the slot's next alloc to overwrite: the
+// retention is bounded (one stale closure per pooled slot), and skipping
+// the store keeps a GC write barrier off the per-event path.
 func (e *Engine) release(ev *event) {
 	ev.gen++
 	e.free = append(e.free, ev)
@@ -208,11 +179,11 @@ func (e *Engine) release(ev *event) {
 // FIFO and future events through the heap. Dispatch order is identical
 // either way: ready entries all carry t == now and ascending seq, and
 // popNext merges the two sources by (t, seq).
-func (e *Engine) schedule(t Time, kind eventKind, fn func(), p *Proc) *event {
+func (e *Engine) schedule(t Time, fn func()) *event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
 	}
-	ev := e.alloc(t, kind, fn, p)
+	ev := e.alloc(t, fn)
 	e.pending++
 	if t == e.now {
 		e.ready = append(e.ready, ev)
@@ -387,21 +358,10 @@ func (e *Engine) AdvanceTo(t Time) bool {
 	return true
 }
 
-// drive is the dispatch loop, executed by whichever coroutine currently
-// owns the engine (the driver migrates: Run's caller starts as driver,
-// and every yielding or finishing proc keeps dispatching until another
-// proc must run). owner is the proc doing the driving, or nil for Run's
-// caller and for a proc whose body already returned.
-//
-// Callback events run inline on the driver — harmless, since exactly one
-// coroutine runs at any instant either way. When owner's own wake event
-// comes up, drive returns true and the owner proceeds without any switch
-// at all (the common case for a proc whose sleep expires with no
-// intervening work). A wake for any other proc is recorded in handTo and
-// drive returns false, as it does when the queues drain or Stop is seen
-// (handTo stays nil); the driver then suspends and transfer resumes the
-// named proc, if any.
-func (e *Engine) drive(owner *Proc) bool {
+// drive is the dispatch loop: it fires events in (t, seq) order until
+// the queues drain or Stop is seen. A step the callback handed to Resume
+// runs as soon as the callback returns, before the next event.
+func (e *Engine) drive() {
 	for !e.stopped {
 		var ev *event
 		if e.readyHead < len(e.ready) {
@@ -411,7 +371,7 @@ func (e *Engine) drive(owner *Proc) bool {
 				e.ready, e.readyHead = e.ready[:0], 0
 			}
 		} else if ev = e.nextInstant(); ev == nil {
-			return false
+			return
 		}
 		if ev.canceled {
 			e.release(ev)
@@ -422,7 +382,6 @@ func (e *Engine) drive(owner *Proc) bool {
 		if e.dispatched >= e.stopAt {
 			// Livelock guard: the event budget is exhausted. Finish this
 			// event, then stop; Run turns the trip into a LivelockError.
-			// Disarm the budget so teardown dispatch cannot re-trip.
 			e.tripped = true
 			e.stopped = true
 			e.stopAt = noLimit
@@ -430,57 +389,40 @@ func (e *Engine) drive(owner *Proc) bool {
 		// Recycle before acting: an event firing right now can schedule
 		// into (and a canceled handle can never reach) this slot's next
 		// life.
-		kind, fn, p := ev.kind, ev.fn, ev.p
+		fn := ev.fn
 		e.release(ev)
-		if kind == evFunc {
-			e.current = nil
-			e.inCallback = true
-			fn()
-			e.inCallback = false
-			if p = e.resumed; p == nil {
-				continue
-			}
+		e.inCallback = true
+		fn()
+		e.inCallback = false
+		if k := e.resumed; k != nil {
 			e.resumed = nil
+			k()
 		}
-		// A wake, a start, or a proc the callback just run Resumed.
-		e.wakes++
-		e.current = p
-		if p == owner {
-			return true
-		}
-		e.switches++
-		e.handTo = p
-		return false
 	}
-	return false
 }
 
-// Resume hands control to the parked process p as soon as the running
-// callback returns, ahead of every other event. p runs in the callback's
-// own (t, seq) slot: Resume schedules no event, so it consumes no sequence
-// number and leaves Dispatched and Pending alone. A callback chain uses it
-// to hand control back to the process that parked while the chain ran
-// (see MODEL.md, "Engine fast path"). Resume panics
-// outside a callback, when called twice in one callback, and for a process
-// that is not parked.
-func (e *Engine) Resume(p *Proc) {
+// Resume runs k as soon as the running callback returns, ahead of every
+// other event. k runs in the callback's own (t, seq) slot: Resume
+// schedules no event, so it consumes no sequence number and leaves
+// Dispatched and Pending alone. A step that would otherwise run partway
+// through another component's callback uses it to wait for that callback
+// to finish (see MODEL.md, "Engine fast path"). Resume panics outside a
+// callback and when called twice in one callback.
+func (e *Engine) Resume(k func()) {
 	switch {
 	case !e.inCallback:
 		panic("sim: Resume outside a callback")
 	case e.resumed != nil:
 		panic("sim: second Resume in one callback")
-	case !p.isParked():
-		panic("sim: Resume of non-parked process " + p.name)
 	}
-	e.removeParked(p)
-	e.resumed = p
+	e.resumed = k
 	e.resumes++
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past is a
 // programming error and panics, as it would silently corrupt causality.
 func (e *Engine) At(t Time, fn func()) Event {
-	ev := e.schedule(t, evFunc, fn, nil)
+	ev := e.schedule(t, fn)
 	return Event{ev, ev.gen}
 }
 
@@ -510,31 +452,18 @@ func (e *Engine) Pending() int { return e.pending }
 // created.
 func (e *Engine) Dispatched() uint64 { return e.dispatched }
 
-// WakeHandoffs reports how many process hand-overs dispatch made: the
-// dispatched events that were Sleep wake-ups, unparks or starts rather than
-// callbacks, plus the Resumes callbacks made.
-func (e *Engine) WakeHandoffs() uint64 { return e.wakes }
-
-// Resumes reports how many of the wake hand-overs were a callback's Resume
-// of a parked process.
+// Resumes reports how many steps callbacks handed to Resume.
 func (e *Engine) Resumes() uint64 { return e.resumes }
 
 // InlineAdvances reports how many steps AdvanceTo ran in place of an
 // event; each is also counted in Dispatched.
 func (e *Engine) InlineAdvances() uint64 { return e.inline }
 
-// Switches reports how many wake hand-overs cost a coroutine switch: the
-// woken process was not the one driving dispatch (Run's caller and a
-// process whose body returned count as none, so every start switches).
-func (e *Engine) Switches() uint64 { return e.switches }
-
 // Observe registers the engine's dispatch statistics as pull-based
 // probes under sc (conventionally the "sim" scope). Probes are evaluated
 // only at snapshot time, so observation adds no per-event work.
 func (e *Engine) Observe(sc *obs.Scope) {
 	sc.ProbeCounter("events_dispatched", func() int64 { return int64(e.dispatched) })
-	sc.ProbeCounter("wake_handoffs", func() int64 { return int64(e.wakes) })
-	sc.ProbeCounter("switches", func() int64 { return int64(e.switches) })
 	sc.ProbeGauge("heap_peak", func() int64 { return int64(e.heapPeak) })
 	sc.ProbeCounter("inline_advances", func() int64 { return int64(e.inline) })
 	sc.ProbeGauge("events_pending", func() int64 { return int64(e.pending) })
@@ -576,156 +505,52 @@ func (e *Engine) SetEventLimit(n uint64) {
 	e.stopAt = n
 }
 
-// BlockedProc is one process stuck on a synchronization primitive in a
-// DeadlockError or LivelockError diagnostic dump.
-type BlockedProc struct {
-	Name  string // process name
-	On    string // what it is blocked on (primitive label)
-	Since Time   // when it parked
-}
-
-func (b BlockedProc) String() string {
-	return fmt.Sprintf("%s blocked on %s since t=%d", b.Name, b.On, b.Since)
-}
-
-// DeadlockError reports processes left parked with no pending events: they
-// can never run again. Continuations left waiting on a primitive are not
-// processes and are not reported: an actor written as a callback chain
-// (a disk's write-back, say) idles on its wake-up condition forever once
-// the simulation's work is done.
-type DeadlockError struct {
-	Now     Time
-	Procs   []string      // names of the parked processes
-	Blocked []BlockedProc // structured dump of the same processes
-}
-
-func (d *DeadlockError) Error() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "sim: deadlock at t=%d: %d process(es) parked forever",
-		d.Now, len(d.Procs))
-	for _, b := range d.Blocked {
-		fmt.Fprintf(&sb, "\n  %s", b)
-	}
-	if len(d.Blocked) == 0 {
-		fmt.Fprintf(&sb, ": %v", d.Procs)
-	}
-	return sb.String()
-}
-
 // LivelockError reports a Run aborted by the SetEventLimit guard: the
 // event graph kept scheduling work without ever draining.
 type LivelockError struct {
 	Now        Time
-	Dispatched uint64        // lifetime events fired when the guard tripped
-	Blocked    []BlockedProc // processes parked at the moment of the trip
+	Dispatched uint64 // lifetime events fired when the guard tripped
 }
 
 func (l *LivelockError) Error() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "sim: livelock guard tripped at t=%d after %d events", l.Now, l.Dispatched)
-	for _, b := range l.Blocked {
-		fmt.Fprintf(&sb, "\n  %s", b)
-	}
-	return sb.String()
+	return fmt.Sprintf("sim: livelock guard tripped at t=%d after %d events", l.Now, l.Dispatched)
 }
 
-// blockedProcs snapshots the parked list as a name-sorted structured dump.
-func (e *Engine) blockedProcs() (blocked []BlockedProc) {
-	for _, p := range e.parkedList {
-		blocked = append(blocked, BlockedProc{Name: p.name, On: p.waitOn, Since: p.parkedAt})
-	}
-	sort.Slice(blocked, func(i, j int) bool { return blocked[i].Name < blocked[j].Name })
-	return blocked
-}
-
-// Run executes events in order until the queues drain or Stop is called.
-// If they drain while processes are parked on synchronization primitives,
-// Run kills them and returns a *DeadlockError naming them (with a
-// structured blocked-proc dump). If an event limit is armed (SetEventLimit) and the budget is
-// exhausted, Run discards the remaining events, kills every process, and
-// returns a *LivelockError.
+// Run executes events in order until the queues drain or Stop is called,
+// and then returns nil; the events left by a Stop stay queued for another
+// Run. Steps left waiting on a primitive when the queues drain are not an
+// error to the engine: their owners decide whether they were stranded.
+// If the event limit (SetEventLimit) is exhausted or a supervisor's abort
+// request (AttachProgress) lands, Run discards every remaining event and
+// returns a *LivelockError or an *AbortError.
 func (e *Engine) Run() error {
 	e.stopped = false
 	e.tripped = false
 	e.aborted = ""
-	e.drive(nil)
-	e.transfer()
-	if e.tripped {
-		if e.aborted != "" {
-			return e.abortTeardown()
-		}
-		return e.livelockTeardown()
-	}
-	if e.stopped {
-		// Halted explicitly: leave remaining events and parked processes in
-		// place so the caller can resume with another Run.
+	e.drive()
+	if !e.tripped {
 		return nil
 	}
-	return e.finishDrained()
-}
-
-// livelockTeardown turns a tripped event budget into a *LivelockError and
-// unwinds the engine completely.
-func (e *Engine) livelockTeardown() error {
-	blocked := e.blockedProcs()
-	lerr := &LivelockError{Now: e.now, Dispatched: e.dispatched, Blocked: blocked}
-	// Teardown: drop the still-growing event storm (re-parking procs
-	// whose wakes are discarded), then unwind everything without a
-	// budget — KillParked must be able to finish.
+	var err error = &LivelockError{Now: e.now, Dispatched: e.dispatched}
+	if e.aborted != "" {
+		err = &AbortError{Now: e.now, Dispatched: e.dispatched, Reason: e.aborted}
+		e.AttachProgress(nil)
+	}
 	e.stopAt = noLimit
-	e.tripped = false
 	e.clearPending()
-	e.KillParked()
-	return lerr
+	return err
 }
 
-// transfer runs on Run's (or KillParked's) caller: it resumes each proc
-// that drive names in handTo, until a proc suspends with none named (the
-// queues drained, or Stop was seen). Every hand-off is a coroutine switch
-// out to this loop and another back in, bypassing the Go scheduler, and
-// the call stack never deepens however long the chain of hand-offs.
-func (e *Engine) transfer() {
-	for p := e.handTo; p != nil; p = e.handTo {
-		e.handTo = nil
-		p.resume()
-	}
-}
+// KillParked does nothing: the engine runs callbacks only, so no process
+// is ever left parked. It remains for the benchmark harness, which calls
+// it on machines it built but never ran.
+func (e *Engine) KillParked() {}
 
-// finishDrained is Run's drain-time tail: report parked processes as a
-// deadlock and unwind everything.
-func (e *Engine) finishDrained() error {
-	blocked := e.blockedProcs()
-	e.KillParked()
-	if len(blocked) > 0 {
-		stuck := make([]string, len(blocked))
-		for i, b := range blocked {
-			stuck[i] = b.Name
-		}
-		return &DeadlockError{Now: e.now, Procs: stuck, Blocked: blocked}
-	}
-	return nil
-}
-
-// clearPending discards every event still queued. A process whose wake or
-// start event is discarded is re-registered as parked so KillParked can
-// unwind its coroutine; without that, it would stay suspended forever
-// awaiting a hand-over that never comes.
+// clearPending discards every event still queued.
 func (e *Engine) clearPending() {
 	drop := func(ev *event) {
 		if !ev.canceled {
 			e.pending--
-			if ev.p != nil {
-				if ev.kind == evStart {
-					// Never started: the coroutine awaits its first
-					// hand-over, before the kill protocol's unwind path
-					// exists. Flag it so it recycles instead of running
-					// its body (see loop).
-					ev.p.killed = true
-				}
-				ev.p.waitOn = "discarded event"
-				ev.p.parkedAt = e.now
-				e.addParked(ev.p)
-			}
 		}
 		e.release(ev)
 	}
@@ -741,59 +566,4 @@ func (e *Engine) clearPending() {
 		e.heap[i] = nil
 	}
 	e.heap = e.heap[:0]
-}
-
-// addParked records p as parked (blocked with no wake-up event pending).
-func (e *Engine) addParked(p *Proc) {
-	p.parkedIdx = len(e.parkedList)
-	e.parkedList = append(e.parkedList, p)
-}
-
-// removeParked unregisters a parked proc in O(1).
-func (e *Engine) removeParked(p *Proc) {
-	last := len(e.parkedList) - 1
-	q := e.parkedList[last]
-	e.parkedList[p.parkedIdx] = q
-	q.parkedIdx = p.parkedIdx
-	e.parkedList[last] = nil
-	e.parkedList = e.parkedList[:last]
-	p.parkedIdx = -1
-}
-
-// KillParked terminates every parked process so that no
-// coroutines leak when a simulation is abandoned. Killing a process runs its
-// defers, which may unpark other processes (e.g. by releasing a semaphore);
-// those are resumed to quiescence before the next victim is killed, so
-// teardown is orderly and complete. Finished-process shells recycled
-// through the spawn pool are retired last, so their idle coroutines do not
-// outlive the simulation either. Safe to call repeatedly.
-func (e *Engine) KillParked() {
-	e.stopped = false // teardown always drains what remains
-	for {
-		// Resume anything runnable (events scheduled by defers of already
-		// killed processes) until the queues are quiet again.
-		e.drive(nil)
-		e.transfer()
-		if len(e.parkedList) == 0 {
-			break
-		}
-		// Kill the oldest parked process for determinism.
-		victim := e.parkedList[0]
-		for _, p := range e.parkedList[1:] {
-			if p.id < victim.id {
-				victim = p
-			}
-		}
-		e.removeParked(victim)
-		victim.killed = true
-		e.current = victim
-		victim.resume() // unwinds the body, then suspends again
-		e.current = nil
-	}
-	for k := len(e.procPool); k > 0; k = len(e.procPool) {
-		p := e.procPool[k-1]
-		e.procPool[k-1] = nil
-		e.procPool = e.procPool[:k-1]
-		p.stop()
-	}
 }

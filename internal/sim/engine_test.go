@@ -94,9 +94,9 @@ func TestStopHaltsRun(t *testing.T) {
 	woke := false
 	e.At(1, func() { count++; e.Stop() })
 	e.At(2, func() { count++ })
-	// A proc sleeping across the stop is not a deadlock: its wake stays
+	// A chain sleeping across the stop is not lost: its next step stays
 	// queued and the next Run completes it.
-	e.Spawn("sleeper", func(p *Proc) { p.Sleep(100); woke = true })
+	e.At(0, func() { e.After(100, func() { woke = true }) })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -152,20 +152,26 @@ func TestRandomScheduleOrderProperty(t *testing.T) {
 	}
 }
 
+// A chain's sleeps advance the clock; a zero-length sleep is still an
+// event at the current instant.
 func TestProcSleepAdvancesTime(t *testing.T) {
 	e := New()
 	var marks []Time
-	e.Spawn("sleeper", func(p *Proc) {
-		marks = append(marks, p.Now())
-		p.Sleep(100)
-		marks = append(marks, p.Now())
-		p.Sleep(0)
-		marks = append(marks, p.Now())
+	mark := func() { marks = append(marks, e.Now()) }
+	e.At(0, func() {
+		mark()
+		e.After(100, func() {
+			mark()
+			e.After(0, mark)
+		})
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	want := []Time{0, 100, 100}
+	if len(marks) != len(want) || e.Dispatched() != 3 {
+		t.Fatalf("marks %v in %d events, want %v in 3", marks, e.Dispatched(), want)
+	}
 	for i := range want {
 		if marks[i] != want[i] {
 			t.Fatalf("marks %v, want %v", marks, want)
@@ -178,13 +184,15 @@ func TestProcsInterleaveDeterministically(t *testing.T) {
 		e := New()
 		var log []string
 		for _, name := range []string{"a", "b", "c"} {
-			name := name
-			e.Spawn(name, func(p *Proc) {
-				for i := 0; i < 3; i++ {
+			i := 0
+			var step func()
+			step = func() {
+				if i++; i <= 3 {
 					log = append(log, name)
-					p.Sleep(10)
+					e.After(10, step)
 				}
-			})
+			}
+			e.At(0, step)
 		}
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
@@ -205,20 +213,6 @@ func TestProcsInterleaveDeterministically(t *testing.T) {
 	}
 }
 
-func TestDeadlockDetected(t *testing.T) {
-	e := New()
-	c := NewCond(e)
-	e.Spawn("stuck", func(p *Proc) { c.Wait(p) })
-	err := e.Run()
-	de, ok := err.(*DeadlockError)
-	if !ok {
-		t.Fatalf("err = %v, want DeadlockError", err)
-	}
-	if len(de.Procs) != 1 || de.Procs[0] != "stuck" {
-		t.Fatalf("deadlocked procs %v", de.Procs)
-	}
-}
-
 // A server written as a continuation chain idles on its wake-up condition
 // forever once the work is done; that is not a deadlock.
 func TestWaitingContinuationIsNotDeadlock(t *testing.T) {
@@ -227,54 +221,12 @@ func TestWaitingContinuationIsNotDeadlock(t *testing.T) {
 	var serve func()
 	serve = func() { c.WaitThen(serve) }
 	e.At(0, serve)
-	e.Spawn("client", func(p *Proc) { p.Sleep(5) })
+	e.At(5, func() {})
 	if err := e.Run(); err != nil {
 		t.Fatalf("idle continuation flagged as deadlock: %v", err)
 	}
 	if c.waiting.len() != 1 {
 		t.Fatalf("%d waiters left, want the idle server", c.waiting.len())
-	}
-}
-
-func TestKilledProcRunsDefers(t *testing.T) {
-	e := New()
-	c := NewCond(e)
-	cleaned := false
-	e.Spawn("d", func(p *Proc) {
-		defer func() { cleaned = true }()
-		c.Wait(p)
-	})
-	if _, ok := e.Run().(*DeadlockError); !ok {
-		t.Fatal("parked proc not reported")
-	}
-	if !cleaned {
-		t.Fatal("defer did not run on kill")
-	}
-}
-
-func TestKillUnparksDependents(t *testing.T) {
-	// A killed proc's defer releases a semaphore another proc waits on; the
-	// dependent must be resumed (and then finish) rather than leak.
-	e := New()
-	sem := NewSemaphore(e, 1)
-	c := NewCond(e)
-	finished := false
-	e.Spawn("holder", func(p *Proc) {
-		sem.Acquire(p)
-		defer sem.Release()
-		c.Wait(p) // parked forever
-	})
-	e.Spawn("waiter", func(p *Proc) {
-		sem.Acquire(p)
-		finished = true
-		sem.Release()
-	})
-	err := e.Run()
-	if err == nil {
-		t.Fatal("expected deadlock error for holder")
-	}
-	if !finished {
-		t.Fatal("dependent proc did not resume during teardown")
 	}
 }
 

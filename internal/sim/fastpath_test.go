@@ -2,36 +2,6 @@ package sim
 
 import "testing"
 
-// Regression: a proc killed while parked (engine teardown) unwinds through
-// a different defer path than normal completion; it must still clear the
-// engine's current-proc pointer, and the engine must stay usable for a
-// subsequent Spawn+Run.
-func TestKilledProcClearsCurrentAndEngineReusable(t *testing.T) {
-	e := New()
-	c := NewCond(e)
-	e.Spawn("server", func(p *Proc) { c.Wait(p) })
-	if _, ok := e.Run().(*DeadlockError); !ok {
-		t.Fatal("parked proc not reported")
-	}
-	if e.current != nil {
-		t.Fatalf("current = %q after teardown kill, want nil", e.current.name)
-	}
-	ran := false
-	e.Spawn("again", func(p *Proc) {
-		p.Sleep(3)
-		ran = true
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !ran {
-		t.Fatal("proc spawned after a teardown kill did not run")
-	}
-	if e.current != nil {
-		t.Fatal("current not cleared after second run")
-	}
-}
-
 // A canceled event's slot returns to the free list; a stale handle to the
 // old occupant must not cancel (or otherwise affect) the slot's next life.
 func TestStaleCancelDoesNotAffectRecycledSlot(t *testing.T) {
@@ -129,27 +99,6 @@ func TestAtAllocsAmortizedZero(t *testing.T) {
 	}
 }
 
-// Sleep (the proc-switch hot path) is allocation-free: the wake event
-// reuses a pooled slot and the migrating driver resumes the sleeper with
-// no channel traffic when its wake is the next event.
-func TestSleepAllocsAmortizedZero(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts inflated under -race")
-	}
-	e := New()
-	var avg float64
-	e.Spawn("sleeper", func(p *Proc) {
-		p.Sleep(1) // warm
-		avg = testing.AllocsPerRun(1000, func() { p.Sleep(1) })
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if avg != 0 {
-		t.Fatalf("Sleep allocates %v/op warm, want 0", avg)
-	}
-}
-
 // Batched same-instant dispatch must preserve strict (time, seq) order:
 // every event already in the heap when an instant begins was scheduled
 // before it, so the whole heap batch fires first (in schedule order),
@@ -180,34 +129,6 @@ func TestBatchedDispatchPreservesSeqOrder(t *testing.T) {
 		if order[i] != want[i] {
 			t.Fatalf("fired %v, want %v", order, want)
 		}
-	}
-}
-
-// Spawning short-lived processes is amortized allocation-free: completed
-// procs park their goroutine and shell on the engine's pool, and the next
-// spawn reuses them (the swap-out issue path spawns one proc per page).
-func TestSpawnAllocsAmortizedZero(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts inflated under -race")
-	}
-	e := New()
-	body := func(q *Proc) {}
-	var avg float64
-	e.Spawn("driver", func(p *Proc) {
-		for i := 0; i < 64; i++ { // warm the proc pool
-			e.Spawn("w", body)
-			p.Sleep(1)
-		}
-		avg = testing.AllocsPerRun(500, func() {
-			e.Spawn("w", body)
-			p.Sleep(1) // let the spawned proc run to completion
-		})
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if avg != 0 {
-		t.Fatalf("Spawn allocates %v/op warm, want 0", avg)
 	}
 }
 

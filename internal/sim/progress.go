@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"strings"
 	"sync/atomic"
 )
 
@@ -49,7 +48,7 @@ type Progress struct {
 func (p *Progress) SimNow() int64 { return p.now.Load() }
 
 // RequestAbort asks the engine to abandon the run at its next probe
-// boundary; Run then unwinds every process and returns an
+// boundary; Run then discards every remaining event and returns an
 // *AbortError carrying the reason. Safe from any goroutine; the first
 // reason wins.
 func (p *Progress) RequestAbort(reason string) {
@@ -70,23 +69,16 @@ func (p *Progress) abortReason() string {
 
 // AbortError reports a Run abandoned at a probe boundary on a
 // supervisor's request (Progress.RequestAbort): the watchdog decided
-// the cell was over budget or stalled, and the engine unwound every
-// process cleanly — the same teardown discipline as the livelock
-// guard, so no goroutines leak from an aborted simulation.
+// the cell was over budget or stalled, and the engine discarded its
+// remaining events — the same teardown as the livelock guard's.
 type AbortError struct {
 	Now        Time
-	Dispatched uint64        // lifetime events fired when the abort landed
-	Reason     string        // the supervisor's reason ("timeout", "stalled", ...)
-	Blocked    []BlockedProc // processes parked at the abort instant
+	Dispatched uint64 // lifetime events fired when the abort landed
+	Reason     string // the supervisor's reason ("timeout", "stalled", ...)
 }
 
 func (a *AbortError) Error() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "sim: run aborted (%s) at t=%d after %d events", a.Reason, a.Now, a.Dispatched)
-	for _, b := range a.Blocked {
-		fmt.Fprintf(&sb, "\n  %s", b)
-	}
-	return sb.String()
+	return fmt.Sprintf("sim: run aborted (%s) at t=%d after %d events", a.Reason, a.Now, a.Dispatched)
 }
 
 // AttachProgress installs p as the engine's progress probe: dispatch
@@ -111,21 +103,4 @@ func (e *Engine) AttachProgress(p *Progress) {
 	if p.EventLimit > 0 {
 		e.SetEventLimit(e.dispatched + p.EventLimit)
 	}
-}
-
-// abortTeardown turns a probe-boundary abort into an *AbortError and
-// unwinds the engine completely, mirroring livelockTeardown.
-func (e *Engine) abortTeardown() error {
-	blocked := e.blockedProcs()
-	aerr := &AbortError{Now: e.now, Dispatched: e.dispatched, Reason: e.aborted, Blocked: blocked}
-	// Detach the probe before teardown dispatch: KillParked resumes
-	// procs to quiescence, and a still-armed probe boundary would
-	// re-trip the stop flag mid-unwind and wedge the teardown.
-	e.aborted = ""
-	e.tripped = false
-	e.AttachProgress(nil)
-	e.stopAt = noLimit
-	e.clearPending()
-	e.KillParked()
-	return aerr
 }

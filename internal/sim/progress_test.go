@@ -65,27 +65,25 @@ func TestProgressDoesNotPerturbDispatch(t *testing.T) {
 	}
 }
 
-// RequestAbort lands at the next probe boundary: Run unwinds every
-// process (no goroutine leaks, defers run) and returns an *AbortError
-// carrying the supervisor's reason.
+// loop runs a chain that sleeps d between steps forever.
+func loop(e *Engine, d Time) {
+	var step func()
+	step = func() { e.After(d, step) }
+	e.At(0, step)
+}
+
+// RequestAbort lands at the next probe boundary: Run discards every
+// pending event (the endless worker's next step included) and returns an
+// *AbortError carrying the supervisor's reason.
 func TestProgressAbortUnwindsCleanly(t *testing.T) {
 	e := New()
 	p := &Progress{Every: 10}
 	e.AttachProgress(p)
-	var unwound bool
-	e.Spawn("worker", func(pr *Proc) {
-		defer func() { unwound = true }()
-		for {
-			pr.Sleep(5)
-		}
-	})
-	e.Spawn("supervisorless", func(pr *Proc) {
-		// Aborts from inside the simulation are indistinguishable from
-		// external ones at the boundary; trigger one mid-run.
-		pr.Sleep(23)
-		p.RequestAbort("timeout")
-		pr.Sleep(1000)
-	})
+	loop(e, 5)
+	// Aborts from inside the simulation are indistinguishable from
+	// external ones at the boundary; trigger one mid-run.
+	e.At(23, func() { p.RequestAbort("timeout") })
+	e.At(1023, func() { t.Error("event past the abort fired") })
 	err := e.Run()
 	var aerr *AbortError
 	if !errors.As(err, &aerr) {
@@ -94,8 +92,8 @@ func TestProgressAbortUnwindsCleanly(t *testing.T) {
 	if aerr.Reason != "timeout" {
 		t.Fatalf("reason %q, want timeout", aerr.Reason)
 	}
-	if !unwound {
-		t.Fatal("worker's defer did not run: abort leaked the proc")
+	if e.Pending() != 0 {
+		t.Fatalf("%d events left after the abort", e.Pending())
 	}
 	if aerr.Now < 23 || aerr.Now > 40 {
 		t.Fatalf("abort landed at t=%d, want shortly after the request at 23", aerr.Now)
@@ -108,11 +106,7 @@ func TestProgressAbortCrossGoroutine(t *testing.T) {
 	e := New()
 	p := &Progress{Every: 100}
 	e.AttachProgress(p)
-	e.Spawn("spinner", func(pr *Proc) {
-		for {
-			pr.Sleep(50)
-		}
-	})
+	loop(e, 50)
 	go func() {
 		// Wait until the sim has demonstrably advanced, then pull the plug.
 		for p.SimNow() == 0 {
@@ -151,11 +145,7 @@ func TestProgressDetach(t *testing.T) {
 func TestProgressEventLimit(t *testing.T) {
 	e := New()
 	e.AttachProgress(&Progress{Every: 10, EventLimit: 100})
-	e.Spawn("storm", func(pr *Proc) {
-		for {
-			pr.Sleep(1)
-		}
-	})
+	loop(e, 1)
 	err := e.Run()
 	var lerr *LivelockError
 	if !errors.As(err, &lerr) {
@@ -170,7 +160,7 @@ func TestProgressEngineReusableAfterAbort(t *testing.T) {
 	p := &Progress{Every: 10}
 	e.AttachProgress(p)
 	p.RequestAbort("timeout")
-	e.Spawn("w", func(pr *Proc) { pr.Sleep(100) })
+	e.At(100, func() {})
 	var aerr *AbortError
 	if err := e.Run(); !errors.As(err, &aerr) {
 		t.Fatalf("Run = %v, want *AbortError", err)

@@ -6,14 +6,13 @@ import (
 	"testing/quick"
 )
 
-// useFor books r for dur from now and sleeps p through queueing plus
-// service, returning the time spent queued: a Reserve plus the wait a
+// useFor books r for dur from now and runs then, with the time spent
+// queued, once queueing plus service are over: a Reserve plus the wait a
 // caller models for itself.
-func useFor(p *Proc, r *Resource, dur Time) (waited Time) {
-	t0 := p.Now()
+func useFor(e *Engine, r *Resource, dur Time, then func(waited Time)) {
+	t0 := e.Now()
 	start := r.Reserve(t0, dur)
-	p.SleepUntil(start + dur)
-	return start - t0
+	e.At(start+dur, func() { then(start - t0) })
 }
 
 func TestResourceSerializesFCFS(t *testing.T) {
@@ -21,9 +20,8 @@ func TestResourceSerializesFCFS(t *testing.T) {
 	r := NewResource(e, "bus")
 	var ends []Time
 	for i := 0; i < 3; i++ {
-		e.Spawn("u", func(p *Proc) {
-			useFor(p, r, 100)
-			ends = append(ends, p.Now())
+		e.At(0, func() {
+			useFor(e, r, 100, func(Time) { ends = append(ends, e.Now()) })
 		})
 	}
 	if err := e.Run(); err != nil {
@@ -46,12 +44,13 @@ func TestResourceSerializesFCFS(t *testing.T) {
 func TestResourceIdleGapsNotCharged(t *testing.T) {
 	e := New()
 	r := NewResource(e, "bus")
-	e.Spawn("a", func(p *Proc) { useFor(p, r, 10) })
-	e.Spawn("b", func(p *Proc) {
-		p.Sleep(1000) // resource long idle
-		if w := useFor(p, r, 10); w != 0 {
-			t.Errorf("waited %d after idle gap, want 0", w)
-		}
+	e.At(0, func() { useFor(e, r, 10, func(Time) {}) })
+	e.At(1000, func() { // resource long idle
+		useFor(e, r, 10, func(w Time) {
+			if w != 0 {
+				t.Errorf("waited %d after idle gap, want 0", w)
+			}
+		})
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -88,9 +87,8 @@ func TestReserveNegativePanics(t *testing.T) {
 func TestUtilization(t *testing.T) {
 	e := New()
 	r := NewResource(e, "x")
-	e.Spawn("u", func(p *Proc) {
-		useFor(p, r, 25)
-		p.Sleep(75)
+	e.At(0, func() {
+		useFor(e, r, 25, func(Time) { e.After(75, func() {}) })
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)

@@ -89,9 +89,9 @@ func (s *Server) Release() {
 	for pri := range s.queues {
 		if r, ok := s.queues[pri].pop(); ok {
 			// Hand over directly: the server stays busy, and the waiter
-			// runs in the slot where an unpark would wake a process.
+			// runs at the instant of the hand-over.
 			s.grant(r.since)
-			s.e.schedule(s.e.now, evFunc, r.k, nil)
+			s.e.schedule(s.e.now, r.k)
 			return
 		}
 	}

@@ -167,9 +167,8 @@ func TestServerStarvationOfLowUnderHighLoad(t *testing.T) {
 	}
 }
 
-// A Release hands the server to a queued continuation in the slot where it
-// would unpark a process: at the releasing instant, after the events
-// already due then, and holding the server for it.
+// A Release hands the server to a queued continuation at the releasing
+// instant, after the events already due then, holding the server for it.
 func TestServerHandsOverAtReleaseInstant(t *testing.T) {
 	e := New()
 	s := NewServer(e, "arm")

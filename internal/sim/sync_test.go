@@ -5,15 +5,28 @@ import (
 	"testing/quick"
 )
 
+// acquire takes a permit of s and then runs k, waiting in s's FIFO (and
+// retrying at the back on a lost race) while none is free.
+func acquire(s *Semaphore, k func()) {
+	var try func()
+	try = func() {
+		if s.TryAcquire() {
+			k()
+			return
+		}
+		s.WaitThen(try)
+	}
+	try()
+}
+
 func TestCondFIFOWakeOrder(t *testing.T) {
 	e := New()
 	c := NewCond(e)
 	var woke []string
 	for _, name := range []string{"first", "second", "third"} {
 		name := name
-		e.Spawn(name, func(p *Proc) {
-			c.Wait(p)
-			woke = append(woke, name)
+		e.At(0, func() {
+			c.WaitThen(func() { woke = append(woke, name) })
 		})
 	}
 	e.At(10, func() { c.Signal() })
@@ -35,10 +48,7 @@ func TestCondBroadcastWakesAll(t *testing.T) {
 	c := NewCond(e)
 	n := 0
 	for i := 0; i < 5; i++ {
-		e.Spawn("w", func(p *Proc) {
-			c.Wait(p)
-			n++
-		})
+		c.WaitThen(func() { n++ })
 	}
 	e.At(10, func() { c.Broadcast() })
 	if err := e.Run(); err != nil {
@@ -62,15 +72,17 @@ func TestSemaphoreLimitsConcurrency(t *testing.T) {
 	sem := NewSemaphore(e, 2)
 	inside, maxInside := 0, 0
 	for i := 0; i < 6; i++ {
-		e.Spawn("u", func(p *Proc) {
-			sem.Acquire(p)
-			inside++
-			if inside > maxInside {
-				maxInside = inside
-			}
-			p.Sleep(10)
-			inside--
-			sem.Release()
+		e.At(0, func() {
+			acquire(sem, func() {
+				inside++
+				if inside > maxInside {
+					maxInside = inside
+				}
+				e.After(10, func() {
+					inside--
+					sem.Release()
+				})
+			})
 		})
 	}
 	if err := e.Run(); err != nil {
@@ -100,18 +112,20 @@ func TestMutexMutualExclusion(t *testing.T) {
 	e := New()
 	m := NewMutex(e)
 	var order []string
-	e.Spawn("a", func(p *Proc) {
-		m.Lock(p)
-		order = append(order, "a-in")
-		p.Sleep(50)
-		order = append(order, "a-out")
-		m.Unlock()
+	e.At(0, func() {
+		acquire(m.s, func() {
+			order = append(order, "a-in")
+			e.After(50, func() {
+				order = append(order, "a-out")
+				m.Unlock()
+			})
+		})
 	})
-	e.Spawn("b", func(p *Proc) {
-		p.Sleep(1)
-		m.Lock(p)
-		order = append(order, "b-in")
-		m.Unlock()
+	e.At(1, func() {
+		acquire(m.s, func() {
+			order = append(order, "b-in")
+			m.Unlock()
+		})
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -130,14 +144,20 @@ func TestBarrierReleasesTogetherAndIsReusable(t *testing.T) {
 	b := NewBarrier(e, n)
 	var releases []Time
 	for i := 0; i < n; i++ {
-		i := i
-		e.Spawn("p", func(p *Proc) {
-			for iter := 0; iter < 3; iter++ {
-				p.Sleep(Time(10 * (i + 1))) // stagger arrivals
-				b.Arrive(p)
-				releases = append(releases, p.Now())
+		iter := 0
+		var arrive, pass func()
+		arrive = func() {
+			if b.ArriveThen(pass) {
+				pass()
 			}
-		})
+		}
+		pass = func() {
+			releases = append(releases, e.Now())
+			if iter++; iter < 3 {
+				e.After(Time(10*(i+1)), arrive) // stagger arrivals
+			}
+		}
+		e.At(Time(10*(i+1)), arrive)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -161,11 +181,18 @@ func TestBarrierWaitTimeReported(t *testing.T) {
 	e := New()
 	b := NewBarrier(e, 2)
 	var fastWait, slowWait Time = -1, -1
-	e.Spawn("fast", func(p *Proc) { fastWait = b.Arrive(p) })
-	e.Spawn("slow", func(p *Proc) {
-		p.Sleep(40)
-		slowWait = b.Arrive(p)
-	})
+	// arrive enters the barrier at its instant and records how long the
+	// arrival waited to pass.
+	arrive := func(wait *Time) func() {
+		return func() {
+			t0 := e.Now()
+			if b.ArriveThen(func() { *wait = e.Now() - t0 }) {
+				*wait = 0
+			}
+		}
+	}
+	e.At(0, arrive(&fastWait))
+	e.At(40, arrive(&slowWait))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -177,66 +204,30 @@ func TestBarrierWaitTimeReported(t *testing.T) {
 	}
 }
 
-func TestQueueFIFOAndBlocking(t *testing.T) {
-	e := New()
-	q := NewQueue[int](e)
-	var got []int
-	e.Spawn("consumer", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			got = append(got, q.Pop(p))
-		}
-	})
-	e.At(10, func() { q.Push(1); q.Push(2) })
-	e.At(20, func() { q.Push(3) })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range []int{1, 2, 3} {
-		if got[i] != want {
-			t.Fatalf("got %v", got)
-		}
-	}
-}
-
-func TestQueueTryPopAndPeek(t *testing.T) {
-	e := New()
-	q := NewQueue[string](e)
-	if _, ok := q.TryPop(); ok {
-		t.Fatal("TryPop on empty queue succeeded")
-	}
-	if _, ok := q.Peek(); ok {
-		t.Fatal("Peek on empty queue succeeded")
-	}
-	q.Push("x")
-	q.Push("y")
-	if v, ok := q.Peek(); !ok || v != "x" {
-		t.Fatalf("Peek = %q,%v", v, ok)
-	}
-	if q.Len() != 2 {
-		t.Fatalf("Len = %d", q.Len())
-	}
-	if v, ok := q.TryPop(); !ok || v != "x" {
-		t.Fatalf("TryPop = %q,%v", v, ok)
-	}
-}
-
 func TestSemaphorePermitConservationProperty(t *testing.T) {
-	// Property: after any balanced sequence of acquire/release by k procs,
+	// Property: after any balanced sequence of acquire/release by k actors,
 	// all permits return to the semaphore.
-	f := func(permits uint8, procs uint8, rounds uint8) bool {
+	f := func(permits uint8, actors uint8, rounds uint8) bool {
 		np := int(permits%4) + 1
-		k := int(procs%6) + 1
+		k := int(actors%6) + 1
 		r := int(rounds%5) + 1
 		e := New()
 		sem := NewSemaphore(e, np)
 		for i := 0; i < k; i++ {
-			e.Spawn("p", func(p *Proc) {
-				for j := 0; j < r; j++ {
-					sem.Acquire(p)
-					p.Sleep(3)
-					sem.Release()
+			j := 0
+			var round func()
+			round = func() {
+				if j++; j > r {
+					return
 				}
-			})
+				acquire(sem, func() {
+					e.After(3, func() {
+						sem.Release()
+						round()
+					})
+				})
+			}
+			e.At(0, round)
 		}
 		if err := e.Run(); err != nil {
 			return false

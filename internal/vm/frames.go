@@ -70,8 +70,8 @@ func NewFramePool(e *sim.Engine, node, frames, minFree int) *FramePool {
 		free:       frames,
 		minFree:    minFree,
 		lru:        dense.NewLRU(frames),
-		FrameFreed: sim.NewCond(e).Named("vm.frameFreed"),
-		Pressure:   sim.NewCond(e).Named("vm.pressure"),
+		FrameFreed: sim.NewCond(e),
+		Pressure:   sim.NewCond(e),
 	}
 }
 

@@ -103,8 +103,8 @@ func (t *Table) Get(page PageID) *Entry {
 			State:       Unmapped,
 			Owner:       -1,
 			LastSwapper: -1,
-			Lock:        sim.NewMutex(t.e).Named("pte.lock"),
-			Arrived:     sim.NewCond(t.e).Named("pte.arrived"),
+			Lock:        sim.NewMutex(t.e),
+			Arrived:     sim.NewCond(t.e),
 		}
 		t.entries[page] = en
 		t.count++

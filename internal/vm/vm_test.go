@@ -39,17 +39,27 @@ func TestEntryLockMutualExclusion(t *testing.T) {
 	tb := NewTable(e)
 	en := tb.Get(1)
 	var order []string
-	e.Spawn("a", func(p *sim.Proc) {
-		en.Lock.Lock(p)
-		order = append(order, "a")
-		p.Sleep(100)
-		en.Lock.Unlock()
+	// lock takes the entry lock, waiting (and retrying) while it is held,
+	// and then runs k.
+	var lock func(k func())
+	lock = func(k func()) {
+		if !en.Lock.TryLock() {
+			en.Lock.WaitThen(func() { lock(k) })
+			return
+		}
+		k()
+	}
+	e.At(0, func() {
+		lock(func() {
+			order = append(order, "a")
+			e.After(100, en.Lock.Unlock)
+		})
 	})
-	e.Spawn("b", func(p *sim.Proc) {
-		p.Sleep(1)
-		en.Lock.Lock(p)
-		order = append(order, "b")
-		en.Lock.Unlock()
+	e.At(1, func() {
+		lock(func() {
+			order = append(order, "b")
+			en.Lock.Unlock()
+		})
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -127,8 +137,7 @@ func TestFramePoolPressureSignaled(t *testing.T) {
 		})
 	}
 	daemon()
-	e.Spawn("alloc", func(p *sim.Proc) {
-		p.Sleep(1)
+	e.At(1, func() {
 		f.Alloc(1)
 		f.Alloc(2)
 	})
@@ -144,25 +153,26 @@ func TestFrameFreedWakesNoFreeStall(t *testing.T) {
 	e := sim.New()
 	f := NewFramePool(e, 0, 2, 1)
 	var acquiredAt sim.Time
-	e.Spawn("hog", func(p *sim.Proc) {
+	e.At(0, func() {
 		f.Alloc(1)
 		f.Alloc(2)
-		p.Sleep(500)
-		f.Remove(1)
+		e.After(500, func() { f.Remove(1) })
 	})
-	e.Spawn("stalled", func(p *sim.Proc) {
-		p.Sleep(1)
-		for !f.HasFree() {
-			f.FrameFreed.Wait(p)
+	var stalled func()
+	stalled = func() {
+		if !f.HasFree() {
+			f.FrameFreed.WaitThen(stalled)
+			return
 		}
 		f.Alloc(3)
-		acquiredAt = p.Now()
-	})
+		acquiredAt = e.Now()
+	}
+	e.At(1, stalled)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if acquiredAt != 500 {
-		t.Fatalf("stalled proc allocated at %d, want 500", acquiredAt)
+		t.Fatalf("stalled allocation at %d, want 500", acquiredAt)
 	}
 }
 
@@ -307,19 +317,20 @@ func TestUnreserveWakesNoFreeStall(t *testing.T) {
 	e := sim.New()
 	f := NewFramePool(e, 0, 2, 1)
 	var wokenAt sim.Time
-	e.Spawn("holder", func(p *sim.Proc) {
+	e.At(0, func() {
 		f.Reserve()
 		f.Reserve()
-		p.Sleep(100)
-		f.Unreserve()
+		e.After(100, f.Unreserve)
 	})
-	e.Spawn("stalled", func(p *sim.Proc) {
-		p.Sleep(1)
-		for !f.HasFree() {
-			f.FrameFreed.Wait(p)
+	var stalled func()
+	stalled = func() {
+		if !f.HasFree() {
+			f.FrameFreed.WaitThen(stalled)
+			return
 		}
-		wokenAt = p.Now()
-	})
+		wokenAt = e.Now()
+	}
+	e.At(1, stalled)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -5,9 +5,8 @@
 #
 # Benchmarks:
 #   BenchmarkEngineEventThroughput  pooled event schedule/dispatch cycle
-#   BenchmarkProcSwitch             Sleep round-trip (migrating driver)
-#   BenchmarkProcHandoff            hand-off between two procs (coroutine switch)
 #   BenchmarkCallbackHandoff        hand-off between two continuations via a Cond
+#   BenchmarkThreadResume           CPU thread block/resume round trip (two threads in lockstep)
 #   BenchmarkCtxTouch               one CPU's Touch chain on resident pages (CC hits + misses)
 #   BenchmarkPageFault              one CPU faulting pages in from the ring and the disk cache
 #   BenchmarkMeshTransit            precomputed-route mesh reservation
@@ -50,7 +49,7 @@ trap 'rm -f "$raw"' EXIT
 # Micro-benchmarks: GOMAXPROCS=1, N samples each via -count; the awk
 # pass below keeps the minimum per benchmark.
 GOMAXPROCS=1 go test -run '^$' \
-  -bench '^(BenchmarkEngineEventThroughput|BenchmarkProcSwitch|BenchmarkProcHandoff|BenchmarkCallbackHandoff|BenchmarkCtxTouch|BenchmarkPageFault|BenchmarkMeshTransit)$' \
+  -bench '^(BenchmarkEngineEventThroughput|BenchmarkCallbackHandoff|BenchmarkThreadResume|BenchmarkCtxTouch|BenchmarkPageFault|BenchmarkMeshTransit)$' \
   -benchmem -benchtime "$micro_bt" -count "$samples" . | tee "$raw" >&2
 GOMAXPROCS=1 go test -run '^$' \
   -bench '^(BenchmarkFramePoolTouch|BenchmarkFramePoolEvict)$' \

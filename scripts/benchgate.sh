@@ -39,9 +39,8 @@ git archive "$base" | tar -x -C "$tmp/base"
 
 # The gated benchmarks, each with its package.
 benches='. BenchmarkEngineEventThroughput
-. BenchmarkProcSwitch
-. BenchmarkProcHandoff
 . BenchmarkCallbackHandoff
+. BenchmarkThreadResume
 . BenchmarkCtxTouch
 . BenchmarkPageFault
 . BenchmarkMeshTransit

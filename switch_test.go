@@ -13,7 +13,7 @@ import (
 // switchCfg is a small, memory-pressured configuration: six frames per
 // node make gauss and fft fault, swap out and (on the NWCache machine)
 // hit the ring at scale 0.1. TLB-shootdown interrupts cost nothing, so a
-// thread never sleeps to pay for them and every process wake is
+// thread never sleeps to pay for them and every thread resume is
 // accounted for exactly below.
 func switchCfg() param.Config {
 	cfg := core.DefaultConfig()
@@ -24,8 +24,8 @@ func switchCfg() param.Config {
 	return cfg
 }
 
-// barrierWaits counts the barrier hand-offs app's threads take: every
-// arrival but the last of each barrier episode parks once.
+// barrierWaits counts the barrier waits app's threads take: every
+// arrival but the last of each barrier episode blocks once.
 func barrierWaits(t *testing.T, app string, cfg param.Config) uint64 {
 	prog, err := core.NewProgram(app, cfg)
 	if err != nil {
@@ -47,10 +47,9 @@ func barrierWaits(t *testing.T, app string, cfg param.Config) uint64 {
 
 // The fault path and every daemon (disk write-back, prefetch fills, DCD
 // destage, NWCache drain, write-buffer drain) run as engine callbacks:
-// the only processes are the CPU threads, and a thread is woken only to
-// start, at a barrier hand-off, or by the callback that drains its
-// run-ahead queue (a Resume). So the process wakes are exactly those,
-// and the coroutine switches are bounded by them.
+// only the CPU threads are coroutines, and a thread is resumed only to
+// start, at the end of a barrier wait, or by the callback that drains its
+// run-ahead queue (a Resume). So the thread resumes are exactly those.
 func TestFaultPathTakesNoSwitch(t *testing.T) {
 	type variant struct {
 		name string
@@ -101,21 +100,17 @@ func checkSwitches(t *testing.T, app string, kind machine.Kind, mode disk.Prefet
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("%d faults (%d ring hits), %d swap-outs; %d switches, %d wakes, %d resumes",
-		res.Faults, res.RingHits, res.SwapOuts, m.E.Switches(), m.E.WakeHandoffs(), m.E.Resumes())
+	t.Logf("%d faults (%d ring hits), %d swap-outs; %d thread resumes, %d of them Resumes",
+		res.Faults, res.RingHits, res.SwapOuts, m.ThreadResumes(), m.E.Resumes())
 	if res.SwapOuts == 0 || res.Faults <= res.SwapOuts/2 {
 		t.Fatalf("no memory pressure: %d faults, %d swap-outs", res.Faults, res.SwapOuts)
 	}
 	if kind == machine.NWCache && res.RingHits == 0 {
 		t.Fatal("no ring hits: the ring fetch went unexercised")
 	}
-	e, starts := m.E, uint64(cfg.Nodes)
-	if got, want := e.WakeHandoffs()-e.Resumes(), starts+waits; got != want {
-		t.Errorf("process wakes other than Resumes = %d, want %d (%d starts + %d barrier hand-offs)",
-			got, want, starts, waits)
-	}
-	if bound := starts + waits + e.Resumes(); e.Switches() > bound {
-		t.Errorf("%d switches > %d starts + %d barrier hand-offs + %d queue drains ending in a callback",
-			e.Switches(), starts, waits, e.Resumes())
+	starts, drains := uint64(cfg.Nodes), m.E.Resumes()
+	if got, want := m.ThreadResumes(), starts+waits+drains; got != want {
+		t.Errorf("thread resumes = %d, want %d (%d starts + %d barrier waits + %d queue drains ending in a callback)",
+			got, want, starts, waits, drains)
 	}
 }
