@@ -1,8 +1,9 @@
 // Allocation-budget guards for the paper-scale hot path: the simulation
-// core pools events, processes, swap jobs, and control messages, so one
-// full gauss run stays within a few thousand allocations (setup plus
-// pool warm-up). A regression past the budget means a pooled path
-// started allocating per event again.
+// core pools events, swap jobs, control messages and ring entries, and
+// presizes the page table and the directory, so one full gauss run stays
+// within a couple of thousand allocations (setup plus pool warm-up). A
+// regression past a budget means a pooled path started allocating per
+// event, per fault or per swap-out again.
 package nwcache_test
 
 import (
@@ -11,30 +12,31 @@ import (
 	"nwcache"
 )
 
-// gaussAllocBudget bounds allocations of one paper-scale gauss run. The
-// Standard machine measures ~4.6k allocs/run (machine construction
-// dominates), the NWCache machine ~45.5k (one optical.Entry per ring
-// insert); 50k still catches any per-event or per-fault allocation (gauss
-// issues ~270k events and ~41k faults). The cases cover each pooled
-// chain: the NWCache swap-outs and ring faults, the Standard machine's
-// disk write-back, naive prefetching's prefetch fills, and the DCD log's
-// destage.
-const gaussAllocBudget = 50_000
-
+// TestGaussRunAllocBudget bounds the allocations of one paper-scale gauss
+// run, per case, about 20% above the measured count. Machine construction
+// dominates, and the NWCache machine allocates about as much as the
+// Standard one: its ring entries are recycled, so only the ~16 live per
+// channel are ever built, not one per insert (~41k inserts). The
+// budgets still catch any per-event or per-fault allocation (gauss issues
+// ~270k events and ~41k faults). The cases cover each pooled chain: the
+// NWCache swap-outs and ring faults, the Standard machine's disk
+// write-back, naive prefetching's prefetch fills, and the DCD log's
+// destage, whose log index and destage queue still grow with the run.
 func TestGaussRunAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale run in -short mode")
 	}
 	cases := []struct {
-		name string
-		kind nwcache.Kind
-		mode nwcache.PrefetchMode
-		dcd  bool
+		name   string
+		kind   nwcache.Kind
+		mode   nwcache.PrefetchMode
+		dcd    bool
+		budget float64 // allocs/run; measured ~1.6k, ~1.6k, ~1.7k, ~15.7k
 	}{
-		{"nwcache/optimal", nwcache.NWCache, nwcache.Optimal, false},
-		{"standard/optimal", nwcache.Standard, nwcache.Optimal, false},
-		{"nwcache/naive", nwcache.NWCache, nwcache.Naive, false},
-		{"standard/naive/dcd", nwcache.Standard, nwcache.Naive, true},
+		{"nwcache/optimal", nwcache.NWCache, nwcache.Optimal, false, 2_000},
+		{"standard/optimal", nwcache.Standard, nwcache.Optimal, false, 2_000},
+		{"nwcache/naive", nwcache.NWCache, nwcache.Naive, false, 2_000},
+		{"standard/naive/dcd", nwcache.Standard, nwcache.Naive, true, 19_000},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -48,8 +50,8 @@ func TestGaussRunAllocBudget(t *testing.T) {
 			}
 			avg := testing.AllocsPerRun(1, run)
 			t.Logf("%.0f allocs/run", avg)
-			if avg > gaussAllocBudget {
-				t.Fatalf("gauss run allocates %.0f, budget %d", avg, gaussAllocBudget)
+			if avg > tc.budget {
+				t.Fatalf("gauss run allocates %.0f, budget %.0f", avg, tc.budget)
 			}
 		})
 	}

@@ -220,6 +220,16 @@ func NewDirectory() *Directory {
 	return &Directory{}
 }
 
+// Presize sizes the table for the blocks of pages 0..pages-1, so tracking
+// them never regrows it.
+func (d *Directory) Presize(pages int64) {
+	if n := pages * SubPerPage; n > int64(len(d.slots)) {
+		grown := make([]dirSlot, n)
+		copy(grown, d.slots)
+		d.slots = grown
+	}
+}
+
 // slot returns the slot for block k, growing the table on demand (same
 // amortized-growth shape as vm.Table).
 func (d *Directory) slot(k int64) *dirSlot {

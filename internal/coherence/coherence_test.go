@@ -222,3 +222,24 @@ func TestCacheCapacityProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Once presized from the footprint, tracking the pages' blocks never
+// regrows the directory.
+func TestDirectoryPresizedAllocatesNothing(t *testing.T) {
+	d := NewDirectory()
+	const pages = 512
+	d.Presize(pages)
+	page := int64(0)
+	avg := testing.AllocsPerRun(pages-1, func() {
+		for sub := 0; sub < SubPerPage; sub++ {
+			d.Write(page, sub, sub)
+		}
+		page++
+	})
+	if avg != 0 {
+		t.Fatalf("directory allocates %v per page after Presize, want 0", avg)
+	}
+	if d.Len() != pages*SubPerPage {
+		t.Fatalf("tracked %d blocks, want %d", d.Len(), pages*SubPerPage)
+	}
+}

@@ -70,7 +70,7 @@ type cpu struct {
 	cat      stats.Category  // what a wait for an in-transit page is charged to
 	t0       sim.Time        // when the current wait (lock, frame, transit, fetch) began
 	reserved bool            // a frame is reserved for the fault in progress
-	ringEn   *optical.Entry  // a ring fetch's entry; nil for a disk fetch
+	ringEn   optical.Ref     // a ring fetch's entry; zero for a disk fetch
 	victim   bool            // the ring fetch claimed the entry (not a ride-along)
 	dirty    bool            // the fetched page is installed dirty
 	fetch    pageRead        // the disk fetch (faults and FileRead)
@@ -274,16 +274,18 @@ func (c *Ctx) advance() chainState {
 			}
 			en.State = vm.Resident
 			en.Owner = n.ID
-			en.RingEntry = nil
+			en.RingEntry = optical.Ref{}
 			en.Dirty = c.dirty
 			n.Pool.AdoptReserved(en.Page)
 			en.Arrived.Broadcast()
 			en.Lock.Unlock()
 			n.Faults++
-			if c.ringEn != nil {
+			if c.ringEn != (optical.Ref{}) {
+				// A ride-along's entry may be drained and reused by now:
+				// the Ref still names its channel.
 				n.RingHits++
-				m.Ring.NoteVictim(c.ringEn.Channel)
-				c.ringEn = nil
+				m.Ring.NoteVictim(c.ringEn.Channel())
+				c.ringEn = optical.Ref{}
 			}
 			c.reserved, c.owner, c.at = false, n.ID, csData
 		case csData:
@@ -381,13 +383,13 @@ func (c *Ctx) locked() bool {
 		c.t0, c.at = m.E.Now(), csDiskIn
 		return !c.fetch.start(en.Page)
 	}
-	ringEn := en.RingEntry
-	switch ringEn.State {
+	switch ref := en.RingEntry; ref.State() {
 	case optical.OnRing, optical.Draining:
 		// OnRing: victim caching — claim the page and snoop it straight
 		// off the cache channel, no disk, no mesh page transfer. Draining:
 		// the interface is already copying it to the disk cache; ride
 		// along the broadcast medium.
+		ringEn := ref.Entry()
 		c.victim = ringEn.State == optical.OnRing
 		if c.victim {
 			ringEn.State = optical.Claimed
@@ -395,11 +397,13 @@ func (c *Ctx) locked() bool {
 		en.State = vm.Transit
 		en.TransitBy = n.ID
 		en.Lock.Unlock()
-		c.ringEn, c.t0, c.at = ringEn, m.E.Now(), csRingPass
+		c.ringEn, c.t0, c.at = ref, m.E.Now(), csRingPass
 		return c.waitUntil(m.Ring.SnoopDone(ringEn, n.ID, m.E.Now()))
 	default:
-		// Claimed/Gone are unobservable under the entry lock; if they
-		// ever appear, wait out the in-flight transition and re-evaluate.
+		// Claimed is unobservable under the entry lock; Gone is a copy a
+		// crash voided under conservative recovery, whose swap-out is
+		// resending it. Wait out the in-flight transition and
+		// re-evaluate.
 		en.Lock.Unlock()
 		c.t0, c.at = m.E.Now(), csInFlux
 		en.Arrived.WaitThen(c.step)

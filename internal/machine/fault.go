@@ -61,10 +61,10 @@ func (m *Machine) crashIONode(node int) {
 			}
 			en.Voided = true
 			m.flt.NoteVoided(now, en.InsertedAt)
-			owner := m.Ring.OwnerOf(en.Channel)
+			owner, ref := m.Ring.OwnerOf(en.Channel), en.Ref()
 			m.Ring.Release(en)
 			if pte, ok := m.Table.Lookup(en.Page); ok &&
-				pte.State == vm.OnRing && pte.RingEntry == en &&
+				pte.State == vm.OnRing && pte.RingEntry == ref &&
 				m.flt.Policy == fault.Aggressive {
 				// The only up-to-date copy is gone; the page falls back
 				// to the stale image on disk. This is the data loss the
@@ -72,7 +72,7 @@ func (m *Machine) crashIONode(node int) {
 				m.flt.NoteLost()
 				pte.State = vm.Unmapped
 				pte.Owner = -1
-				pte.RingEntry = nil
+				pte.RingEntry = optical.Ref{}
 				pte.Dirty = false
 				pte.Arrived.Broadcast()
 			}

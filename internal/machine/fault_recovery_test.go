@@ -6,6 +6,7 @@ import (
 
 	"nwcache/internal/disk"
 	"nwcache/internal/fault"
+	"nwcache/internal/optical"
 	"nwcache/internal/param"
 )
 
@@ -149,5 +150,52 @@ func TestUnfaultedResultCarriesNoFaultBlock(t *testing.T) {
 	}
 	if res.FaultSummary != "" {
 		t.Fatalf("unfaulted run rendered a fault summary: %q", res.FaultSummary)
+	}
+}
+
+// TestConservativeResendSurvivesEntryReuse churns the ring right after
+// each crash, in the same instant and before any swap-out wakes: every
+// free ring entry is taken and released again. Released entries are
+// reused, but a voided one is retired, so each conservative swap-out
+// holding a voided copy still sees Voided and resends over the mesh.
+func TestConservativeResendSurvivesEntryReuse(t *testing.T) {
+	cfg := smallCfg()
+	base := runProg(t, cfg, NWCache, disk.Naive, pressureProg(64))
+	spec := crashSalvo(base.ExecTime)
+	plan, err := fault.Parse(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := New(cfg, NWCache, disk.Naive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.AttachFaults(fault.NewInjector(plan, 1, fault.Conservative))
+	for _, c := range plan.Crashes {
+		// Scheduled after AttachFaults' crash events, so it runs right
+		// after each crash, before the swap-outs the crash woke.
+		m.E.At(c.At, func() {
+			var churn []*optical.Entry
+			for ch := 0; ch < m.Ring.Channels(); ch++ {
+				for m.Ring.Channel(ch).HasRoom() {
+					churn = append(churn, m.Ring.InsertOn(ch, -1))
+				}
+			}
+			for _, en := range churn {
+				m.Ring.Release(en)
+			}
+		})
+	}
+	res, err := m.Run(pressureProg(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := res.FaultStats
+	if fs.VoidedPages == 0 {
+		t.Fatal("crash salvo voided no ring-resident pages; test is vacuous")
+	}
+	if fs.LostPages != 0 || fs.RecoveredPages != fs.VoidedPages {
+		t.Fatalf("recovered %d, lost %d of %d voided pages; want every voided page resent",
+			fs.RecoveredPages, fs.LostPages, fs.VoidedPages)
 	}
 }

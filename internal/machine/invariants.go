@@ -3,6 +3,7 @@ package machine
 import (
 	"fmt"
 
+	"nwcache/internal/optical"
 	"nwcache/internal/vm"
 )
 
@@ -53,10 +54,10 @@ func (m *Machine) CheckInvariants(postRun bool) error {
 			if m.Ring == nil {
 				return fmt.Errorf("page %d OnRing on a standard machine", page)
 			}
-			if en.RingEntry == nil {
+			if en.RingEntry == (optical.Ref{}) {
 				return fmt.Errorf("page %d OnRing without ring entry", page)
 			}
-			if found := m.Ring.FindOnChannel(en.LastSwapper, page); found != en.RingEntry {
+			if found := m.Ring.FindOnChannel(en.LastSwapper, page); found == nil || found.Ref() != en.RingEntry {
 				return fmt.Errorf("page %d ring entry not live on channel %d", page, en.LastSwapper)
 			}
 		}

@@ -167,9 +167,9 @@ type okWait struct {
 type meshMsg struct {
 	m    *Machine
 	kind uint8
-	to   int            // destination node (msgNotify/msgCancel: the I/O node)
-	page PageID         // msgOK: the page whose OK is awaited
-	en   *optical.Entry // ring messages: the entry concerned
+	to   int         // destination node (msgNotify/msgCancel: the I/O node)
+	page PageID      // msgOK: the page whose OK is awaited
+	en   optical.Ref // ring messages: the entry concerned
 	run  func()
 }
 
@@ -201,7 +201,7 @@ func (m *Machine) takeMsg() *meshMsg {
 		case msgCancel:
 			g.m.Ifaces[g.to].Cancel(g.en)
 		}
-		g.en = nil
+		g.en = optical.Ref{}
 		g.m.msgPool = append(g.m.msgPool, g)
 	}
 	return g
@@ -283,7 +283,7 @@ func New(cfg param.Config, kind Kind, mode disk.PrefetchMode) (*Machine, error) 
 			f.DiskInstall = func(page optical.PageID) bool {
 				return d.AnswerWrite(ioNode, page, m.Layout.BlockFor(page)) == disk.ACK
 			}
-			f.SendACK = func(en *optical.Entry) { m.deliverRingACK(ioNode, en) }
+			f.SendACK = func(ref optical.Ref) { m.deliverRingACK(ioNode, ref) }
 			d.OnRoom = f.Kick
 			m.Ifaces[ioNode] = f
 		}
@@ -326,22 +326,24 @@ func (m *Machine) okArrived(to int, page PageID) {
 // disk or victim-read) to the node that swapped it out. On arrival the
 // channel slot is released, the Ring bit is cleared, and swap-outs stalled
 // on channel room are woken.
-func (m *Machine) deliverRingACK(from int, en *optical.Entry) {
-	to := m.Ring.OwnerOf(en.Channel)
+func (m *Machine) deliverRingACK(from int, ref optical.Ref) {
+	to := m.Ring.OwnerOf(ref.Channel())
 	arrive := m.Mesh.Transit(m.E.Now(), from, to, m.Cfg.CtrlMsgLen)
 	g := m.takeMsg()
-	g.kind, g.to, g.en = msgRingACK, to, en
+	g.kind, g.to, g.en = msgRingACK, to, ref
 	m.E.At(arrive, g.run)
 }
 
-// ringACKArrived delivers a ring ACK at the swapping node.
-func (m *Machine) ringACKArrived(to int, en *optical.Entry) {
+// ringACKArrived delivers a ring ACK at the swapping node. The page is
+// still on the ring (only this ACK releases it), so ref resolves.
+func (m *Machine) ringACKArrived(to int, ref optical.Ref) {
+	en := ref.Entry()
 	// Clear the Ring bit if the page is still recorded as on-ring
 	// (a victim read may already have re-mapped it).
-	if pte, ok := m.Table.Lookup(en.Page); ok && pte.State == vm.OnRing && pte.RingEntry == en {
+	if pte, ok := m.Table.Lookup(en.Page); ok && pte.State == vm.OnRing && pte.RingEntry == ref {
 		pte.State = vm.Unmapped
 		pte.Owner = -1
-		pte.RingEntry = nil
+		pte.RingEntry = optical.Ref{}
 		pte.Dirty = false // the disk controller now holds the data
 		pte.Arrived.Broadcast()
 	}

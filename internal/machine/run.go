@@ -67,9 +67,12 @@ type Result struct {
 func (m *Machine) Run(prog Program) (*Result, error) {
 	procs := m.Cfg.Nodes
 	m.barrier = sim.NewBarrier(m.E, procs)
-	// Size every node's page-keyed indexes once from the footprint, so
-	// none of them regrows geometrically during the run.
+	// Size the page table, the directory and every node's page-keyed
+	// indexes once from the footprint, so none of them regrows
+	// geometrically during the run.
 	pages := prog.DataPages()
+	m.Table.Presize(pages)
+	m.Dir.Presize(pages)
 	for _, n := range m.Nodes {
 		n.TLB.Presize(pages)
 		n.CC.Presize(pages)

@@ -116,10 +116,10 @@ type swapJob struct {
 	en    *vm.Entry
 	start sim.Time
 	at    swapStep
-	entry *optical.Entry // the ring copy; on the mesh path, set only for a conservative resend
-	okc   *sim.Cond      // signaled by the disk's OK after a NACK
-	t0    sim.Time       // start of a conservative resend
-	step  func()         // pre-bound run
+	entry optical.Ref // the ring copy; on the mesh path, set only for a conservative resend
+	okc   *sim.Cond   // signaled by the disk's OK after a NACK
+	t0    sim.Time    // start of a conservative resend
+	step  func()      // pre-bound run
 }
 
 // takeJob pops a pooled swap job, or builds one with its step bound.
@@ -178,7 +178,7 @@ func (j *swapJob) run() {
 			m.E.At(m.E.Now()+m.pageRing, j.step) // onto the writable channel
 			return
 		case sjInserted:
-			j.entry = m.Ring.Insert(n.ID, page)
+			j.entry = m.Ring.Insert(n.ID, page).Ref()
 			n.ringTx.Unlock()
 			m.flt.NoteRingInsert(m.E.Now())
 			m.Spans.Instant(m.swapTrack(n.ID), "ring.insert", m.E.Now(), page)
@@ -215,11 +215,11 @@ func (j *swapJob) run() {
 			// Conservative recovery: hold the frame until the page is off
 			// the ring (deliverRingACK and crashIONode broadcast chanRoom),
 			// and resend a crash-voided page from it — zero data loss.
-			if j.entry.State != optical.Gone {
+			if j.entry.State() != optical.Gone {
 				n.chanRoom.WaitThen(j.step)
 				return
 			}
-			if !j.entry.Voided {
+			if !j.entry.Voided() {
 				j.release("swap.ring")
 				j.finish()
 				return
@@ -270,7 +270,7 @@ func (j *swapJob) run() {
 			m.Spans.Instant(m.swapTrack(n.ID), "disk.ok", m.E.Now(), page)
 			j.at = sjSend
 		case sjAcked:
-			if j.entry != nil {
+			if j.entry != (optical.Ref{}) {
 				m.flt.NoteRecovered(m.E.Now() - j.t0)
 			} else {
 				j.release("swap.disk")
@@ -283,15 +283,15 @@ func (j *swapJob) run() {
 			}
 			// A resent ring copy is superseded only if the page still
 			// points at it.
-			if j.entry == nil || (en.State == vm.OnRing && en.RingEntry == j.entry) {
+			if j.entry == (optical.Ref{}) || (en.State == vm.OnRing && en.RingEntry == j.entry) {
 				en.State = vm.Unmapped
 				en.Owner = -1
-				en.RingEntry = nil
+				en.RingEntry = optical.Ref{}
 				en.Dirty = false
 				en.Arrived.Broadcast()
 			}
 			en.Lock.Unlock()
-			if j.entry != nil {
+			if j.entry != (optical.Ref{}) {
 				j.release("swap.ring")
 			}
 			j.finish()
@@ -315,7 +315,7 @@ func (j *swapJob) release(span string) {
 // finish returns the swap-out's permit and the job to its node's pool.
 func (j *swapJob) finish() {
 	j.n.swapSem.Release()
-	j.en, j.entry = nil, nil
+	j.en, j.entry = nil, optical.Ref{}
 	j.n.swapJobs = append(j.n.swapJobs, j)
 }
 

@@ -7,20 +7,22 @@ import (
 )
 
 // chanFIFO is one cache channel's queue of swap-out notices, in original
-// swap-out order. It is head-indexed: popping advances head instead of
-// reslicing, so the backing array's capacity is kept and the steady-state
+// swap-out order. A notice is a Ref: it can outlive its entry (a victim
+// read's Cancel may overtake the notify message), and then reads as Gone.
+// The queue is head-indexed: popping advances head instead of reslicing,
+// so the backing array's capacity is kept and the steady-state
 // enqueue/pop churn never allocates. The buffer compacts (resets to its
 // start) whenever it empties.
 type chanFIFO struct {
-	q    []*Entry
+	q    []Ref
 	head int
 }
 
 func (f *chanFIFO) len() int { return len(f.q) - f.head }
 
-func (f *chanFIFO) push(en *Entry) { f.q = append(f.q, en) }
+func (f *chanFIFO) push(ref Ref) { f.q = append(f.q, ref) }
 
-func (f *chanFIFO) front() *Entry { return f.q[f.head] }
+func (f *chanFIFO) front() Ref { return f.q[f.head] }
 
 func (f *chanFIFO) pop() {
 	f.head++
@@ -32,23 +34,23 @@ func (f *chanFIFO) pop() {
 
 // unpop restores the most recently popped entry at the FRONT of the queue
 // (retry after a lost slot race). The popped slot at q[head-1] survives
-// unless the pop compacted the queue; in that case en is shifted in ahead
+// unless the pop compacted the queue; in that case ref is shifted in ahead
 // of anything that arrived since.
-func (f *chanFIFO) unpop(en *Entry) {
+func (f *chanFIFO) unpop(ref Ref) {
 	if f.head > 0 {
 		f.head--
-		f.q[f.head] = en
+		f.q[f.head] = ref
 		return
 	}
-	f.q = append(f.q, nil)
+	f.q = append(f.q, Ref{})
 	copy(f.q[1:], f.q)
-	f.q[0] = en
+	f.q[0] = ref
 }
 
-// remove drops the first occurrence of en, preserving order.
-func (f *chanFIFO) remove(en *Entry) bool {
+// remove drops the first occurrence of ref, preserving order.
+func (f *chanFIFO) remove(ref Ref) bool {
 	for i := f.head; i < len(f.q); i++ {
-		if f.q[i] == en {
+		if f.q[i] == ref {
 			copy(f.q[i:], f.q[i+1:])
 			f.q = f.q[:len(f.q)-1]
 			if f.head == len(f.q) {
@@ -82,7 +84,7 @@ type Iface struct {
 	step func()
 	rr   int
 	ch   int
-	cur  *Entry
+	cur  Ref
 	t0   sim.Time
 
 	// DrainPolicy selects which channel to drain next; default MostLoaded.
@@ -98,8 +100,8 @@ type Iface struct {
 	DiskBook    func() sim.Time
 	DiskInstall func(page PageID) bool
 	// SendACK delivers the ACK for a page that left the ring to the node
-	// that swapped it out (entry.Channel).
-	SendACK func(en *Entry)
+	// that swapped it out (the entry's Channel).
+	SendACK func(ref Ref)
 
 	// Statistics.
 	Drained  uint64
@@ -140,9 +142,11 @@ func NewIface(e *sim.Engine, ring *Ring, node int) *Iface {
 }
 
 // Notify enqueues a swap-out notice: "page P from node N is on channel N,
-// write it to your disk eventually" (invoked at message arrival time).
-func (f *Iface) Notify(en *Entry) {
-	f.fifos[en.Channel].push(en)
+// write it to your disk eventually" (invoked at message arrival time). The
+// notice is queued even if its entry has left the ring since (the drain
+// skips it then).
+func (f *Iface) Notify(ref Ref) {
+	f.fifos[ref.Channel()].push(ref)
 	f.kick.Signal()
 }
 
@@ -153,10 +157,10 @@ func (f *Iface) Kick() { f.kick.Signal() }
 // memory straight from the ring, so it must not be written to disk. The
 // notice is dropped from its FIFO and the ACK is sent to the swapper.
 // The caller (fault path) has already Claimed the entry.
-func (f *Iface) Cancel(en *Entry) {
-	f.fifos[en.Channel].remove(en)
+func (f *Iface) Cancel(ref Ref) {
+	f.fifos[ref.Channel()].remove(ref)
 	f.Canceled++
-	f.SendACK(en)
+	f.SendACK(ref)
 }
 
 // Observe wires the interface's drain statistics into an obs scope as
@@ -249,15 +253,16 @@ func (f *Iface) drain() {
 				f.at = drIdle
 				continue
 			}
-			en := q.front()
+			ref := q.front()
 			q.pop()
-			if en.State != OnRing {
+			if ref.State() != OnRing {
 				// Claimed by a victim read (Cancel will drop it) or
 				// already gone; skip past it.
 				continue
 			}
+			en := ref.Entry()
 			en.State = Draining
-			f.cur, f.t0 = en, f.e.Now()
+			f.cur, f.t0 = ref, f.e.Now()
 			// Wait for the page to circulate past this interface and
 			// stream it off the fiber. The disk is plugged directly into
 			// the NWCache interface, so the copy bypasses the node's
@@ -272,7 +277,7 @@ func (f *Iface) drain() {
 			// the "retransmit from the home node" costs exactly one more
 			// pass.
 			if f.flt.DrainCorrupted() {
-				if f.waitUntil(f.ring.SnoopDone(f.cur, f.node, f.e.Now())) {
+				if f.waitUntil(f.ring.SnoopDone(f.cur.Entry(), f.node, f.e.Now())) {
 					return
 				}
 				continue
@@ -282,19 +287,20 @@ func (f *Iface) drain() {
 				return
 			}
 		case drAnswer:
-			en := f.cur
-			f.cur = nil
+			ref := f.cur
+			en := ref.Entry()
+			f.cur = Ref{}
 			f.at = drNext
 			if !f.DiskInstall(en.Page) {
 				// Lost the slot race; put the notice back and retry.
 				en.State = OnRing
-				f.fifos[f.ch].unpop(en)
+				f.fifos[f.ch].unpop(ref)
 				continue
 			}
 			f.Drained++
 			f.ring.NoteDrain(en.Channel)
 			f.tr.Span(f.track, "ring.drain", f.t0, f.e.Now(), en.Page)
-			f.SendACK(en)
+			f.SendACK(ref)
 		}
 	}
 }

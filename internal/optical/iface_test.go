@@ -25,19 +25,19 @@ func (d *testDisk) install(page PageID) bool {
 	return true
 }
 
-func newIfaceHarness(room int) (*sim.Engine, *Ring, *Iface, *testDisk, *[]*Entry) {
+func newIfaceHarness(room int) (*sim.Engine, *Ring, *Iface, *testDisk, *[]Ref) {
 	e := sim.New()
 	cfg := param.Default()
 	r := New(e, cfg)
 	f := NewIface(e, r, 0)
 	d := &testDisk{room: room, iface: f}
-	acks := &[]*Entry{}
+	acks := &[]Ref{}
 	f.DiskHasRoom = d.hasRoom
 	f.DiskBook = d.book
 	f.DiskInstall = d.install
-	f.SendACK = func(en *Entry) {
-		*acks = append(*acks, en)
-		r.Release(en)
+	f.SendACK = func(ref Ref) {
+		*acks = append(*acks, ref)
+		r.Release(ref.Entry())
 	}
 	return e, r, f, d, acks
 }
@@ -48,7 +48,7 @@ func TestDrainCopiesInSwapOutOrder(t *testing.T) {
 	var swap func()
 	swap = func() {
 		en := r.Insert(1, PageID(100+i))
-		f.Notify(en)
+		f.Notify(en.Ref())
 		if i++; i < 4 {
 			e.After(10, swap)
 		}
@@ -83,10 +83,10 @@ func TestMostLoadedChannelDrainedFirst(t *testing.T) {
 		n5a := r.Insert(5, 500)
 		n5b := r.Insert(5, 501)
 		n5c := r.Insert(5, 502)
-		f.Notify(n5a)
-		f.Notify(n5b)
-		f.Notify(n5c)
-		f.Notify(n1)
+		f.Notify(n5a.Ref())
+		f.Notify(n5b.Ref())
+		f.Notify(n5c.Ref())
+		f.Notify(n1.Ref())
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -110,10 +110,10 @@ func TestRoundRobinPolicyAlternates(t *testing.T) {
 		a1 := r.Insert(1, 11)
 		b0 := r.Insert(6, 60)
 		b1 := r.Insert(6, 61)
-		f.Notify(a0)
-		f.Notify(a1)
-		f.Notify(b0)
-		f.Notify(b1)
+		f.Notify(a0.Ref())
+		f.Notify(a1.Ref())
+		f.Notify(b0.Ref())
+		f.Notify(b1.Ref())
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -136,7 +136,7 @@ func TestDrainStopsWhenDiskFull(t *testing.T) {
 	e.At(0, func() {
 		for i := 0; i < 4; i++ {
 			en := r.Insert(3, PageID(i))
-			f.Notify(en)
+			f.Notify(en.Ref())
 		}
 	})
 	// Give the drain loop ample time, then observe it stalled at the
@@ -170,11 +170,11 @@ func TestCancelDropsNoticeAndACKs(t *testing.T) {
 	e, r, f, d, acks := newIfaceHarness(0) // no disk room: nothing drains
 	e.At(0, func() {
 		en := r.Insert(4, 77)
-		f.Notify(en)
+		f.Notify(en.Ref())
 		e.After(100, func() {
 			// Victim read claims the page off the ring.
 			en.State = Claimed
-			e.At(r.SnoopDone(en, 4, e.Now()), func() { f.Cancel(en) })
+			e.At(r.SnoopDone(en, 4, e.Now()), func() { f.Cancel(en.Ref()) })
 		})
 	})
 	if err := e.Run(); err != nil {
@@ -201,10 +201,10 @@ func TestClaimedEntrySkippedByDrain(t *testing.T) {
 		en2 := r.Insert(2, 2)
 		// Claim en1 (victim read in progress) before the drain sees room.
 		en1.State = Claimed
-		f.Notify(en1)
-		f.Notify(en2)
+		f.Notify(en1.Ref())
+		f.Notify(en2.Ref())
 		// Finish the victim read.
-		e.After(2*r.RoundTrip(), func() { f.Cancel(en1) })
+		e.After(2*r.RoundTrip(), func() { f.Cancel(en1.Ref()) })
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -237,13 +237,13 @@ func TestDrainRetriesWhenInstallRaces(t *testing.T) {
 		installed = append(installed, page)
 		return true
 	}
-	f.SendACK = func(en *Entry) {
+	f.SendACK = func(ref Ref) {
 		acks++
-		r.Release(en)
+		r.Release(ref.Entry())
 	}
 	e.At(0, func() {
 		en := r.Insert(3, 42)
-		f.Notify(en)
+		f.Notify(en.Ref())
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -270,11 +270,11 @@ func TestPendingCounts(t *testing.T) {
 	f.DiskHasRoom = func() bool { return false } // freeze the drain
 	f.DiskBook = e.Now
 	f.DiskInstall = func(page PageID) bool { return true }
-	f.SendACK = func(en *Entry) { r.Release(en) }
+	f.SendACK = func(ref Ref) { r.Release(ref.Entry()) }
 	e.At(0, func() {
-		f.Notify(r.Insert(1, 10))
-		f.Notify(r.Insert(1, 11))
-		f.Notify(r.Insert(5, 50))
+		f.Notify(r.Insert(1, 10).Ref())
+		f.Notify(r.Insert(1, 11).Ref())
+		f.Notify(r.Insert(5, 50).Ref())
 		if f.PendingOn(1) != 2 || f.PendingOn(5) != 1 || f.Pending() != 3 {
 			t.Errorf("pending counts: ch1=%d ch5=%d total=%d",
 				f.PendingOn(1), f.PendingOn(5), f.Pending())
@@ -282,5 +282,55 @@ func TestPendingCounts(t *testing.T) {
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A victim read's Cancel can overtake its notify message: the entry is
+// then released, and may be reused for another page on another channel,
+// before the stale notice arrives. The stale notice must queue on its own
+// channel and be skipped there; the new page is queued once and drained
+// once.
+func TestStaleNoticeAfterReuse(t *testing.T) {
+	e, r, f, d, acks := newIfaceHarness(0) // no disk room yet
+	var stale Ref
+	var reused *Entry
+	e.At(0, func() {
+		old := r.Insert(1, 100)
+		stale = old.Ref()
+		old.State = Claimed // victim read
+		f.Cancel(stale)     // overtakes the notify; the ACK releases it
+		reused = r.Insert(5, 200)
+		if reused != old {
+			t.Error("insert did not reuse the released entry; test is vacuous")
+		}
+		f.Notify(reused.Ref())
+		f.Notify(stale) // the late notice for page 100
+		if f.PendingOn(5) != 1 || f.PendingOn(1) != 1 {
+			t.Errorf("pending ch1=%d ch5=%d, want 1 and 1", f.PendingOn(1), f.PendingOn(5))
+		}
+		live := 0
+		for i := range f.fifos {
+			for _, ref := range f.fifos[i].q[f.fifos[i].head:] {
+				if ref.State() == OnRing {
+					live++
+				}
+			}
+		}
+		if live != 1 {
+			t.Errorf("%d queued notices name a page on the ring, want 1 (page 200 queued twice)", live)
+		}
+		e.After(10, func() { d.room = 10; f.Kick() })
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(d.installed) != 1 || d.installed[0] != 200 {
+		t.Fatalf("installed %v, want page 200 once", d.installed)
+	}
+	if f.Drained != 1 || f.Canceled != 1 || len(*acks) != 2 {
+		t.Fatalf("drained %d canceled %d acks %d, want 1, 1, 2", f.Drained, f.Canceled, len(*acks))
+	}
+	if f.Pending() != 0 || r.TotalUsed() != 0 {
+		t.Fatalf("pending %d used %d after the drain, want 0 and 0", f.Pending(), r.TotalUsed())
 	}
 }

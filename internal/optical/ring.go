@@ -39,6 +39,21 @@ const (
 )
 
 // Entry is one page stored on a cache channel.
+//
+// Entries are pooled per ring: Release returns an entry to the ring's free
+// list, and a later Insert reuses it for another page. The lifetime rule:
+//
+//   - A *Entry is valid only while the page is on its channel (State is
+//     not Gone). Insert returns one; FindOnChannel and Channel.Entries
+//     yield only such entries.
+//   - Every reference that can outlive Release is a Ref: a notice queued
+//     at an interface, a notify, cancel or ACK message in flight, a
+//     page-table entry's Ring bit, a conservative swap-out holding its
+//     frame. A Ref names one incarnation of an entry; once the entry is
+//     reused it reads as Gone, so a recycled entry never looks OnRing to
+//     a holder of an older Ref.
+//   - A voided entry is never reused: its channel slot is freed, but the
+//     entry itself is retired, so its Ref keeps reporting Voided.
 type Entry struct {
 	Page       PageID
 	Channel    int // owning channel == swapping node id
@@ -48,6 +63,47 @@ type Entry struct {
 	// fiber copy is gone without an ACK). The machine layer's recovery
 	// policy decides whether that is data loss or triggers a mesh resend.
 	Voided bool
+	gen    uint32 // incarnation, bumped each time the entry is reused
+}
+
+// Ref returns a checked reference to the entry's current incarnation.
+func (en *Entry) Ref() Ref { return Ref{en, en.gen, int32(en.Channel)} }
+
+// Ref is a generation-checked reference to one incarnation of an Entry,
+// for holders that may outlive its Release (see Entry). The zero Ref
+// refers to nothing.
+type Ref struct {
+	en  *Entry
+	gen uint32
+	ch  int32 // the incarnation's channel, kept for holders of a stale Ref
+}
+
+// Entry returns the referenced entry while it is still this incarnation,
+// or nil for the zero Ref and once the entry has been reused.
+func (r Ref) Entry() *Entry {
+	if r.en == nil || r.en.gen != r.gen {
+		return nil
+	}
+	return r.en
+}
+
+// Channel returns the channel the incarnation was inserted on; unlike the
+// entry's own field, it stays valid after the entry is reused.
+func (r Ref) Channel() int { return int(r.ch) }
+
+// State returns the incarnation's state: Gone once it left the ring,
+// whether or not the entry has been reused since.
+func (r Ref) State() EntryState {
+	if en := r.Entry(); en != nil {
+		return en.State
+	}
+	return Gone
+}
+
+// Voided reports whether the incarnation was destroyed by a crash.
+func (r Ref) Voided() bool {
+	en := r.Entry()
+	return en != nil && en.Voided
 }
 
 // Channel is one WDM cache channel: the write path of a single node.
@@ -75,7 +131,8 @@ type Ring struct {
 	roundTrip int64
 	pageXfer  int64
 	channels  []*Channel
-	owned     [][]int // channel indices per node
+	owned     [][]int  // channel indices per node
+	free      []*Entry // released entries, reused by Insert
 
 	// Statistics.
 	Inserts    uint64
@@ -159,7 +216,13 @@ func (r *Ring) InsertOn(ch int, page PageID) *Entry {
 	if !c.HasRoom() {
 		panic(fmt.Sprintf("optical: channel %d overflow", ch))
 	}
-	en := &Entry{Page: page, Channel: ch, InsertedAt: r.e.Now(), State: OnRing}
+	var en *Entry
+	if k := len(r.free); k > 0 {
+		en, r.free = r.free[k-1], r.free[:k-1]
+	} else {
+		en = new(Entry)
+	}
+	*en = Entry{Page: page, Channel: ch, InsertedAt: r.e.Now(), State: OnRing, gen: en.gen + 1}
 	c.entries = append(c.entries, en)
 	r.Inserts++
 	if u := r.TotalUsed(); u > r.PeakUsed {
@@ -218,7 +281,9 @@ func (r *Ring) Observe(sc *obs.Scope) {
 func (r *Ring) OwnerOf(ch int) int { return r.channels[ch].owner }
 
 // Release frees the entry's channel slot (called when the swapping node
-// receives the ACK). Idempotent.
+// receives the ACK, or when a crash voids the page) and returns the entry
+// to the free list, unless it was voided. Releasing a Gone entry is a
+// no-op, but only a Ref may be kept past Release (see Entry).
 func (r *Ring) Release(en *Entry) {
 	if en.State == Gone {
 		return
@@ -230,6 +295,9 @@ func (r *Ring) Release(en *Entry) {
 			ch.entries = append(ch.entries[:i], ch.entries[i+1:]...)
 			if r.tgUsed != nil {
 				r.tgUsed.Set(r.e.Now(), int64(r.TotalUsed()))
+			}
+			if !en.Voided {
+				r.free = append(r.free, en)
 			}
 			return
 		}

@@ -240,3 +240,65 @@ func TestMultiChannelNextPassUsesOwnerPosition(t *testing.T) {
 		t.Fatalf("pass %d, want %d", got, want)
 	}
 }
+
+// A released entry is reused by the next insert, and a Ref to its old
+// incarnation then reads as Gone: the recycled entry never looks OnRing
+// to it.
+func TestReleasedEntryReusedBehindRef(t *testing.T) {
+	_, r, _ := newRing()
+	old := r.Insert(1, 10)
+	ref := old.Ref()
+	r.Release(old)
+	if ref.State() != Gone || ref.Entry() != old {
+		t.Fatal("released incarnation should read Gone until reused")
+	}
+	en := r.Insert(5, 20)
+	if en != old {
+		t.Fatal("insert did not reuse the released entry")
+	}
+	if ref.Entry() != nil || ref.State() != Gone || ref.Voided() {
+		t.Fatalf("stale ref resolves: state %v", ref.State())
+	}
+	if ref.Channel() != 1 || en.Ref().Channel() != 5 {
+		t.Fatal("a Ref must keep its own incarnation's channel")
+	}
+	if ref == en.Ref() {
+		t.Fatal("refs to two incarnations compare equal")
+	}
+	if en.Page != 20 || en.State != OnRing || en.Voided {
+		t.Fatalf("reused entry not reset: %+v", *en)
+	}
+}
+
+// A voided entry is retired, not reused, so the conservative swap-out
+// holding its Ref still sees Voided however much the ring churns.
+func TestVoidedEntryNeverReused(t *testing.T) {
+	_, r, _ := newRing()
+	en := r.Insert(0, 7)
+	ref := en.Ref()
+	en.Voided = true
+	r.Release(en)
+	for i := 0; i < 4; i++ {
+		if r.Insert(0, PageID(100+i)) == en {
+			t.Fatal("voided entry reused")
+		}
+	}
+	if ref.State() != Gone || !ref.Voided() {
+		t.Fatal("voided incarnation lost its Voided mark")
+	}
+}
+
+// The ring's bookkeeping is allocation-free once its entries exist: an
+// Insert/Release round trip reuses the released entry.
+func TestInsertReleaseAllocatesNothing(t *testing.T) {
+	_, r, _ := newRing()
+	r.Release(r.Insert(0, 0))
+	page := PageID(1)
+	avg := testing.AllocsPerRun(1000, func() {
+		r.Release(r.Insert(int(page%8), page))
+		page++
+	})
+	if avg != 0 {
+		t.Fatalf("Insert/Release allocates %v per round trip, want 0", avg)
+	}
+}

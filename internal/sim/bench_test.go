@@ -70,26 +70,3 @@ func BenchmarkUnparkStorm(b *testing.B) {
 		b.Fatal(err)
 	}
 }
-
-// BenchmarkCancel measures the schedule + cancel + slot-recycle cycle.
-// The chain advances time each step, so canceled slots are drained and
-// reused instead of accumulating in the heap.
-func BenchmarkCancel(b *testing.B) {
-	b.ReportAllocs()
-	e := New()
-	fn := func() {}
-	n := 0
-	var step func()
-	step = func() {
-		if n < b.N {
-			n++
-			e.Cancel(e.After(1, fn))
-			e.After(1, step)
-		}
-	}
-	e.After(1, step)
-	b.ResetTimer()
-	if err := e.Run(); err != nil {
-		b.Fatal(err)
-	}
-}

@@ -45,24 +45,13 @@ import (
 // Time is virtual simulation time in pcycles.
 type Time = int64
 
-// event is one scheduled occurrence. Slots are pooled: after an event
-// fires (or a canceled slot is drained) the slot returns to the free list
-// with gen incremented, so stale Event handles can never affect the slot's
-// next occupant.
+// event is one scheduled occurrence. Slots are pooled: once an event
+// fires its slot returns to the free list. Nothing outside the engine
+// refers to a slot, so a recycled slot has no stale holder.
 type event struct {
-	t        Time
-	seq      uint64
-	gen      uint32
-	canceled bool
-	fn       func()
-}
-
-// Event is a handle to a scheduled callback, usable for cancellation. The
-// zero Event is inert. Handles stay valid (as no-ops) after the event
-// fires, even once the underlying slot has been recycled.
-type Event struct {
-	ev  *event
-	gen uint32
+	t   Time
+	seq uint64
+	fn  func()
 }
 
 // never is the sentinel next-tick boundary while no tick hook is
@@ -87,7 +76,7 @@ type Engine struct {
 	ready     []*event // FIFO of events at the current instant, in seq order
 	readyHead int
 	free      []*event // recycled event slots
-	pending   int      // scheduled events not yet fired or canceled
+	pending   int      // scheduled events not yet fired
 
 	inCallback bool   // a callback event is running (Resume is legal)
 	resumed    func() // step the running callback Resumed, nil when none
@@ -160,18 +149,15 @@ func (e *Engine) alloc(t Time, fn func()) *event {
 	e.seq++
 	ev.t = t
 	ev.seq = e.seq
-	ev.canceled = false
 	ev.fn = fn
 	return ev
 }
 
-// release returns a slot to the pool. The generation bump invalidates
-// every outstanding handle to the slot's previous life. The fn reference
-// is deliberately left for the slot's next alloc to overwrite: the
-// retention is bounded (one stale closure per pooled slot), and skipping
-// the store keeps a GC write barrier off the per-event path.
+// release returns a slot to the pool. The fn reference is deliberately
+// left for the slot's next alloc to overwrite: the retention is bounded
+// (one stale closure per pooled slot), and skipping the store keeps a GC
+// write barrier off the per-event path.
 func (e *Engine) release(ev *event) {
-	ev.gen++
 	e.free = append(e.free, ev)
 }
 
@@ -179,7 +165,7 @@ func (e *Engine) release(ev *event) {
 // FIFO and future events through the heap. Dispatch order is identical
 // either way: ready entries all carry t == now and ascending seq, and
 // popNext merges the two sources by (t, seq).
-func (e *Engine) schedule(t Time, fn func()) *event {
+func (e *Engine) schedule(t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
 	}
@@ -190,7 +176,6 @@ func (e *Engine) schedule(t Time, fn func()) *event {
 	} else {
 		e.heapPush(ev)
 	}
-	return ev
 }
 
 // heapPush inserts ev into the 4-ary heap.
@@ -373,10 +358,6 @@ func (e *Engine) drive() {
 		} else if ev = e.nextInstant(); ev == nil {
 			return
 		}
-		if ev.canceled {
-			e.release(ev)
-			continue
-		}
 		e.pending--
 		e.dispatched++
 		if e.dispatched >= e.stopAt {
@@ -387,8 +368,7 @@ func (e *Engine) drive() {
 			e.stopAt = noLimit
 		}
 		// Recycle before acting: an event firing right now can schedule
-		// into (and a canceled handle can never reach) this slot's next
-		// life.
+		// into this slot's next life.
 		fn := ev.fn
 		e.release(ev)
 		e.inCallback = true
@@ -421,31 +401,14 @@ func (e *Engine) Resume(k func()) {
 
 // At schedules fn to run at absolute time t. Scheduling in the past is a
 // programming error and panics, as it would silently corrupt causality.
-func (e *Engine) At(t Time, fn func()) Event {
-	ev := e.schedule(t, fn)
-	return Event{ev, ev.gen}
-}
+// A scheduled event always fires: an actor that changes its mind checks
+// its own state when the step runs.
+func (e *Engine) At(t Time, fn func()) { e.schedule(t, fn) }
 
 // After schedules fn to run d pcycles from now. Negative d panics.
-func (e *Engine) After(d Time, fn func()) Event {
-	return e.At(e.now+d, fn)
-}
+func (e *Engine) After(d Time, fn func()) { e.schedule(e.now+d, fn) }
 
-// Cancel prevents a scheduled event from firing. Canceling an event that
-// already fired (or was already canceled) is a no-op, even if the event's
-// pooled slot has since been reused for a different event.
-func (e *Engine) Cancel(ev Event) {
-	iev := ev.ev
-	if iev == nil || iev.gen != ev.gen || iev.canceled {
-		return
-	}
-	iev.canceled = true
-	e.pending--
-	// The slot stays queued and is recycled when dispatch drains it.
-}
-
-// Pending reports the number of scheduled events that have neither fired
-// nor been canceled.
+// Pending reports the number of scheduled events that have not fired.
 func (e *Engine) Pending() int { return e.pending }
 
 // Dispatched reports how many events have fired since the engine was
@@ -548,22 +511,17 @@ func (e *Engine) KillParked() {}
 
 // clearPending discards every event still queued.
 func (e *Engine) clearPending() {
-	drop := func(ev *event) {
-		if !ev.canceled {
-			e.pending--
-		}
-		e.release(ev)
-	}
 	for e.readyHead < len(e.ready) {
-		drop(e.ready[e.readyHead])
+		e.release(e.ready[e.readyHead])
 		e.ready[e.readyHead] = nil
 		e.readyHead++
 	}
 	e.ready = e.ready[:0]
 	e.readyHead = 0
 	for i, ev := range e.heap {
-		drop(ev)
+		e.release(ev)
 		e.heap[i] = nil
 	}
 	e.heap = e.heap[:0]
+	e.pending = 0
 }

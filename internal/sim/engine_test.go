@@ -74,20 +74,6 @@ func TestSchedulingInPastPanics(t *testing.T) {
 	}
 }
 
-func TestCancelPreventsEvent(t *testing.T) {
-	e := New()
-	fired := false
-	ev := e.At(10, func() { fired = true })
-	e.Cancel(ev)
-	e.Cancel(ev) // double cancel is a no-op
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fired {
-		t.Fatal("canceled event fired")
-	}
-}
-
 func TestStopHaltsRun(t *testing.T) {
 	e := New()
 	count := 0

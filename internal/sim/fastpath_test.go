@@ -2,80 +2,6 @@ package sim
 
 import "testing"
 
-// A canceled event's slot returns to the free list; a stale handle to the
-// old occupant must not cancel (or otherwise affect) the slot's next life.
-func TestStaleCancelDoesNotAffectRecycledSlot(t *testing.T) {
-	e := New()
-	fired := 0
-	stale := e.At(5, func() { fired += 100 })
-	e.Cancel(stale)
-	if err := e.Run(); err != nil { // drains and recycles the slot
-		t.Fatal(err)
-	}
-	fresh := e.At(10, func() { fired++ })
-	if fresh.ev != stale.ev {
-		t.Fatal("free list did not recycle the canceled slot (LIFO expected)")
-	}
-	if fresh.gen == stale.gen {
-		t.Fatal("recycled slot kept its generation")
-	}
-	e.Cancel(stale) // stale handle: must be inert
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1 (stale cancel hit the new occupant)", fired)
-	}
-}
-
-// Cancel after the event already fired is a no-op and must not disturb the
-// pending count.
-func TestCancelAfterFireIsNoOp(t *testing.T) {
-	e := New()
-	fired := 0
-	ev := e.At(5, func() { fired++ })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	e.Cancel(ev)
-	if e.Pending() != 0 {
-		t.Fatalf("Pending = %d after cancel-after-fire, want 0", e.Pending())
-	}
-	e.After(5, func() { fired++ })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 2 {
-		t.Fatalf("fired = %d, want 2", fired)
-	}
-}
-
-// Cancel then re-schedule at the same time: only the live event fires, in
-// its own (new) scheduling position.
-func TestCancelThenReschedule(t *testing.T) {
-	e := New()
-	var got []int
-	ev := e.At(10, func() { got = append(got, 0) })
-	e.At(10, func() { got = append(got, 1) })
-	e.Cancel(ev)
-	e.At(10, func() { got = append(got, 2) })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("fire order %v, want [1 2]", got)
-	}
-}
-
-// The zero Event is inert: Cancel must ignore it.
-func TestCancelZeroEvent(t *testing.T) {
-	e := New()
-	e.Cancel(Event{})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // At is amortized allocation-free once the slot pool and heap are warm.
 func TestAtAllocsAmortizedZero(t *testing.T) {
 	if raceEnabled {

@@ -40,6 +40,10 @@ type Cond struct {
 // NewCond returns an empty condition queue.
 func NewCond(e *Engine) *Cond { return &Cond{e: e} }
 
+// Init readies a Cond held by value (a struct field), the allocation-free
+// form of NewCond. Call it once, before first use.
+func (c *Cond) Init(e *Engine) { c.e = e }
+
 // WaitThen queues k until a Signal or Broadcast reaches it; the wake-up
 // schedules k at that instant. Wakeups are FIFO.
 func (c *Cond) WaitThen(k func()) { c.waiting.push(k) }
@@ -59,15 +63,25 @@ func (c *Cond) Broadcast() {
 	}
 }
 
-// Semaphore is a counting semaphore with FIFO granting.
+// Semaphore is a counting semaphore with FIFO granting. Its wait queue is
+// held by value, so a Semaphore (and a Mutex) is one object.
 type Semaphore struct {
 	n    int
-	cond *Cond
+	cond Cond
 }
 
 // NewSemaphore returns a semaphore with n initial permits.
 func NewSemaphore(e *Engine, n int) *Semaphore {
-	return &Semaphore{n: n, cond: NewCond(e)}
+	s := &Semaphore{}
+	s.Init(e, n)
+	return s
+}
+
+// Init readies a Semaphore held by value with n initial permits (see
+// Cond.Init).
+func (s *Semaphore) Init(e *Engine, n int) {
+	s.n = n
+	s.cond.Init(e)
 }
 
 // WaitThen queues k behind the other blocked acquirers until a Release
@@ -95,10 +109,17 @@ func (s *Semaphore) Available() int { return s.n }
 
 // Mutex is a binary semaphore with Lock/Unlock naming. It models, e.g.,
 // the mutual exclusion on global page-table entries.
-type Mutex struct{ s *Semaphore }
+type Mutex struct{ s Semaphore }
 
 // NewMutex returns an unlocked mutex.
-func NewMutex(e *Engine) *Mutex { return &Mutex{s: NewSemaphore(e, 1)} }
+func NewMutex(e *Engine) *Mutex {
+	m := &Mutex{}
+	m.Init(e)
+	return m
+}
+
+// Init readies a Mutex held by value, unlocked (see Cond.Init).
+func (m *Mutex) Init(e *Engine) { m.s.Init(e, 1) }
 
 // TryLock acquires the mutex if it is free; reports success.
 func (m *Mutex) TryLock() bool { return m.s.TryAcquire() }
@@ -118,7 +139,7 @@ func (m *Mutex) Unlock() { m.s.Release() }
 type Barrier struct {
 	n       int
 	arrived int
-	cond    *Cond
+	cond    Cond
 }
 
 // NewBarrier returns a barrier for groups of n actors. n must be >= 1.
@@ -126,7 +147,9 @@ func NewBarrier(e *Engine, n int) *Barrier {
 	if n < 1 {
 		panic("sim: barrier size must be >= 1")
 	}
-	return &Barrier{n: n, cond: NewCond(e)}
+	b := &Barrier{n: n}
+	b.cond.Init(e)
+	return b
 }
 
 // ArriveThen enters the barrier. The last arrival of a generation

@@ -113,7 +113,7 @@ func TestMutexMutualExclusion(t *testing.T) {
 	m := NewMutex(e)
 	var order []string
 	e.At(0, func() {
-		acquire(m.s, func() {
+		acquire(&m.s, func() {
 			order = append(order, "a-in")
 			e.After(50, func() {
 				order = append(order, "a-out")
@@ -122,7 +122,7 @@ func TestMutexMutualExclusion(t *testing.T) {
 		})
 	})
 	e.At(1, func() {
-		acquire(m.s, func() {
+		acquire(&m.s, func() {
 			order = append(order, "b-in")
 			m.Unlock()
 		})

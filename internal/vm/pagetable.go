@@ -57,13 +57,13 @@ type Entry struct {
 	// Ring bit set it identifies the cache channel holding the page (the
 	// paper's "last virtual-to-physical translation").
 	LastSwapper int
-	RingEntry   *optical.Entry // live ring entry when State == OnRing
+	RingEntry   optical.Ref // the ring copy when State == OnRing; may have left the ring since
 
 	// Lock provides the paper's per-entry mutual exclusion.
-	Lock *sim.Mutex
+	Lock sim.Mutex
 	// Arrived is broadcast when a Transit completes, waking processors
 	// that faulted on a page already being fetched.
-	Arrived *sim.Cond
+	Arrived sim.Cond
 	// TransitBy is, while State == Transit, the node fetching the page,
 	// or -1 while a swap-out carries it away (what a waiter is charged
 	// to depends on which).
@@ -73,17 +73,41 @@ type Entry struct {
 // Table is the machine-wide page table. Pages are handed out from a dense
 // 0..N bump allocator (workload.Space), so the table is a slice indexed by
 // page number rather than a map: entry lookup on the per-access hot path is
-// a bounds check and a load, and the slice grows only when the workload
+// a bounds check and a load, and the index grows only when the workload
 // touches a new high page.
+//
+// Entries are held by value, lock and wait queue included, in chunks that
+// never move: callers keep *Entry across the table's growth, so a new
+// entry is carved from the current chunk and only the index of pointers
+// is ever copied. Presize sizes both from the footprint, after which
+// creating an entry allocates nothing.
 type Table struct {
 	e       *sim.Engine
 	entries []*Entry
+	spare   []Entry // the current chunk's unused tail
 	count   int
 }
+
+// tableChunk is how many entries a chunk holds when the table grows past
+// its presized footprint.
+const tableChunk = 256
 
 // NewTable returns an empty page table.
 func NewTable(e *sim.Engine) *Table {
 	return &Table{e: e}
+}
+
+// Presize sizes the table for pages 0..pages-1: one index and one chunk
+// holding every entry not yet created, so Get never allocates for them.
+func (t *Table) Presize(pages int64) {
+	if pages > PageID(len(t.entries)) {
+		grown := make([]*Entry, pages)
+		copy(grown, t.entries)
+		t.entries = grown
+	}
+	if need := int(pages) - t.count; need > len(t.spare) {
+		t.spare = make([]Entry, need)
+	}
 }
 
 // Get returns the entry for page, creating an Unmapped one on first use.
@@ -98,14 +122,14 @@ func (t *Table) Get(page PageID) *Entry {
 	}
 	en := t.entries[page]
 	if en == nil {
-		en = &Entry{
-			Page:        page,
-			State:       Unmapped,
-			Owner:       -1,
-			LastSwapper: -1,
-			Lock:        sim.NewMutex(t.e),
-			Arrived:     sim.NewCond(t.e),
+		if len(t.spare) == 0 {
+			t.spare = make([]Entry, tableChunk)
 		}
+		en = &t.spare[0]
+		t.spare = t.spare[1:]
+		en.Page, en.State, en.Owner, en.LastSwapper = page, Unmapped, -1, -1
+		en.Lock.Init(t.e)
+		en.Arrived.Init(t.e)
 		t.entries[page] = en
 		t.count++
 	}

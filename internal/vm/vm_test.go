@@ -338,3 +338,49 @@ func TestUnreserveWakesNoFreeStall(t *testing.T) {
 		t.Fatalf("woken at %d, want 100", wokenAt)
 	}
 }
+
+// Entries live in chunks that never move: an *Entry taken before the
+// table grows (past its presized footprint and past a chunk) still names
+// the same page, with its lock and wait queue intact.
+func TestTableEntriesStableAcrossGrowth(t *testing.T) {
+	e := sim.New()
+	tb := NewTable(e)
+	tb.Presize(4)
+	first := tb.Get(0)
+	if !first.Lock.TryLock() {
+		t.Fatal("fresh entry lock not free")
+	}
+	for pg := PageID(1); pg < 3*tableChunk; pg++ {
+		tb.Get(pg)
+	}
+	if tb.Get(0) != first || first.Page != 0 {
+		t.Fatal("entry moved or was overwritten as the table grew")
+	}
+	if first.Lock.TryLock() {
+		t.Fatal("entry lock state lost as the table grew")
+	}
+	first.Lock.Unlock()
+	if tb.Len() != 3*tableChunk {
+		t.Fatalf("len %d, want %d", tb.Len(), 3*tableChunk)
+	}
+}
+
+// Once presized from the footprint, creating an entry allocates nothing:
+// the entry, its lock and its wait queue come from the presized chunk.
+func TestTableGetPresizedAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts inflated under -race")
+	}
+	e := sim.New()
+	tb := NewTable(e)
+	const pages = 1000
+	tb.Presize(pages)
+	next := PageID(0)
+	avg := testing.AllocsPerRun(pages-1, func() {
+		tb.Get(next)
+		next++
+	})
+	if avg != 0 {
+		t.Fatalf("Get allocates %v per new entry after Presize, want 0", avg)
+	}
+}

@@ -44,6 +44,7 @@ benches='. BenchmarkEngineEventThroughput
 . BenchmarkCtxTouch
 . BenchmarkPageFault
 . BenchmarkMeshTransit
+. BenchmarkRingInsertRelease
 ./internal/vm BenchmarkFramePoolTouch
 ./internal/vm BenchmarkFramePoolEvict
 ./internal/machine BenchmarkWriteBufferEnqueue
