@@ -1,6 +1,8 @@
 package disk
 
 import (
+	"math"
+
 	"nwcache/internal/sim"
 )
 
@@ -16,16 +18,16 @@ import (
 // the data disk" (§6).
 type dcdLog struct {
 	e        *sim.Engine
-	d        *Disk          // the owning disk (its data mechanism)
-	arm      *sim.Resource  // the log disk mechanism
-	rot      int64          // rotational latency
-	seek     int64          // average seek for non-sequential log access
-	xfer     int64          // per-page transfer time
-	capacity int            // log capacity in blocks
-	index    map[int64]bool // data blocks currently living in the log
-	fifo     []int64        // destage order
-	room     *sim.Cond      // signaled when log space frees
-	kick     *sim.Cond      // wakes the destage chain
+	d        *Disk         // the owning disk (its data mechanism)
+	arm      *sim.Resource // the log disk mechanism
+	rot      int64         // rotational latency
+	seek     int64         // average seek for non-sequential log access
+	xfer     int64         // per-page transfer time
+	capacity int           // log capacity in blocks
+	index    blockSet      // data blocks currently living in the log
+	fifo     blockRing     // destage order
+	room     *sim.Cond     // signaled when log space frees
+	kick     *sim.Cond     // wakes the destage chain
 
 	// The destage chain: the step to resume at, its pre-bound
 	// continuation and data-disk access, and the segment in flight.
@@ -46,7 +48,6 @@ func newDCDLog(e *sim.Engine, d *Disk, capacity int) *dcdLog {
 		seek:     (d.minSeek + d.maxSeek) / 2,
 		xfer:     d.pageXfer,
 		capacity: capacity,
-		index:    make(map[int64]bool),
 		room:     sim.NewCond(e),
 		kick:     sim.NewCond(e),
 	}
@@ -57,7 +58,7 @@ func newDCDLog(e *sim.Engine, d *Disk, capacity int) *dcdLog {
 }
 
 // hasRoom reports whether n more blocks fit in the log.
-func (l *dcdLog) hasRoom(n int) bool { return len(l.fifo)+n <= l.capacity }
+func (l *dcdLog) hasRoom(n int) bool { return l.fifo.n+n <= l.capacity }
 
 // appendBatch books a sequential write of n blocks at the log tail: one
 // rotational settle plus the transfers — no seek, the log head never
@@ -71,16 +72,15 @@ func (l *dcdLog) appendBatch(n int, k func()) bool {
 // logged records blocks as living in the log and wakes the destage chain.
 func (l *dcdLog) logged(blocks []int64) {
 	for _, b := range blocks {
-		if !l.index[b] {
-			l.index[b] = true
-			l.fifo = append(l.fifo, b)
+		if l.index.add(b) {
+			l.fifo.push(b)
 		}
 	}
 	l.kick.Signal()
 }
 
 // contains reports whether a data block currently lives in the log.
-func (l *dcdLog) contains(block int64) bool { return l.index[block] }
+func (l *dcdLog) contains(block int64) bool { return l.index.has(block) }
 
 // readBlock books a demand read of a logged block, a random access on the
 // log mechanism, and reports whether it is already over; otherwise k runs
@@ -107,7 +107,7 @@ func (l *dcdLog) destage() {
 	for {
 		switch l.at {
 		case dsIdle:
-			if len(l.fifo) == 0 {
+			if l.fifo.n == 0 {
 				l.kick.WaitThen(l.step)
 				return
 			}
@@ -119,10 +119,13 @@ func (l *dcdLog) destage() {
 				return
 			}
 			n := destageBatch
-			if n > len(l.fifo) {
-				n = len(l.fifo)
+			if n > l.fifo.n {
+				n = l.fifo.n
 			}
-			l.batch = append(l.batch[:0], l.fifo[:n]...)
+			l.batch = l.batch[:0]
+			for i := 0; i < n; i++ {
+				l.batch = append(l.batch, l.fifo.at(i))
+			}
 			// Read the segment from the log (sequential from the head).
 			l.at = dsLogRead
 			if !reserveThen(l.e, l.arm, l.rot+int64(n)*l.xfer, l.step) {
@@ -143,12 +146,130 @@ func (l *dcdLog) destage() {
 			d.headPos = l.batch[n-1]
 			d.MediaWrite++
 			d.Combining.Add(float64(n))
-			l.fifo = l.fifo[n:]
+			l.fifo.pop(n)
 			for _, b := range l.batch {
-				delete(l.index, b)
+				l.index.remove(b)
 			}
 			l.room.Broadcast()
 			l.at = dsIdle
 		}
 	}
+}
+
+// blockRing is a growable FIFO of block numbers in a power-of-two ring:
+// popping advances the head instead of reslicing, so a steady log reuses
+// one buffer for the whole run.
+type blockRing struct {
+	buf     []int64
+	head, n int
+}
+
+// push appends b at the tail, doubling the buffer when it is full.
+func (r *blockRing) push(b int64) {
+	if r.n == len(r.buf) {
+		buf := make([]int64, max(16, 2*len(r.buf)))
+		for i := 0; i < r.n; i++ {
+			buf[i] = r.at(i)
+		}
+		r.buf, r.head = buf, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = b
+	r.n++
+}
+
+// at returns the i-th block from the head.
+func (r *blockRing) at(i int) int64 { return r.buf[(r.head+i)&(len(r.buf)-1)] }
+
+// pop drops k blocks from the head.
+func (r *blockRing) pop(k int) {
+	r.head = (r.head + k) & (len(r.buf) - 1)
+	r.n -= k
+}
+
+// noBlock marks an empty blockSet slot.
+const noBlock = math.MinInt64
+
+// blockSet is an open-addressed set of block numbers: linear probing in a
+// power-of-two table kept at most half full, with backward-shift
+// deletion, so membership changes allocate only when the table doubles.
+type blockSet struct {
+	slots []int64 // noBlock where empty
+	n     int
+}
+
+// home returns b's preferred slot (Fibonacci hashing).
+func (s *blockSet) home(b int64) int {
+	return int((uint64(b)*0x9E3779B97F4A7C15)>>32) & (len(s.slots) - 1)
+}
+
+// find returns b's slot, or -1.
+func (s *blockSet) find(b int64) int {
+	if s.n == 0 {
+		return -1
+	}
+	mask := len(s.slots) - 1
+	for i := s.home(b); ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case b:
+			return i
+		case noBlock:
+			return -1
+		}
+	}
+}
+
+func (s *blockSet) has(b int64) bool { return s.find(b) >= 0 }
+
+// add inserts b and reports whether it was absent.
+func (s *blockSet) add(b int64) bool {
+	if s.find(b) >= 0 {
+		return false
+	}
+	if 2*(s.n+1) > len(s.slots) {
+		old := s.slots
+		s.slots = make([]int64, max(32, 2*len(old)))
+		for i := range s.slots {
+			s.slots[i] = noBlock
+		}
+		for _, v := range old {
+			if v != noBlock {
+				s.insert(v)
+			}
+		}
+	}
+	s.insert(b)
+	s.n++
+	return true
+}
+
+// insert places b, known absent, in the first free slot from its home.
+func (s *blockSet) insert(b int64) {
+	mask := len(s.slots) - 1
+	i := s.home(b)
+	for s.slots[i] != noBlock {
+		i = (i + 1) & mask
+	}
+	s.slots[i] = b
+}
+
+// remove deletes b if present, shifting later members of its probe run
+// back so no lookup ever has to skip a hole.
+func (s *blockSet) remove(b int64) {
+	i := s.find(b)
+	if i < 0 {
+		return
+	}
+	mask := len(s.slots) - 1
+	for j := (i + 1) & mask; s.slots[j] != noBlock; j = (j + 1) & mask {
+		// The member at j may fill the hole at i only if its home is not
+		// cyclically within (i, j].
+		k := s.home(s.slots[j])
+		if (i < j && i < k && k <= j) || (i > j && (k > i || k <= j)) {
+			continue
+		}
+		s.slots[i] = s.slots[j]
+		i = j
+	}
+	s.slots[i] = noBlock
+	s.n--
 }

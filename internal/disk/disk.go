@@ -262,7 +262,7 @@ func (d *Disk) DCDLogged() int {
 	if d.dcd == nil {
 		return 0
 	}
-	return len(d.dcd.fifo)
+	return d.dcd.fifo.n
 }
 
 // Mode returns the prefetch mode.

@@ -30,7 +30,8 @@ type Ctx struct {
 	m           *Machine
 	n           *Node
 	proc, procs int
-	rng         *rand.Rand
+	seed        int64      // this thread's PRNG seed
+	rng         *rand.Rand // built from seed on the first Rand call
 	cpu
 
 	// The thread's coroutine (thread.go).
@@ -45,11 +46,11 @@ type Ctx struct {
 	rec func(OpEvent) // non-nil: recording mode, no simulation
 }
 
-// newCtx returns thread proc's context with its PRNG seeded from the
-// configuration seed. Machine.Run and NewRecordingCtx both build on it,
-// so a recorded program draws exactly the stream a simulated one does.
+// newCtx returns thread proc's context with its PRNG seed derived from
+// the configuration seed. Machine.Run and NewRecordingCtx both build on
+// it, so a recorded program draws exactly the stream a simulated one does.
 func newCtx(proc, procs int, seed int64) *Ctx {
-	return &Ctx{proc: proc, procs: procs, rng: rand.New(rand.NewSource(seed + int64(proc)*1_000_003))}
+	return &Ctx{proc: proc, procs: procs, seed: seed + int64(proc)*1_000_003}
 }
 
 // NewRecordingCtx returns a Ctx that records operations instead of
@@ -71,8 +72,14 @@ func (c *Ctx) Proc() int { return c.proc }
 // Procs returns the number of application threads (== nodes).
 func (c *Ctx) Procs() int { return c.procs }
 
-// Rand returns this thread's deterministic PRNG.
-func (c *Ctx) Rand() *rand.Rand { return c.rng }
+// Rand returns this thread's deterministic PRNG. The source (~5 KB) is
+// built on the first call, so a program that draws nothing pays nothing.
+func (c *Ctx) Rand() *rand.Rand {
+	if c.rng == nil {
+		c.rng = rand.New(rand.NewSource(c.seed))
+	}
+	return c.rng
+}
 
 // Now returns the current simulation time, once the queued operations
 // have run.

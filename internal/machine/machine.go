@@ -15,7 +15,6 @@ package machine
 
 import (
 	"fmt"
-	"math/rand"
 
 	"nwcache/internal/coherence"
 	"nwcache/internal/disk"
@@ -148,8 +147,6 @@ type Machine struct {
 	// interface notices/cancels) so the protocol paths never allocate a
 	// closure per message in flight.
 	msgPool []*meshMsg
-
-	rng *rand.Rand
 }
 
 // okWait is one swap-out (or explicit write) waiting on a disk's OK message.
@@ -242,7 +239,6 @@ func New(cfg param.Config, kind Kind, mode disk.PrefetchMode) (*Machine, error) 
 		Ifaces: make([]*optical.Iface, cfg.Nodes),
 		Disks:  make([]*disk.Disk, cfg.Nodes),
 		Dir:    coherence.NewDirectory(),
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
 
 		pageMemBus:  cfg.PageMemBusTime(),
 		pageIOBus:   cfg.PageIOBusTime(),

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -15,17 +17,18 @@ import (
 )
 
 // Live run monitoring: a Sampler can publish each tick's values into a
-// LiveView — an atomically swapped immutable snapshot — so concurrent
-// readers (the -watch terminal dashboard, the -http Prometheus/NDJSON
-// server) observe a consistent frame without taking any lock and without
-// the simulation ever waiting on an observer. The simulation side pays
-// one snapshot allocation per tick while a view is attached and nothing
-// otherwise; readers poll at wall-clock rates and are invisible to the
-// deterministic virtual clock.
+// LiveView — one fixed frame guarded by a sequence counter (a seqlock) —
+// so concurrent readers (the -watch terminal dashboard, the -http
+// Prometheus/NDJSON server) copy out a consistent frame without taking
+// any lock and without the simulation ever waiting on an observer. The
+// simulation side stores each tick's values into the frame in place and
+// allocates nothing; a reader pays for the copy it loads. Readers poll
+// at wall-clock rates and are invisible to the deterministic virtual
+// clock.
 
-// LiveSample is one published telemetry frame. Names/Kinds are shared
-// immutable slices (identical across a view's frames); Values is written
-// once before publication and never mutated after.
+// LiveSample is one loaded telemetry frame. Names/Kinds are shared
+// immutable slices (identical across a view's frames); Values is the
+// reader's own copy, never mutated by later ticks.
 type LiveSample struct {
 	Run    string
 	Now    int64 // virtual time of the frame (pcycles)
@@ -45,58 +48,85 @@ func (s *LiveSample) Get(name string) (float64, bool) {
 }
 
 // LiveView is the lock-free hand-off point between one sampler and its
-// observers.
-type LiveView struct{ cur atomic.Pointer[LiveSample] }
+// observers: a single fixed frame that the sampler overwrites every tick
+// under a seqlock. The writer makes seq odd, stores the frame, and makes
+// seq even again; it never waits and never allocates. A reader copies
+// the frame and keeps the copy only if seq was even and unchanged
+// around it. Every word is atomic, so the protocol is also race-free
+// under the Go memory model. One sampler writes a view; any number of
+// goroutines may Load it.
+type LiveView struct {
+	seq   atomic.Uint64 // 2 × frames published; odd while one is stored
+	now   atomic.Int64
+	vals  []atomic.Uint64 // math.Float64bits of each column
+	run   string
+	names []string // shared immutable column names
+	kinds []string
+}
 
-// Load returns the most recent frame, or nil before the first tick.
+// Load returns a copy of the most recent frame, or nil before the first
+// tick.
 func (v *LiveView) Load() *LiveSample {
-	if v == nil {
+	if v == nil || v.seq.Load() == 0 {
 		return nil
 	}
-	return v.cur.Load()
+	vals := make([]float64, len(v.vals))
+	for {
+		seq := v.seq.Load()
+		if seq&1 != 0 {
+			runtime.Gosched() // the writer is mid-frame
+			continue
+		}
+		now := v.now.Load()
+		for i := range v.vals {
+			vals[i] = math.Float64frombits(v.vals[i].Load())
+		}
+		if v.seq.Load() == seq {
+			return &LiveSample{Run: v.run, Now: now, Seq: int64(seq / 2),
+				Names: v.names, Kinds: v.kinds, Values: vals}
+		}
+	}
+}
+
+// store publishes one frame: values row at virtual time now. Only the
+// words that changed are written: an atomic store is a locked
+// instruction on common hardware, an atomic load of a word only this
+// writer stores is a plain read, and between ticks most columns hold.
+func (v *LiveView) store(now int64, row []float64) {
+	v.seq.Add(1)
+	v.now.Store(now)
+	for i, x := range row {
+		if bits := math.Float64bits(x); v.vals[i].Load() != bits {
+			v.vals[i].Store(bits)
+		}
+	}
+	v.seq.Add(1)
 }
 
 // Publish attaches a LiveView to the sampler and returns it: every
-// subsequent Tick additionally publishes a frame labeled run. Attaching
-// a view is what makes Tick allocate (one frame per tick); leave it
-// unattached for allocation-free sampling. Nil-safe (returns nil).
+// subsequent Tick additionally stores its values into the view's frame,
+// labeled run, without allocating. Nil-safe (returns nil).
 func (s *Sampler) Publish(run string) *LiveView {
 	if s == nil {
 		return nil
 	}
-	if s.names == nil {
-		s.names = make([]string, len(s.cols))
-		s.kinds = make([]string, len(s.cols))
-		for i := range s.cols {
-			s.names[i] = s.cols[i].name
-			s.kinds[i] = s.cols[i].kind
-		}
+	v := &LiveView{
+		vals:  make([]atomic.Uint64, len(s.cols)),
+		run:   run,
+		names: make([]string, len(s.cols)),
+		kinds: make([]string, len(s.cols)),
 	}
-	s.live = &LiveView{}
-	s.liveRun = run
-	return s.live
-}
-
-// publish builds and swaps in the current frame.
-func (s *Sampler) publish(now int64) {
-	vals := make([]float64, len(s.cols))
 	for i := range s.cols {
-		vals[i] = s.cols[i].eval()
+		v.names[i] = s.cols[i].name
+		v.kinds[i] = s.cols[i].kind
 	}
-	prev := s.live.cur.Load()
-	var seq int64 = 1
-	if prev != nil {
-		seq = prev.Seq + 1
-	}
-	s.live.cur.Store(&LiveSample{
-		Run: s.liveRun, Now: now, Seq: seq,
-		Names: s.names, Kinds: s.kinds, Values: vals,
-	})
+	s.live = v
+	return v
 }
 
 // LiveSet collects the views of every in-flight run (one for nwsim, one
 // per concurrently executing cell for nwbench sweeps). Registration is
-// mutex-guarded; reading loads each view's atomic frame.
+// mutex-guarded; reading loads a copy of each view's frame.
 type LiveSet struct {
 	mu    sync.Mutex
 	views []*LiveView

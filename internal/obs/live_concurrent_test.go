@@ -4,25 +4,105 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
+// wideCols is how many extra gauges a wide test frame carries, so a
+// frame is far longer than one cache line and a torn copy is likely to
+// show if the seqlock were wrong.
+const wideCols = 64
+
+// wideReg is sampleReg plus wideCols gauges w.g00.. and a setter that
+// puts every counter and gauge of the registry at tick i.
+func wideReg() (*Registry, func(i int64)) {
+	reg, c, g, _ := sampleReg()
+	ws := make([]*Gauge, wideCols)
+	for k := range ws {
+		ws[k] = reg.Root().Scope("w").Gauge(fmt.Sprintf("g%02d", k))
+	}
+	return reg, func(i int64) {
+		c.Inc()
+		g.Set(i)
+		for _, w := range ws {
+			w.Set(i)
+		}
+	}
+}
+
+// tornCol returns the name of a column that is not v (a.events, a.level
+// and every w.* gauge must all equal the tick number), or "".
+func tornCol(names []string, vals []float64, v float64) string {
+	for i, name := range names {
+		if (name == "a.events" || name == "a.level" || strings.HasPrefix(name, "w.")) && vals[i] != v {
+			return name
+		}
+	}
+	return ""
+}
+
+// TestLiveViewLoadNeverTorn races readers calling Load directly against
+// a producer ticking as fast as it can: every loaded frame must carry
+// one tick throughout (all wide columns equal to Seq, Now = 10·Seq),
+// and each reader's Seq must never fall and must rise whenever the
+// frame changes. Run under -race it also proves the seqlock race-free.
+func TestLiveViewLoadNeverTorn(t *testing.T) {
+	reg, setTick := wideReg()
+	s := NewSampler(reg, 10, 0)
+	view := s.Publish("wide")
+	const ticks = 3000
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var last int64
+			for !done.Load() {
+				f := view.Load()
+				if f == nil {
+					continue
+				}
+				if col := tornCol(f.Names, f.Values, float64(f.Seq)); col != "" || f.Now != 10*f.Seq {
+					t.Errorf("torn frame: seq %d now %d column %q", f.Seq, f.Now, col)
+					return
+				}
+				if f.Seq < last {
+					t.Errorf("seq fell %d -> %d", last, f.Seq)
+					return
+				}
+				last = f.Seq
+			}
+		}()
+	}
+	for i := int64(1); i <= ticks; i++ {
+		setTick(i)
+		s.Tick(10 * i)
+	}
+	done.Store(true)
+	wg.Wait()
+	if f := view.Load(); f.Seq != ticks {
+		t.Fatalf("final seq %d, want %d", f.Seq, ticks)
+	}
+}
+
 // TestLiveServerConcurrentReaders hammers /metrics and the /series
 // long-poll from several goroutines while a producer publishes frames
 // as fast as it can, asserting no reader ever observes a torn frame.
-// The producer maintains the invariant a.events == a.level at every
-// Tick, so any frame mixing values from two ticks is detectable; /series
-// must additionally stream strictly increasing sequence numbers. Run
-// under -race this doubles as the data-race proof for the LiveView
-// hand-off.
+// At tick i the producer sets a.events, a.level and all wideCols w.*
+// gauges to i, so any frame mixing values from two ticks is detectable;
+// /series must additionally stream strictly increasing sequence numbers,
+// each equal to its frame's tick. Run under -race this doubles as the
+// data-race proof for the LiveView hand-off.
 func TestLiveServerConcurrentReaders(t *testing.T) {
-	reg, c, g, _ := sampleReg()
+	reg, setTick := wideReg()
 	s := NewSampler(reg, 10, 0)
 	set := &LiveSet{}
 	set.Add(s.Publish("em3d/nwcache/naive seed=1"))
@@ -38,8 +118,7 @@ func TestLiveServerConcurrentReaders(t *testing.T) {
 	go func() {
 		defer close(producerDone)
 		for i := 1; i <= ticks; i++ {
-			c.Inc()
-			g.Set(int64(i))
+			setTick(int64(i))
 			s.Tick(int64(i) * 10)
 			if i%50 == 0 {
 				time.Sleep(time.Millisecond) // let readers land mid-run
@@ -51,8 +130,8 @@ func TestLiveServerConcurrentReaders(t *testing.T) {
 	var wg sync.WaitGroup
 	errc := make(chan error, 2*readers)
 
-	// /metrics pollers: every scrape must carry matching counter and
-	// gauge values.
+	// /metrics pollers: every scrape must carry one value for the
+	// counter and every gauge.
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
 		go func() {
@@ -74,22 +153,28 @@ func TestLiveServerConcurrentReaders(t *testing.T) {
 					errc <- err
 					return
 				}
-				events, level := -1.0, -1.0
+				var vals []float64
 				for _, line := range strings.Split(string(body), "\n") {
-					if tail, ok := strings.CutPrefix(line, "nwcache_a_events{"); ok {
-						if v, ok := promValue(tail); ok {
-							events = v
-						}
-					}
-					if tail, ok := strings.CutPrefix(line, "nwcache_a_level{"); ok {
-						if v, ok := promValue(tail); ok {
-							level = v
+					if strings.HasPrefix(line, "nwcache_a_events{") ||
+						strings.HasPrefix(line, "nwcache_a_level{") ||
+						strings.HasPrefix(line, "nwcache_w_") {
+						if v, ok := promValue(line); ok {
+							vals = append(vals, v)
 						}
 					}
 				}
-				if events >= 0 && level >= 0 && events != level {
-					t.Errorf("torn /metrics frame: a.events=%g a.level=%g", events, level)
+				if len(vals) == 0 {
+					continue // nothing published yet
+				}
+				if len(vals) != 2+wideCols {
+					t.Errorf("/metrics scrape has %d of %d columns", len(vals), 2+wideCols)
 					return
+				}
+				for _, v := range vals {
+					if v != vals[0] {
+						t.Errorf("torn /metrics frame: %v", vals)
+						return
+					}
 				}
 			}
 		}()
@@ -135,8 +220,14 @@ func TestLiveServerConcurrentReaders(t *testing.T) {
 					return
 				}
 				lastSeq = f.Seq
-				if f.Metrics["a.events"] != f.Metrics["a.level"] {
-					t.Errorf("torn /series frame: %v", f.Metrics)
+				names := make([]string, 0, len(f.Metrics))
+				vals := make([]float64, 0, len(f.Metrics))
+				for name, v := range f.Metrics {
+					names = append(names, name)
+					vals = append(vals, v)
+				}
+				if col := tornCol(names, vals, float64(f.Seq)); col != "" || len(f.Metrics) < 2+wideCols {
+					t.Errorf("torn /series frame (seq %d, column %q): %v", f.Seq, col, f.Metrics)
 					return
 				}
 			}

@@ -235,7 +235,7 @@ func (h *Histogram) Quantile(q float64) int64 {
 	}
 	var seen int64
 	v := h.max
-	for i, n := range h.buckets {
+	for i, n := range &h.buckets { // by pointer: no copy of the array
 		seen += n
 		if seen >= target {
 			if i == 0 {

@@ -19,10 +19,12 @@ import (
 //     unconditionally.
 //   - Enabled stays off the allocator: columns (one per metric, three per
 //     histogram: count/p50/p99) are closed over once at construction, and
-//     every buffer is pre-allocated to capacity. A steady-state Tick is
-//     pure field reads and indexed stores — zero allocations — unless a
-//     LiveView is attached (live publishing builds one snapshot per tick
-//     for lock-free readers; see Publish).
+//     every buffer is pre-allocated to capacity. A steady-state Tick
+//     evaluates each column once into a scratch row and is pure field
+//     reads and indexed stores — zero allocations — with or without a
+//     LiveView attached (publishing stores the row into the view's one
+//     fixed frame; see Publish). A live-only sampler (NewLiveSampler)
+//     keeps no record buffers at all.
 //   - Bounded memory with full-run coverage: when the buffers fill, the
 //     sampler compacts in place — adjacent samples are averaged pairwise
 //     and the keep-stride doubles — so a series always spans the whole
@@ -39,7 +41,7 @@ type seriesCol struct {
 	name string
 	kind string // "counter" | "gauge" | "quantile"
 	eval func() float64
-	vals []float64 // parallel to Sampler.times, len n
+	vals []float64 // parallel to Sampler.times, len n; nil when live-only
 }
 
 // Sampler snapshots a Registry's metrics on a simulated-clock tick.
@@ -50,15 +52,12 @@ type Sampler struct {
 	ticks    int64 // ticks seen
 	lastT    int64
 	any      bool
-	times    []int64 // recorded sample times, len n
+	times    []int64 // recorded sample times, len n; nil when live-only
 	n        int
 	cols     []seriesCol
+	row      []float64 // the current tick's value of every column
 
-	// Live publishing (optional; see Publish).
-	live    *LiveView
-	liveRun string
-	names   []string // shared immutable column names for live snapshots
-	kinds   []string
+	live *LiveView // optional; see Publish
 }
 
 // NewSampler builds a sampler over every metric currently registered in
@@ -70,7 +69,8 @@ type Sampler struct {
 // (<= 0 selects 512, odd values round up — compaction halves in pairs).
 // A nil registry yields a nil (disabled) sampler.
 func NewSampler(reg *Registry, interval int64, capacity int) *Sampler {
-	if reg == nil {
+	s := newSampler(reg, interval)
+	if s == nil {
 		return nil
 	}
 	if capacity <= 0 {
@@ -82,18 +82,37 @@ func NewSampler(reg *Registry, interval int64, capacity int) *Sampler {
 	if capacity < 4 {
 		capacity = 4
 	}
+	s.cap = capacity
+	s.times = make([]int64, capacity)
+	for i := range s.cols {
+		s.cols[i].vals = make([]float64, capacity)
+	}
+	return s
+}
+
+// NewLiveSampler builds a sampler over reg's metrics, as NewSampler
+// does, that only publishes: it keeps no record buffers (Len is 0 and
+// Export returns nil), and every Tick stores its values into the
+// returned view, labeled run. A nil registry yields nil, nil.
+func NewLiveSampler(reg *Registry, interval int64, run string) (*Sampler, *LiveView) {
+	s := newSampler(reg, interval)
+	return s, s.Publish(run)
+}
+
+// newSampler builds the columns of a sampler over reg, without record
+// buffers.
+func newSampler(reg *Registry, interval int64) *Sampler {
+	if reg == nil {
+		return nil
+	}
 	names := make([]string, 0, len(reg.kinds))
 	for name := range reg.kinds {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	s := &Sampler{interval: interval, cap: capacity, stride: 1,
-		times: make([]int64, capacity)}
+	s := &Sampler{interval: interval, stride: 1}
 	add := func(name, kind string, eval func() float64) {
-		s.cols = append(s.cols, seriesCol{
-			name: name, kind: kind, eval: eval,
-			vals: make([]float64, capacity),
-		})
+		s.cols = append(s.cols, seriesCol{name: name, kind: kind, eval: eval})
 	}
 	for _, name := range names {
 		switch reg.kinds[name] {
@@ -120,6 +139,7 @@ func NewSampler(reg *Registry, interval int64, capacity int) *Sampler {
 			add(name, kind, func() float64 { return float64(p.fn()) })
 		}
 	}
+	s.row = make([]float64, len(s.cols))
 	return s
 }
 
@@ -133,8 +153,9 @@ func (s *Sampler) Interval() int64 {
 
 // Tick samples every column at virtual time now. Nil-safe; a repeated or
 // out-of-order time is ignored (the final flush after a run may land on
-// the last boundary the engine already ticked). Steady state allocates
-// nothing unless a LiveView is attached.
+// the last boundary the engine already ticked). Each column is evaluated
+// once, and only on a tick that records or publishes; steady state
+// allocates nothing.
 func (s *Sampler) Tick(now int64) {
 	if s == nil {
 		return
@@ -144,24 +165,26 @@ func (s *Sampler) Tick(now int64) {
 	}
 	s.any = true
 	s.lastT = now
-	record := s.ticks%s.stride == 0
+	record := s.times != nil && s.ticks%s.stride == 0
 	s.ticks++
-	if record && s.n == s.cap {
-		s.compact()
+	if !record && s.live == nil {
+		return
 	}
 	for i := range s.cols {
-		c := &s.cols[i]
-		v := c.eval()
-		if record {
-			c.vals[s.n] = v
-		}
+		s.row[i] = s.cols[i].eval()
 	}
 	if record {
+		if s.n == s.cap {
+			s.compact()
+		}
+		for i := range s.cols {
+			s.cols[i].vals[s.n] = s.row[i]
+		}
 		s.times[s.n] = now
 		s.n++
 	}
 	if s.live != nil {
-		s.publish(now)
+		s.live.store(now, s.row)
 	}
 }
 
@@ -204,9 +227,10 @@ type SeriesData struct {
 }
 
 // Export materializes every column as a SeriesData, labeled with run
-// (the cell label in multi-run exports, "" for single runs). Nil-safe.
+// (the cell label in multi-run exports, "" for single runs). Nil-safe;
+// a live-only sampler has nothing to export.
 func (s *Sampler) Export(run string) []SeriesData {
-	if s == nil {
+	if s == nil || s.times == nil {
 		return nil
 	}
 	out := make([]SeriesData, 0, len(s.cols))

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -140,32 +141,92 @@ func TestSamplerDeterministic(t *testing.T) {
 	}
 }
 
-// A steady-state Tick without a live view attached must not allocate;
-// neither must a nil sampler's.
+// A steady-state Tick must not allocate: recording, recording with a
+// published view, or live-only; neither must a nil sampler's.
 func TestSamplerTickZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
 	reg, c, g, h := sampleReg()
-	s := NewSampler(reg, 1, 64)
 	now := int64(0)
-	allocs := testing.AllocsPerRun(500, func() {
-		now++
-		c.Inc()
-		g.Set(now)
-		h.Observe(now)
-		s.Tick(now)
-	})
-	if allocs != 0 {
-		t.Fatalf("enabled Tick allocates %.1f/op, want 0", allocs)
+	published := NewSampler(reg, 1, 64)
+	published.Publish("published")
+	liveOnly, _ := NewLiveSampler(reg, 1, "live-only")
+	for _, tc := range []struct {
+		name string
+		s    *Sampler
+	}{
+		{"recording", NewSampler(reg, 1, 64)},
+		{"published", published},
+		{"live-only", liveOnly},
+	} {
+		allocs := testing.AllocsPerRun(500, func() {
+			now++
+			c.Inc()
+			g.Set(now)
+			h.Observe(now)
+			tc.s.Tick(now)
+		})
+		if allocs != 0 {
+			t.Fatalf("%s Tick allocates %.1f/op, want 0", tc.name, allocs)
+		}
 	}
 	var nilS *Sampler
-	allocs = testing.AllocsPerRun(100, func() {
+	allocs := testing.AllocsPerRun(100, func() {
 		now++
 		nilS.Tick(now)
 	})
 	if allocs != 0 {
 		t.Fatalf("nil Tick allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// A live-only sampler publishes every tick but keeps no per-column
+// record buffers, so it records and exports nothing.
+func TestLiveSamplerRecordsNothing(t *testing.T) {
+	reg, _, g, _ := sampleReg()
+	s, view := NewLiveSampler(reg, 10, "run")
+	if s.times != nil {
+		t.Fatal("live-only sampler has a times buffer")
+	}
+	for _, c := range s.cols {
+		if c.vals != nil {
+			t.Fatalf("live-only sampler has a record buffer for %s", c.name)
+		}
+	}
+	for i := int64(1); i <= 3; i++ {
+		g.Set(i)
+		s.Tick(i * 10)
+	}
+	if s.Len() != 0 || s.Export("run") != nil {
+		t.Fatalf("live-only sampler recorded %d points", s.Len())
+	}
+	f := view.Load()
+	if v, _ := f.Get("a.level"); f.Seq != 3 || f.Now != 30 || v != 3 {
+		t.Fatalf("live frame %+v", f)
+	}
+	if s, v := NewLiveSampler(nil, 10, "run"); s != nil || v != nil {
+		t.Fatal("nil registry must yield a nil sampler and view")
+	}
+}
+
+// BenchmarkSamplerTickLive ticks a sampler with a published view over a
+// registry of every sampled kind; steady state allocates nothing.
+func BenchmarkSamplerTickLive(b *testing.B) {
+	reg, c, g, h := sampleReg()
+	for i := 0; i < 32; i++ {
+		reg.Root().Scope("w").Gauge(fmt.Sprintf("g%02d", i)).Set(int64(i))
+	}
+	s := NewSampler(reg, 1, 0)
+	s.Publish("bench")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 1; i <= b.N; i++ {
+		now := int64(i)
+		c.Inc()
+		g.Set(now)
+		h.Observe(now)
+		s.Tick(now)
 	}
 }
 

@@ -340,8 +340,8 @@ func (s *Server) startHostSampler(j *Job, p *pool.Pool) func() {
 	reg := obs.NewRegistry()
 	obs.RegisterHostProbes(reg.Root().Scope("host"))
 	p.Observe(reg.Root().Scope("pool"))
-	smp := obs.NewSampler(reg, 1, 0)
-	j.live.Add(smp.Publish("host"))
+	smp, view := obs.NewLiveSampler(reg, 1, "host")
+	j.live.Add(view)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -162,16 +163,20 @@ func (c *Cache) Get(key string) (*Entry, bool) {
 
 // Put writes the entry with write-then-verify semantics: temp file,
 // sync, atomic rename, then a read-back of the final path that must
-// digest-verify. The whole sequence is retried under the cache's retry
-// budget — each attempt uses a fresh temp file and the rename is
-// atomic, so a failed attempt never leaves a torn entry under the
-// final name.
+// equal the bytes written. Those bytes encode an entry whose digest
+// was verified against its result, so an equal read-back is a
+// digest-verified entry. The whole sequence is retried under the
+// cache's retry budget — each attempt uses a fresh temp file and the
+// rename is atomic, so a failed attempt never leaves a torn entry under
+// the final name.
 func (c *Cache) Put(e *Entry) error {
 	if e.Key == "" || e.Result == nil {
 		return fmt.Errorf("sweep: cache entry needs a key and a result")
 	}
 	if e.Digest == "" {
 		e.Digest = ResultDigest(e.Result)
+	} else if !e.Verify() {
+		return fmt.Errorf("sweep: cache entry %s: digest does not match its result", e.Key)
 	}
 	final := c.path(e.Key)
 	blob, err := json.Marshal(e)
@@ -186,7 +191,7 @@ func (c *Cache) Put(e *Entry) error {
 }
 
 // putOnce is one complete Put attempt: temp write, sync, atomic
-// rename, digest-verified read-back.
+// rename, byte-exact read-back.
 func (c *Cache) putOnce(final, key string, blob []byte) error {
 	if err := c.fsys.MkdirAll(filepath.Dir(final), 0o755); err != nil {
 		return err
@@ -214,14 +219,13 @@ func (c *Cache) putOnce(final, key string, blob []byte) error {
 		c.fsys.Remove(tmpName)
 		return err
 	}
-	// Read-back verification: the entry under its final name must load
-	// and carry the right content address.
+	// Read-back verification: the file under its final name must hold
+	// exactly the bytes written (a torn or short write never does).
 	back, err := c.fsys.ReadFile(final)
 	if err != nil {
 		return fmt.Errorf("sweep: cache verify read %s: %w", final, err)
 	}
-	var check Entry
-	if err := json.Unmarshal(back, &check); err != nil || check.Key != key || !check.Verify() {
+	if !bytes.Equal(back, blob) {
 		// A fresh attempt rewrites the entry from scratch; treat the
 		// bad read-back as transient so the retry budget can repair it.
 		return guard.MarkTransient(fmt.Errorf("sweep: cache verify failed for %s", final))

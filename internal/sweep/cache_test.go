@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nwcache/internal/core"
+	"nwcache/internal/guard"
 )
 
 func fastCell(seed int64) core.Cell {
@@ -85,5 +86,83 @@ func TestCacheCorruptEntryIsAMiss(t *testing.T) {
 	os.WriteFile(path, blob[:len(blob)/2], 0o644)
 	if _, ok := cache.Get(c.Key()); ok {
 		t.Fatal("truncated entry was served")
+	}
+}
+
+// silentTearFS is the real filesystem, except that the first tears
+// writes to a temp file land only half their bytes while reporting
+// success: a torn write no error reveals.
+type silentTearFS struct {
+	guard.FS
+	tears int
+}
+
+type silentTearFile struct {
+	guard.File
+	fs *silentTearFS
+}
+
+func (f *silentTearFS) CreateTemp(dir, pattern string) (guard.File, error) {
+	tf, err := f.FS.CreateTemp(dir, pattern)
+	if err != nil {
+		return nil, err
+	}
+	return &silentTearFile{File: tf, fs: f}, nil
+}
+
+func (f *silentTearFile) Write(p []byte) (int, error) {
+	if f.fs.tears > 0 {
+		f.fs.tears--
+		if _, err := f.File.Write(p[:len(p)/2]); err != nil {
+			return 0, err
+		}
+		return len(p), nil
+	}
+	return f.File.Write(p)
+}
+
+// The read-back check catches a torn write that reported success: Put
+// retries it into a clean entry, and fails once the retry budget is
+// spent on tears.
+func TestCachePutCatchesSilentTear(t *testing.T) {
+	c := fastCell(1)
+	res := &core.Result{ExecTime: 12345}
+	dir := t.TempDir()
+	fsys := &silentTearFS{FS: guard.OS, tears: 2}
+	cache, err := OpenCacheOn(fsys, chaosRetrier(3), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cache.Put(&Entry{Record: NewRecord(c, res, nil, nil)}); err != nil {
+		t.Fatalf("put after two silent tears: %v", err)
+	}
+	if fsys.tears != 0 {
+		t.Fatalf("%d tears left unused", fsys.tears)
+	}
+	if _, ok := cache.Get(c.Key()); !ok {
+		t.Fatal("repaired entry missing or corrupt")
+	}
+
+	fsys.tears = 1 << 20
+	if err := cache.Put(&Entry{Record: NewRecord(fastCell(2), res, nil, nil)}); err == nil {
+		t.Fatal("put succeeded although every write tore")
+	}
+}
+
+// An entry whose digest does not match its result is refused before
+// anything is written.
+func TestCachePutRefusesWrongDigest(t *testing.T) {
+	cache, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := fastCell(1)
+	e := &Entry{Record: NewRecord(c, &core.Result{ExecTime: 1}, nil, nil)}
+	e.Result = &core.Result{ExecTime: 2}
+	if err := cache.Put(e); err == nil {
+		t.Fatal("put stored an entry with a wrong digest")
+	}
+	if _, err := os.Stat(cache.path(c.Key())); !os.IsNotExist(err) {
+		t.Fatalf("entry file exists after a refused put: %v", err)
 	}
 }

@@ -253,11 +253,12 @@ func (r *Runner) Run() (Summary, error) {
 			}
 			m.StartSampler(oc.smp)
 		} else if r.Live != nil {
-			// No recorded series: attach a live-only sampler. It is never
-			// exported, so the cell's cache record — and with it every
-			// artifact digest — is exactly what an unobserved run writes.
-			live := obs.NewSampler(oc.reg, DefaultLiveInterval, 0)
-			r.Live.Add(live.Publish(liveRun))
+			// No recorded series: attach a live-only sampler. It keeps no
+			// record buffers and is never exported, so the cell's cache
+			// record — and with it every artifact digest — is exactly
+			// what an unobserved run writes.
+			live, view := obs.NewLiveSampler(oc.reg, DefaultLiveInterval, liveRun)
+			r.Live.Add(view)
 			m.StartSampler(live)
 		}
 		obsMu.Lock()

@@ -15,6 +15,7 @@
 #   BenchmarkWriteBufferEnqueue     write-buffer push + coalesce scan
 #   BenchmarkTLBLookup              TLB hit/miss churn (64 entries)
 #   BenchmarkCoherentCacheAccess    coherent cache State/Insert/DropPage
+#   BenchmarkSamplerTickLive        telemetry sampler tick with a published live view
 #
 # Methodology (pinned, so snapshots are comparable):
 #   - Micro-benchmarks run under GOMAXPROCS=1 (the simulator is
@@ -58,6 +59,8 @@ GOMAXPROCS=1 go test -run '^$' -bench '^BenchmarkWriteBufferEnqueue$' \
   -benchmem -benchtime "$micro_bt" -count "$samples" ./internal/machine | tee -a "$raw" >&2
 GOMAXPROCS=1 go test -run '^$' -bench '^(BenchmarkTLBLookup|BenchmarkCoherentCacheAccess)$' \
   -benchmem -benchtime "$micro_bt" -count "$samples" ./internal/tlb ./internal/coherence | tee -a "$raw" >&2
+GOMAXPROCS=1 go test -run '^$' -bench '^BenchmarkSamplerTickLive$' \
+  -benchmem -benchtime "$micro_bt" -count "$samples" ./internal/obs | tee -a "$raw" >&2
 
 go_ver="$(go version | sed 's/^go version //')"
 hostarch="$(go env GOHOSTARCH)"

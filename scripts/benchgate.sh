@@ -49,7 +49,8 @@ benches='. BenchmarkEngineEventThroughput
 ./internal/vm BenchmarkFramePoolEvict
 ./internal/machine BenchmarkWriteBufferEnqueue
 ./internal/tlb BenchmarkTLBLookup
-./internal/coherence BenchmarkCoherentCacheAccess'
+./internal/coherence BenchmarkCoherentCacheAccess
+./internal/obs BenchmarkSamplerTickLive'
 
 binname() { echo "$1" | tr -c 'a-zA-Z0-9\n' '_'; }
 
