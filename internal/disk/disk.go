@@ -352,7 +352,9 @@ const (
 
 // ReadReq is one page read request at the controller, a continuation the
 // requester owns and reuses: it fills From, Page, Block and Done, and Read
-// reports how the controller served the read in Outcome.
+// reports how the controller served the read in Outcome. Done is called
+// only as the last action of a whole engine event, so the requester may
+// run on from it in the slot of that event.
 type ReadReq struct {
 	From    int    // requesting node
 	Page    PageID // the page

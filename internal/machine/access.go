@@ -12,20 +12,21 @@ import (
 // coroutine owned by the machine (thread.go). Its operations charge the
 // owning processor's execution-time breakdown.
 //
-// Touch (Read, Write) and Compute return nothing, so they are not run as
-// they are called: the thread queues up to runAhead of them and then
-// blocks while its CPU runs them as a chain of engine callbacks (cpu.go).
-// The operations that wait or observe — Barrier, LockAcquire/LockRelease,
-// FileRead/FileWrite, Now and Machine — first drain the queue, so the
-// thread observes exactly the times and state it would if each operation
-// ran at its call. The contract for a Program: a Touch or Compute may
-// take effect after its call returns, and Go state shared between threads
-// may be handed over only across a Barrier or Lock operation.
+// Every operation is queued, not run at its call: the thread queues up to
+// runAhead of them, and its CPU runs the queue as a chain of engine
+// callbacks (cpu.go) in which every wait — a fault, a barrier, a lock, an
+// interrupt or system-call sleep, a write-buffer fence, a file transfer —
+// is a step. The thread blocks at one point, Ctx.drain, until the queue
+// has run. It drains when the queue is full, after queuing a Barrier or a
+// LockAcquire, at Now and Machine, and when the program returns, so it
+// observes exactly the times and state it would if each operation ran at
+// its call. The contract for a Program: an operation may take effect
+// after its call returns, and Go state shared between threads may be
+// handed over only across a Barrier or Lock operation.
 //
-// A Ctx can also be a pure recorder (see NewRecordingCtx): rec is then
-// non-nil and every operation is captured as an OpEvent instead of being
-// simulated. The rec check is one predicted-not-taken branch per
-// operation in the normal (simulating) mode.
+// A Ctx can also be a pure recorder (see NewRecordingCtx): rec is then a
+// sink on the same queue, which receives each operation as an OpEvent
+// instead of queuing it, and nothing is simulated.
 type Ctx struct {
 	m           *Machine
 	n           *Node
@@ -39,8 +40,7 @@ type Ctx struct {
 	stop   func()                  // unwind the thread if it is stranded
 	yield  func(struct{}) bool     // give control back to the resuming callback
 	resume func()                  // pre-bound: count and pull
-	waitOn string                  // what the thread last blocked on
-	since  sim.Time                // when it blocked
+	since  sim.Time                // when the chain last parked
 	done   bool                    // the program returned and its queue ran
 
 	rec func(OpEvent) // non-nil: recording mode, no simulation
@@ -112,56 +112,28 @@ func (n *Node) charge(cat stats.Category, d int64) {
 
 // Compute burns cycles of pure processor work.
 func (c *Ctx) Compute(cycles int64) {
-	if cycles <= 0 {
-		return
+	if cycles > 0 {
+		c.push(cpuOp{arg: cycles, kind: OpCompute})
 	}
-	if c.rec != nil {
-		c.rec(OpEvent{Kind: OpCompute, Cycles: cycles})
-		return
-	}
-	c.push(cpuOp{arg: cycles, compute: true})
 }
 
 // Barrier joins the machine-wide application barrier. A barrier is a
 // release operation: pending buffered writes are fenced first.
 func (c *Ctx) Barrier() {
-	if c.rec != nil {
-		c.rec(OpEvent{Kind: OpBarrier})
-		return
-	}
+	c.push(cpuOp{kind: OpBarrier})
 	c.drain()
-	c.drainInterrupts()
-	c.fence()
-	if !c.m.barrier.ArriveThen(c.resume) {
-		c.block("barrier")
-	}
 }
 
 // LockAcquire takes application lock id (created on demand).
 func (c *Ctx) LockAcquire(id int) {
-	if c.rec != nil {
-		c.rec(OpEvent{Kind: OpLockAcquire, Lock: id})
-		return
-	}
+	c.push(cpuOp{arg: int64(id), kind: OpLockAcquire})
 	c.drain()
-	c.drainInterrupts()
-	l := c.m.Lock(id)
-	for !l.TryLock() {
-		l.WaitThen(c.resume)
-		c.block("lock")
-	}
 }
 
 // LockRelease releases application lock id. A release operation fences
 // pending buffered writes first (Release Consistency).
 func (c *Ctx) LockRelease(id int) {
-	if c.rec != nil {
-		c.rec(OpEvent{Kind: OpLockRelease, Lock: id})
-		return
-	}
-	c.drain()
-	c.fence()
-	c.m.Lock(id).Unlock()
+	c.push(cpuOp{arg: int64(id), kind: OpLockRelease})
 }
 
 // Read touches `lines` cache lines within sub-block `sub` of `page`.
@@ -171,39 +143,11 @@ func (c *Ctx) Read(page PageID, sub, lines int) { c.Touch(page, sub, lines, fals
 // marking the page dirty.
 func (c *Ctx) Write(page PageID, sub, lines int) { c.Touch(page, sub, lines, true) }
 
-// drainInterrupts pays for pending TLB-shootdown interrupts.
-func (c *Ctx) drainInterrupts() {
-	if d := c.n.pendingIntr; d > 0 {
-		c.n.pendingIntr = 0
-		c.sleep(d)
-		c.n.charge(stats.TLB, d)
-	}
-}
-
-// sleep blocks the thread for d >= 0 pcycles: one event, even for d == 0.
-func (c *Ctx) sleep(d sim.Time) {
-	c.m.E.After(d, c.resume)
-	c.block("sleep")
-}
-
-// sleepTill blocks the thread until t; a t not in the future returns at
-// once, scheduling nothing.
-func (c *Ctx) sleepTill(t sim.Time) {
-	if t > c.m.E.Now() {
-		c.sleep(t - c.m.E.Now())
-	}
-}
-
 // Touch performs one memory operation: interrupts, TLB, residency
 // (faulting as needed), then the data movement cost (see Ctx.advance).
 // The line count only matters to a recording.
 func (c *Ctx) Touch(page PageID, sub, lines int, write bool) {
-	if c.rec != nil {
-		if lines < 1 {
-			lines = 1
-		}
-		c.rec(OpEvent{Kind: OpTouch, Page: page, Sub: sub, Lines: lines, Write: write})
-		return
-	}
-	c.push(cpuOp{arg: page, sub: int32(sub), write: write})
+	op := cpuOp{arg: page, n: int32(lines), kind: OpTouch}
+	op.touch.sub, op.touch.write = uint8(sub), write
+	c.push(op)
 }

@@ -1,10 +1,14 @@
 package machine
 
-// A thread's Touch and Compute operations run as a chain of engine
-// callbacks fed by a bounded run-ahead queue (see Ctx, and MODEL.md,
-// "Engine fast path"). The whole fault path is steps of that chain; the
-// thread only blocks while the chain runs and is resumed with
-// sim.Engine.Resume once the queue has drained.
+// A thread's operations run as a chain of engine callbacks fed by a
+// bounded run-ahead queue (see Ctx, and MODEL.md, "Engine fast path").
+// Every wait is a step of that chain — the whole fault path, a barrier or
+// lock wait, an interrupt or system-call sleep, a write-buffer fence, and
+// the disk transfers of explicit file I/O — so the thread blocks only in
+// Ctx.drain while the chain runs, and is resumed with sim.Engine.Resume
+// once the queue has drained. Every callback of the chain is a whole
+// engine event or ends one (a disk read's Done, see disk.ReadReq), so a
+// step runs in the slot where the thread itself would run it.
 
 import (
 	"nwcache/internal/coherence"
@@ -15,38 +19,73 @@ import (
 	"nwcache/internal/vm"
 )
 
-// runAhead bounds how many Touch/Compute operations a thread queues before
-// it blocks to let its CPU run them.
+// runAhead bounds how many operations a thread queues before it blocks to
+// let its CPU run them.
 const runAhead = 64
 
-// cpuOp is one queued Touch or Compute.
+// cpuOp is one queued operation, 16 bytes. It has four fields, so the
+// compiler keeps it in registers rather than in memory.
 type cpuOp struct {
-	arg     int64 // Touch: the page; Compute: the cycles
-	sub     int32
-	compute bool
-	write   bool
+	arg   int64 // Touch and file I/O: the (next) page; Compute: the cycles; locks: the id
+	n     int32 // Touch: the lines (read only by a recording); file I/O: the pages left
+	kind  OpKind
+	touch struct {
+		sub   uint8 // the sub-block
+		write bool
+	}
+}
+
+// event is the operation as a recording captures it.
+func (op cpuOp) event() OpEvent {
+	ev := OpEvent{Kind: op.kind}
+	switch op.kind {
+	case OpTouch:
+		ev.Page, ev.Sub, ev.Lines, ev.Write = op.arg, int(op.touch.sub), max(int(op.n), 1), op.touch.write
+	case OpCompute:
+		ev.Cycles = op.arg
+	case OpLockAcquire, OpLockRelease:
+		ev.Lock = int(op.arg)
+	case OpFileRead, OpFileWrite:
+		ev.Page, ev.Pages = op.arg, int(op.n)
+	}
+	return ev
 }
 
 // cpuStep is where the operation at the head of the queue resumes.
 type cpuStep uint8
 
 const (
-	csStart    cpuStep = iota // begin the operation
-	csTLB                     // look the page up in the TLB
-	csResident                // make the page resident
-	csLock                    // take the page's entry lock
-	csState                   // entry lock held: act on the page's state
-	csArrived                 // an in-transit page arrived: charge the wait
-	csInFlux                  // a ring entry in flux settled: charge the wait
-	csFrame                   // reserve a page frame for a fault
-	csRingPass                // the page streamed off the fiber: cross the buses
-	csRingIn                  // a ring fetch is in memory
-	csDiskIn                  // a disk fetch is in memory
-	csFinish                  // install the fetched page
-	csData                    // coherent cache check
-	csWBuf                    // queue the write in the write buffer
-	csCCFinish                // the coherence transaction's data arrived
-	csNext                    // the operation is done
+	csStart     cpuStep = iota // begin the operation
+	csTLB                      // look the page up in the TLB
+	csIntr                     // pending interrupts are paid: charge them
+	csResident                 // make the page resident
+	csLock                     // take the page's entry lock
+	csState                    // entry lock held: act on the page's state
+	csArrived                  // an in-transit page arrived: charge the wait
+	csInFlux                   // a ring entry in flux settled: charge the wait
+	csFrame                    // reserve a page frame for a fault
+	csRingPass                 // the page streamed off the fiber: cross the buses
+	csRingIn                   // a ring fetch is in memory
+	csFetch                    // read the page from its disk: send the request
+	csFetchCtrl                // the request is at the disk: the controller serves it
+	csFetchData                // the page is in the controller: move it to memory
+	csDiskIn                   // a disk fetch is in memory
+	csFinish                   // install the fetched page
+	csData                     // coherent cache check
+	csWBuf                     // queue the write in the write buffer
+	csCCFinish                 // the coherence transaction's data arrived
+	csFence                    // wait for the write buffer to drain (a release)
+	csBarrier                  // the barrier let the thread pass
+	csAcquire                  // take the application lock
+	csPage                     // a file operation's next page
+	csSyscall                  // the system call's overhead is paid
+	csFileIn                   // the file page is in the kernel buffer
+	csSend                     // send the page to its disk
+	csBook                     // the page is at the disk node: book the controller
+	csAnswer                   // the controller answers ACK or NACK
+	csOK                       // NACKed, and the disk's OK arrived: resend
+	csPageDone                 // the file page's last transfer is over
+	csNext                     // the operation is done
 )
 
 // chainState is how Ctx.advance stopped.
@@ -68,12 +107,12 @@ type cpu struct {
 	st       coherence.State // the block's cache state before a buffered write
 	tlb      int64           // TLB cycles (interrupts, a miss) the ending sleep paid
 	cat      stats.Category  // what a wait for an in-transit page is charged to
-	t0       sim.Time        // when the current wait (lock, frame, transit, fetch) began
+	t0       sim.Time        // when the current wait (lock, frame, transit, fetch, file I/O) began
 	reserved bool            // a frame is reserved for the fault in progress
 	ringEn   optical.Ref     // a ring fetch's entry; zero for a disk fetch
 	victim   bool            // the ring fetch claimed the entry (not a ride-along)
 	dirty    bool            // the fetched page is installed dirty
-	fetch    pageRead        // the disk fetch (faults and FileRead)
+	req      disk.ReadReq    // a disk fetch's read at the controller (faults and FileRead)
 	step     func()          // pre-bound c.wake
 }
 
@@ -81,15 +120,16 @@ type cpu struct {
 func (c *Ctx) bind(m *Machine, n *Node) {
 	c.m, c.n = m, n
 	c.ops, c.step = make([]cpuOp, 0, runAhead), c.wake
-	c.fetch.bind(m, n)
-	// A read's Done can fire partway through a disk callback: the chain
-	// goes on from there, and with the queue drained (a FileRead) wake
-	// resumes the thread once that callback returns.
-	c.fetch.done = c.step
+	c.req.Done = c.step
 }
 
-// push queues one operation, running the queue once it is full.
+// push queues one operation, running the queue once it is full. A
+// recording Ctx hands the operation to its sink instead.
 func (c *Ctx) push(op cpuOp) {
+	if c.rec != nil {
+		c.rec(op.event())
+		return
+	}
 	c.ops = append(c.ops, op)
 	if len(c.ops) == runAhead {
 		c.drain()
@@ -97,11 +137,12 @@ func (c *Ctx) push(op cpuOp) {
 }
 
 // drain runs the queued operations to completion: inline on the thread
-// until the chain first waits, then blocked until the callback that
-// drains the queue resumes the thread.
+// until the chain first waits, then blocked until the callback of the
+// chain that drains the queue resumes the thread. It is the thread's only
+// wait.
 func (c *Ctx) drain() {
 	if c.advance() == chainTimed {
-		c.block("run-ahead")
+		c.block()
 	}
 	c.ops, c.next = c.ops[:0], 0
 }
@@ -111,6 +152,34 @@ func (c *Ctx) drain() {
 func (c *Ctx) wake() {
 	if c.advance() == chainDrained {
 		c.m.E.Resume(c.resume)
+		return
+	}
+	c.since = c.m.E.Now()
+}
+
+// payInterrupts sleeps for the pending TLB-shootdown interrupts, which
+// the next step charges; it reports whether the chain waits. Callers
+// check that some are pending, keeping the common case inline.
+func (c *Ctx) payInterrupts() bool {
+	c.tlb, c.n.pendingIntr = c.n.pendingIntr, 0
+	return c.sleepUntil(c.m.E.Now() + c.tlb)
+}
+
+// waits names the steps at which a chain waits on another thread or a
+// device; a FileRead's steps are "file-read" only for a FileRead.
+var waits = [csNext + 1]string{csFence: "write-buffer fence", csBarrier: "barrier", csAcquire: "lock",
+	csOK: "disk OK", csFetch: "file-read", csFetchCtrl: "file-read", csFetchData: "file-read", csFileIn: "file-read"}
+
+// waitingOn names what a stranded thread waits on: the wait its chain is
+// parked on, or the run-ahead queue for any other step.
+func (c *Ctx) waitingOn() string {
+	switch w := waits[c.at]; {
+	case c.yield == nil:
+		return "start"
+	case w == "" || w == "file-read" && c.ops[c.next].kind != OpFileRead:
+		return "run-ahead"
+	default:
+		return w
 	}
 }
 
@@ -148,22 +217,29 @@ func (c *Ctx) advance() chainState {
 	m, n := c.m, c.n
 	for c.next < len(c.ops) {
 		op := &c.ops[c.next]
-		page, sub, write := PageID(op.arg), int(op.sub), op.write
+		page, sub, write := PageID(op.arg), int(op.touch.sub), op.touch.write
 		switch c.at {
 		case csStart:
-			if op.compute {
+			switch op.kind {
+			case OpTouch:
+				c.at = csTLB
+			case OpCompute:
 				c.at = csNext
 				if c.sleepUntil(m.E.Now() + op.arg) {
 					return chainTimed
 				}
 				continue
+			case OpLockRelease:
+				c.at = csFence
+				continue
+			case OpFileRead, OpFileWrite:
+				c.at = csPage
+				continue
+			default:
+				c.at = csIntr
 			}
-			c.at = csTLB
-			if d := n.pendingIntr; d > 0 {
-				n.pendingIntr, c.tlb = 0, d
-				if c.sleepUntil(m.E.Now() + d) {
-					return chainTimed
-				}
+			if n.pendingIntr > 0 && c.payInterrupts() {
+				return chainTimed
 			}
 		case csTLB:
 			n.charge(stats.TLB, c.tlb)
@@ -171,6 +247,20 @@ func (c *Ctx) advance() chainState {
 			if !n.TLB.Lookup(page) {
 				c.tlb = m.Cfg.TLBMissLat
 				if c.sleepUntil(m.E.Now() + c.tlb) {
+					return chainTimed
+				}
+			}
+		case csIntr:
+			n.charge(stats.TLB, c.tlb)
+			c.tlb = 0
+			switch op.kind {
+			case OpBarrier:
+				c.at = csFence
+			case OpLockAcquire:
+				c.at = csAcquire
+			default:
+				c.at = csSyscall
+				if c.sleepUntil(m.E.Now() + m.Cfg.SyscallOverhead) {
 					return chainTimed
 				}
 			}
@@ -249,12 +339,44 @@ func (c *Ctx) advance() chainState {
 			// A claimed page is dirty: the disk never got it. A ride-along
 			// copy is clean: the disk is receiving an identical copy.
 			c.dirty, c.at = c.victim, csFinish
+		case csFetch:
+			// The request message crosses the mesh to the disk node.
+			_, dn := m.DiskFor(page)
+			c.at = csFetchCtrl
+			if c.waitUntil(m.Mesh.Transit(m.E.Now(), n.ID, dn, m.Cfg.CtrlMsgLen)) {
+				return chainTimed
+			}
+		case csFetchCtrl:
+			d, _ := m.DiskFor(page)
+			c.req.From, c.req.Page, c.req.Block = n.ID, page, m.Layout.BlockFor(page)
+			c.at = csFetchData
+			if !d.Read(&c.req) {
+				return chainTimed
+			}
+		case csFetchData:
+			// The page crosses the disk node's I/O bus, the mesh and the
+			// local memory bus.
+			_, dn := m.DiskFor(page)
+			stages := append(n.stageBuf[:0], sim.Stage{
+				Res: m.Nodes[dn].IOBus, Occupy: m.pageIOBus, Forward: m.Cfg.HopLatency,
+			})
+			stages = m.Mesh.AppendPathStages(stages, dn, n.ID, m.Cfg.PageSize)
+			stages = append(stages, sim.Stage{Res: n.MemBus, Occupy: m.pageMemBus})
+			_, arrive := sim.Pipeline(m.E.Now(), stages)
+			n.stageBuf = stages[:0]
+			c.at = csDiskIn
+			if op.kind == OpFileRead {
+				c.at = csFileIn
+			}
+			if c.waitUntil(arrive) {
+				return chainTimed
+			}
 		case csDiskIn:
 			now, d := m.E.Now(), m.E.Now()-c.t0
 			n.charge(stats.Fault, d)
 			m.hFaultDisk.Observe(d)
 			m.Spans.Span(m.cpuTrack(n.ID), "fault.disk", c.t0, now, page)
-			if outcome := c.fetch.req.Outcome; outcome.Hit() {
+			if outcome := c.req.Outcome; outcome.Hit() {
 				n.DiskHits++
 				// Table 8 measures the latency of faults served straight
 				// from the controller cache; in-flight prefetch waits are
@@ -337,6 +459,105 @@ func (c *Ctx) advance() chainState {
 		case csCCFinish:
 			m.ccFinish(n, page, sub, write)
 			c.at = csNext
+		case csFence:
+			// A barrier or a lock release is a release operation: pending
+			// buffered writes retire first.
+			if wb := n.WB; wb != nil && (wb.count > 0 || wb.inFly) {
+				wb.empty.WaitThen(c.step)
+				return chainTimed
+			}
+			if op.kind == OpLockRelease {
+				m.Lock(int(op.arg)).Unlock()
+				c.at = csNext
+				continue
+			}
+			c.at = csBarrier
+			if !m.barrier.ArriveThen(c.step) {
+				return chainTimed
+			}
+		case csBarrier:
+			c.at = csNext
+		case csAcquire:
+			// A woken waiter re-checks the lock, as for an entry lock.
+			if l := m.Lock(int(op.arg)); !l.TryLock() {
+				l.WaitThen(c.step)
+				return chainTimed
+			}
+			c.at = csNext
+		case csPage:
+			if op.n <= 0 {
+				c.at = csNext
+				continue
+			}
+			c.at = csIntr
+			if n.pendingIntr > 0 && c.payInterrupts() {
+				return chainTimed
+			}
+		case csSyscall:
+			n.charge(stats.Other, m.Cfg.SyscallOverhead)
+			if op.kind == OpFileRead {
+				c.t0, c.at = m.E.Now(), csFetch // the disk read of a fault
+				continue
+			}
+			// User buffer -> kernel buffer copy, after which the write
+			// itself starts.
+			copied := n.MemBus.Reserve(m.E.Now(), m.pageMemBus) + m.pageMemBus
+			c.t0, c.at = max(copied, m.E.Now()), csSend
+			if c.waitUntil(copied) {
+				return chainTimed
+			}
+		case csFileIn:
+			n.charge(stats.Fault, m.E.Now()-c.t0)
+			// Kernel buffer -> user buffer copy.
+			c.at = csPageDone
+			if c.waitUntil(n.MemBus.Reserve(m.E.Now(), m.pageMemBus) + m.pageMemBus) {
+				return chainTimed
+			}
+		case csSend:
+			// The page crosses the memory bus, the mesh and the disk
+			// node's I/O bus.
+			_, dn := m.DiskFor(page)
+			stages := append(n.stageBuf[:0], sim.Stage{
+				Res: n.MemBus, Occupy: m.pageMemBus, Forward: m.Cfg.HopLatency,
+			})
+			stages = m.Mesh.AppendPathStages(stages, n.ID, dn, m.Cfg.PageSize)
+			stages = append(stages, sim.Stage{Res: m.Nodes[dn].IOBus, Occupy: m.pageIOBus})
+			_, arrive := sim.Pipeline(m.E.Now(), stages)
+			n.stageBuf = stages[:0]
+			c.at = csBook
+			if c.waitUntil(arrive) {
+				return chainTimed
+			}
+		case csBook:
+			d, _ := m.DiskFor(page)
+			c.at = csAnswer
+			if c.waitUntil(d.BookWrite()) {
+				return chainTimed
+			}
+		case csAnswer:
+			d, dn := m.DiskFor(page)
+			if d.AnswerWrite(n.ID, page, m.Layout.BlockFor(page)) == disk.NACK {
+				// Wait for the controller's OK, then resend.
+				n.queueOK(page, n.fileOK)
+				n.fileOK.WaitThen(c.step)
+				c.at = csOK
+				return chainTimed
+			}
+			c.at = csPageDone
+			if c.waitUntil(m.Mesh.Transit(m.E.Now(), dn, n.ID, m.Cfg.CtrlMsgLen)) {
+				return chainTimed
+			}
+		case csOK:
+			n.dropOK(n.fileOK)
+			c.at = csSend
+		case csPageDone:
+			if op.kind == OpFileRead {
+				n.ExplicitReads++
+			} else {
+				n.charge(stats.Fault, m.E.Now()-c.t0)
+				n.ExplicitWrites++
+			}
+			op.arg, op.n, c.at = op.arg+1, op.n-1, csPage
 		case csNext:
 			c.next++
 			c.at = csStart
@@ -380,8 +601,8 @@ func (c *Ctx) locked() bool {
 		en.State = vm.Transit
 		en.TransitBy = n.ID
 		en.Lock.Unlock()
-		c.t0, c.at = m.E.Now(), csDiskIn
-		return !c.fetch.start(en.Page)
+		c.t0, c.at = m.E.Now(), csFetch
+		return false
 	}
 	switch ref := en.RingEntry; ref.State() {
 	case optical.OnRing, optical.Draining:
@@ -420,93 +641,4 @@ func transitWait(en *vm.Entry) stats.Category {
 		return stats.Fault
 	}
 	return stats.Transit
-}
-
-// pageRead steps.
-const (
-	prRequest uint8 = iota // the request message crosses the mesh
-	prDisk                 // the controller serves the read
-	prData                 // the page crosses the I/O bus, mesh and memory bus
-	prDone
-)
-
-// pageRead is the page-read protocol from a disk into a node's memory:
-// request message to the I/O node, controller/media service, and the data
-// transfer back through the I/O bus, mesh, and the requester's memory bus.
-// Each CPU owns one, for its faults and its FileReads; done runs once the
-// page has arrived, unless start reports that it already has.
-type pageRead struct {
-	m    *Machine
-	n    *Node
-	dn   int
-	d    *disk.Disk
-	at   uint8
-	req  disk.ReadReq // req.Outcome: how the controller served the read
-	done func()
-	step func() // pre-bound resume
-}
-
-// bind ties the read to node n of m.
-func (r *pageRead) bind(m *Machine, n *Node) {
-	r.m, r.n = m, n
-	r.step = func() {
-		if r.advance() {
-			r.done()
-		}
-	}
-	r.req.Done = r.step
-}
-
-// start begins reading page into the node's memory and reports whether it
-// is already there.
-func (r *pageRead) start(page PageID) bool {
-	r.d, r.dn = r.m.DiskFor(page)
-	r.req.From, r.req.Page, r.req.Block = r.n.ID, page, r.m.Layout.BlockFor(page)
-	r.at = prRequest
-	return r.advance()
-}
-
-// advance runs the read until it must wait (false) or is done (true).
-func (r *pageRead) advance() bool {
-	m, n := r.m, r.n
-	for {
-		switch r.at {
-		case prRequest:
-			r.at = prDisk
-			if r.waitUntil(m.Mesh.Transit(m.E.Now(), n.ID, r.dn, m.Cfg.CtrlMsgLen)) {
-				return false
-			}
-		case prDisk:
-			r.at = prData
-			if !r.d.Read(&r.req) {
-				return false
-			}
-		case prData:
-			stages := append(n.stageBuf[:0], sim.Stage{
-				Res: m.Nodes[r.dn].IOBus, Occupy: m.pageIOBus, Forward: m.Cfg.HopLatency,
-			})
-			stages = m.Mesh.AppendPathStages(stages, r.dn, n.ID, m.Cfg.PageSize)
-			stages = append(stages, sim.Stage{Res: n.MemBus, Occupy: m.pageMemBus})
-			_, arrive := sim.Pipeline(m.E.Now(), stages)
-			n.stageBuf = stages[:0]
-			r.at = prDone
-			if r.waitUntil(arrive) {
-				return false
-			}
-		case prDone:
-			return true
-		}
-	}
-}
-
-// waitUntil schedules the read's next step at t, or runs it on in place
-// when t is not in the future or would be the next event anyway
-// (sim.Engine.AdvanceTo); it reports whether the step was scheduled.
-func (r *pageRead) waitUntil(t sim.Time) bool {
-	e := r.m.E
-	if t <= e.Now() || e.AdvanceTo(t) {
-		return false
-	}
-	e.At(t, r.step)
-	return true
 }

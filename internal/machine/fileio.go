@@ -16,40 +16,14 @@ package machine
 // (resident) buffers. Used by examples/explicit-io to reproduce the
 // intro's motivation quantitatively.
 
-import (
-	"nwcache/internal/disk"
-	"nwcache/internal/param"
-	"nwcache/internal/sim"
-	"nwcache/internal/stats"
-)
+import "nwcache/internal/param"
 
 // FileRead reads `pages` consecutive file pages starting at `page` into a
 // user buffer: per page a syscall, the disk read protocol, and a
-// kernel-to-user copy on the local memory bus.
+// kernel-to-user copy on the local memory bus (steps csPage to csPageDone
+// of Ctx.advance).
 func (c *Ctx) FileRead(page PageID, pages int) {
-	if c.rec != nil {
-		c.rec(OpEvent{Kind: OpFileRead, Page: page, Pages: pages})
-		return
-	}
-	c.drain()
-	m, n := c.m, c.n
-	for k := 0; k < pages; k++ {
-		c.drainInterrupts()
-		c.sleep(m.Cfg.SyscallOverhead)
-		n.charge(stats.Other, m.Cfg.SyscallOverhead)
-		// The disk-read steps of a fault, with the thread blocked until
-		// they finish.
-		t0 := m.E.Now()
-		if !c.fetch.start(page + PageID(k)) {
-			c.block("file-read")
-		}
-		n.charge(stats.Fault, m.E.Now()-t0)
-		// Kernel buffer -> user buffer copy.
-		dur := m.pageMemBus
-		start := n.MemBus.Reserve(m.E.Now(), dur)
-		c.sleepTill(start + dur)
-		n.ExplicitReads++
-	}
+	c.push(cpuOp{arg: page, n: int32(pages), kind: OpFileRead})
 }
 
 // FileWrite writes `pages` consecutive file pages from a user buffer:
@@ -57,52 +31,7 @@ func (c *Ctx) FileRead(page PageID, pages int) {
 // disk node, and the controller's ACK/NACK/OK flow control (synchronous,
 // as write() is).
 func (c *Ctx) FileWrite(page PageID, pages int) {
-	if c.rec != nil {
-		c.rec(OpEvent{Kind: OpFileWrite, Page: page, Pages: pages})
-		return
-	}
-	c.drain()
-	m, n := c.m, c.n
-	for k := 0; k < pages; k++ {
-		c.drainInterrupts()
-		c.sleep(m.Cfg.SyscallOverhead)
-		n.charge(stats.Other, m.Cfg.SyscallOverhead)
-		// User buffer -> kernel buffer copy.
-		dur := m.pageMemBus
-		start := n.MemBus.Reserve(m.E.Now(), dur)
-		c.sleepTill(start + dur)
-		t0 := m.E.Now()
-		c.explicitWrite(page + PageID(k))
-		n.charge(stats.Fault, m.E.Now()-t0)
-		n.ExplicitWrites++
-	}
-}
-
-// explicitWrite pushes one page to its disk synchronously, honoring the
-// controller's NACK/OK protocol.
-func (c *Ctx) explicitWrite(page PageID) {
-	m, n := c.m, c.n
-	d, dn := m.DiskFor(page)
-	block := m.Layout.BlockFor(page)
-	for {
-		stages := append(n.stageBuf[:0], sim.Stage{
-			Res: n.MemBus, Occupy: m.pageMemBus, Forward: m.Cfg.HopLatency,
-		})
-		stages = m.Mesh.AppendPathStages(stages, n.ID, dn, m.Cfg.PageSize)
-		stages = append(stages, sim.Stage{Res: m.Nodes[dn].IOBus, Occupy: m.pageIOBus})
-		_, arrive := sim.Pipeline(m.E.Now(), stages)
-		n.stageBuf = stages[:0]
-		c.sleepTill(arrive)
-		c.sleepTill(d.BookWrite())
-		if d.AnswerWrite(n.ID, page, block) == disk.ACK {
-			break
-		}
-		n.queueOK(page, n.fileOK)
-		n.fileOK.WaitThen(c.resume)
-		c.block("disk OK")
-		n.dropOK(n.fileOK)
-	}
-	c.sleepTill(m.Mesh.Transit(m.E.Now(), dn, n.ID, m.Cfg.CtrlMsgLen))
+	c.push(cpuOp{arg: page, n: int32(pages), kind: OpFileWrite})
 }
 
 // ExplicitBufferPages returns how many pages of user buffer an

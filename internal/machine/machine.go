@@ -375,6 +375,6 @@ func (m *Machine) DiskFor(page PageID) (*disk.Disk, int) {
 }
 
 // ThreadResumes reports how many times a callback resumed an application
-// thread: its start, the end of each wait it blocked on, and each Resume
-// of a thread whose run-ahead queue drained in a callback.
+// thread: its start, and each Resume by its chain once the run-ahead
+// queue drained in a callback.
 func (m *Machine) ThreadResumes() uint64 { return m.threadResumes }

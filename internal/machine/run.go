@@ -19,10 +19,10 @@ type Program interface {
 	// DataPages returns the virtual-memory footprint in pages (for
 	// reporting; Table 2 of the paper).
 	DataPages() int64
-	// Run executes thread `proc` of the application to completion. A
-	// Touch or Compute may take effect after its call returns (see Ctx),
-	// so Go state shared between threads may be handed over only across
-	// a Barrier or Lock operation.
+	// Run executes thread `proc` of the application to completion. An
+	// operation may take effect after its call returns (see Ctx), so Go
+	// state shared between threads may be handed over only across a
+	// Barrier or Lock operation.
 	Run(ctx *Ctx, proc int)
 }
 
@@ -109,7 +109,7 @@ func (m *Machine) strandedThreads(threads []*Ctx) error {
 	var stuck []string
 	for _, c := range threads {
 		if !c.done {
-			stuck = append(stuck, fmt.Sprintf("cpu%d waits on %s since t=%d", c.proc, c.waitOn, c.since))
+			stuck = append(stuck, fmt.Sprintf("cpu%d waits on %s since t=%d", c.proc, c.waitingOn(), c.since))
 		}
 	}
 	if stuck == nil {

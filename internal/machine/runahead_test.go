@@ -3,6 +3,7 @@ package machine
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"nwcache/internal/disk"
 	"nwcache/internal/param"
@@ -188,13 +189,15 @@ func TestProgramPanicMidStreamEscapesRun(t *testing.T) {
 	}
 }
 
-// Once its pages are resident, a thread's Touch and Compute operations run
-// through the run-ahead queue and the callback chain without allocating,
-// coherent-cache hits and misses alike.
+// Once its pages are resident, a thread's operations run through the
+// run-ahead queue and the callback chain without allocating: Touch and
+// Compute, coherent-cache hits and misses alike, a lock acquire and
+// release, and a one-page file read and write.
 func TestChainOpsAllocateNothing(t *testing.T) {
 	cfg := smallCfg()
 	cfg.MemPerNode = 32 * cfg.PageSize
 	var allocs float64
+	var reads, writes uint64
 	prog := &testProg{name: "allocs", pages: 24, fn: func(ctx *Ctx, proc int) {
 		if proc != 0 {
 			return
@@ -205,10 +208,16 @@ func TestChainOpsAllocateNothing(t *testing.T) {
 				ctx.Write(0, 0, 1)             // ...beside a block that always hits
 				ctx.Compute(10)
 			}
+			ctx.LockAcquire(1)
+			ctx.LockRelease(1)
+			ctx.FileRead(40, 1) // file pages beside the 24 data pages
+			ctx.FileWrite(41, 1)
 			ctx.Now()
 		}
 		touchAll()
 		allocs = testing.AllocsPerRun(20, touchAll)
+		n := ctx.Machine().Nodes[0]
+		reads, writes = n.ExplicitReads, n.ExplicitWrites
 	}}
 	cfg.L2SubBlocks = 64 // smaller than the 96 cycling blocks: they miss
 	res := runProg(t, cfg, NWCache, disk.Naive, prog)
@@ -217,5 +226,17 @@ func TestChainOpsAllocateNothing(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("steady-state chain ops allocate %.1f per batch, want 0", allocs)
+	}
+	// One batch to warm up, then AllocsPerRun's warm-up run and its 20.
+	if reads != 22 || writes != 22 {
+		t.Fatalf("%d file reads and %d file writes ran, want 22 each", reads, writes)
+	}
+}
+
+// A queued operation stays 16 bytes: each CPU's queue holds runAhead of
+// them, allocated per run.
+func TestQueuedOpIs16Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(cpuOp{}); n != 16 {
+		t.Fatalf("cpuOp is %d bytes, want 16", n)
 	}
 }

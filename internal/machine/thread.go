@@ -7,9 +7,9 @@ import "iter"
 // An application thread is a coroutine (iter.Pull) over its program,
 // owned by the machine. It runs only while an engine callback has resumed
 // it, so it never races the engine, and it gives control back at exactly
-// one point, Ctx.block. Each wait first hands c.resume to the engine or a
-// primitive (At, WaitThen, ArriveThen, Resume) and then blocks; the
-// callback that ends the wait resumes the thread.
+// one point, Ctx.block, which only Ctx.drain calls: the thread's waits are
+// all steps of its CPU's chain (cpu.go), and the chain's callback resumes
+// it (Engine.Resume) once the queue has drained.
 
 // threadStopped unwinds a stranded thread's coroutine when Machine.Run
 // stops it.
@@ -36,15 +36,13 @@ func (c *Ctx) start(prog Program) {
 		m.threadResumes++
 		c.pull()
 	}
-	c.waitOn = "start"
 	m.E.At(0, c.resume)
 }
 
-// block suspends the thread until a callback resumes it; on labels the
-// wait for the stranded-thread report. When Run stops a stranded thread,
-// block unwinds it instead of returning.
-func (c *Ctx) block(on string) {
-	c.waitOn, c.since = on, c.m.E.Now()
+// block suspends the thread until a callback resumes it. When Run stops a
+// stranded thread, block unwinds it instead of returning.
+func (c *Ctx) block() {
+	c.since = c.m.E.Now()
 	if !c.yield(struct{}{}) {
 		panic(threadStopped{})
 	}

@@ -260,3 +260,45 @@ func TestStoppedThreadsRunDefers(t *testing.T) {
 		t.Fatalf("stopped thread ran %q, want %q", ran, want)
 	}
 }
+
+// The Program contract: Go state a thread writes before a Barrier, or
+// before a LockRelease, is seen by another thread after its own Barrier,
+// or after its LockAcquire of the same lock. The writer writes only once
+// the clock has moved past the reader's call, so a Barrier or LockAcquire
+// that returned with its operation only queued would read too early.
+func TestSyncHandsOverGoState(t *testing.T) {
+	for _, name := range []string{"barrier", "lock"} {
+		lock := name == "lock"
+		t.Run(name, func(t *testing.T) {
+			shared, seen := 0, -1
+			prog := &testProg{name: name, pages: 8, fn: func(ctx *Ctx, proc int) {
+				switch {
+				case proc == 0 && lock:
+					ctx.LockAcquire(1)
+					ctx.Compute(1000)
+					ctx.Now()
+					shared = 42
+					ctx.LockRelease(1)
+				case proc == 0:
+					ctx.Compute(1000)
+					ctx.Now()
+					shared = 42
+					ctx.Barrier()
+				case lock:
+					ctx.Compute(10)
+					ctx.Now() // cpu0 holds the lock by now
+					ctx.LockAcquire(1)
+					seen = shared
+					ctx.LockRelease(1)
+				default:
+					ctx.Barrier()
+					seen = shared
+				}
+			}}
+			runProg(t, smallCfg(), NWCache, disk.Naive, prog)
+			if seen != 42 {
+				t.Fatalf("cpu1 read %d after its %s, want the 42 cpu0 wrote before its own", seen, name)
+			}
+		})
+	}
+}

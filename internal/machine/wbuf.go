@@ -125,16 +125,6 @@ func (wb *writeBuffer) occupancy() int {
 // queued returns the number of entries waiting to drain (tests).
 func (wb *writeBuffer) queued() int { return wb.count }
 
-// fence blocks the thread until every buffered write has retired (a
-// release operation under Release Consistency).
-func (c *Ctx) fence() {
-	wb := c.n.WB
-	for wb != nil && (wb.count > 0 || wb.inFly) {
-		wb.empty.WaitThen(c.resume)
-		c.block("write-buffer fence")
-	}
-}
-
 // drain retires buffered writes through the coherence protocol. It is a
 // callback chain started at construction and resumed through wb.step.
 func (wb *writeBuffer) drain() {

@@ -161,14 +161,14 @@ func (c *Cache) Get(key string) (*Entry, bool) {
 	return &e, true
 }
 
-// Put writes the entry with write-then-verify semantics: temp file,
-// sync, atomic rename, then a read-back of the final path that must
-// equal the bytes written. Those bytes encode an entry whose digest
-// was verified against its result, so an equal read-back is a
-// digest-verified entry. The whole sequence is retried under the
-// cache's retry budget — each attempt uses a fresh temp file and the
-// rename is atomic, so a failed attempt never leaves a torn entry under
-// the final name.
+// Put writes the entry with verify-then-rename semantics: temp file,
+// sync, a read-back of the temp file that must equal the bytes written,
+// then an atomic rename to the final path. Those bytes encode an entry
+// whose digest was verified against its result, so only a
+// digest-verified entry ever takes the final name. The whole sequence is
+// retried under the cache's retry budget — each attempt uses a fresh
+// temp file, removed when the attempt fails — so a failed attempt never
+// leaves a torn entry under the final name.
 func (c *Cache) Put(e *Entry) error {
 	if e.Key == "" || e.Result == nil {
 		return fmt.Errorf("sweep: cache entry needs a key and a result")
@@ -190,8 +190,8 @@ func (c *Cache) Put(e *Entry) error {
 	return nil
 }
 
-// putOnce is one complete Put attempt: temp write, sync, atomic
-// rename, byte-exact read-back.
+// putOnce is one complete Put attempt: temp write, sync, byte-exact
+// read-back of the temp file, atomic rename.
 func (c *Cache) putOnce(final, key string, blob []byte) error {
 	if err := c.fsys.MkdirAll(filepath.Dir(final), 0o755); err != nil {
 		return err
@@ -215,20 +215,23 @@ func (c *Cache) putOnce(final, key string, blob []byte) error {
 		c.fsys.Remove(tmpName)
 		return err
 	}
-	if err := c.fsys.Rename(tmpName, final); err != nil {
-		c.fsys.Remove(tmpName)
-		return err
-	}
-	// Read-back verification: the file under its final name must hold
-	// exactly the bytes written (a torn or short write never does).
-	back, err := c.fsys.ReadFile(final)
+	// Read-back verification: the temp file must hold exactly the bytes
+	// written (a torn or short write never does) before it takes the
+	// final name.
+	back, err := c.fsys.ReadFile(tmpName)
 	if err != nil {
-		return fmt.Errorf("sweep: cache verify read %s: %w", final, err)
+		c.fsys.Remove(tmpName)
+		return fmt.Errorf("sweep: cache verify read %s: %w", tmpName, err)
 	}
 	if !bytes.Equal(back, blob) {
+		c.fsys.Remove(tmpName)
 		// A fresh attempt rewrites the entry from scratch; treat the
 		// bad read-back as transient so the retry budget can repair it.
 		return guard.MarkTransient(fmt.Errorf("sweep: cache verify failed for %s", final))
+	}
+	if err := c.fsys.Rename(tmpName, final); err != nil {
+		c.fsys.Remove(tmpName)
+		return err
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package sweep
 import (
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"nwcache/internal/core"
@@ -123,7 +124,8 @@ func (f *silentTearFile) Write(p []byte) (int, error) {
 
 // The read-back check catches a torn write that reported success: Put
 // retries it into a clean entry, and fails once the retry budget is
-// spent on tears.
+// spent on tears, leaving neither a torn entry under the final name nor
+// a temp file.
 func TestCachePutCatchesSilentTear(t *testing.T) {
 	c := fastCell(1)
 	res := &core.Result{ExecTime: 12345}
@@ -144,8 +146,15 @@ func TestCachePutCatchesSilentTear(t *testing.T) {
 	}
 
 	fsys.tears = 1 << 20
+	torn := fastCell(2).Key()
 	if err := cache.Put(&Entry{Record: NewRecord(fastCell(2), res, nil, nil)}); err == nil {
 		t.Fatal("put succeeded although every write tore")
+	}
+	if _, err := os.Stat(cache.path(torn)); !os.IsNotExist(err) {
+		t.Fatalf("a failed put left an entry under the final name: %v", err)
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(filepath.Dir(cache.path(torn)), ".tmp-*")); len(tmps) > 0 {
+		t.Fatalf("a failed put left temp files: %v", tmps)
 	}
 }
 

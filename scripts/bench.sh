@@ -9,6 +9,7 @@
 #   BenchmarkThreadResume           CPU thread block/resume round trip (two threads in lockstep)
 #   BenchmarkCtxTouch               one CPU's Touch chain on resident pages (CC hits + misses)
 #   BenchmarkPageFault              one CPU faulting pages in from the ring and the disk cache
+#   BenchmarkRingInsertRelease      optical ring insert + release through the entry free list
 #   BenchmarkMeshTransit            precomputed-route mesh reservation
 #   BenchmarkFramePoolTouch         LRU refresh on the per-access path
 #   BenchmarkFramePoolEvict         reserve/adopt/unmap/release cycle
@@ -50,7 +51,7 @@ trap 'rm -f "$raw"' EXIT
 # Micro-benchmarks: GOMAXPROCS=1, N samples each via -count; the awk
 # pass below keeps the minimum per benchmark.
 GOMAXPROCS=1 go test -run '^$' \
-  -bench '^(BenchmarkEngineEventThroughput|BenchmarkCallbackHandoff|BenchmarkThreadResume|BenchmarkCtxTouch|BenchmarkPageFault|BenchmarkMeshTransit)$' \
+  -bench '^(BenchmarkEngineEventThroughput|BenchmarkCallbackHandoff|BenchmarkThreadResume|BenchmarkCtxTouch|BenchmarkPageFault|BenchmarkRingInsertRelease|BenchmarkMeshTransit)$' \
   -benchmem -benchtime "$micro_bt" -count "$samples" . | tee "$raw" >&2
 GOMAXPROCS=1 go test -run '^$' \
   -bench '^(BenchmarkFramePoolTouch|BenchmarkFramePoolEvict)$' \

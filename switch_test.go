@@ -13,8 +13,7 @@ import (
 // switchCfg is a small, memory-pressured configuration: six frames per
 // node make gauss and fft fault, swap out and (on the NWCache machine)
 // hit the ring at scale 0.1. TLB-shootdown interrupts cost nothing, so a
-// thread never sleeps to pay for them and every thread resume is
-// accounted for exactly below.
+// thread never sleeps to pay for them.
 func switchCfg() param.Config {
 	cfg := core.DefaultConfig()
 	cfg.Scale = 0.1
@@ -24,32 +23,50 @@ func switchCfg() param.Config {
 	return cfg
 }
 
-// barrierWaits counts the barrier waits app's threads take: every
-// arrival but the last of each barrier episode blocks once.
-func barrierWaits(t *testing.T, app string, cfg param.Config) uint64 {
+// runAhead is the machine's run-ahead bound: a thread runs its queued
+// operations once it holds this many.
+const runAhead = 64
+
+// syncPoints replays app's operations through a model of each thread's
+// run-ahead queue. It returns the barrier waits the threads take (every
+// arrival but the last of each barrier episode waits once) and the drain
+// points: each place a thread runs its queue and may block once — a full
+// queue, a Barrier or LockAcquire, and the program's end with operations
+// still queued. A recording Ctx refuses Now and Machine, the only other
+// drain points, so the recorded stream shows every one.
+func syncPoints(t *testing.T, app string, cfg param.Config) (waits, drains uint64) {
 	prog, err := core.NewProgram(app, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var arrivals uint64
 	for proc := 0; proc < cfg.Nodes; proc++ {
+		queued := 0
 		prog.Run(machine.NewRecordingCtx(proc, cfg.Nodes, cfg.Seed, func(ev machine.OpEvent) {
-			switch ev.Kind {
-			case machine.OpBarrier:
+			queued++
+			if ev.Kind == machine.OpBarrier {
 				arrivals++
-			case machine.OpLockAcquire, machine.OpLockRelease, machine.OpFileRead, machine.OpFileWrite:
-				t.Fatalf("%s: op %v is outside this accounting", app, ev.Kind)
+			}
+			if queued == runAhead || ev.Kind == machine.OpBarrier || ev.Kind == machine.OpLockAcquire {
+				drains++
+				queued = 0
 			}
 		}), proc)
+		if queued > 0 {
+			drains++
+		}
 	}
-	return arrivals - arrivals/uint64(cfg.Nodes)
+	return arrivals - arrivals/uint64(cfg.Nodes), drains
 }
 
 // The fault path and every daemon (disk write-back, prefetch fills, DCD
-// destage, NWCache drain, write-buffer drain) run as engine callbacks:
-// only the CPU threads are coroutines, and a thread is resumed only to
-// start, at the end of a barrier wait, or by the callback that drains its
-// run-ahead queue (a Resume). So the thread resumes are exactly those.
+// destage, NWCache drain, write-buffer drain) run as engine callbacks,
+// and so does every wait of a CPU thread, a barrier wait included: only
+// the CPU threads are coroutines, and a thread is resumed only to start
+// or by the callback of its CPU's chain that drains its run-ahead queue
+// (a Resume). So a thread blocks at most once per drain point of its
+// program, however many faults its queue takes, and at least once per
+// barrier wait.
 func TestFaultPathTakesNoSwitch(t *testing.T) {
 	type variant struct {
 		name string
@@ -87,7 +104,7 @@ func TestFaultPathTakesNoSwitch(t *testing.T) {
 
 func checkSwitches(t *testing.T, app string, kind machine.Kind, mode disk.PrefetchMode, cfg param.Config) {
 	t.Helper()
-	waits := barrierWaits(t, app, cfg)
+	waits, points := syncPoints(t, app, cfg)
 	m, err := core.NewMachine(cfg, kind, mode)
 	if err != nil {
 		t.Fatal(err)
@@ -100,17 +117,24 @@ func checkSwitches(t *testing.T, app string, kind machine.Kind, mode disk.Prefet
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("%d faults (%d ring hits), %d swap-outs; %d thread resumes, %d of them Resumes",
-		res.Faults, res.RingHits, res.SwapOuts, m.ThreadResumes(), m.E.Resumes())
+	starts, resumes := uint64(cfg.Nodes), m.ThreadResumes()
+	t.Logf("%d faults (%d ring hits), %d swap-outs; %d thread resumes, %d barrier waits, %d drain points",
+		res.Faults, res.RingHits, res.SwapOuts, resumes, waits, points)
 	if res.SwapOuts == 0 || res.Faults <= res.SwapOuts/2 {
 		t.Fatalf("no memory pressure: %d faults, %d swap-outs", res.Faults, res.SwapOuts)
 	}
 	if kind == machine.NWCache && res.RingHits == 0 {
 		t.Fatal("no ring hits: the ring fetch went unexercised")
 	}
-	starts, drains := uint64(cfg.Nodes), m.E.Resumes()
-	if got, want := m.ThreadResumes(), starts+waits+drains; got != want {
-		t.Errorf("thread resumes = %d, want %d (%d starts + %d barrier waits + %d queue drains ending in a callback)",
-			got, want, starts, waits, drains)
+	if waits == 0 {
+		t.Fatal("no barrier wait: the barrier's chain step went unexercised")
+	}
+	if got, want := resumes, starts+m.E.Resumes(); got != want {
+		t.Errorf("thread resumes = %d, want %d (%d starts + %d Resumes by a chain)",
+			got, want, starts, m.E.Resumes())
+	}
+	if blocks := resumes - starts; blocks < waits || blocks > points {
+		t.Errorf("threads blocked %d times, want between %d barrier waits and %d drain points",
+			blocks, waits, points)
 	}
 }
