@@ -80,10 +80,11 @@ type slot struct {
 	seq        uint64 // arrival order of dirty data (write-back order)
 }
 
-// nackEntry records a rejected swap-out awaiting an OK.
+// nackEntry records a NACKed write and the writer's step its OK runs.
 type nackEntry struct {
 	Node int
 	Page PageID
+	Step func()
 }
 
 // Disk is one drive + controller.
@@ -142,9 +143,9 @@ type Disk struct {
 	pfJobs []*prefetchJob // idle prefetch jobs
 
 	// NotifyOK is invoked when controller-cache room appears for a
-	// previously NACKed write; the machine layer turns it into an OK
-	// message to the node. Must be set before use if writes can NACK.
-	NotifyOK func(node int, page PageID)
+	// previously NACKed write; the machine layer sends the node an OK
+	// message that runs step. Must be set before use if writes can NACK.
+	NotifyOK func(node int, page PageID, step func())
 	// OnRoom, if set, fires after each completed media write-back, i.e.
 	// whenever cache room may have appeared (used to kick the NWCache
 	// interface's drain loop).
@@ -353,8 +354,9 @@ const (
 // ReadReq is one page read request at the controller, a continuation the
 // requester owns and reuses: it fills From, Page, Block and Done, and Read
 // reports how the controller served the read in Outcome. Done is called
-// only as the last action of a whole engine event, so the requester may
-// run on from it in the slot of that event.
+// only as the last action of a whole engine event. Requesters rely on
+// that contract: they run on from Done in the slot of that event, and a
+// CPU chain resumes its thread from inside it.
 type ReadReq struct {
 	From    int    // requesting node
 	Page    PageID // the page
@@ -600,8 +602,9 @@ func (d *Disk) BookWrite() sim.Time {
 
 // AnswerWrite decides a booked swap-out write. On ACK the page occupies a
 // cache slot and is scheduled for combined write-back. On NACK the
-// (node, page) pair is queued; NotifyOK fires when room appears.
-func (d *Disk) AnswerWrite(node int, page PageID, block int64) WriteStatus {
+// (node, page, step) entry is queued; NotifyOK hands step on when room
+// appears (nil: the writer will not resend).
+func (d *Disk) AnswerWrite(node int, page PageID, block int64, step func()) WriteStatus {
 	if i := d.find(page); i >= 0 {
 		// Overwrite of a page still cached: update in place.
 		d.slots[i].dirty = true
@@ -617,7 +620,7 @@ func (d *Disk) AnswerWrite(node int, page PageID, block int64) WriteStatus {
 	i := d.victim()
 	if i < 0 {
 		d.WritesNACK++
-		d.nackFIFO = append(d.nackFIFO, nackEntry{Node: node, Page: page})
+		d.nackFIFO = append(d.nackFIFO, nackEntry{Node: node, Page: page, Step: step})
 		return NACK
 	}
 	d.seqCounter++
@@ -839,7 +842,7 @@ func (d *Disk) releaseNACKs() {
 		panic(fmt.Sprintf("disk %s: NACKed writes but NotifyOK unset", d.name))
 	}
 	for _, en := range batch {
-		d.NotifyOK(en.Node, en.Page)
+		d.NotifyOK(en.Node, en.Page, en.Step)
 	}
 }
 

@@ -12,7 +12,7 @@ func newDisk(mode PrefetchMode) (*sim.Engine, *Disk, param.Config) {
 	e := sim.New()
 	cfg := param.Default()
 	d := New(e, "d0", cfg, mode)
-	d.NotifyOK = func(node int, page PageID) {}
+	d.NotifyOK = func(node int, page PageID, step func()) {}
 	return e, d, cfg
 }
 
@@ -47,9 +47,9 @@ func do(f func()) step {
 
 // read serves one page read on the continuation form, storing its
 // outcome in out (when non-nil). The script goes on once the controller
-// has the data: at once when Read serves it synchronously, otherwise as
-// soon as the disk callback that delivers it returns.
-func read(e *sim.Engine, d *Disk, from int, page PageID, block int64, out *ReadOutcome) step {
+// has the data: at once when Read serves it synchronously, otherwise
+// from Done, the last action of the disk callback that delivers it.
+func read(d *Disk, from int, page PageID, block int64, out *ReadOutcome) step {
 	return func(next func()) {
 		r := &ReadReq{From: from, Page: page, Block: block}
 		done := func() {
@@ -58,7 +58,7 @@ func read(e *sim.Engine, d *Disk, from int, page PageID, block int64, out *ReadO
 			}
 			next()
 		}
-		r.Done = func() { e.Resume(done) }
+		r.Done = done
 		if d.Read(r) {
 			done()
 		}
@@ -70,7 +70,7 @@ func read(e *sim.Engine, d *Disk, from int, page PageID, block int64, out *ReadO
 func write(e *sim.Engine, d *Disk, node int, page PageID, block int64, out *WriteStatus) step {
 	return func(next func()) {
 		answer := func() {
-			st := d.AnswerWrite(node, page, block)
+			st := d.AnswerWrite(node, page, block, nil)
 			if out != nil {
 				*out = st
 			}
@@ -95,7 +95,7 @@ type okQueue struct {
 
 func newOKQueue(e *sim.Engine, d *Disk) *okQueue {
 	q := &okQueue{e: e, d: d, ok: sim.NewCond(e)}
-	d.NotifyOK = func(node int, page PageID) {
+	d.NotifyOK = func(node int, page PageID, step func()) {
 		q.pages = append(q.pages, page)
 		q.ok.Signal()
 	}
@@ -134,7 +134,7 @@ func (q *okQueue) writeAcked(node int, page PageID) step {
 func TestReadMissThenHitNaive(t *testing.T) {
 	e, d, _ := newDisk(Naive)
 	var first, second ReadOutcome
-	script(e, read(e, d, 0, 10, 10, &first), read(e, d, 0, 10, 10, &second))
+	script(e, read(d, 0, 10, 10, &first), read(d, 0, 10, 10, &second))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestReadMissThenHitNaive(t *testing.T) {
 func TestReadMissTakesMediaTime(t *testing.T) {
 	e, d, cfg := newDisk(Naive)
 	var took sim.Time
-	script(e, read(e, d, 0, 5, 5, nil), do(func() { took = e.Now() }))
+	script(e, read(d, 0, 5, 5, nil), do(func() { took = e.Now() }))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestOptimalModeAllReadsHit(t *testing.T) {
 	outcomes := make([]ReadOutcome, 50)
 	var steps []step
 	for pg := range outcomes {
-		steps = append(steps, read(e, d, 0, PageID(pg), int64(pg), &outcomes[pg]))
+		steps = append(steps, read(d, 0, PageID(pg), int64(pg), &outcomes[pg]))
 	}
 	script(e, steps...)
 	if err := e.Run(); err != nil {
@@ -188,11 +188,11 @@ func TestNaivePrefetchFillsSequentialPages(t *testing.T) {
 	e, d, _ := newDisk(Naive)
 	var followUp, immediate ReadOutcome
 	script(e,
-		read(e, d, 0, 100, 100, nil),
+		read(d, 0, 100, 100, nil),
 		// Request the next page while its prefetch is still streaming.
-		read(e, d, 0, 101, 101, &immediate),
+		read(d, 0, 101, 101, &immediate),
 		sleep(e, 10*param.PcyclesPerMsec), // let the rest finish
-		read(e, d, 0, 102, 102, &followUp),
+		read(d, 0, 102, 102, &followUp),
 	)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -222,7 +222,7 @@ func TestWriteNACKWhenFullOfSwapOutsAndOKFollows(t *testing.T) {
 	cfg := param.Default()
 	d := New(e, "d0", cfg, Naive)
 	var oks []PageID
-	d.NotifyOK = func(node int, page PageID) { oks = append(oks, page) }
+	d.NotifyOK = func(node int, page PageID, step func()) { oks = append(oks, page) }
 	// Fill all 4 slots plus one extra; use scattered blocks so no
 	// combining hides the backlog.
 	statuses := make([]WriteStatus, 5)
@@ -252,7 +252,7 @@ func TestWritesPreferredOverPrefetches(t *testing.T) {
 	e, d, _ := newDisk(Naive)
 	statuses := make([]WriteStatus, 4)
 	steps := []step{
-		read(e, d, 0, 100, 100, nil), // miss + prefetch fills cache with 101..103
+		read(d, 0, 100, 100, nil), // miss + prefetch fills cache with 101..103
 		sleep(e, 10*param.PcyclesPerMsec),
 	}
 	// Now the cache is full of clean data; writes must evict it.
@@ -341,7 +341,7 @@ func TestDirtyOverwriteInCache(t *testing.T) {
 func TestInvalidateCleanOnly(t *testing.T) {
 	e, d, _ := newDisk(Naive)
 	script(e,
-		read(e, d, 0, 42, 42, nil),
+		read(d, 0, 42, 42, nil),
 		do(func() {
 			if !d.Invalidate(42) {
 				t.Error("clean page not invalidated")
@@ -406,7 +406,7 @@ func TestStreamedModeDetectsSequentialStream(t *testing.T) {
 	var steps []step
 	for i := range outcomes {
 		b := int64(10 + i)
-		steps = append(steps, read(e, d, 0, PageID(b), b, &outcomes[i]),
+		steps = append(steps, read(d, 0, PageID(b), b, &outcomes[i]),
 			sleep(e, 100_000)) // think time between requests
 	}
 	script(e, steps...)
@@ -429,7 +429,7 @@ func TestStreamedModeIgnoresRandomRequester(t *testing.T) {
 	// Non-sequential requests must not trigger read-ahead.
 	var steps []step
 	for _, b := range []int64{10, 500, 90, 3000, 42} {
-		steps = append(steps, read(e, d, 0, PageID(b), b, nil))
+		steps = append(steps, read(d, 0, PageID(b), b, nil))
 	}
 	script(e, steps...)
 	if err := e.Run(); err != nil {
@@ -451,15 +451,15 @@ func TestStreamedModeTracksStreamsPerNode(t *testing.T) {
 	// state is tracked per requester, so node 1's intervening read must
 	// not break node 0's stream detection.
 	script(e,
-		read(e, d, 0, 10, 10, nil),
-		read(e, d, 1, 500, 500, nil),
-		read(e, d, 0, 11, 11, nil), // node 0 stream confirmed -> read-ahead of 12
+		read(d, 0, 10, 10, nil),
+		read(d, 1, 500, 500, nil),
+		read(d, 0, 11, 11, nil), // node 0 stream confirmed -> read-ahead of 12
 		sleep(e, 10*param.PcyclesPerMsec),
-		read(e, d, 0, 12, 12, &n0Hit),
+		read(d, 0, 12, 12, &n0Hit),
 		// Now node 1 continues its own stream.
-		read(e, d, 1, 501, 501, nil), // node 1 stream confirmed -> read-ahead of 502
+		read(d, 1, 501, 501, nil), // node 1 stream confirmed -> read-ahead of 502
 		sleep(e, 10*param.PcyclesPerMsec),
-		read(e, d, 1, 502, 502, &n1Hit),
+		read(d, 1, 502, 502, &n1Hit),
 	)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -477,7 +477,7 @@ func TestReadPriorityArmServesReadsFirst(t *testing.T) {
 	cfg := param.Default()
 	cfg.DiskReadPriority = true
 	d := New(e, "d0", cfg, Naive)
-	d.NotifyOK = func(node int, page PageID) {}
+	d.NotifyOK = func(node int, page PageID, step func()) {}
 	var readDone, firstWBDone sim.Time
 	// Queue several scattered writes: the write-back daemon grabs the
 	// arm. Then issue a read; with priority scheduling it should be
@@ -488,7 +488,7 @@ func TestReadPriorityArmServesReadsFirst(t *testing.T) {
 	}
 	script(e, append(steps,
 		sleep(e, 1000), // let the first write-back start
-		read(e, d, 0, 9000, 9000, nil),
+		read(d, 0, 9000, 9000, nil),
 		do(func() { readDone = e.Now() }),
 	)...)
 	if err := e.Run(); err != nil {
@@ -515,7 +515,7 @@ func newDCDDisk() (*sim.Engine, *Disk, param.Config) {
 	cfg := param.Default()
 	cfg.DCD = true
 	d := New(e, "d0", cfg, Naive)
-	d.NotifyOK = func(node int, page PageID) {}
+	d.NotifyOK = func(node int, page PageID, step func()) {}
 	return e, d, cfg
 }
 
@@ -557,7 +557,7 @@ func TestDCDLoggedBlocksReadableBeforeDestage(t *testing.T) {
 	// servable (from the log) without corrupting state.
 	steps := []step{write(e, d, 0, 7, 7, nil), sleep(e, 5*param.PcyclesPerMsec)}
 	for i := 0; i < 4; i++ {
-		steps = append(steps, read(e, d, 0, PageID(100+i*50), int64(100+i*50), nil)) // evict page 7 from RAM cache
+		steps = append(steps, read(d, 0, PageID(100+i*50), int64(100+i*50), nil)) // evict page 7 from RAM cache
 	}
 	script(e, append(steps,
 		do(func() {
@@ -565,7 +565,7 @@ func TestDCDLoggedBlocksReadableBeforeDestage(t *testing.T) {
 				t.Error("page 7 still in RAM cache; test premise broken")
 			}
 		}),
-		read(e, d, 0, 7, 7, &outcome),
+		read(d, 0, 7, 7, &outcome),
 	)...)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -629,13 +629,13 @@ func TestReadPriorityDiskStillDrainsWrites(t *testing.T) {
 	cfg := param.Default()
 	cfg.DiskReadPriority = true
 	d := New(e, "d0", cfg, Naive)
-	d.NotifyOK = func(node int, page PageID) {}
+	d.NotifyOK = func(node int, page PageID, step func()) {}
 	var steps []step
 	for i := 0; i < 3; i++ {
 		steps = append(steps, write(e, d, 0, PageID(i*333), int64(i*333), nil))
 	}
 	for i := 0; i < 6; i++ {
-		steps = append(steps, read(e, d, 0, PageID(9000+i*111), int64(9000+i*111), nil))
+		steps = append(steps, read(d, 0, PageID(9000+i*111), int64(9000+i*111), nil))
 	}
 	script(e, steps...)
 	if err := e.Run(); err != nil {

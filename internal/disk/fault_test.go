@@ -26,14 +26,14 @@ func TestReadRetriesThenGivesUp(t *testing.T) {
 	eb, db, cfg := newDisk(Naive) // fault-free baseline
 	var faulted, clean sim.Time
 	var s fault.Stats
-	script(e, read(e, d, 0, 5, 5, nil), do(func() {
+	script(e, read(d, 0, 5, 5, nil), do(func() {
 		faulted = e.Now()
 		s = inj.Stats // before the background prefetch retries too
 	}))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	script(eb, read(eb, db, 0, 5, 5, nil), do(func() { clean = eb.Now() }))
+	script(eb, read(db, 0, 5, 5, nil), do(func() { clean = eb.Now() }))
 	if err := eb.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestReadRetriesThenGivesUp(t *testing.T) {
 func TestBadBlockRemapSlipsHead(t *testing.T) {
 	e, d, inj := faultedDisk(t, "disk bad-block disk=0 block=50\n")
 	var head int64
-	script(e, read(e, d, 0, 50, 50, nil), do(func() {
+	script(e, read(d, 0, 50, 50, nil), do(func() {
 		head = d.headPos // before the background prefetch moves it
 	}))
 	if err := e.Run(); err != nil {
@@ -69,11 +69,11 @@ func TestDegradedWindowMultipliesLatency(t *testing.T) {
 	e, d, inj := faultedDisk(t, "disk degraded disk=0 from=0 until=100000000 mult=4\n")
 	eb, db, cfg := newDisk(Naive)
 	var faulted, clean sim.Time
-	script(e, read(e, d, 0, 5, 5, nil), do(func() { faulted = e.Now() }))
+	script(e, read(d, 0, 5, 5, nil), do(func() { faulted = e.Now() }))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	script(eb, read(eb, db, 0, 5, 5, nil), do(func() { clean = eb.Now() }))
+	script(eb, read(db, 0, 5, 5, nil), do(func() { clean = eb.Now() }))
 	if err := eb.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +111,11 @@ func TestEmptyPlanLeavesTimingUntouched(t *testing.T) {
 	e, d, inj := faultedDisk(t, "")
 	eb, db, _ := newDisk(Naive)
 	var faulted, clean sim.Time
-	script(e, read(e, d, 0, 5, 5, nil), write(e, d, 0, 9, 9, nil), do(func() { faulted = e.Now() }))
+	script(e, read(d, 0, 5, 5, nil), write(e, d, 0, 9, 9, nil), do(func() { faulted = e.Now() }))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	script(eb, read(eb, db, 0, 5, 5, nil), write(eb, db, 0, 9, 9, nil), do(func() { clean = eb.Now() }))
+	script(eb, read(db, 0, 5, 5, nil), write(eb, db, 0, 9, 9, nil), do(func() { clean = eb.Now() }))
 	if err := eb.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -5,10 +5,10 @@ package machine
 // Every wait is a step of that chain — the whole fault path, a barrier or
 // lock wait, an interrupt or system-call sleep, a write-buffer fence, and
 // the disk transfers of explicit file I/O — so the thread blocks only in
-// Ctx.drain while the chain runs, and is resumed with sim.Engine.Resume
-// once the queue has drained. Every callback of the chain is a whole
+// Ctx.drain while the chain runs. Every callback of the chain is a whole
 // engine event or ends one (a disk read's Done, see disk.ReadReq), so a
-// step runs in the slot where the thread itself would run it.
+// step runs in the slot where the thread itself would run it, and the
+// callback that drains the queue resumes the thread in place.
 
 import (
 	"nwcache/internal/coherence"
@@ -147,11 +147,11 @@ func (c *Ctx) drain() {
 	c.ops, c.next = c.ops[:0], 0
 }
 
-// wake is the chain's callback: it runs on, and resumes the thread once
-// the queue has drained.
+// wake is the chain's callback: it runs on, and once the queue has
+// drained it resumes the thread as its last action.
 func (c *Ctx) wake() {
 	if c.advance() == chainDrained {
-		c.m.E.Resume(c.resume)
+		c.resume()
 		return
 	}
 	c.since = c.m.E.Now()
@@ -514,18 +514,8 @@ func (c *Ctx) advance() chainState {
 				return chainTimed
 			}
 		case csSend:
-			// The page crosses the memory bus, the mesh and the disk
-			// node's I/O bus.
-			_, dn := m.DiskFor(page)
-			stages := append(n.stageBuf[:0], sim.Stage{
-				Res: n.MemBus, Occupy: m.pageMemBus, Forward: m.Cfg.HopLatency,
-			})
-			stages = m.Mesh.AppendPathStages(stages, n.ID, dn, m.Cfg.PageSize)
-			stages = append(stages, sim.Stage{Res: m.Nodes[dn].IOBus, Occupy: m.pageIOBus})
-			_, arrive := sim.Pipeline(m.E.Now(), stages)
-			n.stageBuf = stages[:0]
 			c.at = csBook
-			if c.waitUntil(arrive) {
+			if c.waitUntil(m.sendPage(n, page)) {
 				return chainTimed
 			}
 		case csBook:
@@ -536,10 +526,8 @@ func (c *Ctx) advance() chainState {
 			}
 		case csAnswer:
 			d, dn := m.DiskFor(page)
-			if d.AnswerWrite(n.ID, page, m.Layout.BlockFor(page)) == disk.NACK {
-				// Wait for the controller's OK, then resend.
-				n.queueOK(page, n.fileOK)
-				n.fileOK.WaitThen(c.step)
+			if d.AnswerWrite(n.ID, page, m.Layout.BlockFor(page), c.step) == disk.NACK {
+				// The controller's OK runs the chain again: resend.
 				c.at = csOK
 				return chainTimed
 			}
@@ -548,7 +536,6 @@ func (c *Ctx) advance() chainState {
 				return chainTimed
 			}
 		case csOK:
-			n.dropOK(n.fileOK)
 			c.at = csSend
 		case csPageDone:
 			if op.kind == OpFileRead {

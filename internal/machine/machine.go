@@ -64,8 +64,6 @@ type Node struct {
 
 	pendingIntr int64          // interrupt cycles to charge at next op
 	swapSem     *sim.Semaphore // bounds outstanding swap-outs
-	okWaits     []okWait       // NACKed swap-outs awaiting the disk's OK
-	fileOK      *sim.Cond      // the CPU's OK wait for an explicit write
 	chanRoom    *sim.Cond      // NWCache: channel slot freed
 	ringTx      *sim.Mutex     // NWCache: the node's single fixed transmitter
 	WB          *writeBuffer   // coalescing write buffer (nil when disabled)
@@ -149,12 +147,6 @@ type Machine struct {
 	msgPool []*meshMsg
 }
 
-// okWait is one swap-out (or explicit write) waiting on a disk's OK message.
-type okWait struct {
-	page PageID
-	c    *sim.Cond
-}
-
 // meshMsg is one control message in flight across the mesh: a disk
 // controller's OK, a ring ACK, or a swap notice/cancel bound for an
 // NWCache interface. The run closure is pre-bound at construction and the
@@ -165,7 +157,7 @@ type meshMsg struct {
 	m    *Machine
 	kind uint8
 	to   int         // destination node (msgNotify/msgCancel: the I/O node)
-	page PageID      // msgOK: the page whose OK is awaited
+	step func()      // msgOK: the NACKed writer's step; nil when none resends
 	en   optical.Ref // ring messages: the entry concerned
 	run  func()
 }
@@ -190,7 +182,11 @@ func (m *Machine) takeMsg() *meshMsg {
 	g.run = func() {
 		switch g.kind {
 		case msgOK:
-			g.m.okArrived(g.to, g.page)
+			// Scheduled, not run in place: the writer runs after every
+			// event already due at this instant.
+			if g.step != nil {
+				g.m.E.At(g.m.E.Now(), g.step)
+			}
 		case msgRingACK:
 			g.m.ringACKArrived(g.to, g.en)
 		case msgNotify:
@@ -198,28 +194,10 @@ func (m *Machine) takeMsg() *meshMsg {
 		case msgCancel:
 			g.m.Ifaces[g.to].Cancel(g.en)
 		}
-		g.en = optical.Ref{}
+		g.en, g.step = optical.Ref{}, nil
 		g.m.msgPool = append(g.m.msgPool, g)
 	}
 	return g
-}
-
-// queueOK registers c to be signaled (by okArrived) when the disk's OK for
-// page arrives; the woken waiter retires it with dropOK.
-func (n *Node) queueOK(page PageID, c *sim.Cond) {
-	n.okWaits = append(n.okWaits, okWait{page: page, c: c})
-}
-
-// dropOK retires an OK wait once its waiter has woken.
-func (n *Node) dropOK(c *sim.Cond) {
-	for i := range n.okWaits {
-		if n.okWaits[i].c == c {
-			last := len(n.okWaits) - 1
-			n.okWaits[i] = n.okWaits[last]
-			n.okWaits = n.okWaits[:last]
-			return
-		}
-	}
 }
 
 // New builds a machine of the given kind and prefetch mode.
@@ -254,7 +232,6 @@ func New(cfg param.Config, kind Kind, mode disk.PrefetchMode) (*Machine, error) 
 			CC:       coherence.NewCache(i, cfg.L2SubBlocks),
 			Pool:     vm.NewFramePool(e, i, cfg.FramesPerNode(), cfg.MinFreeFrames),
 			swapSem:  sim.NewSemaphore(e, cfg.SwapQueueDepth),
-			fileOK:   sim.NewCond(e),
 			chanRoom: sim.NewCond(e),
 			ringTx:   sim.NewMutex(e),
 		}
@@ -264,7 +241,7 @@ func New(cfg param.Config, kind Kind, mode disk.PrefetchMode) (*Machine, error) 
 		d := disk.New(e, fmt.Sprintf("disk@%d", ioNode), cfg, mode)
 		m.Disks[ioNode] = d
 		ioNode := ioNode
-		d.NotifyOK = func(node int, page disk.PageID) { m.deliverOK(ioNode, node, page) }
+		d.NotifyOK = func(node int, _ disk.PageID, step func()) { m.deliverOK(ioNode, node, step) }
 	}
 	if kind == NWCache {
 		m.Ring = optical.New(e, cfg)
@@ -277,7 +254,7 @@ func New(cfg param.Config, kind Kind, mode disk.PrefetchMode) (*Machine, error) 
 			f.DiskHasRoom = d.HasWriteRoom
 			f.DiskBook = d.BookWrite
 			f.DiskInstall = func(page optical.PageID) bool {
-				return d.AnswerWrite(ioNode, page, m.Layout.BlockFor(page)) == disk.ACK
+				return d.AnswerWrite(ioNode, page, m.Layout.BlockFor(page), nil) == disk.ACK
 			}
 			f.SendACK = func(ref optical.Ref) { m.deliverRingACK(ioNode, ref) }
 			d.OnRoom = f.Kick
@@ -298,24 +275,15 @@ func New(cfg param.Config, kind Kind, mode disk.PrefetchMode) (*Machine, error) 
 }
 
 // deliverOK routes a disk controller's OK message (room now available for a
-// previously NACKed swap-out) back to the swapping node over the mesh.
-func (m *Machine) deliverOK(from, to int, page PageID) {
+// previously NACKed write) back to the writing node over the mesh, where
+// it runs the writer's step. Every OK crosses the mesh, also one with a
+// nil step (the NWCache interface's lost slot race): its link
+// reservations delay the messages behind it.
+func (m *Machine) deliverOK(from, to int, step func()) {
 	arrive := m.Mesh.Transit(m.E.Now(), from, to, m.Cfg.CtrlMsgLen)
 	g := m.takeMsg()
-	g.kind, g.to, g.page = msgOK, to, page
+	g.kind, g.to, g.step = msgOK, to, step
 	m.E.At(arrive, g.run)
-}
-
-// okArrived delivers a disk OK at its destination node, waking the waiter
-// on that page.
-func (m *Machine) okArrived(to int, page PageID) {
-	n := m.Nodes[to]
-	for i := range n.okWaits {
-		if n.okWaits[i].page == page {
-			n.okWaits[i].c.Signal()
-			return
-		}
-	}
 }
 
 // deliverRingACK routes the ACK for a page that left the ring (drained to
@@ -374,7 +342,22 @@ func (m *Machine) DiskFor(page PageID) (*disk.Disk, int) {
 	return m.Disks[node], node
 }
 
+// sendPage books the transfer of page from node n to its disk node: n's
+// memory bus, the mesh path, then the disk node's I/O bus. It returns
+// when the page is at the disk node.
+func (m *Machine) sendPage(n *Node, page PageID) sim.Time {
+	_, dn := m.DiskFor(page)
+	stages := append(n.stageBuf[:0], sim.Stage{
+		Res: n.MemBus, Occupy: m.pageMemBus, Forward: m.Cfg.HopLatency,
+	})
+	stages = m.Mesh.AppendPathStages(stages, n.ID, dn, m.Cfg.PageSize)
+	stages = append(stages, sim.Stage{Res: m.Nodes[dn].IOBus, Occupy: m.pageIOBus})
+	_, arrive := sim.Pipeline(m.E.Now(), stages)
+	n.stageBuf = stages[:0]
+	return arrive
+}
+
 // ThreadResumes reports how many times a callback resumed an application
-// thread: its start, and each Resume by its chain once the run-ahead
-// queue drained in a callback.
+// thread: its start, and each time its chain drained the run-ahead queue
+// in a callback.
 func (m *Machine) ThreadResumes() uint64 { return m.threadResumes }

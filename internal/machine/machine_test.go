@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"nwcache/internal/disk"
+	"nwcache/internal/mesh"
 	"nwcache/internal/param"
+	"nwcache/internal/sim"
 	"nwcache/internal/stats"
 )
 
@@ -346,6 +348,61 @@ func TestStandardMachineNACKPathExercised(t *testing.T) {
 		if d != nil && d.PendingNACKs() != 0 {
 			t.Fatalf("%d NACKs never released", d.PendingNACKs())
 		}
+	}
+}
+
+// Each NACK gets its own OK: three same-page writes from one node are
+// NACKed, the first with no step (the NWCache interface's lost slot race),
+// and the OKs a single write-back releases land in one instant. Each
+// writer's step runs exactly once, at its OK's arrival; the stepless OK
+// wakes nobody but still crosses the mesh.
+func TestEachNACKGetsItsOwnOK(t *testing.T) {
+	cfg := param.Default()
+	cfg.CtrlMsgLen = 0 // every OK from one disk to one node lands in the same instant
+	m, err := New(cfg, Standard, disk.Optimal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := PageID(cfg.StripeGroup) // the second striping group: a disk away from node 0
+	d, dn := m.DiskFor(base)
+	if dn == 0 {
+		t.Fatal("the disk is on the writing node: its OKs would not cross the mesh")
+	}
+	for pg := base; d.HasWriteRoom(); pg++ { // consecutive blocks: one write-back group
+		if d.AnswerWrite(1, pg, m.Layout.BlockFor(pg), nil) != disk.ACK {
+			t.Fatal("write NACKed while the cache had room")
+		}
+	}
+	page := base + PageID(cfg.StripeGroup)/2
+	var ran [2]int
+	var at [2]sim.Time
+	steps := []func(){nil}
+	for i := range ran {
+		steps = append(steps, func() { ran[i]++; at[i] = m.E.Now() })
+	}
+	for _, step := range steps {
+		if d.AnswerWrite(0, page, m.Layout.BlockFor(page), step) != disk.NACK {
+			t.Fatal("write ACKed into a cache full of swap-outs")
+		}
+	}
+	released := sim.Time(-1)
+	d.OnRoom = func() {
+		if released < 0 && d.PendingNACKs() == 0 {
+			released = m.E.Now()
+		}
+	}
+	if err := m.E.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if released < 0 {
+		t.Fatal("the write-back never released the NACKs")
+	}
+	arrive := mesh.New(sim.New(), cfg).Transit(released, dn, 0, cfg.CtrlMsgLen)
+	if ran != [2]int{1, 1} || at != [2]sim.Time{arrive, arrive} {
+		t.Fatalf("steps ran %v times at %v, want once each at the OKs' arrival %d", ran, at, arrive)
+	}
+	if m.Mesh.Messages != 3 {
+		t.Fatalf("%d messages crossed the mesh, want the 3 OKs", m.Mesh.Messages)
 	}
 }
 

@@ -94,8 +94,8 @@ func TestMeshMsgPoolRecycles(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := m.takeMsg()
-	g.kind, g.to, g.page = msgOK, 0, 3
-	g.run() // no waiter registered: delivery is a no-op, then self-pools
+	g.kind, g.to = msgOK, 0
+	g.run() // no writer's step: delivery is a no-op, then self-pools
 	if len(m.msgPool) != 1 {
 		t.Fatalf("pool holds %d messages after run, want 1", len(m.msgPool))
 	}

@@ -117,7 +117,6 @@ type swapJob struct {
 	start sim.Time
 	at    swapStep
 	entry optical.Ref // the ring copy; on the mesh path, set only for a conservative resend
-	okc   *sim.Cond   // signaled by the disk's OK after a NACK
 	t0    sim.Time    // start of a conservative resend
 	step  func()      // pre-bound run
 }
@@ -129,7 +128,7 @@ func (n *Node) takeJob(m *Machine) *swapJob {
 		n.swapJobs = n.swapJobs[:k-1]
 		return j
 	}
-	j := &swapJob{m: m, n: n, okc: sim.NewCond(m.E)}
+	j := &swapJob{m: m, n: n}
 	j.step = j.run
 	return j
 }
@@ -227,17 +226,8 @@ func (j *swapJob) run() {
 			j.t0 = m.E.Now()
 			j.at = sjSend
 		case sjSend:
-			// Page transfer: memory bus -> mesh -> I/O bus at the disk node.
-			_, dn := m.DiskFor(page)
-			stages := append(n.stageBuf[:0], sim.Stage{
-				Res: n.MemBus, Occupy: m.pageMemBus, Forward: m.Cfg.HopLatency,
-			})
-			stages = m.Mesh.AppendPathStages(stages, n.ID, dn, m.Cfg.PageSize)
-			stages = append(stages, sim.Stage{Res: m.Nodes[dn].IOBus, Occupy: m.pageIOBus})
-			_, arrive := sim.Pipeline(m.E.Now(), stages)
-			n.stageBuf = stages[:0]
 			j.at = sjCtrl
-			if arrive > m.E.Now() {
+			if arrive := m.sendPage(n, page); arrive > m.E.Now() {
 				m.E.At(arrive, j.step)
 				return
 			}
@@ -250,11 +240,9 @@ func (j *swapJob) run() {
 			}
 		case sjAnswer:
 			d, dn := m.DiskFor(page)
-			if d.AnswerWrite(n.ID, page, m.Layout.BlockFor(page)) == disk.NACK {
-				// The controller recorded us; wait for its OK message.
+			if d.AnswerWrite(n.ID, page, m.Layout.BlockFor(page), j.step) == disk.NACK {
+				// The controller recorded our step; its OK message runs it.
 				m.Spans.Instant(m.swapTrack(n.ID), "disk.nack", m.E.Now(), page)
-				n.queueOK(page, j.okc)
-				j.okc.WaitThen(j.step)
 				j.at = sjOK
 				return
 			}
@@ -266,7 +254,6 @@ func (j *swapJob) run() {
 				return
 			}
 		case sjOK:
-			n.dropOK(j.okc)
 			m.Spans.Instant(m.swapTrack(n.ID), "disk.ok", m.E.Now(), page)
 			j.at = sjSend
 		case sjAcked:

@@ -9,7 +9,7 @@ import "iter"
 // it, so it never races the engine, and it gives control back at exactly
 // one point, Ctx.block, which only Ctx.drain calls: the thread's waits are
 // all steps of its CPU's chain (cpu.go), and the chain's callback resumes
-// it (Engine.Resume) once the queue has drained.
+// it in place once the queue has drained.
 
 // threadStopped unwinds a stranded thread's coroutine when Machine.Run
 // stops it.

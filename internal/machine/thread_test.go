@@ -63,7 +63,7 @@ func TestStrandedThreadsReported(t *testing.T) {
 	}, {
 		name: "livelock",
 		setup: func(e *sim.Engine) {
-			e.AttachProgress(&sim.Progress{EventLimit: 500})
+			e.SetEventLimit(500)
 		},
 		prog:   spin,
 		waitOn: "run-ahead",

@@ -358,12 +358,6 @@ func (m *Mesh) Transit(earliest sim.Time, src, dst, bytes int) (arrive sim.Time)
 	return arrive
 }
 
-// Send transfers a message and runs deliver at its arrival time. It is
-// the ordinary fire-and-forget messaging primitive between nodes.
-func (m *Mesh) Send(src, dst, bytes int, deliver func()) {
-	m.e.At(m.Transit(m.e.Now(), src, dst, bytes), deliver)
-}
-
 // LinkBusy returns the aggregate busy time across all links (for
 // contention reporting).
 func (m *Mesh) LinkBusy() int64 {

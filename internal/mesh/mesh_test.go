@@ -107,25 +107,6 @@ func TestTransitDisjointPathsDoNotInterfere(t *testing.T) {
 	}
 }
 
-func TestSendDeliversIntoQueue(t *testing.T) {
-	e, m, cfg := newTestMesh()
-	var got []string
-	var at sim.Time
-	m.Send(0, 7, cfg.CtrlMsgLen, func() {
-		got = append(got, "hello")
-		at = e.Now()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0] != "hello" {
-		t.Fatalf("got %q", got)
-	}
-	if at <= 0 {
-		t.Fatal("delivery at time 0")
-	}
-}
-
 func TestStatsAccumulate(t *testing.T) {
 	_, m, cfg := newTestMesh()
 	m.Transit(0, 0, 7, cfg.PageSize)

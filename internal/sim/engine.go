@@ -12,13 +12,9 @@
 // the wait ends. Exactly one callback runs at any instant, so no data
 // shared through the engine needs locking and results are deterministic.
 //
-// An actor that must not run inside the callback that ends its wait (a
-// step that fires partway through another component's callback) asks
-// for Resume instead: the step then runs as soon as the running callback
-// returns, in that callback's own (time, seq) slot, without scheduling
-// anything. A chain whose next step would be the very next event anyway
-// can skip scheduling it altogether: AdvanceTo moves the clock there and
-// the chain runs on in place.
+// A chain whose next step would be the very next event anyway can skip
+// scheduling it altogether: AdvanceTo moves the clock there and the chain
+// runs on in place.
 //
 // The dispatch core is built for throughput (see MODEL.md, "Engine fast
 // path"): event slots are pooled and recycled, future events live in an
@@ -78,16 +74,12 @@ type Engine struct {
 	free      []*event // recycled event slots
 	pending   int      // scheduled events not yet fired
 
-	inCallback bool   // a callback event is running (Resume is legal)
-	resumed    func() // step the running callback Resumed, nil when none
-
 	// Dispatch statistics, maintained unconditionally: plain integer
 	// bumps on already-written cache lines, far below the noise floor of
 	// the ~18 ns dispatch. Exposed to the obs layer as pull-based probes.
 	dispatched uint64 // events fired
 	heapPeak   int    // high-water mark of the future-event heap
 	inline     uint64 // steps AdvanceTo ran in place (counted in dispatched too)
-	resumes    uint64 // steps run by a callback's Resume (not dispatched events)
 
 	// Clock-boundary tick hook (SetTick): tickFn fires whenever dispatch
 	// crosses a multiple of tickEvery. The hook lives outside the event
@@ -344,8 +336,7 @@ func (e *Engine) AdvanceTo(t Time) bool {
 }
 
 // drive is the dispatch loop: it fires events in (t, seq) order until
-// the queues drain or Stop is seen. A step the callback handed to Resume
-// runs as soon as the callback returns, before the next event.
+// the queues drain or Stop is seen.
 func (e *Engine) drive() {
 	for !e.stopped {
 		var ev *event
@@ -371,32 +362,8 @@ func (e *Engine) drive() {
 		// into this slot's next life.
 		fn := ev.fn
 		e.release(ev)
-		e.inCallback = true
 		fn()
-		e.inCallback = false
-		if k := e.resumed; k != nil {
-			e.resumed = nil
-			k()
-		}
 	}
-}
-
-// Resume runs k as soon as the running callback returns, ahead of every
-// other event. k runs in the callback's own (t, seq) slot: Resume
-// schedules no event, so it consumes no sequence number and leaves
-// Dispatched and Pending alone. A step that would otherwise run partway
-// through another component's callback uses it to wait for that callback
-// to finish (see MODEL.md, "Engine fast path"). Resume panics outside a
-// callback and when called twice in one callback.
-func (e *Engine) Resume(k func()) {
-	switch {
-	case !e.inCallback:
-		panic("sim: Resume outside a callback")
-	case e.resumed != nil:
-		panic("sim: second Resume in one callback")
-	}
-	e.resumed = k
-	e.resumes++
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past is a
@@ -414,9 +381,6 @@ func (e *Engine) Pending() int { return e.pending }
 // Dispatched reports how many events have fired since the engine was
 // created.
 func (e *Engine) Dispatched() uint64 { return e.dispatched }
-
-// Resumes reports how many steps callbacks handed to Resume.
-func (e *Engine) Resumes() uint64 { return e.resumes }
 
 // InlineAdvances reports how many steps AdvanceTo ran in place of an
 // event; each is also counted in Dispatched.

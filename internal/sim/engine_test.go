@@ -310,3 +310,21 @@ func TestSetTickUninstall(t *testing.T) {
 		t.Fatalf("uninstalled hook fired %d times", fired)
 	}
 }
+
+// A panic in a callback, where a CPU thread runs, escapes Run to its
+// caller at the callback's instant.
+func TestProcPanicPropagatesOutOfRun(t *testing.T) {
+	e := New()
+	e.At(10, func() { panic("boom") })
+	got := func() (got any) {
+		defer func() { got = recover() }()
+		_ = e.Run()
+		return nil
+	}()
+	if got != "boom" {
+		t.Fatalf("Run let through %v, want the callback's panic", got)
+	}
+	if e.Now() != 10 {
+		t.Fatalf("panicked at t=%d, want 10", e.Now())
+	}
+}

@@ -33,10 +33,6 @@ type Progress struct {
 	// Every is the probe interval in pcycles; 0 means
 	// DefaultProbeEvery. Set before AttachProgress.
 	Every Time
-	// EventLimit, when non-zero, additionally arms the engine's
-	// livelock guard for this run (SetEventLimit relative to the
-	// current dispatch count). Set before AttachProgress.
-	EventLimit uint64
 
 	now    atomic.Int64
 	abort  atomic.Bool
@@ -84,9 +80,7 @@ func (a *AbortError) Error() string {
 // AttachProgress installs p as the engine's progress probe: dispatch
 // publishes the clock into p at every multiple of p.Every pcycles and
 // honors RequestAbort at the same boundaries. A nil p detaches the
-// probe, restoring the `never` sentinel. If p.EventLimit is non-zero
-// the livelock guard is armed for p.EventLimit further events on top
-// of the current dispatch count.
+// probe, restoring the `never` sentinel.
 func (e *Engine) AttachProgress(p *Progress) {
 	if p == nil {
 		e.probeEvery, e.nextProbe, e.progress = 0, never, nil
@@ -100,7 +94,4 @@ func (e *Engine) AttachProgress(p *Progress) {
 	e.nextProbe = (e.now/every + 1) * every
 	e.progress = p
 	p.now.Store(e.now)
-	if p.EventLimit > 0 {
-		e.SetEventLimit(e.dispatched + p.EventLimit)
-	}
 }

@@ -140,19 +140,6 @@ func TestProgressDetach(t *testing.T) {
 	}
 }
 
-// Progress.EventLimit arms the livelock guard through the same attach
-// call the sweep fabric uses.
-func TestProgressEventLimit(t *testing.T) {
-	e := New()
-	e.AttachProgress(&Progress{Every: 10, EventLimit: 100})
-	loop(e, 1)
-	err := e.Run()
-	var lerr *LivelockError
-	if !errors.As(err, &lerr) {
-		t.Fatalf("Run = %v, want *LivelockError", err)
-	}
-}
-
 // After an abort teardown the engine is reusable: the probe is
 // detached and a fresh run completes normally.
 func TestProgressEngineReusableAfterAbort(t *testing.T) {

@@ -63,8 +63,8 @@ func syncPoints(t *testing.T, app string, cfg param.Config) (waits, drains uint6
 // destage, NWCache drain, write-buffer drain) run as engine callbacks,
 // and so does every wait of a CPU thread, a barrier wait included: only
 // the CPU threads are coroutines, and a thread is resumed only to start
-// or by the callback of its CPU's chain that drains its run-ahead queue
-// (a Resume). So a thread blocks at most once per drain point of its
+// or by the callback of its CPU's chain that drains its run-ahead
+// queue. So a thread blocks at most once per drain point of its
 // program, however many faults its queue takes, and at least once per
 // barrier wait.
 func TestFaultPathTakesNoSwitch(t *testing.T) {
@@ -128,10 +128,6 @@ func checkSwitches(t *testing.T, app string, kind machine.Kind, mode disk.Prefet
 	}
 	if waits == 0 {
 		t.Fatal("no barrier wait: the barrier's chain step went unexercised")
-	}
-	if got, want := resumes, starts+m.E.Resumes(); got != want {
-		t.Errorf("thread resumes = %d, want %d (%d starts + %d Resumes by a chain)",
-			got, want, starts, m.E.Resumes())
 	}
 	if blocks := resumes - starts; blocks < waits || blocks > points {
 		t.Errorf("threads blocked %d times, want between %d barrier waits and %d drain points",
