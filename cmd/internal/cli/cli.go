@@ -211,11 +211,11 @@ func (s *Session) sortedRuns() []obsRun {
 
 // Snapshot merges every run's metric snapshot.
 func (s *Session) Snapshot() obs.Snapshot {
-	var merged obs.Snapshot
+	var merged obs.Fold
 	for _, r := range s.sortedRuns() {
-		merged = merged.Merge(r.reg.Snapshot())
+		merged.Add(r.reg.Snapshot())
 	}
-	return merged
+	return merged.Snapshot()
 }
 
 // StopWatch draws the dashboard's final frame and stops it, so nothing

@@ -509,59 +509,84 @@ func (s Snapshot) Get(name string) (MetricValue, bool) {
 // counters, histogram tallies, integrals and spans add; gauge levels and
 // peaks take the maximum (a merged gauge reads as a high-water mark).
 // Metrics present in only one input pass through. Kind mismatches keep
-// the receiver's entry. The result is sorted.
+// the receiver's entry. The result is sorted. Neither input is modified.
 func (s Snapshot) Merge(other Snapshot) Snapshot {
-	byName := make(map[string]int, len(s))
-	out := append(Snapshot(nil), s...)
-	for i := range out {
-		byName[out[i].Name] = i
-	}
-	for _, mv := range other {
-		i, ok := byName[mv.Name]
-		if !ok {
-			byName[mv.Name] = len(out)
-			out = append(out, mv)
-			continue
-		}
-		dst := &out[i]
-		if dst.Kind != mv.Kind {
-			continue
-		}
-		switch mv.Kind {
-		case "counter":
-			dst.Value += mv.Value
-		case "gauge":
-			if mv.Value > dst.Value {
-				dst.Value = mv.Value
-			}
-			if mv.Peak > dst.Peak {
-				dst.Peak = mv.Peak
-			}
-		case "timegauge":
-			if mv.Value > dst.Value {
-				dst.Value = mv.Value
-			}
-			if mv.Peak > dst.Peak {
-				dst.Peak = mv.Peak
-			}
-			dst.Integral += mv.Integral
-			dst.Span += mv.Span
-		case "histogram":
-			if mv.Count > 0 {
-				if dst.Count == 0 || mv.Min < dst.Min {
-					dst.Min = mv.Min
-				}
-				if dst.Count == 0 || mv.Max > dst.Max {
-					dst.Max = mv.Max
-				}
-			}
-			dst.Count += mv.Count
-			dst.Sum += mv.Sum
-			dst.Buckets = mergeBuckets(dst.Buckets, mv.Buckets)
+	f := Fold{out: make(Snapshot, 0, len(s)+len(other))}
+	f.Add(s)
+	f.Add(other)
+	return f.Snapshot()
+}
+
+// Fold accumulates snapshots in place: after Add(s1), ..., Add(sn),
+// Snapshot reads the same as s1.Merge(s2)...Merge(sn), by the same
+// per-kind rules, without copying the running total or indexing its
+// names again per snapshot. No added snapshot is modified. The zero
+// value is an empty fold.
+type Fold struct {
+	out    Snapshot
+	byName map[string]int
+}
+
+// Add folds s into the running total.
+func (f *Fold) Add(s Snapshot) {
+	if f.byName == nil {
+		f.byName = make(map[string]int, len(s))
+		if f.out == nil {
+			f.out = make(Snapshot, 0, len(s))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	for i := range s {
+		mv := &s[i]
+		if j, ok := f.byName[mv.Name]; ok {
+			f.out[j].fold(mv)
+			continue
+		}
+		f.byName[mv.Name] = len(f.out)
+		f.out = append(f.out, *mv)
+	}
+}
+
+// Snapshot returns the running total sorted by name. The result is the
+// fold's own storage: a later Add updates it in place.
+func (f *Fold) Snapshot() Snapshot {
+	sort.Slice(f.out, func(i, j int) bool { return f.out[i].Name < f.out[j].Name })
+	for i := range f.out {
+		f.byName[f.out[i].Name] = i
+	}
+	return f.out
+}
+
+// fold adds mv (same name) into m by the rules of Snapshot.Merge. A
+// kind mismatch keeps m as it is. Histogram buckets are merged into a
+// new slice, so mv's buckets are never written.
+func (m *MetricValue) fold(mv *MetricValue) {
+	if m.Kind != mv.Kind {
+		return
+	}
+	switch mv.Kind {
+	case "counter":
+		m.Value += mv.Value
+	case "gauge":
+		m.Value = max(m.Value, mv.Value)
+		m.Peak = max(m.Peak, mv.Peak)
+	case "timegauge":
+		m.Value = max(m.Value, mv.Value)
+		m.Peak = max(m.Peak, mv.Peak)
+		m.Integral += mv.Integral
+		m.Span += mv.Span
+	case "histogram":
+		if mv.Count > 0 {
+			if m.Count == 0 || mv.Min < m.Min {
+				m.Min = mv.Min
+			}
+			if m.Count == 0 || mv.Max > m.Max {
+				m.Max = mv.Max
+			}
+		}
+		m.Count += mv.Count
+		m.Sum += mv.Sum
+		m.Buckets = mergeBuckets(m.Buckets, mv.Buckets)
+	}
 }
 
 // mergeBuckets adds two sorted occupied-bucket lists.

@@ -323,3 +323,74 @@ func TestHistogramQuantile(t *testing.T) {
 		}
 	}
 }
+
+// A Fold over N snapshots reads the same as the left fold of
+// Snapshot.Merge, also when more snapshots are added after a read, and
+// it never writes into an added snapshot.
+func TestFoldEqualsLeftMerge(t *testing.T) {
+	ins := []Snapshot{
+		{
+			{Name: "c", Kind: "counter", Value: 3},
+			{Name: "h", Kind: "histogram", Count: 2, Sum: 5, Min: 1, Max: 4,
+				Buckets: []Bucket{{Lo: 1, N: 1}, {Lo: 4, N: 1}}},
+			{Name: "x", Kind: "gauge", Value: 2, Peak: 5},
+		},
+		{
+			{Name: "b.only", Kind: "timegauge", Value: 1, Peak: 3, Integral: 40, Span: 20},
+			{Name: "c", Kind: "counter", Value: 4},
+			{Name: "h", Kind: "histogram", Count: 3, Sum: 10, Min: 2, Max: 5,
+				Buckets: []Bucket{{Lo: 1, N: 1}, {Lo: 4, N: 2}}},
+			{Name: "x", Kind: "counter", Value: 9}, // kind conflict: the first kind wins
+		},
+		{
+			{Name: "a.first", Kind: "counter", Value: 1},
+			{Name: "b.only", Kind: "timegauge", Value: 2, Peak: 2, Integral: 10, Span: 5},
+			{Name: "h", Kind: "histogram", Count: 1, Sum: 2, Min: 2, Max: 2,
+				Buckets: []Bucket{{Lo: 2, N: 1}}},
+			{Name: "h.empty", Kind: "histogram"},
+			{Name: "x", Kind: "gauge", Value: 1, Peak: 7},
+		},
+	}
+	deepCopy := func(ss []Snapshot) []Snapshot {
+		out := make([]Snapshot, len(ss))
+		for i, s := range ss {
+			out[i] = append(Snapshot(nil), s...)
+			for j := range out[i] {
+				out[i][j].Buckets = append([]Bucket(nil), s[j].Buckets...)
+			}
+		}
+		return out
+	}
+	orig := deepCopy(ins)
+
+	var f Fold
+	var want Snapshot
+	for i, s := range ins {
+		f.Add(s)
+		want = want.Merge(s)
+		if got := f.Snapshot(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("after %d snapshots:\nfold  %+v\nmerge %+v", i+1, got, want)
+		}
+	}
+	got := f.Snapshot()
+	if names := len(got); names != 6 {
+		t.Fatalf("fold has %d names, want 6: %+v", names, got)
+	}
+	if mv, _ := got.Get("c"); mv.Value != 7 {
+		t.Fatalf("counter = %+v, want 7", mv)
+	}
+	if mv, _ := got.Get("x"); mv.Kind != "gauge" || mv.Value != 2 || mv.Peak != 7 {
+		t.Fatalf("kind-conflicted gauge = %+v, want gauge value 2 peak 7", mv)
+	}
+	if mv, _ := got.Get("b.only"); mv.Value != 2 || mv.Peak != 3 || mv.Integral != 50 || mv.Span != 25 {
+		t.Fatalf("timegauge = %+v", mv)
+	}
+	mv, _ := got.Get("h")
+	wantB := []Bucket{{Lo: 1, N: 2}, {Lo: 2, N: 1}, {Lo: 4, N: 3}}
+	if mv.Count != 6 || mv.Sum != 17 || mv.Min != 1 || mv.Max != 5 || !reflect.DeepEqual(mv.Buckets, wantB) {
+		t.Fatalf("histogram = %+v, want count 6 sum 17 min 1 max 5 buckets %v", mv, wantB)
+	}
+	if !reflect.DeepEqual(ins, orig) {
+		t.Fatalf("folding modified an input:\n%+v\nwant\n%+v", ins, orig)
+	}
+}

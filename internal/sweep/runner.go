@@ -1,11 +1,13 @@
 package sweep
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -167,10 +169,16 @@ type obsCapture struct {
 
 // Run executes (or resumes) the shard: replay the STATE file, verify
 // cached cells, simulate what is missing through a bounded submission
-// window, checkpoint each completion, and — when every owned cell is
-// done — emit the shard's NDJSON + manifest by streaming back over the
-// cache. Returns ErrIncomplete when MaxFresh stopped the shard early.
+// window, and checkpoint each completion. Each cell's line is written to
+// the shard NDJSON as the cell settles, in grid order, from the record
+// Run already holds (the digest-verified cache entry of a STATE or cache
+// cell, or a fresh cell's new record), so no cell is decoded twice. The
+// NDJSON takes its final name, and the shard manifest is written, only
+// when every owned cell is done; otherwise no shard output is left.
+// Returns ErrIncomplete when MaxFresh or a drain stopped the shard early,
+// and ErrPoisoned when quarantined cells remain.
 func (r *Runner) Run() (Summary, error) {
+	start := time.Now()
 	sum := Summary{Shard: r.Shard, Shards: r.Shards}
 	if r.Spec == nil || r.Dir == "" {
 		return sum, fmt.Errorf("sweep: runner needs a spec and a directory")
@@ -203,6 +211,11 @@ func (r *Runner) Run() (Summary, error) {
 		return sum, err
 	}
 	defer state.Close()
+	out, err := createShardOut(fsys, retry, r.ndjsonPath())
+	if err != nil {
+		return sum, err
+	}
+	defer out.discard()
 
 	sched := r.Pool
 	if sched == nil {
@@ -237,7 +250,7 @@ func (r *Runner) Run() (Summary, error) {
 		obsMu   sync.Mutex
 		obsByKy = map[string]*obsCapture{}
 	)
-	hook := func(c core.Cell, m *machine.Machine) {
+	observe := func(key string, c core.Cell, m *machine.Machine) {
 		if r.Sabotage != nil && r.Sabotage(c) {
 			panic(fmt.Sprintf("sweep: sabotaged cell %s", c.Label()))
 		}
@@ -262,7 +275,7 @@ func (r *Runner) Run() (Summary, error) {
 			m.StartSampler(live)
 		}
 		obsMu.Lock()
-		obsByKy[c.Key()] = oc
+		obsByKy[key] = oc
 		obsMu.Unlock()
 	}
 
@@ -272,12 +285,17 @@ func (r *Runner) Run() (Summary, error) {
 	if window < 16 {
 		window = 16
 	}
+	// The queue holds every admitted cell in grid order until its line is
+	// written: a fresh cell until it finishes, a STATE or cache cell (no
+	// future) from admission, already settled.
 	type pending struct {
-		fut   *pool.Future
+		fut   *pool.Future // nil: settled at admission
 		cell  core.Cell
+		key   string
 		probe *sim.Progress
 		start time.Time
 		idx   int
+		rec   *Record // the settled record; nil for a quarantined cell
 	}
 	var inflight []pending
 	freshBudget := r.MaxFresh
@@ -286,20 +304,22 @@ func (r *Runner) Run() (Summary, error) {
 	// poison quarantines one cell: its STATE record becomes a poison
 	// line instead of crashing (or hard-failing) the shard, and the
 	// remaining cells keep going.
-	poison := func(p pending, reason string) error {
+	poison := func(p *pending, reason string) error {
 		sum.Poisoned++
 		processed++
 		obsMu.Lock()
-		delete(obsByKy, p.cell.Key())
+		delete(obsByKy, p.key)
 		obsMu.Unlock()
 		if r.OnPoison != nil {
 			r.OnPoison(p.cell, reason)
 		}
 		emit(obs.Event{Type: obs.EventCellPoisoned, Cell: p.cell.Label(), Idx: p.idx, Reason: reason})
-		return state.AppendPoison(p.cell.Key(), reason, time.Since(p.start).Nanoseconds())
+		return state.AppendPoison(p.key, reason, time.Since(p.start).Nanoseconds())
 	}
 
-	finish := func(p pending) error {
+	// finish waits for a fresh cell, caches and checkpoints its record,
+	// and leaves it in p.rec (nil when the cell is quarantined).
+	finish := func(p *pending) error {
 		if r.Guard.Enabled() {
 			// Supervised wait: the watchdog polls the future, tracks
 			// simulated-time progress through the probe, and aborts a
@@ -336,10 +356,9 @@ func (r *Runner) Run() (Summary, error) {
 			}
 			return fmt.Errorf("sweep: cell %s: %w", p.cell.Label(), err)
 		}
-		key := p.cell.Key()
 		obsMu.Lock()
-		oc := obsByKy[key]
-		delete(obsByKy, key)
+		oc := obsByKy[p.key]
+		delete(obsByKy, p.key)
 		obsMu.Unlock()
 		var snap obs.Snapshot
 		var series []obs.SeriesData
@@ -352,9 +371,10 @@ func (r *Runner) Run() (Summary, error) {
 		if err := r.cache.Put(e); err != nil {
 			return err
 		}
-		if err := state.Append(StateRec{Key: key, Digest: e.Digest, DurationNS: e.DurationNS}); err != nil {
+		if err := state.Append(StateRec{Key: p.key, Digest: e.Digest, DurationNS: e.DurationNS}); err != nil {
 			return err
 		}
+		p.rec = &e.Record
 		processed++
 		freshDone++
 		freshDur += e.DurationNS
@@ -362,9 +382,36 @@ func (r *Runner) Run() (Summary, error) {
 		return nil
 	}
 
+	// advance writes the settled cells at the head of the queue. A fresh
+	// head is waited for only while the queue holds at least limit
+	// entries, so limit window keeps the queue bounded and limit 0
+	// drains it.
+	advance := func(limit int) error {
+		for len(inflight) > 0 {
+			p := &inflight[0]
+			if p.fut != nil {
+				if len(inflight) < limit {
+					return nil
+				}
+				if err := finish(p); err != nil {
+					return err
+				}
+			}
+			if err := out.write(p.idx, p.rec); err != nil {
+				return err
+			}
+			inflight = slices.Delete(inflight, 0, 1)
+		}
+		return nil
+	}
+
 	err = r.Spec.EachShardCell(r.Shard, r.Shards, func(idx int, c core.Cell) error {
 		sum.Cells++
 		key := c.Key()
+		settled := func(e *Entry) error {
+			inflight = append(inflight, pending{idx: idx, rec: &e.Record})
+			return advance(window)
+		}
 		if rec, ok := done[key]; ok {
 			if rec.Status == StatusPoison {
 				// A quarantined cell: skipped (the shard will report
@@ -372,6 +419,7 @@ func (r *Runner) Run() (Summary, error) {
 				// case it falls through to a fresh submission and a
 				// new "ok" record supersedes the poison line.
 				if !r.RetryPoison {
+					out.discard() // the shard cannot complete
 					sum.Poisoned++
 					processed++
 					emit(obs.Event{Type: obs.EventCellPoisoned, Cell: c.Label(), Idx: idx, Reason: "quarantined"})
@@ -386,7 +434,7 @@ func (r *Runner) Run() (Summary, error) {
 				sum.FromState++
 				processed++
 				emit(obs.Event{Type: obs.EventCellState, Cell: c.Label(), Idx: idx})
-				return nil
+				return settled(e)
 			}
 		} else if e, ok := r.cache.Get(key); ok {
 			// No STATE record, but a verified cache entry (an earlier
@@ -398,20 +446,17 @@ func (r *Runner) Run() (Summary, error) {
 			}
 			processed++
 			emit(obs.Event{Type: obs.EventCellCache, Cell: c.Label(), Idx: idx})
-			return nil
+			return settled(e)
 		}
-		if freshBudget == 0 && r.MaxFresh > 0 {
+		if (freshBudget == 0 && r.MaxFresh > 0) || (r.Draining != nil && r.Draining()) {
+			// The MaxFresh cap, or a graceful drain: stop admitting
+			// cells. In-flight cells finish and checkpoint below, then
+			// Run reports ErrIncomplete so the next invocation resumes.
 			capped = true
+			out.discard()
 			return nil
 		}
-		if r.Draining != nil && r.Draining() {
-			// Graceful drain: stop admitting cells. In-flight cells
-			// finish and checkpoint below, then Run reports
-			// ErrIncomplete so the next invocation resumes.
-			capped = true
-			return nil
-		}
-		c.Obs = hook
+		c.Obs = func(c core.Cell, m *machine.Machine) { observe(key, c, m) }
 		var probe *sim.Progress
 		if r.Guard.Enabled() {
 			// One probe per submission, attached to every supervised
@@ -430,22 +475,14 @@ func (r *Runner) Run() (Summary, error) {
 			freshBudget--
 		}
 		emit(obs.Event{Type: obs.EventCellStart, Cell: c.Label(), Idx: idx})
-		inflight = append(inflight, pending{fut: fut, cell: c, probe: probe, start: time.Now(), idx: idx})
-		if len(inflight) >= window {
-			if err := finish(inflight[0]); err != nil {
-				return err
-			}
-			inflight = inflight[1:]
-		}
-		return nil
+		inflight = append(inflight, pending{fut: fut, cell: c, key: key, probe: probe, start: time.Now(), idx: idx})
+		return advance(window)
 	})
+	if err == nil {
+		err = advance(0)
+	}
 	if err != nil {
 		return sum, err
-	}
-	for _, p := range inflight {
-		if err := finish(p); err != nil {
-			return sum, err
-		}
 	}
 	if capped {
 		emit(obs.Event{Type: obs.EventShardDone, Key: r.Spec.Digest(), Reason: "incomplete"})
@@ -458,50 +495,87 @@ func (r *Runner) Run() (Summary, error) {
 		emit(obs.Event{Type: obs.EventShardDone, Key: r.Spec.Digest(), Reason: "poisoned"})
 		return sum, ErrPoisoned
 	}
-	if err := r.emitShardOutputs(fsys, retry); err != nil {
+	if err := out.commit(); err != nil {
+		return sum, err
+	}
+	man, err := r.sweepManifest(out.cells, out.metrics.Snapshot(), out.dw.Sum())
+	if err != nil {
+		return sum, err
+	}
+	man.WallNS = time.Since(start).Nanoseconds()
+	man.CreatedAt = time.Now().UTC().Format(time.RFC3339)
+	if err := man.WriteFile(r.manifestPath()); err != nil {
 		return sum, err
 	}
 	emit(obs.Event{Type: obs.EventShardDone, Key: r.Spec.Digest(), Reason: "complete"})
 	return sum, nil
 }
 
-// emitShardOutputs streams the shard's cells back out of the cache into
-// the shard NDJSON (ascending grid index) and the shard manifest
-// (merged metrics, digest over the NDJSON bytes). Writes ride the
-// retry budget beneath the digest, so a retried short write cannot
-// corrupt the digest over the file's actual bytes.
-func (r *Runner) emitShardOutputs(fsys guard.FS, retry *guard.Retrier) error {
-	f, err := fsys.Create(r.ndjsonPath())
+// shardOut is a shard's NDJSON output while its cells settle: lines
+// are written in grid order under a temp name in the shard directory,
+// and each line's metrics are folded for the shard manifest. The file
+// takes its final name only on commit, so a shard that stops early, or
+// holds a quarantined cell, leaves neither a shard NDJSON nor a temp
+// file. Writes ride the retry budget beneath the digest, so a retried
+// short write cannot corrupt the digest over the file's actual bytes.
+type shardOut struct {
+	fsys    guard.FS
+	retry   *guard.Retrier
+	final   string
+	f       guard.File // nil once discarded or committed
+	dw      *obs.DigestWriter
+	enc     *json.Encoder
+	metrics obs.Fold
+	cells   int
+}
+
+func createShardOut(fsys guard.FS, retry *guard.Retrier, final string) (*shardOut, error) {
+	f, err := fsys.CreateTemp(filepath.Dir(final), ".tmp-"+filepath.Base(final)+"-*")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	dw := obs.NewDigestWriter(&guard.RetryWriter{W: f, R: retry})
-	enc := json.NewEncoder(dw)
-	var merged obs.Snapshot
-	cells := 0
-	start := time.Now()
-	err = r.Spec.EachShardCell(r.Shard, r.Shards, func(idx int, c core.Cell) error {
-		e, ok := r.cache.Get(c.Key())
-		if !ok {
-			return fmt.Errorf("sweep: cell %d (%s) missing from cache at emit time", idx, c.Label())
-		}
-		cells++
-		merged = merged.Merge(e.Metrics)
-		return enc.Encode(&Line{Idx: idx, Record: e.Record})
-	})
-	if cerr := f.Close(); err == nil {
-		err = cerr
+	return &shardOut{fsys: fsys, retry: retry, final: final, f: f, dw: dw, enc: json.NewEncoder(dw)}, nil
+}
+
+// write appends cell idx's line. A nil record (a quarantined cell)
+// means the shard cannot complete, and discards the output.
+func (o *shardOut) write(idx int, rec *Record) error {
+	if o.f == nil {
+		return nil
+	}
+	if rec == nil {
+		o.discard()
+		return nil
+	}
+	o.cells++
+	o.metrics.Add(rec.Metrics)
+	return o.enc.Encode(&Line{Idx: idx, Record: *rec})
+}
+
+// discard drops the output and removes its temp file. Idempotent.
+func (o *shardOut) discard() {
+	if o.f == nil {
+		return
+	}
+	o.f.Close()
+	o.fsys.Remove(o.f.Name())
+	o.f = nil
+}
+
+// commit closes the temp file and renames it to the final name under
+// the retry budget, as Cache.Put's rename is.
+func (o *shardOut) commit() error {
+	tmp := o.f.Name()
+	err := o.f.Close()
+	o.f = nil
+	if err == nil {
+		err = o.retry.Do(func() error { return o.fsys.Rename(tmp, o.final) })
 	}
 	if err != nil {
-		return err
+		o.fsys.Remove(tmp)
 	}
-	man, err := r.sweepManifest(cells, merged, dw.Sum())
-	if err != nil {
-		return err
-	}
-	man.WallNS = time.Since(start).Nanoseconds()
-	man.CreatedAt = time.Now().UTC().Format(time.RFC3339)
-	return man.WriteFile(r.manifestPath())
+	return err
 }
 
 // sweepManifest builds the common manifest shell for shard and merged
@@ -556,8 +630,8 @@ func MergeOn(fsys guard.FS, retry *guard.Retrier, spec *Spec, dir string, shards
 		shards = 1
 	}
 	type shardIn struct {
-		f   guard.File
-		dec *json.Decoder
+		f  guard.File
+		sc *bufio.Scanner
 	}
 	ins := make([]*shardIn, shards)
 	defer func() {
@@ -567,14 +641,16 @@ func MergeOn(fsys guard.FS, retry *guard.Retrier, spec *Spec, dir string, shards
 			}
 		}
 	}()
-	var mergedSnap obs.Snapshot
+	var mergedSnap obs.Fold
 	for i := 0; i < shards; i++ {
 		base := filepath.Join(dir, fmt.Sprintf("shard-%dof%d", i, shards))
 		f, err := fsys.Open(base + ".ndjson")
 		if err != nil {
 			return 0, fmt.Errorf("sweep: shard %d output missing (run the shard to completion first): %w", i, err)
 		}
-		ins[i] = &shardIn{f: f, dec: json.NewDecoder(&guard.RetryReader{Rd: f, R: retry})}
+		sc := bufio.NewScanner(&guard.RetryReader{Rd: f, R: retry})
+		sc.Buffer(nil, maxLine)
+		ins[i] = &shardIn{f: f, sc: sc}
 		mf, err := fsys.Open(base + ".manifest.json")
 		if err != nil {
 			return 0, err
@@ -587,7 +663,7 @@ func MergeOn(fsys guard.FS, retry *guard.Retrier, spec *Spec, dir string, shards
 		if man.Spec != spec.Digest() {
 			return 0, fmt.Errorf("sweep: shard %d manifest belongs to spec %.12s…, want %.12s…", i, man.Spec, spec.Digest())
 		}
-		mergedSnap = mergedSnap.Merge(man.Metrics)
+		mergedSnap.Add(man.Metrics)
 	}
 
 	ndjsonPath, manifestPath, seriesPath := MergedPaths(dir)
@@ -602,17 +678,26 @@ func MergeOn(fsys guard.FS, retry *guard.Retrier, spec *Spec, dir string, shards
 	swap := make([][]string, len(spec.Apps))
 	seriesByName := make(map[string]obs.SeriesData)
 	cells := 0
+	var buf []byte // a verified line being copied out
 	err = spec.EachCell(func(idx int, c core.Cell) error {
 		in := ins[ShardOf(idx, shards)]
-		var line Line
-		if err := in.dec.Decode(&line); err != nil {
+		if !in.sc.Scan() {
+			err := in.sc.Err()
+			if err == nil {
+				err = io.ErrUnexpectedEOF
+			}
 			return fmt.Errorf("sweep: shard %d output ended early at cell %d: %w", ShardOf(idx, shards), idx, err)
 		}
-		if line.Idx != idx || line.Key != c.Key() {
-			return fmt.Errorf("sweep: shard %d output out of order: got cell %d key %.12s…, want cell %d key %.12s…",
-				ShardOf(idx, shards), line.Idx, line.Key, idx, c.Key())
+		raw := in.sc.Bytes()
+		var line mergeLine
+		if err := json.Unmarshal(raw, &line); err != nil {
+			return fmt.Errorf("sweep: shard %d output at cell %d: %w", ShardOf(idx, shards), idx, err)
 		}
-		if !line.Verify() {
+		if key := c.Key(); line.Idx != idx || line.Key != key {
+			return fmt.Errorf("sweep: shard %d output out of order: got cell %d key %.12s…, want cell %d key %.12s…",
+				ShardOf(idx, shards), line.Idx, line.Key, idx, key)
+		}
+		if line.Result == nil || ResultDigest(line.Result) != line.Digest {
 			return fmt.Errorf("sweep: cell %d (%s) fails digest verification in shard output", idx, line.Label)
 		}
 		cells++
@@ -627,11 +712,23 @@ func MergeOn(fsys guard.FS, retry *guard.Retrier, spec *Spec, dir string, shards
 				seriesByName[sd.Name] = sd
 			}
 		}
-		// Re-encode rather than copying raw bytes: the merged file's
-		// bytes are then canonical regardless of shard file formatting.
-		stripped := line
-		stripped.Series = nil // merged series live in their own artifact
-		return enc.Encode(&stripped)
+		if len(line.Series) == 0 {
+			// Copy the verified line's bytes: only this package's
+			// encoder writes shard files, so they already are the
+			// canonical encoding of the line, and its metrics need no
+			// decoding.
+			buf = append(append(buf[:0], raw...), '\n')
+			_, err := dw.Write(buf)
+			return err
+		}
+		// Merged series live in their own artifact: re-encode the line
+		// without them.
+		var full Line
+		if err := json.Unmarshal(raw, &full); err != nil {
+			return err
+		}
+		full.Series = nil
+		return enc.Encode(&full)
 	})
 	if cerr := f.Close(); err == nil {
 		err = cerr
@@ -640,14 +737,14 @@ func MergeOn(fsys guard.FS, retry *guard.Retrier, spec *Spec, dir string, shards
 		return cells, err
 	}
 	for _, in := range ins {
-		if in.dec.More() {
+		if in.sc.Scan() {
 			return cells, fmt.Errorf("sweep: a shard output has extra cells beyond the grid")
 		}
 	}
 
 	// The shard tag is a constant "merged" — not "merged/<n>" — so the
 	// merged manifest is byte-identical whatever the shard count was.
-	man, err := sweepManifest(spec, "merged", cells, mergedSnap, dw.Sum())
+	man, err := sweepManifest(spec, "merged", cells, mergedSnap.Snapshot(), dw.Sum())
 	if err != nil {
 		return cells, err
 	}
@@ -705,6 +802,22 @@ func MergeOn(fsys guard.FS, retry *guard.Retrier, spec *Spec, dir string, shards
 	}
 	return cells, nil
 }
+
+// mergeLine is what Merge decodes of a shard line: enough to verify the
+// cell's identity and result digest, fill the pivot tables and merge the
+// series. The metrics are skipped unread.
+type mergeLine struct {
+	Idx    int              `json:"idx"`
+	Key    string           `json:"key"`
+	Label  string           `json:"label"`
+	Result *core.Result     `json:"result"`
+	Series []obs.SeriesData `json:"series"`
+	Digest string           `json:"digest"`
+}
+
+// maxLine bounds one NDJSON line of a shard or merged output (a cell
+// with a long series can be large).
+const maxLine = 1 << 30
 
 // ReadLines streams a shard or merged NDJSON file, calling fn per cell
 // line (nwreport's sweep table input).

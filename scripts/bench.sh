@@ -17,6 +17,8 @@
 #   BenchmarkTLBLookup              TLB hit/miss churn (64 entries)
 #   BenchmarkCoherentCacheAccess    coherent cache State/Insert/DropPage
 #   BenchmarkSamplerTickLive        telemetry sampler tick with a published live view
+#   BenchmarkCacheGet               sweep cache read + digest check of one 116-metric cell record
+#   BenchmarkMergeShard             sweep merge of a completed four-cell shard (116-metric records)
 #
 # Methodology (pinned, so snapshots are comparable):
 #   - Micro-benchmarks run under GOMAXPROCS=1 (the simulator is
@@ -62,6 +64,8 @@ GOMAXPROCS=1 go test -run '^$' -bench '^(BenchmarkTLBLookup|BenchmarkCoherentCac
   -benchmem -benchtime "$micro_bt" -count "$samples" ./internal/tlb ./internal/coherence | tee -a "$raw" >&2
 GOMAXPROCS=1 go test -run '^$' -bench '^BenchmarkSamplerTickLive$' \
   -benchmem -benchtime "$micro_bt" -count "$samples" ./internal/obs | tee -a "$raw" >&2
+GOMAXPROCS=1 go test -run '^$' -bench '^(BenchmarkCacheGet|BenchmarkMergeShard)$' \
+  -benchmem -benchtime "$micro_bt" -count "$samples" ./internal/sweep | tee -a "$raw" >&2
 
 go_ver="$(go version | sed 's/^go version //')"
 hostarch="$(go env GOHOSTARCH)"
