@@ -175,7 +175,20 @@ func BenchmarkSingleRunFFT(b *testing.B) {
 
 // BenchmarkEngineEventThroughput measures raw event dispatch.
 func BenchmarkEngineEventThroughput(b *testing.B) {
+	eventLoop(b, sim.New())
+}
+
+// BenchmarkProbedEventThroughput measures event dispatch with a progress
+// probe attached, the way every supervised sweep cell runs.
+func BenchmarkProbedEventThroughput(b *testing.B) {
 	e := sim.New()
+	e.AttachProgress(&sim.Progress{})
+	eventLoop(b, e)
+}
+
+// eventLoop dispatches b.N events on e, each scheduling the next one
+// pcycle later.
+func eventLoop(b *testing.B, e *sim.Engine) {
 	count := 0
 	var reschedule func()
 	reschedule = func() {

@@ -214,9 +214,20 @@ func runGrid(o gridOpts) int {
 		Guard:       guard.CellGuard{Budget: o.cellBudget, Stall: o.cellStall},
 		RetryPoison: o.retryPoison,
 		Draining:    draining.Load,
-		OnPoison: func(c core.Cell, reason string) {
-			fmt.Fprintf(os.Stderr, "nwsweep: poisoned %s: %s\n", c.Label(), reason)
-		},
+	}
+	// One event stream carries everything the run reports: the progress
+	// and poison lines on stderr and, with -events-out, the NDJSON file.
+	var record func(obs.Event)
+	r.OnEvent = func(ev obs.Event) {
+		switch {
+		case ev.Type == obs.EventCellStart && !o.quiet:
+			fmt.Fprintf(os.Stderr, "running %s...\n", ev.Cell)
+		case ev.Type == obs.EventCellPoisoned && ev.Reason != sweep.ReasonQuarantined:
+			fmt.Fprintf(os.Stderr, "nwsweep: poisoned %s: %s\n", ev.Cell, ev.Reason)
+		}
+		if record != nil {
+			record(ev)
+		}
 	}
 	if o.eventsOut != "" {
 		// The same NDJSON event stream the service's /jobs/{id}/events
@@ -229,7 +240,7 @@ func runGrid(o gridOpts) int {
 		bw := bufio.NewWriter(ef)
 		enc := json.NewEncoder(bw)
 		var seq int64
-		r.OnEvent = func(ev obs.Event) {
+		record = func(ev obs.Event) {
 			seq++
 			ev.Seq = seq
 			enc.Encode(ev) //nolint:errcheck // flush error is checked below
@@ -257,11 +268,6 @@ func runGrid(o gridOpts) int {
 	if o.chaosPanic != "" {
 		r.Sabotage = func(c core.Cell) bool {
 			return strings.Contains(fmt.Sprintf("%s seed=%d", c.Label(), c.Cfg.Seed), o.chaosPanic)
-		}
-	}
-	if !o.quiet {
-		r.Progress = func(label string) {
-			fmt.Fprintf(os.Stderr, "running %s...\n", label)
 		}
 	}
 	sum, err := r.Run()

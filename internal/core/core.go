@@ -186,8 +186,8 @@ type Cell struct {
 
 	// Probe, when non-nil, is the supervision progress probe attached to
 	// the machine's engine before the run (sim.Engine.AttachProgress):
-	// the engine publishes its clock through it and honors watchdog
-	// aborts at probe boundaries. Excluded from Key on purpose:
+	// every Probe.Every dispatched events the engine publishes its clock
+	// through it and honors a watchdog abort. Excluded from Key on purpose:
 	// supervision never changes a result — an aborted cell produces an
 	// error, not a Result, so nothing wrong is ever memoized.
 	Probe *sim.Progress `json:"-"`

@@ -5,7 +5,8 @@ import "time"
 // Prober is the watchdog's window into a running simulation:
 // *sim.Progress satisfies it. SimNow returns the last simulated
 // timestamp the engine published; RequestAbort asks the engine to
-// stop at its next probe boundary.
+// stop at its next probe check, which comes every few thousand
+// dispatched events whether or not the clock moves.
 type Prober interface {
 	SimNow() int64
 	RequestAbort(reason string)
@@ -22,11 +23,13 @@ const (
 	// honored the abort.
 	VerdictTimeout
 	// VerdictStalled: simulated time stopped advancing for longer
-	// than the stall window and the cell honored the abort.
+	// than the stall window and the cell honored the abort. A cell
+	// whose engine keeps dispatching at a stuck clock ends here too.
 	VerdictStalled
 	// VerdictWedged: the cell ignored the abort past the grace
-	// period — it is blocked outside the engine (or never reached a
-	// probe boundary) and must be abandoned, not joined.
+	// period — it is blocked outside the engine's dispatch loop (it
+	// dispatches no events, so it never reaches a probe check) and
+	// must be abandoned, not joined.
 	VerdictWedged
 )
 

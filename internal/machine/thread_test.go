@@ -13,12 +13,12 @@ import (
 )
 
 // A run that leaves threads unfinished names each of them with what it
-// waits on, whether the queues drained under them (a deadlock) or the
-// engine gave up (an abort, a livelock trip). Run then stops their
+// waits on, whether the queues drained under them (a deadlock) or a
+// supervisor's abort ended the run. Run then stops their
 // coroutines: their defers run, and no goroutine outlives the run.
 func TestStrandedThreadsReported(t *testing.T) {
 	// spin keeps every thread blocked on its run-ahead queue for far
-	// longer than the abort and the event limit allow.
+	// longer than the abort allows.
 	spin := func(ctx *Ctx, proc int) {
 		for i := 0; i < 10_000; i++ {
 			ctx.Compute(100)
@@ -26,11 +26,11 @@ func TestStrandedThreadsReported(t *testing.T) {
 		}
 	}
 	cases := []struct {
-		name   string
-		setup  func(e *sim.Engine)
-		prog   func(ctx *Ctx, proc int)
-		waitOn string
-		engine any // the engine error's type, nil for none
+		name    string
+		setup   func(e *sim.Engine)
+		prog    func(ctx *Ctx, proc int)
+		waitOn  string
+		aborted bool // the run ends on the supervisor's abort
 	}{{
 		name: "deadlock",
 		prog: func(ctx *Ctx, proc int) {
@@ -54,20 +54,12 @@ func TestStrandedThreadsReported(t *testing.T) {
 		name: "abort",
 		setup: func(e *sim.Engine) {
 			p := &sim.Progress{Every: 1000}
-			p.RequestAbort("timeout") // lands at the first probe boundary
+			p.RequestAbort("timeout") // lands at the first probe check
 			e.AttachProgress(p)
 		},
-		prog:   spin,
-		waitOn: "run-ahead",
-		engine: (*sim.AbortError)(nil),
-	}, {
-		name: "livelock",
-		setup: func(e *sim.Engine) {
-			e.SetEventLimit(500)
-		},
-		prog:   spin,
-		waitOn: "run-ahead",
-		engine: (*sim.LivelockError)(nil),
+		prog:    spin,
+		waitOn:  "run-ahead",
+		aborted: true,
 	}}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -88,22 +80,16 @@ func TestStrandedThreadsReported(t *testing.T) {
 			if err == nil {
 				t.Fatal("Run reported no stranded thread")
 			}
-			switch tc.engine.(type) {
-			case *sim.AbortError:
+			if tc.aborted {
 				var aerr *sim.AbortError
 				if !errors.As(err, &aerr) || aerr.Reason != "timeout" {
 					t.Fatalf("Run = %v, want a timeout AbortError", err)
-				}
-			case *sim.LivelockError:
-				var lerr *sim.LivelockError
-				if !errors.As(err, &lerr) {
-					t.Fatalf("Run = %v, want a LivelockError", err)
 				}
 			}
 			msg := err.Error()
 			t.Log(msg)
 			first := 1 // thread 0 finished in the deadlock cases
-			if tc.engine != nil {
+			if tc.aborted {
 				first = 0
 			}
 			for proc := 0; proc < cfg.Nodes; proc++ {

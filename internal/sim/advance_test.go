@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -136,33 +137,40 @@ func TestAdvanceToIgnoresObservation(t *testing.T) {
 	}
 }
 
-// The livelock guard trips at the same event whether the steps run
-// inline or as scheduled events: an inline step counts as one dispatched
-// event, and the step that would exhaust the budget is scheduled.
+// An abort lands at the same event whether the steps run inline or as
+// scheduled events: an inline step counts as one dispatched event and
+// takes the progress check itself, exactly at the count where the
+// scheduled event would have taken it.
 func TestAdvanceToKeepsEventBudget(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
-		for limit := uint64(5); limit <= 80; limit += 5 {
+		for every := uint64(5); every <= 80; every += 5 {
 			var got [2][2]int64
 			for k, inline := range []bool{false, true} {
 				e := New()
-				e.SetEventLimit(limit)
+				p := &Progress{Every: every}
+				p.RequestAbort("test")
+				e.AttachProgress(p)
 				advanceScenario(e, seed, inline)
-				le, ok := e.Run().(*LivelockError)
-				if !ok {
-					t.Fatalf("seed %d limit %d inline=%v: want a LivelockError", seed, limit, inline)
+				var aerr *AbortError
+				if err := e.Run(); !errors.As(err, &aerr) {
+					t.Fatalf("seed %d every %d inline=%v: Run = %v, want an AbortError", seed, every, inline, err)
 				}
-				got[k] = [2]int64{int64(le.Dispatched), le.Now}
+				if aerr.Dispatched != every {
+					t.Fatalf("seed %d every %d inline=%v: abort landed after %d events", seed, every, inline, aerr.Dispatched)
+				}
+				got[k] = [2]int64{int64(aerr.Dispatched), aerr.Now}
 			}
 			if got[0] != got[1] {
-				t.Fatalf("seed %d limit %d: guard tripped at (dispatched, now) %v with At, %v inline",
-					seed, limit, got[0], got[1])
+				t.Fatalf("seed %d every %d: abort landed at (dispatched, now) %v with At, %v inline",
+					seed, every, got[0], got[1])
 			}
 		}
 	}
 }
 
-// AdvanceTo refuses while other work is due first, and when the engine
-// is stopped.
+// AdvanceTo refuses while other work is due first, and once an abort
+// has landed: inside the event that took the abort, and after Run
+// returned it.
 func TestAdvanceToRefusals(t *testing.T) {
 	e := New()
 	e.At(10, func() {})
@@ -179,8 +187,19 @@ func TestAdvanceToRefusals(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	e.Stop()
+	p := &Progress{Every: 1}
+	p.RequestAbort("test")
+	e.AttachProgress(p)
+	e.At(15, func() {
+		if e.AdvanceTo(20) {
+			t.Error("advanced inside the event that took the abort")
+		}
+	})
+	var aerr *AbortError
+	if err := e.Run(); !errors.As(err, &aerr) {
+		t.Fatalf("Run = %v, want an AbortError", err)
+	}
 	if e.AdvanceTo(20) {
-		t.Fatal("advanced a stopped engine")
+		t.Fatal("advanced an aborted engine")
 	}
 }

@@ -24,11 +24,12 @@
 // never touches the heap, and events scheduled for the current instant
 // (the hand-off storm of the synchronization primitives) join the
 // same queue directly. Optional per-run machinery (the tick hook, the
-// livelock guard) is checked against sentinel values (a next-tick of
-// MaxInt64, an event budget of MaxUint64) chosen once when the feature is
-// (un)installed, so a disabled feature costs one always-false compare in
-// the hot loop rather than a branch chain. None of this changes the
-// dispatch order: every event still fires in strict (time, seq) order.
+// progress probe) is checked against sentinel values (a next-tick of
+// MaxInt64, a next probe check of MaxUint64 dispatched events) chosen
+// once when the feature is (un)installed, so a disabled feature costs one
+// always-false compare in the hot loop rather than a branch chain. None
+// of this changes the dispatch order: every event still fires in strict
+// (time, seq) order.
 package sim
 
 import (
@@ -55,18 +56,15 @@ type event struct {
 // always-false compare per time advance (not per event).
 const never = Time(math.MaxInt64)
 
-// noLimit is the sentinel event budget while the livelock guard is
-// disarmed: Dispatched can never reach it, so the disabled guard costs one
-// always-false compare per event.
-const noLimit = ^uint64(0)
+// detached is the sentinel next probe check while no progress probe is
+// attached: Dispatched can never reach it, so the detached probe costs
+// one always-false compare per event.
+const detached = ^uint64(0)
 
 // Engine is a discrete-event simulator instance.
 type Engine struct {
-	now     Time
-	seq     uint64
-	stopped bool
-	stopAt  uint64 // livelock event budget; noLimit when disarmed
-	tripped bool   // budget was hit during the current Run
+	now Time
+	seq uint64
 
 	heap      []*event // 4-ary min-heap of future events, ordered by (t, seq)
 	ready     []*event // FIFO of events at the current instant, in seq order
@@ -92,24 +90,24 @@ type Engine struct {
 	nextTick  Time
 	tickFn    func(now Time)
 
-	// Progress probe (AttachProgress): at each probe boundary crossed,
-	// dispatch publishes the clock into progress and honors a pending
-	// abort request — the watchdog's only way into the engine. Detached,
-	// nextProbe is the `never` sentinel (same cost class as the tick
-	// boundary). aborted carries the abort reason from the boundary
-	// check to Run's teardown.
-	probeEvery Time
-	nextProbe  Time
+	// Progress probe (AttachProgress): once Dispatched reaches
+	// nextProbe, dispatch publishes the clock into progress and honors a
+	// pending abort request — the watchdog's only way into the engine,
+	// and the only way a run ends early. Detached, nextProbe is the
+	// `detached` sentinel. abort carries a landed abort from the check
+	// to Run's teardown; while it is set, dispatch stops after the
+	// current event and AdvanceTo refuses.
+	probeEvery uint64
+	nextProbe  uint64
 	progress   *Progress
-	aborted    string
+	abort      *AbortError
 }
 
 // New returns an empty engine at time 0.
 func New() *Engine {
 	return &Engine{
-		stopAt:    noLimit,
 		nextTick:  never,
-		nextProbe: never,
+		nextProbe: detached,
 	}
 }
 
@@ -260,85 +258,85 @@ func (e *Engine) nextInstant() *event {
 
 // setClock moves the clock forward to t. Both dispatch paths use it:
 // nextInstant before the first event of an instant, and AdvanceTo before
-// an inline step. It is small enough to inline; crossing a boundary takes
-// the out-of-line crossBoundaries.
+// an inline step. It is small enough to inline; crossing a tick boundary
+// takes the out-of-line crossTicks.
 func (e *Engine) setClock(t Time) {
-	if t >= e.nextTick || t >= e.nextProbe {
-		e.crossBoundaries(t)
-		return
+	if t >= e.nextTick {
+		e.crossTicks(t)
 	}
 	e.now = t
 }
 
-// crossBoundaries moves the clock forward to t, firing the tick hook at
-// each tick boundary crossed on the way and honoring the progress probe
-// at a probe boundary.
-func (e *Engine) crossBoundaries(t Time) {
-	if t >= e.nextTick {
-		// Crossing one or more tick boundaries: advance the clock to
-		// each boundary and fire the hook there, so samples carry
-		// regular timestamps and probes reading Now() see boundary time.
-		// The pending event has t >= every boundary crossed, so the
-		// clock stays monotone.
-		for t >= e.nextTick {
-			e.now = e.nextTick
-			e.tickFn(e.nextTick)
-			e.nextTick += e.tickEvery
-		}
+// crossTicks fires the tick hook at each tick boundary up to t, with
+// the clock set to the boundary, so samples carry regular timestamps
+// and probes reading Now() see boundary time. The pending event has
+// t >= every boundary crossed, so the clock stays monotone. It stays
+// out of line so that setClock inlines into both dispatch paths.
+//
+//go:noinline
+func (e *Engine) crossTicks(t Time) {
+	for t >= e.nextTick {
+		e.now = e.nextTick
+		e.tickFn(e.nextTick)
+		e.nextTick += e.tickEvery
 	}
-	e.now = t
-	if t >= e.nextProbe {
-		// Probe boundary: publish the clock for the watchdog and honor
-		// a pending abort. Like the tick hook this consumes no sequence
-		// numbers and schedules nothing, so dispatch order is untouched;
-		// an abort finishes the event at t, then stops (the same
-		// finish-then-stop semantics as the livelock guard).
-		for t >= e.nextProbe {
-			e.nextProbe += e.probeEvery
-		}
-		e.progress.now.Store(t)
-		if e.progress.abortRequested() {
-			e.aborted = e.progress.abortReason()
-			e.tripped = true
-			e.stopped = true
-		}
+}
+
+// probe is the progress check, taken once every probeEvery dispatched
+// events: it publishes the clock for the watchdog and lands a pending
+// abort. Like the tick hook it consumes no sequence numbers and
+// schedules nothing, so dispatch order is untouched; the event just
+// counted still runs, then dispatch stops. It stays out of line, like
+// crossTicks, so the per-event path holds only the compare.
+//
+//go:noinline
+func (e *Engine) probe() {
+	e.nextProbe += e.probeEvery
+	p := e.progress
+	p.now.Store(e.now)
+	if p.abort.Load() {
+		e.abort = &AbortError{Now: e.now, Dispatched: e.dispatched, Reason: p.abortReason()}
 	}
 }
 
 // AdvanceTo runs a step due at t in place of scheduling it: when the step
 // would be the very next event dispatched anyway, it moves the clock to t
-// (crossing tick and probe boundaries exactly as dispatch would), counts
-// the step as one dispatched event, and returns true; the caller then runs
-// the step at once. Otherwise it changes nothing and returns false, and
-// the caller schedules the step with At.
+// (crossing tick boundaries exactly as dispatch would), counts the step
+// as one dispatched event (taking the progress check when the count is
+// due one), and returns true; the caller then runs the step at once.
+// Otherwise it changes nothing and returns false, and the caller
+// schedules the step with At.
 //
 // The step at t is next when the ready FIFO is empty (nothing else is due
 // now), every heap event is strictly later than t (a heap event at t was
-// scheduled earlier, so its smaller sequence number fires it first), the
-// engine is not stopped, and the livelock budget is not on its last event
-// (the trip then happens on the ordinary path). Under those conditions an
-// inline advance and At(t) dispatch the same events in the same order at
-// the same times, with the same Dispatched count at every point; only the
-// heap push and pop, the sequence number and the callback are saved.
+// scheduled earlier, so its smaller sequence number fires it first), and
+// no abort has landed. Under those conditions an inline advance and At(t)
+// dispatch the same events in the same order at the same times, with the
+// same Dispatched count at every point, and an abort lands at the same
+// count either way; only the heap push and pop, the sequence number and
+// the callback are saved.
 func (e *Engine) AdvanceTo(t Time) bool {
-	if e.readyHead < len(e.ready) || e.stopped || e.dispatched+1 >= e.stopAt ||
+	if e.readyHead < len(e.ready) || e.abort != nil ||
 		(len(e.heap) > 0 && e.heap[0].t <= t) || t < e.now {
 		return false
 	}
-	// Pending counts the step while boundary hooks run, as it would
-	// count the scheduled event.
+	// Pending counts the step while tick hooks run, as it would count
+	// the scheduled event.
 	e.pending++
 	e.setClock(t)
 	e.pending--
 	e.dispatched++
 	e.inline++
+	if e.dispatched >= e.nextProbe {
+		e.probe()
+	}
 	return true
 }
 
 // drive is the dispatch loop: it fires events in (t, seq) order until
-// the queues drain or Stop is seen.
+// the queues drain or an abort lands.
 func (e *Engine) drive() {
-	for !e.stopped {
+	for e.abort == nil {
 		var ev *event
 		if e.readyHead < len(e.ready) {
 			ev = e.ready[e.readyHead]
@@ -351,12 +349,8 @@ func (e *Engine) drive() {
 		}
 		e.pending--
 		e.dispatched++
-		if e.dispatched >= e.stopAt {
-			// Livelock guard: the event budget is exhausted. Finish this
-			// event, then stop; Run turns the trip into a LivelockError.
-			e.tripped = true
-			e.stopped = true
-			e.stopAt = noLimit
+		if e.dispatched >= e.nextProbe {
+			e.probe()
 		}
 		// Recycle before acting: an event firing right now can schedule
 		// into this slot's next life.
@@ -416,56 +410,21 @@ func (e *Engine) SetTick(d Time, fn func(now Time)) {
 	e.tickFn = fn
 }
 
-// Stop makes Run return after the currently executing event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
-// SetEventLimit arms the livelock guard: if a single Run dispatches n or
-// more events, it aborts with a *LivelockError instead of spinning
-// forever. 0 (the default) disables the guard. The budget counts against
-// the engine's lifetime Dispatched() total, so set it relative to the
-// current count when re-running an engine.
-func (e *Engine) SetEventLimit(n uint64) {
-	if n == 0 {
-		e.stopAt = noLimit
-		return
-	}
-	e.stopAt = n
-}
-
-// LivelockError reports a Run aborted by the SetEventLimit guard: the
-// event graph kept scheduling work without ever draining.
-type LivelockError struct {
-	Now        Time
-	Dispatched uint64 // lifetime events fired when the guard tripped
-}
-
-func (l *LivelockError) Error() string {
-	return fmt.Sprintf("sim: livelock guard tripped at t=%d after %d events", l.Now, l.Dispatched)
-}
-
-// Run executes events in order until the queues drain or Stop is called,
-// and then returns nil; the events left by a Stop stay queued for another
-// Run. Steps left waiting on a primitive when the queues drain are not an
+// Run executes events in order until the queues drain, and then returns
+// nil. Steps left waiting on a primitive when the queues drain are not an
 // error to the engine: their owners decide whether they were stranded.
-// If the event limit (SetEventLimit) is exhausted or a supervisor's abort
-// request (AttachProgress) lands, Run discards every remaining event and
-// returns a *LivelockError or an *AbortError.
+// If a supervisor's abort request (AttachProgress) lands, Run discards
+// every remaining event, detaches the probe and returns the
+// *AbortError; until the next Run, AdvanceTo refuses.
 func (e *Engine) Run() error {
-	e.stopped = false
-	e.tripped = false
-	e.aborted = ""
+	e.abort = nil
 	e.drive()
-	if !e.tripped {
+	if e.abort == nil {
 		return nil
 	}
-	var err error = &LivelockError{Now: e.now, Dispatched: e.dispatched}
-	if e.aborted != "" {
-		err = &AbortError{Now: e.now, Dispatched: e.dispatched, Reason: e.aborted}
-		e.AttachProgress(nil)
-	}
-	e.stopAt = noLimit
+	e.AttachProgress(nil)
 	e.clearPending()
-	return err
+	return e.abort
 }
 
 // KillParked does nothing: the engine runs callbacks only, so no process

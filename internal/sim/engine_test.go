@@ -74,32 +74,6 @@ func TestSchedulingInPastPanics(t *testing.T) {
 	}
 }
 
-func TestStopHaltsRun(t *testing.T) {
-	e := New()
-	count := 0
-	woke := false
-	e.At(1, func() { count++; e.Stop() })
-	e.At(2, func() { count++ })
-	// A chain sleeping across the stop is not lost: its next step stays
-	// queued and the next Run completes it.
-	e.At(0, func() { e.After(100, func() { woke = true }) })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if count != 1 || woke {
-		t.Fatalf("ran %d events (woke=%v), want 1 and still asleep", count, woke)
-	}
-	if e.Pending() != 2 {
-		t.Fatalf("pending %d, want 2", e.Pending())
-	}
-	if err := e.Run(); err != nil {
-		t.Fatalf("resumed run: %v", err)
-	}
-	if count != 2 || !woke || e.Now() != 100 {
-		t.Fatalf("after resume: count=%d woke=%v now=%d", count, woke, e.Now())
-	}
-}
-
 func TestRandomScheduleOrderProperty(t *testing.T) {
 	// Property: whatever order events are scheduled in, they fire in
 	// nondecreasing time order and ties fire in scheduling order.

@@ -6,33 +6,34 @@ import (
 )
 
 // DefaultProbeEvery is the probe interval applied when a Progress is
-// attached with Every == 0: one boundary per 1M pcycles (5 ms of
-// simulated time in the default configuration) — frequent enough that
-// a watchdog sees fresh timestamps many times per second of host
-// time, rare enough that the two atomic operations per boundary are
-// far below the dispatch noise floor.
-const DefaultProbeEvery = Time(1_000_000)
+// attached with Every == 0: one check per 4,096 dispatched events —
+// frequent enough that a watchdog sees fresh timestamps, and an abort
+// lands, within about a millisecond of host time, rare enough that the
+// two atomic operations per check are far below the dispatch noise
+// floor.
+const DefaultProbeEvery uint64 = 4096
 
 // Progress is a cross-goroutine window into a running engine, the
 // channel between a cell simulating on a worker goroutine and the
 // watchdog supervising it from outside (guard.CellGuard).
 //
-// The engine publishes its clock into the Progress at every probe
-// boundary (each multiple of Every pcycles crossed by dispatch) and
-// checks the abort flag at the same boundary. Everything else about
+// The engine publishes its clock into the Progress once every Every
+// dispatched events (inline AdvanceTo steps included) and checks the
+// abort flag at the same count. Counting events rather than simulated
+// time means a run whose clock is stuck still reaches the check, so
+// even a same-instant livelock can be aborted. Everything else about
 // the engine remains single-goroutine: the probe is the only
 // engine-side state a supervisor may touch, and only through SimNow
 // and RequestAbort.
 //
-// Like the tick hook and the livelock guard, the probe consumes no
-// sequence numbers and schedules nothing, so attaching it cannot
-// perturb dispatch order — and while detached the engine pays one
-// always-false compare per distinct timestamp (the `never` sentinel
-// pattern).
+// Like the tick hook, the probe consumes no sequence numbers and
+// schedules nothing, so attaching it cannot perturb dispatch order —
+// and while detached the engine pays the one always-false compare per
+// event that it pays anyway (the `detached` sentinel).
 type Progress struct {
-	// Every is the probe interval in pcycles; 0 means
+	// Every is the probe interval in dispatched events; 0 means
 	// DefaultProbeEvery. Set before AttachProgress.
-	Every Time
+	Every uint64
 
 	now    atomic.Int64
 	abort  atomic.Bool
@@ -44,7 +45,7 @@ type Progress struct {
 func (p *Progress) SimNow() int64 { return p.now.Load() }
 
 // RequestAbort asks the engine to abandon the run at its next probe
-// boundary; Run then discards every remaining event and returns an
+// check; Run then discards every remaining event and returns an
 // *AbortError carrying the reason. Safe from any goroutine; the first
 // reason wins.
 func (p *Progress) RequestAbort(reason string) {
@@ -53,9 +54,6 @@ func (p *Progress) RequestAbort(reason string) {
 	p.abort.Store(true)
 }
 
-// abortRequested is the engine-side check at a probe boundary.
-func (p *Progress) abortRequested() bool { return p.abort.Load() }
-
 func (p *Progress) abortReason() string {
 	if r := p.reason.Load(); r != nil {
 		return *r
@@ -63,10 +61,10 @@ func (p *Progress) abortReason() string {
 	return "abort requested"
 }
 
-// AbortError reports a Run abandoned at a probe boundary on a
+// AbortError reports a Run abandoned at a probe check on a
 // supervisor's request (Progress.RequestAbort): the watchdog decided
 // the cell was over budget or stalled, and the engine discarded its
-// remaining events — the same teardown as the livelock guard's.
+// remaining events.
 type AbortError struct {
 	Now        Time
 	Dispatched uint64 // lifetime events fired when the abort landed
@@ -78,20 +76,20 @@ func (a *AbortError) Error() string {
 }
 
 // AttachProgress installs p as the engine's progress probe: dispatch
-// publishes the clock into p at every multiple of p.Every pcycles and
-// honors RequestAbort at the same boundaries. A nil p detaches the
-// probe, restoring the `never` sentinel.
+// publishes the clock into p once every p.Every dispatched events and
+// honors RequestAbort at the same checks. A nil p detaches the probe,
+// restoring the `detached` sentinel.
 func (e *Engine) AttachProgress(p *Progress) {
 	if p == nil {
-		e.probeEvery, e.nextProbe, e.progress = 0, never, nil
+		e.probeEvery, e.nextProbe, e.progress = 0, detached, nil
 		return
 	}
 	every := p.Every
-	if every <= 0 {
+	if every == 0 {
 		every = DefaultProbeEvery
 	}
 	e.probeEvery = every
-	e.nextProbe = (e.now/every + 1) * every
+	e.nextProbe = e.dispatched + every
 	e.progress = p
 	p.now.Store(e.now)
 }

@@ -6,27 +6,26 @@ import (
 	"time"
 )
 
-// The engine publishes its clock into the attached Progress at every
-// probe boundary crossed by dispatch.
+// The engine publishes its clock into the attached Progress once every
+// Every dispatched events.
 func TestProgressPublishesAtBoundaries(t *testing.T) {
 	e := New()
-	p := &Progress{Every: 10}
+	p := &Progress{Every: 2}
 	e.AttachProgress(p)
 	if p.SimNow() != 0 {
 		t.Fatalf("initial publish %d, want 0", p.SimNow())
 	}
 	var seen []int64
-	for _, at := range []Time{3, 25, 47} {
-		at := at
+	for _, at := range []Time{3, 25, 47, 60} {
 		e.At(at, func() { seen = append(seen, p.SimNow()) })
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// Event at 3 crossed no boundary (probe still 0); events at 25 and
-	// 47 see their own instants published (25 and 47 are past the 20-
-	// and 40-boundaries, and the probe publishes the instant itself).
-	want := []int64{0, 25, 47}
+	// The first event takes no check (the probe still reads 0); the
+	// second and fourth take one and see their own instants published,
+	// and the third still sees the second's.
+	want := []int64{0, 25, 25, 60}
 	for i := range want {
 		if seen[i] != want[i] {
 			t.Fatalf("published clocks %v, want %v", seen, want)
@@ -41,11 +40,10 @@ func TestProgressDoesNotPerturbDispatch(t *testing.T) {
 	run := func(probe bool) ([]Time, Time) {
 		e := New()
 		if probe {
-			e.AttachProgress(&Progress{Every: 7})
+			e.AttachProgress(&Progress{Every: 2})
 		}
 		var got []Time
 		for _, d := range []Time{50, 10, 30, 20, 40, 30} {
-			d := d
 			e.At(d, func() { got = append(got, d) })
 		}
 		if err := e.Run(); err != nil {
@@ -72,18 +70,23 @@ func loop(e *Engine, d Time) {
 	e.At(0, step)
 }
 
-// RequestAbort lands at the next probe boundary: Run discards every
-// pending event (the endless worker's next step included) and returns an
-// *AbortError carrying the supervisor's reason.
+// RequestAbort lands at the next probe check: Run discards every pending
+// event (the endless worker's next step and a bystander far past the
+// abort included), wakes no stuck waiter, and returns an *AbortError
+// carrying the supervisor's reason.
 func TestProgressAbortUnwindsCleanly(t *testing.T) {
 	e := New()
 	p := &Progress{Every: 10}
 	e.AttachProgress(p)
 	loop(e, 5)
+	c := NewCond(e)
+	c.WaitThen(func() { t.Error("stuck waiter woken") })
 	// Aborts from inside the simulation are indistinguishable from
-	// external ones at the boundary; trigger one mid-run.
-	e.At(23, func() { p.RequestAbort("timeout") })
+	// external ones at the check; trigger one mid-run.
+	var requested uint64
+	e.At(23, func() { requested = e.Dispatched(); p.RequestAbort("timeout") })
 	e.At(1023, func() { t.Error("event past the abort fired") })
+	e.At(never/2, func() { t.Error("bystander fired") })
 	err := e.Run()
 	var aerr *AbortError
 	if !errors.As(err, &aerr) {
@@ -95,8 +98,38 @@ func TestProgressAbortUnwindsCleanly(t *testing.T) {
 	if e.Pending() != 0 {
 		t.Fatalf("%d events left after the abort", e.Pending())
 	}
-	if aerr.Now < 23 || aerr.Now > 40 {
-		t.Fatalf("abort landed at t=%d, want shortly after the request at 23", aerr.Now)
+	if aerr.Dispatched <= requested || aerr.Dispatched > requested+10 || aerr.Now < 23 {
+		t.Fatalf("abort landed after %d events at t=%d, want within 10 events of the request (%d events, t=23)",
+			aerr.Dispatched, aerr.Now, requested)
+	}
+}
+
+// A callback that re-schedules itself at the same instant never moves
+// the clock, yet a requested abort still lands: the probe check counts
+// events, not simulated time. The spin is bounded, so an abort that
+// never lands fails the test instead of hanging it.
+func TestProgressAbortsStuckClock(t *testing.T) {
+	e := New()
+	p := &Progress{Every: 100}
+	e.AttachProgress(p)
+	n := 0
+	var spin func()
+	spin = func() {
+		if n++; n == 50 {
+			p.RequestAbort("stalled")
+		}
+		if n < 1_000_000 {
+			e.At(e.Now(), spin)
+		}
+	}
+	e.At(7, spin)
+	var aerr *AbortError
+	if err := e.Run(); !errors.As(err, &aerr) || aerr.Reason != "stalled" {
+		t.Fatalf("Run = %v after %d spins, want a stalled AbortError", err, n)
+	}
+	if aerr.Now != 7 || aerr.Dispatched != 100 || p.SimNow() != 7 {
+		t.Fatalf("abort landed at t=%d after %d events (published %d), want t=7 after 100",
+			aerr.Now, aerr.Dispatched, p.SimNow())
 	}
 }
 
@@ -144,7 +177,7 @@ func TestProgressDetach(t *testing.T) {
 // detached and a fresh run completes normally.
 func TestProgressEngineReusableAfterAbort(t *testing.T) {
 	e := New()
-	p := &Progress{Every: 10}
+	p := &Progress{Every: 1}
 	e.AttachProgress(p)
 	p.RequestAbort("timeout")
 	e.At(100, func() {})

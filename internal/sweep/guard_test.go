@@ -6,12 +6,18 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"nwcache/internal/core"
+	"nwcache/internal/exp/pool"
 	"nwcache/internal/guard"
+	"nwcache/internal/machine"
+	"nwcache/internal/obs"
+	"nwcache/internal/sim"
 )
 
 // chaosRetrier returns a retry budget generous enough to ride out the
@@ -226,8 +232,10 @@ func TestRunnerPanicQuarantineAndRetry(t *testing.T) {
 		Sabotage: func(c core.Cell) bool {
 			return c.Kind.String() == "standard" && c.Cfg.Seed == 1
 		},
-		OnPoison: func(c core.Cell, reason string) {
-			poisons = append(poisons, reason)
+		OnEvent: func(ev obs.Event) {
+			if ev.Type == obs.EventCellPoisoned {
+				poisons = append(poisons, ev.Reason)
+			}
 		},
 	}
 	sum, err := r.Run()
@@ -238,7 +246,7 @@ func TestRunnerPanicQuarantineAndRetry(t *testing.T) {
 		t.Fatalf("sabotaged run summary: %+v", sum)
 	}
 	if len(poisons) != 1 || poisons[0] != "panic" {
-		t.Fatalf("OnPoison saw %v, want one panic", poisons)
+		t.Fatalf("poison events %v, want one panic", poisons)
 	}
 	if !strings.Contains(sum.String(), "(1 poisoned)") {
 		t.Fatalf("summary line misses poison count: %q", sum.String())
@@ -347,7 +355,11 @@ func TestRunnerDrain(t *testing.T) {
 	r := &Runner{
 		Spec: s, Shard: 0, Shards: 1, Dir: dir,
 		Draining: func() bool { return admitted >= 2 },
-		Progress: func(string) { admitted++ },
+		OnEvent: func(ev obs.Event) {
+			if ev.Type == obs.EventCellStart {
+				admitted++
+			}
+		},
 	}
 	sum, err := r.Run()
 	if !errors.Is(err, ErrIncomplete) {
@@ -379,7 +391,11 @@ func TestRunnerWatchdogTimeout(t *testing.T) {
 			Poll:   time.Millisecond,
 			Grace:  10 * time.Second, // aborts must land well within this
 		},
-		OnPoison: func(c core.Cell, reason string) { poisons = append(poisons, reason) },
+		OnEvent: func(ev obs.Event) {
+			if ev.Type == obs.EventCellPoisoned {
+				poisons = append(poisons, ev.Reason)
+			}
+		},
 	}
 	sum, err := r.Run()
 	if !errors.Is(err, ErrPoisoned) {
@@ -403,5 +419,48 @@ func TestRunnerWatchdogTimeout(t *testing.T) {
 	var out bytes.Buffer
 	if _, err := Merge(s, dir, 1, &out); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A supervised cell whose clock stops — a callback that re-schedules
+// itself at the same instant — ends stalled: the watchdog's abort lands
+// at the engine's next probe check although simulated time never moves
+// again, and no goroutine of the cell outlives the verdict. The spin
+// ends when the test does, so an abort that never lands fails the test
+// instead of leaving a goroutine spinning.
+func TestStuckClockCellEndsStalled(t *testing.T) {
+	goroutines := runtime.NumGoroutine()
+	var release atomic.Bool
+	defer release.Store(true)
+	probe := &sim.Progress{Every: sim.DefaultProbeEvery}
+	cell := core.Cell{App: "gauss", Cfg: core.DefaultConfig(), Probe: probe,
+		Obs: func(_ core.Cell, m *machine.Machine) {
+			var spin func()
+			spin = func() {
+				if !release.Load() {
+					m.E.At(m.E.Now(), spin)
+				}
+			}
+			m.E.At(1000, spin)
+		}}
+	fut, _ := pool.New(1).Submit(cell)
+	g := guard.CellGuard{Stall: 50 * time.Millisecond, Poll: 5 * time.Millisecond, Grace: 5 * time.Second}
+	verdict := g.Supervise(func(d time.Duration) bool {
+		_, _, ok := fut.WaitTimeout(d)
+		return ok
+	}, probe)
+	if verdict != guard.VerdictStalled {
+		t.Fatalf("verdict %v, want stalled", verdict)
+	}
+	var aerr *sim.AbortError
+	if _, err := fut.Wait(); !errors.As(err, &aerr) || aerr.Reason != "stalled" || aerr.Now != 1000 {
+		t.Fatalf("cell returned %v, want a stalled abort at t=1000", err)
+	}
+	// The cell's goroutine closes its future just before it exits.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the verdict, %d before", runtime.NumGoroutine(), goroutines)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -6,10 +6,12 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"nwcache/internal/core"
+	"nwcache/internal/obs"
 )
 
 // Cache traffic is a deterministic work count: a cold run reads each
@@ -70,7 +72,11 @@ func TestIncompleteShardLeavesNoOutput(t *testing.T) {
 		{"max-fresh", func(r *Runner) { r.MaxFresh = 1 }, ErrIncomplete},
 		{"draining", func(r *Runner) {
 			admitted := 0
-			r.Progress = func(string) { admitted++ }
+			r.OnEvent = func(ev obs.Event) {
+				if ev.Type == obs.EventCellStart {
+					admitted++
+				}
+			}
 			r.Draining = func() bool { return admitted >= 1 }
 		}, ErrIncomplete},
 		{"poisoned", func(r *Runner) {
@@ -118,22 +124,46 @@ func TestShardLineIsCanonical(t *testing.T) {
 	s := runnerSpec(t)
 	dir := t.TempDir()
 	runSweep(t, s, dir, 1, 0)
-	err := readLines(bytes.NewReader(readFileT(t, filepath.Join(dir, "shard-0of1.ndjson"))), func(b []byte) error {
+	data := bytes.TrimSpace(readFileT(t, filepath.Join(dir, "shard-0of1.ndjson")))
+	for _, b := range bytes.Split(data, []byte("\n")) {
 		var line Line
 		if err := json.Unmarshal(b, &line); err != nil {
-			return err
+			t.Fatal(err)
 		}
 		again, err := json.Marshal(&line)
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
 		if !bytes.Equal(again, b) {
 			t.Errorf("shard line %d does not re-encode to its own bytes:\n%s\nvs\n%s", line.Idx, again, b)
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	}
+}
+
+// ReadLines lets its scanner buffer grow from nothing and decodes each
+// line in place: reading a small file allocates a small amount, not a
+// preallocated maximum-line buffer.
+func TestReadLinesAllocatesLittle(t *testing.T) {
+	var file []byte
+	for i := 0; i < 4; i++ {
+		line, err := json.Marshal(Line{Idx: i, Record: Record{Key: "k", Label: "gauss / standard / naive", Digest: "d"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		file = append(append(file, line...), '\n')
+	}
+	const calls = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		n := 0
+		if err := ReadLines(bytes.NewReader(file), func(Line) error { n++; return nil }); err != nil || n != 4 {
+			t.Fatalf("ReadLines: %d lines, err %v", n, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= 64<<10 {
+		t.Fatalf("ReadLines allocates %d bytes per call on a %d-byte file, want under 64 KiB", per, len(file))
 	}
 }
 

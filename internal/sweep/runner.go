@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -26,6 +27,11 @@ import (
 // finishing every cell (the -max-cells cap, or a graceful drain);
 // re-running the same shard resumes from the STATE file.
 var ErrIncomplete = errors.New("sweep: shard incomplete (resume to continue)")
+
+// ReasonQuarantined is the reason a cell.poisoned event carries for a
+// cell skipped because STATE already quarantines it; every other reason
+// is a fresh quarantine's verdict.
+const ReasonQuarantined = "quarantined"
 
 // ErrPoisoned is returned by Runner.Run when every owned cell has a
 // STATE record but some of those records are poison quarantines: the
@@ -86,8 +92,6 @@ type Runner struct {
 	// simulations — Run then returns ErrIncomplete and the next Run
 	// resumes. This is also how CI simulates a mid-sweep kill.
 	MaxFresh int
-	// Progress, if set, is called with a label per fresh simulation.
-	Progress func(label string)
 
 	// FS is the host filesystem seam for everything the shard persists
 	// (STATE, cache, shard outputs). nil: the real OS. The chaos
@@ -112,8 +116,6 @@ type Runner struct {
 	// ErrIncomplete so a later run resumes. This is the signal-drain
 	// hook — the CLI flips it on SIGINT/SIGTERM.
 	Draining func() bool
-	// OnPoison, if set, is called once per freshly quarantined cell.
-	OnPoison func(c core.Cell, reason string)
 	// Sabotage, if set, makes matching cells panic inside their
 	// simulation (through the observability hook, so the cell key is
 	// unchanged). This exists for the chaos harness — a deliberately
@@ -121,11 +123,13 @@ type Runner struct {
 	Sabotage func(c core.Cell) bool
 
 	// OnEvent, if set, receives the shard's structured lifecycle events
-	// (obs.Event): shard start/done, one event per cell settling (STATE
-	// replay, cache adoption, fresh completion, poison), each carrying
-	// done/total progress and — once a fresh duration is known — an ETA
-	// projected from the mean fresh-cell wall time. Events are advisory
-	// telemetry and never touch the artifacts; unset costs nothing.
+	// (obs.Event), the runner's one report path: shard start/done, a
+	// cell.start per cell submitted for simulation, and one event per
+	// cell settling (STATE replay, cache adoption, fresh completion,
+	// poison with its reason), each carrying done/total progress and —
+	// once a fresh duration is known — an ETA projected from the mean
+	// fresh-cell wall time. Events are advisory telemetry and never
+	// touch the artifacts; unset costs nothing.
 	OnEvent func(ev obs.Event)
 	// Live, if set, receives a published live view per fresh cell (the
 	// service layer's /metrics and /series feed). When the spec samples
@@ -310,9 +314,6 @@ func (r *Runner) Run() (Summary, error) {
 		obsMu.Lock()
 		delete(obsByKy, p.key)
 		obsMu.Unlock()
-		if r.OnPoison != nil {
-			r.OnPoison(p.cell, reason)
-		}
 		emit(obs.Event{Type: obs.EventCellPoisoned, Cell: p.cell.Label(), Idx: p.idx, Reason: reason})
 		return state.AppendPoison(p.key, reason, time.Since(p.start).Nanoseconds())
 	}
@@ -422,7 +423,7 @@ func (r *Runner) Run() (Summary, error) {
 					out.discard() // the shard cannot complete
 					sum.Poisoned++
 					processed++
-					emit(obs.Event{Type: obs.EventCellPoisoned, Cell: c.Label(), Idx: idx, Reason: "quarantined"})
+					emit(obs.Event{Type: obs.EventCellPoisoned, Cell: c.Label(), Idx: idx, Reason: ReasonQuarantined})
 					return nil
 				}
 				sum.PoisonRetried++
@@ -464,12 +465,7 @@ func (r *Runner) Run() (Summary, error) {
 			probe = &sim.Progress{Every: sim.DefaultProbeEvery}
 			c.Probe = probe
 		}
-		fut, fresh := sched.Submit(c)
-		if fresh {
-			if r.Progress != nil {
-				r.Progress(c.Label())
-			}
-		}
+		fut, _ := sched.Submit(c)
 		sum.Fresh++
 		if r.MaxFresh > 0 {
 			freshBudget--
@@ -820,13 +816,23 @@ type mergeLine struct {
 const maxLine = 1 << 30
 
 // ReadLines streams a shard or merged NDJSON file, calling fn per cell
-// line (nwreport's sweep table input).
+// line (nwreport's sweep table input). Blank lines are skipped; a line
+// may be as long as Merge writes one.
 func ReadLines(rd io.Reader, fn func(Line) error) error {
-	return readLines(rd, func(b []byte) error {
+	sc := bufio.NewScanner(rd)
+	sc.Buffer(nil, maxLine)
+	for sc.Scan() {
+		b := bytes.TrimSpace(sc.Bytes())
+		if len(b) == 0 {
+			continue
+		}
 		var line Line
 		if err := json.Unmarshal(b, &line); err != nil {
 			return fmt.Errorf("sweep: decoding cell line: %w", err)
 		}
-		return fn(line)
-	})
+		if err := fn(line); err != nil {
+			return err
+		}
+	}
+	return sc.Err()
 }

@@ -17,12 +17,10 @@
 package sweep
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -658,20 +656,4 @@ func (s *Spec) pivotColumns() (axes, labels []string) {
 		labels = []string{"all"}
 	}
 	return axes, labels
-}
-
-// readLines streams NDJSON lines from r, calling fn per decoded line.
-func readLines(r io.Reader, fn func(line []byte) error) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
-	for sc.Scan() {
-		b := strings.TrimSpace(sc.Text())
-		if b == "" {
-			continue
-		}
-		if err := fn([]byte(b)); err != nil {
-			return err
-		}
-	}
-	return sc.Err()
 }

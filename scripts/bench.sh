@@ -5,6 +5,7 @@
 #
 # Benchmarks:
 #   BenchmarkEngineEventThroughput  pooled event schedule/dispatch cycle
+#   BenchmarkProbedEventThroughput  the same cycle with a progress probe attached (supervised cells)
 #   BenchmarkCallbackHandoff        hand-off between two continuations via a Cond
 #   BenchmarkThreadResume           CPU thread block/resume round trip (two threads in lockstep)
 #   BenchmarkCtxTouch               one CPU's Touch chain on resident pages (CC hits + misses)
@@ -53,7 +54,7 @@ trap 'rm -f "$raw"' EXIT
 # Micro-benchmarks: GOMAXPROCS=1, N samples each via -count; the awk
 # pass below keeps the minimum per benchmark.
 GOMAXPROCS=1 go test -run '^$' \
-  -bench '^(BenchmarkEngineEventThroughput|BenchmarkCallbackHandoff|BenchmarkThreadResume|BenchmarkCtxTouch|BenchmarkPageFault|BenchmarkRingInsertRelease|BenchmarkMeshTransit)$' \
+  -bench '^(BenchmarkEngineEventThroughput|BenchmarkProbedEventThroughput|BenchmarkCallbackHandoff|BenchmarkThreadResume|BenchmarkCtxTouch|BenchmarkPageFault|BenchmarkRingInsertRelease|BenchmarkMeshTransit)$' \
   -benchmem -benchtime "$micro_bt" -count "$samples" . | tee "$raw" >&2
 GOMAXPROCS=1 go test -run '^$' \
   -bench '^(BenchmarkFramePoolTouch|BenchmarkFramePoolEvict)$' \

@@ -39,6 +39,7 @@ git archive "$base" | tar -x -C "$tmp/base"
 
 # The gated benchmarks, each with its package.
 benches='. BenchmarkEngineEventThroughput
+. BenchmarkProbedEventThroughput
 . BenchmarkCallbackHandoff
 . BenchmarkThreadResume
 . BenchmarkCtxTouch
