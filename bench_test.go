@@ -194,11 +194,11 @@ func eventLoop(b *testing.B, e *sim.Engine) {
 	reschedule = func() {
 		count++
 		if count < b.N {
-			e.After(1, reschedule)
+			e.At(e.Now()+1, reschedule)
 		}
 	}
 	b.ResetTimer()
-	e.After(1, reschedule)
+	e.At(e.Now()+1, reschedule)
 	if err := e.Run(); err != nil {
 		b.Fatal(err)
 	}

@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"nwcache/internal/core"
+	"nwcache/internal/guard"
 	"nwcache/internal/machine"
 	"nwcache/internal/obs"
 )
@@ -243,14 +244,14 @@ func (s *Session) Finish(cfg core.Config, man obs.Manifest) error {
 		for _, r := range runs {
 			series = append(series, r.smp.Export(r.label)...)
 		}
-		errs = append(errs, writeFile(s.SeriesOut, func(w io.Writer) error { return obs.WriteSeriesNDJSON(w, series) }))
+		errs = append(errs, guard.WriteFileOn(guard.OS, nil, s.SeriesOut, func(w io.Writer) error { return obs.WriteSeriesNDJSON(w, series) }))
 	}
 	if s.TraceOut != "" {
 		named := make([]obs.NamedTrace, len(runs))
 		for i, r := range runs {
 			named[i] = obs.NamedTrace{Name: r.label, Trace: r.tr}
 		}
-		errs = append(errs, writeFile(s.TraceOut, func(w io.Writer) error { return obs.WriteChromeMulti(w, named) }))
+		errs = append(errs, guard.WriteFileOn(guard.OS, nil, s.TraceOut, func(w io.Writer) error { return obs.WriteChromeMulti(w, named) }))
 	}
 	if s.ManifestOut != "" {
 		errs = append(errs, s.writeManifest(cfg, man, runs))
@@ -276,20 +277,7 @@ func (s *Session) writeManifest(cfg core.Config, man obs.Manifest, runs []obsRun
 		man.TraceDropped += r.tr.Dropped()
 	}
 	man.CreatedAt = time.Now().UTC().Format(time.RFC3339)
-	return man.WriteFile(s.ManifestOut)
-}
-
-// writeFile creates path and fills it with write.
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = write(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return guard.WriteFileOn(guard.OS, nil, s.ManifestOut, man.Write)
 }
 
 // Close ends the invocation: it stops the dashboard and hands the
@@ -311,7 +299,7 @@ func (s *Session) Close() {
 	if s.MemProfile != "" {
 		// A GC first, so the profile shows live objects, not garbage.
 		runtime.GC()
-		if err := writeFile(s.MemProfile, pprof.WriteHeapProfile); err != nil {
+		if err := guard.WriteFileOn(guard.OS, nil, s.MemProfile, pprof.WriteHeapProfile); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", s.tool, err)
 		}
 	}

@@ -151,7 +151,7 @@ func pinnedTrace(t *testing.T) *obs.Trace {
 func TestAnalyzePinnedRun(t *testing.T) {
 	tr := pinnedTrace(t)
 	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf, "mg"); err != nil {
+	if err := obs.WriteChromeMulti(&buf, []obs.NamedTrace{{Name: "mg", Trace: tr}}); err != nil {
 		t.Fatal(err)
 	}
 	runs, err := obs.ReadChrome(&buf)
@@ -268,7 +268,7 @@ func TestRunSummarizesEachProcess(t *testing.T) {
 // never panic.
 func FuzzAnalyze(f *testing.F) {
 	var buf bytes.Buffer
-	if err := sampleTrace().WriteChrome(&buf, "sample"); err != nil {
+	if err := obs.WriteChromeMulti(&buf, []obs.NamedTrace{{Name: "sample", Trace: sampleTrace()}}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())

@@ -16,7 +16,7 @@ func BenchmarkCoherentCacheAccess(b *testing.B) {
 	for i := range seq {
 		seq[i] = rng.Int63n(64 * SubPerPage)
 	}
-	c := NewCache(0, 128)
+	c := NewCache(128)
 	access := func(i int) bool {
 		blk := seq[i&(len(seq)-1)]
 		page, sub := blk/SubPerPage, int(blk%SubPerPage)

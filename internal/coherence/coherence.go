@@ -65,7 +65,6 @@ func key(page int64, sub int) int64 { return page*SubPerPage + int64(sub) }
 type Cache struct {
 	lru   dense.LRU
 	state []State // per LRU slot
-	node  int
 
 	Hits       uint64
 	Misses     uint64
@@ -75,11 +74,10 @@ type Cache struct {
 
 // NewCache returns an empty coherent cache of `capacity` blocks
 // (capacity in [1, dense.MaxCapacity]).
-func NewCache(node, capacity int) *Cache {
+func NewCache(capacity int) *Cache {
 	return &Cache{
 		lru:   dense.NewLRU(capacity),
 		state: make([]State, capacity),
-		node:  node,
 	}
 }
 
@@ -143,16 +141,6 @@ func (c *Cache) Insert(page int64, sub int, st State) (ev Evicted, evicted bool)
 	}
 	c.state[c.lru.Insert(k)] = st
 	return ev, evicted
-}
-
-// SetState changes the state of a cached block (upgrade/downgrade); the
-// block must be present.
-func (c *Cache) SetState(page int64, sub int, st State) {
-	s := c.lru.Find(key(page, sub))
-	if s < 0 {
-		panic(fmt.Sprintf("coherence: node %d: SetState on absent block %d/%d", c.node, page, sub))
-	}
-	c.state[s] = st
 }
 
 // Drop removes a block (invalidation). Reports whether it was present and
@@ -291,7 +279,7 @@ func (d *Directory) Read(page int64, sub int, n int) Txn {
 
 // Write records node n obtaining the Modified copy and returns the
 // traffic needed (forward from a dirty owner and/or invalidations of
-// sharers). The caller must afterwards Insert/SetState in n's cache.
+// sharers). The caller must afterwards Insert in n's cache.
 // The returned Invalidate slice is valid until the next Read/Write.
 func (d *Directory) Write(page int64, sub int, n int) Txn {
 	s := d.slot(key(page, sub))

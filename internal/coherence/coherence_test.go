@@ -6,7 +6,7 @@ import (
 )
 
 func TestCacheInsertLookupStates(t *testing.T) {
-	c := NewCache(0, 4)
+	c := NewCache(4)
 	if c.State(1, 0) != Invalid {
 		t.Fatal("absent block not Invalid")
 	}
@@ -14,14 +14,14 @@ func TestCacheInsertLookupStates(t *testing.T) {
 	if c.State(1, 0) != Shared {
 		t.Fatal("Shared state lost")
 	}
-	c.SetState(1, 0, Modified)
+	c.Insert(1, 0, Modified)
 	if c.State(1, 0) != Modified {
 		t.Fatal("upgrade lost")
 	}
 }
 
 func TestCacheEvictionReportsModified(t *testing.T) {
-	c := NewCache(0, 2)
+	c := NewCache(2)
 	c.Insert(1, 0, Modified)
 	c.Insert(2, 0, Shared)
 	ev, evicted := c.Insert(3, 0, Shared) // evicts (1,0), the LRU
@@ -37,7 +37,7 @@ func TestCacheEvictionReportsModified(t *testing.T) {
 }
 
 func TestCacheReinsertDoesNotEvict(t *testing.T) {
-	c := NewCache(0, 2)
+	c := NewCache(2)
 	c.Insert(1, 0, Shared)
 	c.Insert(2, 0, Shared)
 	if _, evicted := c.Insert(1, 0, Modified); evicted {
@@ -49,7 +49,7 @@ func TestCacheReinsertDoesNotEvict(t *testing.T) {
 }
 
 func TestCacheDropAndDropPage(t *testing.T) {
-	c := NewCache(0, 8)
+	c := NewCache(8)
 	for sub := 0; sub < SubPerPage; sub++ {
 		c.Insert(5, sub, Shared)
 	}
@@ -63,16 +63,6 @@ func TestCacheDropAndDropPage(t *testing.T) {
 	if c.Len() != 0 {
 		t.Fatalf("len %d", c.Len())
 	}
-}
-
-func TestSetStateOnAbsentPanics(t *testing.T) {
-	c := NewCache(0, 2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	c.SetState(9, 0, Shared)
 }
 
 func TestDirectoryReadFromMemory(t *testing.T) {
@@ -205,7 +195,7 @@ func TestSingleWriterInvariantProperty(t *testing.T) {
 func TestCacheCapacityProperty(t *testing.T) {
 	f := func(refs []uint16, capRaw uint8) bool {
 		capacity := int(capRaw%16) + 1
-		c := NewCache(0, capacity)
+		c := NewCache(capacity)
 		for _, r := range refs {
 			st := Shared
 			if r%3 == 0 {

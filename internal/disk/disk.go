@@ -255,9 +255,6 @@ func (d *Disk) noteDirty() {
 	}
 }
 
-// HasDCD reports whether the DCD log disk is attached.
-func (d *Disk) HasDCD() bool { return d.dcd != nil }
-
 // DCDLogged returns the number of blocks currently in the DCD log.
 func (d *Disk) DCDLogged() int {
 	if d.dcd == nil {

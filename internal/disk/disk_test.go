@@ -34,7 +34,7 @@ func script(e *sim.Engine, steps ...step) {
 
 // sleep waits d pcycles.
 func sleep(e *sim.Engine, d sim.Time) step {
-	return func(next func()) { e.After(d, next) }
+	return func(next func()) { e.At(e.Now()+d, next) }
 }
 
 // do runs f and goes on.
@@ -585,7 +585,7 @@ func TestDCDDestagesEventually(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !d.HasDCD() {
+	if d.dcd == nil {
 		t.Fatal("DCD not attached")
 	}
 	if d.DCDLogged() != 0 {

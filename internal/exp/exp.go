@@ -28,89 +28,65 @@ type Suite struct {
 	// Progress, if set, is called with a label for each simulation that
 	// is actually started (cache hits are silent).
 	Progress func(label string)
-	// Observe, if set, is attached to every cell as its core.Cell.Obs
-	// hook: it fires with the freshly built machine for each simulation
-	// actually executed (memoized cells are served from cache without a
-	// machine). Set it before the first submission.
-	Observe func(core.Cell, *machine.Machine)
+	// observe is attached to every cell as its core.Cell.Obs hook; see
+	// AddObserver.
+	observe func(core.Cell, *machine.Machine)
 }
 
-// NewSuite creates an empty suite over the given base configuration. The
-// minimum-free-frames floor is overridden per cell with the paper's
-// choices (see core.PaperMinFree). The suite schedules on a private pool
-// sized GOMAXPROCS; use NewSuiteOn to share a pool (and its memo cache)
-// with other consumers or to bound concurrency differently.
-func NewSuite(cfg core.Config) *Suite {
-	return &Suite{cfg: cfg}
-}
-
-// NewSuiteOn creates a suite scheduling on the given pool.
+// NewSuiteOn creates an empty suite over the given base configuration,
+// scheduling on p (whose memo cache it shares with any other consumer of
+// p). The minimum-free-frames floor is overridden per cell with the
+// paper's choices (see core.PaperMinFree).
 func NewSuiteOn(cfg core.Config, p *pool.Pool) *Suite {
 	return &Suite{cfg: cfg, sched: p}
 }
 
-// AddObserver appends fn to the suite's Observe hook, composing with any
-// observer already installed (earlier observers fire first). Several
-// independent consumers — manifest metrics, span tracing, time-series
-// samplers, live -watch views — can then each attach to every fresh
-// simulation without knowing about one another. Call before the first
-// submission, like Observe itself.
+// AddObserver appends fn to the hook every cell carries as its
+// core.Cell.Obs, composing with the observers already added (earlier
+// ones fire first). It fires with the freshly built machine for each
+// simulation actually executed (memoized cells are served from cache
+// without a machine). Several independent consumers — manifest metrics,
+// span tracing, time-series samplers, live -watch views — can then each
+// attach to every fresh simulation without knowing about one another.
+// Call before the first submission.
 func (s *Suite) AddObserver(fn func(core.Cell, *machine.Machine)) {
 	if fn == nil {
 		return
 	}
-	prev := s.Observe
+	prev := s.observe
 	if prev == nil {
-		s.Observe = fn
+		s.observe = fn
 		return
 	}
-	s.Observe = func(c core.Cell, m *machine.Machine) {
+	s.observe = func(c core.Cell, m *machine.Machine) {
 		prev(c, m)
 		fn(c, m)
 	}
-}
-
-// pool returns the suite's scheduler, creating the default one on first
-// use.
-func (s *Suite) pool() *pool.Pool {
-	if s.sched == nil {
-		s.sched = pool.New(0)
-	}
-	return s.sched
-}
-
-// Pool exposes the suite's scheduler so callers can tune it (e.g.
-// adjust the memo bound) or share it, before running the matrix.
-func (s *Suite) Pool() *pool.Pool {
-	return s.pool()
 }
 
 // cell builds the pool cell for one matrix coordinate, applying the
 // paper's per-configuration minimum-free-frames floor.
 func (s *Suite) cell(app string, kind core.Kind, mode core.PrefetchMode) core.Cell {
 	return core.Cell{App: app, Kind: kind, Mode: mode,
-		Cfg: core.ApplyPaperMinFree(s.cfg, kind, mode), Obs: s.Observe}
+		Cfg: core.ApplyPaperMinFree(s.cfg, kind, mode), Obs: s.observe}
 }
 
 // submit schedules one cell, reporting progress if it is fresh work.
 func (s *Suite) submit(app string, kind core.Kind, mode core.PrefetchMode) *pool.Future {
 	c := s.cell(app, kind, mode)
-	f, fresh := s.pool().Submit(c)
+	f, fresh := s.sched.Submit(c)
 	if fresh && s.Progress != nil {
 		s.Progress(c.Label())
 	}
 	return f
 }
 
-// Prewarm runs every cell of the evaluation matrix, up to `parallel`
-// simulations concurrently (each simulation is single-threaded and fully
+// Prewarm runs every cell of the evaluation matrix, as many at once as
+// the suite's pool allows (each simulation is single-threaded and fully
 // independent, so this is safe and near-linear). Subsequent table
-// generation is then instantaneous. If the suite was built with NewSuite,
-// the first Prewarm fixes the pool's concurrency bound.
-func (s *Suite) Prewarm(parallel int) error {
-	if s.sched == nil {
-		s.sched = pool.New(parallel)
-	}
+// generation is then instantaneous. The argument is unused: the pool
+// fixed the concurrency bound when it was built.
+func (s *Suite) Prewarm(int) error {
 	var futs []*pool.Future
 	for _, app := range s.Apps() {
 		for _, kind := range []core.Kind{core.Standard, core.NWCache} {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nwcache/internal/core"
+	"nwcache/internal/exp/pool"
 	"nwcache/internal/machine"
 )
 
@@ -14,7 +15,7 @@ func fastSuite() *Suite {
 	cfg := core.DefaultConfig()
 	cfg.Scale = 0.1
 	cfg.MemPerNode = 16 * cfg.PageSize
-	return NewSuite(cfg)
+	return NewSuiteOn(cfg, pool.New(0))
 }
 
 func TestSuiteCachesRuns(t *testing.T) {
@@ -161,7 +162,7 @@ func TestPrewarmPropagatesErrors(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Scale = 0.1
 	cfg.PageSize = 3000 // invalid (not a power of two): every run fails
-	s := NewSuite(cfg)
+	s := NewSuiteOn(cfg, pool.New(2))
 	if err := s.Prewarm(2); err == nil {
 		t.Fatal("invalid config not reported")
 	}
@@ -263,14 +264,14 @@ func TestPaperValuesCoverAllApps(t *testing.T) {
 	}
 }
 
-// AddObserver composes with an existing Observe hook (earlier observers
+// AddObserver composes with the observers already added (earlier ones
 // first) and fires only for fresh simulations, never for cache hits.
 func TestAddObserverComposes(t *testing.T) {
 	s := fastSuite()
 	var order []string
-	s.Observe = func(c core.Cell, m *machine.Machine) {
+	s.AddObserver(func(c core.Cell, m *machine.Machine) {
 		order = append(order, "first:"+c.Label())
-	}
+	})
 	s.AddObserver(func(c core.Cell, m *machine.Machine) {
 		if m == nil {
 			t.Error("observer fired without a machine")

@@ -34,21 +34,16 @@ import (
 // sweep must not accumulate a million retained Results: once the memo
 // holds this many completed futures, the least-recently-used ones are
 // evicted (an evicted cell re-simulates on its next submission).
-// SetMemoLimit adjusts or disables the bound.
 const DefaultMemoLimit = 1 << 16
 
 // Future is the pending (or completed) result of one cell.
 type Future struct {
-	cell core.Cell
 	key  string
 	done chan struct{}
 	res  *core.Result
 	err  error
 	elem *list.Element // LRU position once completed; nil while in flight
 }
-
-// Cell returns the cell this future computes.
-func (f *Future) Cell() core.Cell { return f.cell }
 
 // Wait blocks until the cell has been simulated and returns its result.
 // Every caller of Wait on the same future receives the same *Result.
@@ -101,7 +96,7 @@ type Pool struct {
 	mu       sync.Mutex
 	memo     map[string]*Future
 	lru      *list.List // completed futures, most recent at the front
-	limit    int        // max completed futures retained; <= 0: unbounded
+	limit    int        // max completed futures retained (DefaultMemoLimit)
 	runs     int
 	hits     int
 	evicts   int
@@ -126,22 +121,11 @@ func New(workers int) *Pool {
 // Workers returns the pool's concurrency bound.
 func (p *Pool) Workers() int { return cap(p.sem) }
 
-// SetMemoLimit bounds the number of completed futures the memo cache
-// retains (n <= 0 removes the bound). In-flight simulations are never
-// evicted, so the instantaneous size can exceed the bound by the number
-// of cells currently executing. Call before heavy submission; shrinking
-// evicts immediately.
-func (p *Pool) SetMemoLimit(n int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.limit = n
-	p.evictOverLimit()
-}
-
 // evictOverLimit drops least-recently-used completed futures until the
-// bound holds. Caller holds p.mu.
+// bound holds. In-flight simulations are never evicted, so the memo can
+// exceed the bound by the number of cells executing. Caller holds p.mu.
 func (p *Pool) evictOverLimit() {
-	for p.limit > 0 && p.lru.Len() > p.limit {
+	for p.lru.Len() > p.limit {
 		back := p.lru.Back()
 		ev := back.Value.(*Future)
 		p.lru.Remove(back)
@@ -166,7 +150,7 @@ func (p *Pool) Submit(c core.Cell) (f *Future, fresh bool) {
 		p.mu.Unlock()
 		return f, false
 	}
-	f = &Future{cell: c, key: key, done: make(chan struct{})}
+	f = &Future{key: key, done: make(chan struct{})}
 	p.memo[key] = f
 	p.inflight++
 	p.mu.Unlock()
@@ -216,22 +200,6 @@ func (p *Pool) Stats() (runs, hits int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.runs, p.hits
-}
-
-// MemoLen returns the number of futures currently memoized (completed
-// and in flight).
-func (p *Pool) MemoLen() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.memo)
-}
-
-// QueueDepth returns the number of fresh submissions that have not yet
-// completed — cells running plus cells queued behind the worker bound.
-func (p *Pool) QueueDepth() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.inflight
 }
 
 // Observe registers the pool's scheduling and memo-cache accounting as

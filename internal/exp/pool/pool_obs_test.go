@@ -15,12 +15,20 @@ import (
 func waitIdle(t *testing.T, p *Pool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for p.QueueDepth() != 0 {
+	for depth(p) != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("pool never went idle: QueueDepth = %d", p.QueueDepth())
+			t.Fatalf("pool never went idle: queue_depth = %d", depth(p))
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// depth reads the pool's queue_depth probe.
+func depth(p *Pool) int64 {
+	reg := obs.NewRegistry()
+	p.Observe(reg.Root())
+	mv, _ := reg.Snapshot().Get("queue_depth")
+	return mv.Value
 }
 
 func TestQueueDepthTracksInFlight(t *testing.T) {
@@ -44,13 +52,13 @@ func TestQueueDepthTracksInFlight(t *testing.T) {
 	}
 	// The in-flight count is bumped synchronously in Submit, so with one
 	// worker and nothing collected yet all three cells are pending.
-	if got := p.QueueDepth(); got != 3 {
-		t.Fatalf("QueueDepth = %d, want 3", got)
+	if got := depth(p); got != 3 {
+		t.Fatalf("queue_depth = %d, want 3", got)
 	}
 	// A memo hit is not a fresh submission and must not bump the depth.
 	p.Submit(held(0))
-	if got := p.QueueDepth(); got != 3 {
-		t.Fatalf("QueueDepth after memo hit = %d, want 3", got)
+	if got := depth(p); got != 3 {
+		t.Fatalf("queue_depth after memo hit = %d, want 3", got)
 	}
 	close(release)
 	for _, f := range futs {
@@ -66,7 +74,7 @@ func TestQueueDepthTracksInFlight(t *testing.T) {
 // reports.
 func TestObserveProbesPinCounters(t *testing.T) {
 	p := New(1)
-	p.SetMemoLimit(2)
+	p.limit = 2
 	reg := obs.NewRegistry()
 	p.Observe(reg.Root().Scope("pool"))
 

@@ -229,7 +229,7 @@ func badCell(i int) core.Cell {
 func TestMemoBoundedByLRU(t *testing.T) {
 	const limit = 4
 	p := New(1)
-	p.SetMemoLimit(limit)
+	p.limit = limit
 	cells := make([]core.Cell, 10)
 	for i := range cells {
 		cells[i] = badCell(i)
@@ -238,12 +238,12 @@ func TestMemoBoundedByLRU(t *testing.T) {
 			t.Fatalf("cell %d: expected a fresh submission", i)
 		}
 		f.Wait() // complete before the next submit: deterministic LRU order
-		if got := p.MemoLen(); got > limit {
-			t.Fatalf("after %d cells: MemoLen = %d, exceeds limit %d", i+1, got, limit)
+		if got := len(p.memo); got > limit {
+			t.Fatalf("after %d cells: memo holds %d, exceeds limit %d", i+1, got, limit)
 		}
 	}
-	if got := p.MemoLen(); got != limit {
-		t.Fatalf("MemoLen = %d, want %d", got, limit)
+	if got := len(p.memo); got != limit {
+		t.Fatalf("memo holds %d, want %d", got, limit)
 	}
 	p.mu.Lock()
 	evicts := p.evicts
@@ -260,26 +260,6 @@ func TestMemoBoundedByLRU(t *testing.T) {
 		t.Fatal("oldest cell survived beyond the memo bound")
 	} else {
 		f.Wait()
-	}
-}
-
-func TestSetMemoLimitShrinkEvictsImmediately(t *testing.T) {
-	p := New(1)
-	for i := 0; i < 6; i++ {
-		f, _ := p.Submit(badCell(i))
-		f.Wait()
-	}
-	p.SetMemoLimit(2)
-	if got := p.MemoLen(); got != 2 {
-		t.Fatalf("MemoLen after shrink = %d, want 2", got)
-	}
-	p.SetMemoLimit(0) // unbounded again
-	for i := 6; i < 12; i++ {
-		f, _ := p.Submit(badCell(i))
-		f.Wait()
-	}
-	if got := p.MemoLen(); got != 8 {
-		t.Fatalf("MemoLen unbounded = %d, want 8", got)
 	}
 }
 

@@ -87,7 +87,7 @@ func (s *Suite) ReliabilityMatrix(app string, mode core.PrefetchMode, faultSeed 
 			c.FaultPlan = lv.spec
 			c.FaultSeed = faultSeed
 			c.Recovery = row.recovery
-			f, fresh := s.pool().Submit(c)
+			f, fresh := s.sched.Submit(c)
 			if fresh && s.Progress != nil {
 				s.Progress(c.Label() + " / " + lv.name)
 			}

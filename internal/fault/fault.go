@@ -355,14 +355,6 @@ func (i *Injector) NoteStall() {
 	}
 }
 
-// VulnerablePages returns how many pages currently live only on the ring.
-func (i *Injector) VulnerablePages() int64 {
-	if i == nil {
-		return 0
-	}
-	return i.vuln
-}
-
 // Observe wires the injector into an obs scope: every Stats counter as a
 // pull-based probe plus live histograms for retry backoff, vulnerability
 // windows, and recovery latency, and a simulated-time gauge of pages in

@@ -37,7 +37,7 @@ func TestNilInjectorIsInert(t *testing.T) {
 	i.NoteReroute()
 	i.NoteStall()
 	i.Observe(nil)
-	if !i.Plan().Empty() || i.Seed() != 0 || i.VulnerablePages() != 0 {
+	if i.Plan().String() != "" || i.Seed() != 0 {
 		t.Fatal("nil injector has state")
 	}
 	if s := i.Summary(); s != "faults: disabled" {
@@ -162,13 +162,13 @@ func TestVulnerabilityAccounting(t *testing.T) {
 	i.Observe(reg.Root().Scope("faultinj"))
 	i.NoteRingInsert(100)
 	i.NoteRingInsert(200)
-	if i.VulnerablePages() != 2 {
-		t.Fatalf("vulnerable %d, want 2", i.VulnerablePages())
+	if i.vuln != 2 {
+		t.Fatalf("vulnerable %d, want 2", i.vuln)
 	}
 	i.NoteRingRelease(300, 100)
 	i.NoteVoided(400, 200)
-	if i.VulnerablePages() != 0 {
-		t.Fatalf("vulnerable %d, want 0", i.VulnerablePages())
+	if i.vuln != 0 {
+		t.Fatalf("vulnerable %d, want 0", i.vuln)
 	}
 	i.NoteRecovered(5000)
 	if i.Stats.VoidedPages != 1 || i.Stats.RecoveredPages != 1 || i.Stats.LostPages != 0 {

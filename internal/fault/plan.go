@@ -108,14 +108,6 @@ type Plan struct {
 	Flaps       []Flap
 }
 
-// Empty reports whether the plan injects nothing.
-func (p *Plan) Empty() bool {
-	return p.DiskRead.Rate == 0 && p.DiskWrite.Rate == 0 &&
-		len(p.BadBlocks) == 0 && len(p.Degraded) == 0 &&
-		p.CorruptRate == 0 && len(p.Outages) == 0 &&
-		len(p.Crashes) == 0 && len(p.Flaps) == 0
-}
-
 // Parse reads a plan from its textual spec: one directive per line, blank
 // lines and #-comments ignored. Directives:
 //

@@ -41,9 +41,6 @@ func TestParseFullSpec(t *testing.T) {
 	if !reflect.DeepEqual(p, want) {
 		t.Fatalf("parse mismatch:\n got %+v\nwant %+v", p, want)
 	}
-	if p.Empty() {
-		t.Fatal("full plan reports Empty")
-	}
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -70,7 +67,7 @@ func TestParseEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.Empty() {
+	if !reflect.DeepEqual(p, &Plan{}) {
 		t.Fatalf("comment-only spec should be empty, got %+v", p)
 	}
 	if p.String() != "" {

@@ -34,12 +34,6 @@ type OpWindow struct {
 	From, Until uint64
 }
 
-// Empty reports whether the plan injects nothing.
-func (p *ChaosPlan) Empty() bool {
-	return len(p.SyncFailNth) == 0 && p.SyncRate == 0 && p.ShortRate == 0 &&
-		len(p.ENOSPC) == 0 && p.ReadRate == 0 && len(p.RenameNth) == 0
-}
-
 // ParseChaos reads a chaos plan from its textual spec: one directive
 // per line, blank lines and #-comments ignored. Directives:
 //
@@ -393,20 +387,6 @@ func (c *ChaosFS) ReadFile(name string) ([]byte, error) {
 		}
 	}
 	return c.inner.ReadFile(name)
-}
-
-func (c *ChaosFS) WriteFile(name string, data []byte, perm os.FileMode) error {
-	if c.inScope(name) {
-		if k, err := c.writeFault(len(data)); err != nil {
-			if k > 0 {
-				// Land the torn prefix for realism; the caller's
-				// verify-or-rewrite discipline must cope.
-				_ = c.inner.WriteFile(name, data[:k], perm)
-			}
-			return err
-		}
-	}
-	return c.inner.WriteFile(name, data, perm)
 }
 
 func (c *ChaosFS) Rename(oldpath, newpath string) error {

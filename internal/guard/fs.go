@@ -28,7 +28,6 @@ type FS interface {
 	Create(name string) (File, error)
 	CreateTemp(dir, pattern string) (File, error)
 	ReadFile(name string) ([]byte, error)
-	WriteFile(name string, data []byte, perm os.FileMode) error
 	Rename(oldpath, newpath string) error
 	Remove(name string) error
 	MkdirAll(path string, perm os.FileMode) error
@@ -47,13 +46,24 @@ func (osFS) Create(name string) (File, error) { return os.Create(name) }
 func (osFS) CreateTemp(dir, pattern string) (File, error) {
 	return os.CreateTemp(dir, pattern)
 }
-func (osFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
-func (osFS) WriteFile(name string, data []byte, perm os.FileMode) error {
-	return os.WriteFile(name, data, perm)
-}
+func (osFS) ReadFile(name string) ([]byte, error)         { return os.ReadFile(name) }
 func (osFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
 func (osFS) Remove(name string) error                     { return os.Remove(name) }
 func (osFS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }
+
+// WriteFileOn creates path through fsys and fills it with write,
+// retrying transient write faults under retry (nil: one attempt).
+func WriteFileOn(fsys FS, retry *Retrier, path string, write func(io.Writer) error) error {
+	f, err := fsys.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(&RetryWriter{W: f, R: retry})
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
 
 // Or returns fsys, or OS when fsys is nil — the idiom callers use to
 // default an optional FS field.

@@ -113,8 +113,3 @@ func Classify(err error) Class {
 
 // IsTransient reports whether Classify(err) == Transient.
 func IsTransient(err error) bool { return err != nil && Classify(err) == Transient }
-
-// Interrupted reports whether err is the immediate EINTR errno (not
-// merely transient). RetryReader/RetryWriter use it to distinguish
-// "consumed nothing, go again" from partial progress.
-func Interrupted(err error) bool { return errors.Is(err, syscall.EINTR) }

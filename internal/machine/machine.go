@@ -229,7 +229,7 @@ func New(cfg param.Config, kind Kind, mode disk.PrefetchMode) (*Machine, error) 
 			MemBus:   sim.NewResource(e, fmt.Sprintf("membus%d", i)),
 			IOBus:    sim.NewResource(e, fmt.Sprintf("iobus%d", i)),
 			TLB:      tlb.New(cfg.TLBEntries),
-			CC:       coherence.NewCache(i, cfg.L2SubBlocks),
+			CC:       coherence.NewCache(cfg.L2SubBlocks),
 			Pool:     vm.NewFramePool(e, i, cfg.FramesPerNode(), cfg.MinFreeFrames),
 			swapSem:  sim.NewSemaphore(e, cfg.SwapQueueDepth),
 			chanRoom: sim.NewCond(e),

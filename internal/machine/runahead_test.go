@@ -90,7 +90,7 @@ func TestSlowPathPins(t *testing.T) {
 			en := m.Table.Get(5)
 			m.E.At(0, func() {
 				en.Lock.TryLock() // free at t=0
-				m.E.After(20_000, en.Lock.Unlock)
+				m.E.At(m.E.Now()+20_000, en.Lock.Unlock)
 			})
 		},
 		prog: func(ctx *Ctx, proc int, _ *[]string) {

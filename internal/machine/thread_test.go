@@ -63,7 +63,7 @@ func TestStrandedThreadsReported(t *testing.T) {
 	}}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			goroutines := runtime.NumGoroutine()
+			goroutines := threadGoroutines()
 			cfg := param.Default()
 			m, err := New(cfg, NWCache, disk.Optimal)
 			if err != nil {
@@ -101,17 +101,30 @@ func TestStrandedThreadsReported(t *testing.T) {
 			if unwound != cfg.Nodes {
 				t.Errorf("%d of %d threads ran their defers", unwound, cfg.Nodes)
 			}
-			if n := runtime.NumGoroutine(); n != goroutines {
+			if n := threadGoroutines(); n != goroutines {
 				t.Errorf("%d goroutines after Run, %d before: a thread outlived the run", n, goroutines)
 			}
 		})
 	}
 }
 
+// threadGoroutines counts the goroutines running a thread body of this
+// package, so a goroutine of another test that is still exiting cannot
+// move the count.
+func threadGoroutines() int {
+	buf := make([]byte, 1<<16)
+	n := runtime.Stack(buf, true)
+	for n == len(buf) {
+		buf = make([]byte, 2*len(buf))
+		n = runtime.Stack(buf, true)
+	}
+	return strings.Count(string(buf[:n]), "nwcache/internal/machine.(*Ctx).start.func1(")
+}
+
 // A program's panic escapes Run to its caller, and the other threads,
 // blocked at the time, are stopped on the way out.
 func TestThreadPanicEscapesRun(t *testing.T) {
-	goroutines := runtime.NumGoroutine()
+	goroutines := threadGoroutines()
 	m, err := New(param.Default(), NWCache, disk.Optimal)
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +144,7 @@ func TestThreadPanicEscapesRun(t *testing.T) {
 	if got != "boom" {
 		t.Fatalf("Run let through %v, want the program's panic", got)
 	}
-	if n := runtime.NumGoroutine(); n != goroutines {
+	if n := threadGoroutines(); n != goroutines {
 		t.Errorf("%d goroutines after Run, %d before: a thread outlived the run", n, goroutines)
 	}
 }

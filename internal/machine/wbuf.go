@@ -122,9 +122,6 @@ func (wb *writeBuffer) occupancy() int {
 	return n
 }
 
-// queued returns the number of entries waiting to drain (tests).
-func (wb *writeBuffer) queued() int { return wb.count }
-
 // drain retires buffered writes through the coherence protocol. It is a
 // callback chain started at construction and resumed through wb.step.
 func (wb *writeBuffer) drain() {

@@ -86,8 +86,8 @@ func TestWriteBufferFencesAtBarrier(t *testing.T) {
 		}
 		ctx.Barrier()
 		// After the barrier (a release), node 0's buffer must be empty.
-		if proc == 0 && m.Nodes[0].WB.queued() != 0 {
-			t.Errorf("%d writes unfenced after barrier", m.Nodes[0].WB.queued())
+		if proc == 0 && m.Nodes[0].WB.count != 0 {
+			t.Errorf("%d writes unfenced after barrier", m.Nodes[0].WB.count)
 		}
 		ctx.Barrier()
 	}}

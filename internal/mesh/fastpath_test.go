@@ -44,25 +44,27 @@ func TestAppendPathStagesZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestAppendPathStagesMatchesRoute checks the zero-alloc staging against
-// the allocating reference for every node pair.
+// TestAppendPathStagesMatchesRoute checks the staging against the XY
+// route for every node pair: injection port, each link, ejection port.
 func TestAppendPathStagesMatchesRoute(t *testing.T) {
 	e := sim.New()
 	cfg := param.Default()
 	m := New(e, cfg)
+	occupy := param.TransferPcycles(int64(cfg.PageSize), cfg.NetMBs)
 	for src := 0; src < cfg.Nodes; src++ {
 		for dst := 0; dst < cfg.Nodes; dst++ {
-			if src == dst {
-				continue
+			want := []*sim.Resource{m.inject[src]}
+			for _, h := range m.route(src, dst, false) {
+				want = append(want, m.links[h/int(numDirs)][h%int(numDirs)])
 			}
-			want := m.PathStages(src, dst, cfg.PageSize)
+			want = append(want, m.eject[dst])
 			got := m.AppendPathStages(nil, src, dst, cfg.PageSize)
 			if len(got) != len(want) {
 				t.Fatalf("%d->%d: %d stages, want %d", src, dst, len(got), len(want))
 			}
 			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%d->%d stage %d: %+v != %+v", src, dst, i, got[i], want[i])
+				if got[i] != (sim.Stage{Res: want[i], Occupy: occupy, Forward: m.hopLat}) {
+					t.Fatalf("%d->%d stage %d: %+v, want resource %v", src, dst, i, got[i], want[i])
 				}
 			}
 		}

@@ -117,7 +117,7 @@ func New(e *sim.Engine, cfg param.Config) *Mesh {
 		for dst := 0; dst < n; dst++ {
 			lo := len(backing)
 			backing = append(backing, m.inject[src])
-			for _, h := range m.Route(src, dst) {
+			for _, h := range m.route(src, dst, false) {
 				node, dir := h/int(numDirs), Dir(h%int(numDirs))
 				res := m.links[node][dir]
 				if res == nil {
@@ -158,13 +158,13 @@ func (m *Mesh) buildFaultRoutes() {
 	for src := 0; src < n; src++ {
 		for dst := 0; dst < n; dst++ {
 			i := src*n + dst
-			xy := m.Route(src, dst)
+			xy := m.route(src, dst, false)
 			hops := make([]int32, len(xy))
 			for k, h := range xy {
 				hops[k] = int32(h)
 			}
 			m.pathHops[i] = hops
-			yx := m.routeYX(src, dst)
+			yx := m.route(src, dst, true)
 			m.yxHops[i] = make([]int32, len(yx))
 			path := make([]*sim.Resource, 0, len(yx)+2)
 			path = append(path, m.inject[src])
@@ -175,36 +175,6 @@ func (m *Mesh) buildFaultRoutes() {
 			m.yxPaths[i] = append(path, m.eject[dst])
 		}
 	}
-}
-
-// routeYX returns the dimension-swapped (Y first, then X) route — the
-// deterministic fallback when a link on the XY route is flapped.
-func (m *Mesh) routeYX(src, dst int) []int {
-	var hops []int
-	cur := src
-	cx, cy := cur%m.w, cur/m.w
-	dx, dy := dst%m.w, dst/m.w
-	for cy != dy {
-		if cy < dy {
-			hops = append(hops, cur*int(numDirs)+int(North))
-			cy++
-		} else {
-			hops = append(hops, cur*int(numDirs)+int(South))
-			cy--
-		}
-		cur = cy*m.w + cx
-	}
-	for cx != dx {
-		if cx < dx {
-			hops = append(hops, cur*int(numDirs)+int(East))
-			cx++
-		} else {
-			hops = append(hops, cur*int(numDirs)+int(West))
-			cx--
-		}
-		cur = cy*m.w + cx
-	}
-	return hops
 }
 
 // downUntil returns the latest flap-window end covering any link of the
@@ -237,37 +207,35 @@ func (m *Mesh) faultyPath(src, dst int, at sim.Time) (path []*sim.Resource, stal
 	return m.paths[i], untilXY - at
 }
 
-// Route returns the XY route from src to dst as a sequence of (node, dir)
-// hops. An empty route means src == dst. Route allocates; the hot paths use
-// the precomputed resource paths instead (Transit, AppendPathStages).
-func (m *Mesh) Route(src, dst int) []int {
+// route returns the route from src to dst as a sequence of (node, dir)
+// hops: X first, then Y (the XY route every message takes), or Y first
+// when yFirst (the deterministic fallback when a link on the XY route is
+// flapped). An empty route means src == dst. route allocates; the hot
+// paths use the precomputed resource paths instead (Transit,
+// AppendPathStages).
+func (m *Mesh) route(src, dst int, yFirst bool) []int {
 	if src < 0 || src >= m.Nodes() || dst < 0 || dst >= m.Nodes() {
 		panic(fmt.Sprintf("mesh: route %d->%d out of range", src, dst))
 	}
 	var hops []int
-	cur := src
-	cx, cy := cur%m.w, cur/m.w
-	dx, dy := dst%m.w, dst/m.w
-	for cx != dx {
-		if cx < dx {
-			hops = append(hops, cur*int(numDirs)+int(East))
-			cx++
-		} else {
-			hops = append(hops, cur*int(numDirs)+int(West))
-			cx--
+	x, y := src%m.w, src/m.w
+	// walk moves coordinate *c one hop at a time to target, recording
+	// each hop from the node it leaves.
+	walk := func(c *int, target int, up, down Dir) {
+		for *c != target {
+			d, step := up, 1
+			if *c > target {
+				d, step = down, -1
+			}
+			hops = append(hops, (y*m.w+x)*int(numDirs)+int(d))
+			*c += step
 		}
-		cur = cy*m.w + cx
 	}
-	for cy != dy {
-		if cy < dy {
-			hops = append(hops, cur*int(numDirs)+int(North))
-			cy++
-		} else {
-			hops = append(hops, cur*int(numDirs)+int(South))
-			cy--
-		}
-		cur = cy*m.w + cx
+	if yFirst {
+		walk(&y, dst/m.w, North, South)
 	}
+	walk(&x, dst%m.w, East, West)
+	walk(&y, dst/m.w, North, South)
 	return hops
 }
 
@@ -318,12 +286,6 @@ func (m *Mesh) AppendPathStages(buf []sim.Stage, src, dst, bytes int) []sim.Stag
 		buf[lo].Forward += stall
 	}
 	return buf
-}
-
-// PathStages returns the stages as a fresh slice. Prefer AppendPathStages
-// on hot paths.
-func (m *Mesh) PathStages(src, dst, bytes int) []sim.Stage {
-	return m.AppendPathStages(make([]sim.Stage, 0, m.Hops(src, dst)+2), src, dst, bytes)
 }
 
 // Transit reserves the path for a message of `bytes` from src to dst

@@ -18,7 +18,7 @@ func TestRouteLengthMatchesManhattanDistance(t *testing.T) {
 	_, m, _ := newTestMesh()
 	for src := 0; src < m.Nodes(); src++ {
 		for dst := 0; dst < m.Nodes(); dst++ {
-			route := m.Route(src, dst)
+			route := m.route(src, dst, false)
 			if len(route) != m.Hops(src, dst) {
 				t.Fatalf("route %d->%d has %d hops, want %d",
 					src, dst, len(route), m.Hops(src, dst))
@@ -29,7 +29,7 @@ func TestRouteLengthMatchesManhattanDistance(t *testing.T) {
 
 func TestRouteSelfIsEmpty(t *testing.T) {
 	_, m, _ := newTestMesh()
-	if len(m.Route(3, 3)) != 0 {
+	if len(m.route(3, 3, false)) != 0 {
 		t.Fatal("self route not empty")
 	}
 	if m.Hops(3, 3) != 0 {
@@ -44,7 +44,7 @@ func TestRouteOutOfRangePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	m.Route(0, 99)
+	m.route(0, 99, false)
 }
 
 func TestHops4x2Corners(t *testing.T) {
@@ -65,7 +65,7 @@ func TestTransitUncontendedLatency(t *testing.T) {
 	_, m, cfg := newTestMesh()
 	// 0 -> 1 is one hop: inject + link + eject pipelined.
 	// Cut-through: 2 forward latencies + occupancy.
-	occupy := cfg.PageNetTime()
+	occupy := param.TransferPcycles(int64(cfg.PageSize), cfg.NetMBs)
 	arrive := m.Transit(0, 0, 1, cfg.PageSize)
 	want := 2*cfg.HopLatency + occupy
 	if arrive != want {
@@ -93,8 +93,8 @@ func TestTransitContentionSerializesSharedLink(t *testing.T) {
 	}
 	// Sharing the whole path, the second transfer is delayed by at least
 	// one full occupancy.
-	if a2-a1 < cfg.PageNetTime() {
-		t.Fatalf("second delayed only %d, want >= %d", a2-a1, cfg.PageNetTime())
+	if occupy := param.TransferPcycles(int64(cfg.PageSize), cfg.NetMBs); a2-a1 < occupy {
+		t.Fatalf("second delayed only %d, want >= %d", a2-a1, occupy)
 	}
 }
 

@@ -56,11 +56,6 @@ type NamedTrace struct {
 	Trace *Trace
 }
 
-// WriteChrome exports a single trace as Chrome trace-event JSON.
-func (t *Trace) WriteChrome(w io.Writer, processName string) error {
-	return WriteChromeMulti(w, []NamedTrace{{Name: processName, Trace: t}})
-}
-
 // WriteChromeMulti exports several traces into one file, one pid each,
 // in slice order. Nil traces are skipped.
 func WriteChromeMulti(w io.Writer, traces []NamedTrace) error {
@@ -124,7 +119,7 @@ func WriteChromeMulti(w io.Writer, traces []NamedTrace) error {
 // pcycle.
 const maxNSPerTick = 1e9
 
-// ReadChrome decodes a file produced by WriteChrome/WriteChromeMulti
+// ReadChrome decodes a file produced by WriteChromeMulti
 // back into per-process traces, in pid order. Spans and instants are
 // restored exactly from the pc/dpc/page args; events written by other
 // tools (without those args) fall back to rounding the microsecond

@@ -21,7 +21,7 @@ func TestChromeRoundTrip(t *testing.T) {
 	tr.Instant(3, "disk.nack", 123457, 7)
 
 	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf, "nwsim"); err != nil {
+	if err := WriteChromeMulti(&buf, []NamedTrace{{"nwsim", tr}}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadChrome(&buf)
@@ -41,8 +41,8 @@ func TestChromeRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(rt.Instants(), tr.Instants()) {
 		t.Fatalf("instants round-trip mismatch:\n got %+v\nwant %+v", rt.Instants(), tr.Instants())
 	}
-	if rt.TrackName(0) != "cpu0" || rt.TrackName(3) != "disk@2" {
-		t.Fatalf("track names lost: %q %q", rt.TrackName(0), rt.TrackName(3))
+	if rt.tracks[0] != "cpu0" || rt.tracks[3] != "disk@2" {
+		t.Fatalf("track names lost: %q %q", rt.tracks[0], rt.tracks[3])
 	}
 }
 
@@ -79,7 +79,7 @@ func TestChromeFormatShape(t *testing.T) {
 	tr.SetTrack(0, "cpu0")
 	tr.Span(0, "op", 200, 400, 0) // 200 pcycles @5ns = 1 µs
 	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf, "p"); err != nil {
+	if err := WriteChromeMulti(&buf, []NamedTrace{{"p", tr}}); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -157,7 +157,7 @@ func FuzzReadChrome(f *testing.F) {
 	tr.Span(0, "fault.ring", 4300, 13653, 92)
 	tr.Instant(16, "ring.insert", 4100, 92)
 	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf, "nwsim mg/nwcache/optimal"); err != nil {
+	if err := WriteChromeMulti(&buf, []NamedTrace{{"nwsim mg/nwcache/optimal", tr}}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())

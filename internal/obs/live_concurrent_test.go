@@ -24,15 +24,15 @@ const wideCols = 64
 // puts every counter and gauge of the registry at tick i.
 func wideReg() (*Registry, func(i int64)) {
 	reg, c, g, _ := sampleReg()
-	ws := make([]*Gauge, wideCols)
+	ws := make([]*TimeGauge, wideCols)
 	for k := range ws {
-		ws[k] = reg.Root().Scope("w").Gauge(fmt.Sprintf("g%02d", k))
+		ws[k] = reg.Root().Scope("w").TimeGauge(fmt.Sprintf("g%02d", k))
 	}
 	return reg, func(i int64) {
 		c.Inc()
-		g.Set(i)
+		g.Set(i, i)
 		for _, w := range ws {
-			w.Set(i)
+			w.Set(i, i)
 		}
 	}
 }

@@ -17,7 +17,7 @@ func TestPublishFrames(t *testing.T) {
 		t.Fatal("frame before first tick")
 	}
 	c.Inc()
-	g.Set(7)
+	g.Set(10, 7)
 	s.Tick(10)
 	f := view.Load()
 	if f == nil {
@@ -32,7 +32,7 @@ func TestPublishFrames(t *testing.T) {
 	if _, ok := f.Get("no.such"); ok {
 		t.Fatal("Get on unknown name succeeded")
 	}
-	g.Set(9)
+	g.Set(20, 9)
 	s.Tick(20)
 	f2 := view.Load()
 	if f2.Seq != 2 || f2.Now != 20 {
@@ -81,7 +81,7 @@ func startTestServer(t *testing.T) (*LiveServer, string, *Sampler) {
 	set := &LiveSet{}
 	set.Add(s.Publish("em3d/nwcache/optimal"))
 	c.Add(3)
-	g.Set(5)
+	g.Set(10, 5)
 	h.Observe(100)
 	s.Tick(10)
 	srv, err := StartLiveServer("127.0.0.1:0", set)

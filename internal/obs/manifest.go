@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash"
 	"io"
-	"os"
 )
 
 // Manifest is the JSON record of one tool invocation: enough to rerun it
@@ -52,19 +51,6 @@ func (m *Manifest) Write(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(m)
-}
-
-// WriteFile writes the manifest to path.
-func (m *Manifest) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := m.Write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // ReadManifest decodes a manifest from r.

@@ -1,8 +1,9 @@
 // Package obs is the simulator's observability layer: a hierarchical
-// metrics registry (counters, gauges, simulated-time-weighted gauges,
-// log2 histograms), span-style event tracing on the simulated clock with
-// Chrome trace-event export, and run manifests that make two runs
-// diffable (params + seed + metric snapshot + determinism digest).
+// metrics registry (counters, simulated-time-weighted gauges, log2
+// histograms, probed counters and gauges), span-style event tracing on
+// the simulated clock with Chrome trace-event export, and run manifests
+// that make two runs diffable (params + seed + metric snapshot +
+// determinism digest).
 //
 // Design constraints, in order:
 //
@@ -58,45 +59,6 @@ func (c *Counter) Value() uint64 {
 		return 0
 	}
 	return c.n
-}
-
-// Gauge is an instantaneous level with a recorded peak. A nil *Gauge
-// ignores updates.
-type Gauge struct{ v, peak int64 }
-
-// Set replaces the level.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v = v
-	if v > g.peak {
-		g.peak = v
-	}
-}
-
-// Add moves the level by d (d may be negative).
-func (g *Gauge) Add(d int64) {
-	if g == nil {
-		return
-	}
-	g.Set(g.v + d)
-}
-
-// Value returns the current level.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
-}
-
-// Peak returns the highest level ever set.
-func (g *Gauge) Peak() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.peak
 }
 
 // TimeGauge is a level integrated over simulated time: Set(now, v)
@@ -278,7 +240,6 @@ type probe struct {
 type Registry struct {
 	kinds    map[string]string
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	tgauges  map[string]*TimeGauge
 	hists    map[string]*Histogram
 	probes   map[string]probe
@@ -289,7 +250,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		kinds:    make(map[string]string),
 		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
 		tgauges:  make(map[string]*TimeGauge),
 		hists:    make(map[string]*Histogram),
 		probes:   make(map[string]probe),
@@ -351,18 +311,6 @@ func (s *Scope) Counter(name string) *Counter {
 		s.r.counters[n] = &Counter{}
 	}
 	return s.r.counters[n]
-}
-
-// Gauge returns (creating on first use) the gauge `name`. Nil-safe.
-func (s *Scope) Gauge(name string) *Gauge {
-	if s == nil {
-		return nil
-	}
-	n := s.full(name)
-	if s.r.claim(n, "gauge") {
-		s.r.gauges[n] = &Gauge{}
-	}
-	return s.r.gauges[n]
 }
 
 // TimeGauge returns (creating on first use) the time-weighted gauge
@@ -432,7 +380,7 @@ type MetricValue struct {
 	Kind string `json:"kind"`
 
 	Value int64 `json:"value,omitempty"` // counter count / gauge level
-	Peak  int64 `json:"peak,omitempty"`  // gauge & timegauge
+	Peak  int64 `json:"peak,omitempty"`  // timegauge
 
 	Count int64 `json:"count,omitempty"` // histogram samples
 	Sum   int64 `json:"sum,omitempty"`
@@ -458,9 +406,6 @@ func (r *Registry) Snapshot() Snapshot {
 	out := make(Snapshot, 0, len(r.kinds))
 	for name, c := range r.counters {
 		out = append(out, MetricValue{Name: name, Kind: "counter", Value: int64(c.n)})
-	}
-	for name, g := range r.gauges {
-		out = append(out, MetricValue{Name: name, Kind: "gauge", Value: g.v, Peak: g.peak})
 	}
 	for name, g := range r.tgauges {
 		span := int64(0)
@@ -566,10 +511,7 @@ func (m *MetricValue) fold(mv *MetricValue) {
 	switch mv.Kind {
 	case "counter":
 		m.Value += mv.Value
-	case "gauge":
-		m.Value = max(m.Value, mv.Value)
-		m.Peak = max(m.Peak, mv.Peak)
-	case "timegauge":
+	case "gauge", "timegauge":
 		m.Value = max(m.Value, mv.Value)
 		m.Peak = max(m.Peak, mv.Peak)
 		m.Integral += mv.Integral

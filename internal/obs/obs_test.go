@@ -12,7 +12,6 @@ import (
 func TestNilHandlesAreNoOps(t *testing.T) {
 	var (
 		c  *Counter
-		g  *Gauge
 		tg *TimeGauge
 		h  *Histogram
 		tr *Trace
@@ -20,14 +19,12 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	)
 	c.Inc()
 	c.Add(7)
-	g.Set(3)
-	g.Add(-1)
 	tg.Set(10, 4)
 	h.Observe(123)
 	tr.Span(0, "x", 1, 2, 0)
 	tr.Instant(0, "y", 3, 0)
 	tr.SetTrack(0, "cpu0")
-	if c.Value() != 0 || g.Value() != 0 || tg.Value() != 0 || h.Count() != 0 || tr.Len() != 0 {
+	if c.Value() != 0 || tg.Value() != 0 || h.Count() != 0 || tr.Len() != 0 {
 		t.Fatal("nil handles must read as zero")
 	}
 	if r.Snapshot() != nil || r.Root() != nil {
@@ -50,13 +47,11 @@ func TestLiveHandlesZeroAlloc(t *testing.T) {
 	r := NewRegistry()
 	sc := r.Root().Scope("disk")
 	c := sc.Counter("reads")
-	g := sc.Gauge("queue")
 	tg := sc.TimeGauge("dirty")
 	h := sc.Histogram("lat")
 	now := int64(0)
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Inc()
-		g.Set(3)
 		now += 10
 		tg.Set(now, 2)
 		h.Observe(now)
@@ -89,10 +84,10 @@ func TestCrossKindCollisionPanics(t *testing.T) {
 	sc.Counter("x")
 	defer func() {
 		if recover() == nil {
-			t.Fatal("registering x as both counter and gauge must panic")
+			t.Fatal("registering x as both counter and histogram must panic")
 		}
 	}()
-	sc.Gauge("x")
+	sc.Histogram("x")
 }
 
 func TestTimeGaugeIntegration(t *testing.T) {
@@ -130,7 +125,7 @@ func TestSnapshotDeterministicAndSorted(t *testing.T) {
 		r := NewRegistry()
 		root := r.Root()
 		root.Scope("z").Counter("c").Add(1)
-		root.Scope("a").Gauge("g").Set(2)
+		root.Scope("a").TimeGauge("g").Set(0, 2)
 		root.Scope("m").Histogram("h").Observe(9)
 		root.Scope("p").ProbeCounter("n", func() int64 { return 42 })
 		root.Scope("p").ProbeGauge("lvl", func() int64 { return -3 })
@@ -158,9 +153,9 @@ func TestSnapshotMerge(t *testing.T) {
 		r := NewRegistry()
 		root := r.Root()
 		root.Counter("c").Add(uint64(c))
-		g := root.Gauge("g")
-		g.Set(gp)
-		g.Set(gv)
+		g := root.TimeGauge("g")
+		g.Set(0, gp)
+		g.Set(1, gv)
 		root.Histogram("h").Observe(hv)
 		return r.Snapshot()
 	}
@@ -228,12 +223,9 @@ func TestNilTraceReadsEmpty(t *testing.T) {
 	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Spans() != nil || tr.Instants() != nil {
 		t.Fatal("nil trace not empty")
 	}
-	if tr.TrackName(1) != "" {
-		t.Fatal("nil trace has a track name")
-	}
 	var buf strings.Builder
-	if err := tr.WriteChrome(&buf, "none"); err != nil {
-		t.Fatalf("WriteChrome on nil trace: %v", err)
+	if err := WriteChromeMulti(&buf, []NamedTrace{{"none", tr}}); err != nil {
+		t.Fatalf("WriteChromeMulti on nil trace: %v", err)
 	}
 	if strings.Contains(buf.String(), `"fault"`) {
 		t.Fatalf("nil trace exported an event: %s", buf.String())

@@ -61,7 +61,7 @@ type Sampler struct {
 }
 
 // NewSampler builds a sampler over every metric currently registered in
-// reg: counters, gauges and time-weighted gauges sample their level,
+// reg: counters and time-weighted gauges sample their level,
 // probes their pulled value, and histograms expand into three columns
 // (.count, .p50, .p99). Call after all wiring (machine.Observe) so the
 // namespace is complete. interval is the tick period in pcycles the
@@ -119,9 +119,6 @@ func newSampler(reg *Registry, interval int64) *Sampler {
 		case "counter":
 			c := reg.counters[name]
 			add(name, "counter", func() float64 { return float64(c.n) })
-		case "gauge":
-			g := reg.gauges[name]
-			add(name, "gauge", func() float64 { return float64(g.v) })
 		case "timegauge":
 			g := reg.tgauges[name]
 			add(name, "gauge", func() float64 { return float64(g.v) })

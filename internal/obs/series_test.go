@@ -8,11 +8,11 @@ import (
 
 // sampleReg builds a registry with one metric of each sampled kind and
 // returns the handles for driving them.
-func sampleReg() (*Registry, *Counter, *Gauge, *Histogram) {
+func sampleReg() (*Registry, *Counter, *TimeGauge, *Histogram) {
 	reg := NewRegistry()
 	root := reg.Root()
 	c := root.Scope("a").Counter("events")
-	g := root.Scope("a").Gauge("level")
+	g := root.Scope("a").TimeGauge("level")
 	h := root.Scope("b").Histogram("lat")
 	return reg, c, g, h
 }
@@ -22,7 +22,7 @@ func TestSamplerRecordsColumns(t *testing.T) {
 	s := NewSampler(reg, 10, 0)
 	for i := int64(1); i <= 3; i++ {
 		c.Add(uint64(i))
-		g.Set(i * 5)
+		g.Set(i*10, i*5)
 		h.Observe(i * 100)
 		s.Tick(i * 10)
 	}
@@ -125,7 +125,7 @@ func TestSamplerDeterministic(t *testing.T) {
 		s := NewSampler(reg, 10, 16)
 		for i := int64(1); i <= 200; i++ {
 			c.Add(uint64(i % 7))
-			g.Set(i % 13)
+			g.Set(i*10, i%13)
 			h.Observe(i * 3)
 			s.Tick(i * 10)
 		}
@@ -163,7 +163,7 @@ func TestSamplerTickZeroAlloc(t *testing.T) {
 		allocs := testing.AllocsPerRun(500, func() {
 			now++
 			c.Inc()
-			g.Set(now)
+			g.Set(now, now)
 			h.Observe(now)
 			tc.s.Tick(now)
 		})
@@ -195,7 +195,7 @@ func TestLiveSamplerRecordsNothing(t *testing.T) {
 		}
 	}
 	for i := int64(1); i <= 3; i++ {
-		g.Set(i)
+		g.Set(i*10, i)
 		s.Tick(i * 10)
 	}
 	if s.Len() != 0 || s.Export("run") != nil {
@@ -215,7 +215,7 @@ func TestLiveSamplerRecordsNothing(t *testing.T) {
 func BenchmarkSamplerTickLive(b *testing.B) {
 	reg, c, g, h := sampleReg()
 	for i := 0; i < 32; i++ {
-		reg.Root().Scope("w").Gauge(fmt.Sprintf("g%02d", i)).Set(int64(i))
+		reg.Root().Scope("w").TimeGauge(fmt.Sprintf("g%02d", i)).Set(0, int64(i))
 	}
 	s := NewSampler(reg, 1, 0)
 	s.Publish("bench")
@@ -224,7 +224,7 @@ func BenchmarkSamplerTickLive(b *testing.B) {
 	for i := 1; i <= b.N; i++ {
 		now := int64(i)
 		c.Inc()
-		g.Set(now)
+		g.Set(now, now)
 		h.Observe(now)
 		s.Tick(now)
 	}

@@ -112,11 +112,3 @@ func (t *Trace) Len() int {
 	}
 	return len(t.spans) + len(t.instants)
 }
-
-// TrackName returns the registered name for a track ("" if unnamed).
-func (t *Trace) TrackName(track int) string {
-	if t == nil {
-		return ""
-	}
-	return t.tracks[track]
-}

@@ -183,9 +183,6 @@ func (f *Iface) SetTrace(tr *obs.Trace, track int) {
 // SetFaults attaches a fault injector (nil restores perfect fiber).
 func (f *Iface) SetFaults(inj *fault.Injector) { f.flt = inj }
 
-// PendingOn returns the FIFO depth for a channel.
-func (f *Iface) PendingOn(ch int) int { return f.fifos[ch].len() }
-
 // Pending returns the total queued notices.
 func (f *Iface) Pending() int {
 	t := 0

@@ -50,7 +50,7 @@ func TestDrainCopiesInSwapOutOrder(t *testing.T) {
 		en := r.Insert(1, PageID(100+i))
 		f.Notify(en.Ref())
 		if i++; i < 4 {
-			e.After(10, swap)
+			e.At(e.Now()+10, swap)
 		}
 	}
 	e.At(0, swap)
@@ -141,7 +141,7 @@ func TestDrainStopsWhenDiskFull(t *testing.T) {
 	})
 	// Give the drain loop ample time, then observe it stalled at the
 	// disk's capacity.
-	e.At(100*r.RoundTrip(), func() {
+	e.At(100*r.roundTrip, func() {
 		installedAtCheckpoint = len(d.installed)
 		pendingAtCheckpoint = f.Pending()
 		acksAtCheckpoint = len(*acks)
@@ -171,7 +171,7 @@ func TestCancelDropsNoticeAndACKs(t *testing.T) {
 	e.At(0, func() {
 		en := r.Insert(4, 77)
 		f.Notify(en.Ref())
-		e.After(100, func() {
+		e.At(e.Now()+100, func() {
 			// Victim read claims the page off the ring.
 			en.State = Claimed
 			e.At(r.SnoopDone(en, 4, e.Now()), func() { f.Cancel(en.Ref()) })
@@ -204,7 +204,7 @@ func TestClaimedEntrySkippedByDrain(t *testing.T) {
 		f.Notify(en1.Ref())
 		f.Notify(en2.Ref())
 		// Finish the victim read.
-		e.After(2*r.RoundTrip(), func() { f.Cancel(en1.Ref()) })
+		e.At(e.Now()+2*r.roundTrip, func() { f.Cancel(en1.Ref()) })
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -275,9 +275,9 @@ func TestPendingCounts(t *testing.T) {
 		f.Notify(r.Insert(1, 10).Ref())
 		f.Notify(r.Insert(1, 11).Ref())
 		f.Notify(r.Insert(5, 50).Ref())
-		if f.PendingOn(1) != 2 || f.PendingOn(5) != 1 || f.Pending() != 3 {
+		if f.fifos[1].len() != 2 || f.fifos[5].len() != 1 || f.Pending() != 3 {
 			t.Errorf("pending counts: ch1=%d ch5=%d total=%d",
-				f.PendingOn(1), f.PendingOn(5), f.Pending())
+				f.fifos[1].len(), f.fifos[5].len(), f.Pending())
 		}
 	})
 	if err := e.Run(); err != nil {
@@ -305,8 +305,8 @@ func TestStaleNoticeAfterReuse(t *testing.T) {
 		}
 		f.Notify(reused.Ref())
 		f.Notify(stale) // the late notice for page 100
-		if f.PendingOn(5) != 1 || f.PendingOn(1) != 1 {
-			t.Errorf("pending ch1=%d ch5=%d, want 1 and 1", f.PendingOn(1), f.PendingOn(5))
+		if f.fifos[5].len() != 1 || f.fifos[1].len() != 1 {
+			t.Errorf("pending ch1=%d ch5=%d, want 1 and 1", f.fifos[1].len(), f.fifos[5].len())
 		}
 		live := 0
 		for i := range f.fifos {
@@ -319,7 +319,7 @@ func TestStaleNoticeAfterReuse(t *testing.T) {
 		if live != 1 {
 			t.Errorf("%d queued notices name a page on the ring, want 1 (page 200 queued twice)", live)
 		}
-		e.After(10, func() { d.room = 10; f.Kick() })
+		e.At(e.Now()+10, func() { d.room = 10; f.Kick() })
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)

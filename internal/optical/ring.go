@@ -173,18 +173,8 @@ func New(e *sim.Engine, cfg param.Config) *Ring {
 // Channels returns the total channel count.
 func (r *Ring) Channels() int { return len(r.channels) }
 
-// ChannelOf returns node n's first writable channel (the paper's
-// one-channel-per-node view).
-func (r *Ring) ChannelOf(n int) *Channel { return r.channels[r.owned[n][0]] }
-
-// OwnedChannels returns the indices of the channels node n can write.
-func (r *Ring) OwnedChannels(n int) []int { return r.owned[n] }
-
 // Channel returns channel i.
 func (r *Ring) Channel(i int) *Channel { return r.channels[i] }
-
-// RoundTrip returns the ring's circulation period.
-func (r *Ring) RoundTrip() int64 { return r.roundTrip }
 
 // HasRoomFor reports whether any of node's channels can take a page.
 func (r *Ring) HasRoomFor(node int) bool {

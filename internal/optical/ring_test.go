@@ -16,7 +16,7 @@ func newRing() (*sim.Engine, *Ring, param.Config) {
 
 func TestChannelCapacity(t *testing.T) {
 	_, r, cfg := newRing()
-	ch := r.ChannelOf(0)
+	ch := r.Channel(r.owned[0][0])
 	for i := 0; i < cfg.RingSlotsPerChannel(); i++ {
 		if !ch.HasRoom() {
 			t.Fatalf("channel full after %d inserts, capacity %d", i, cfg.RingSlotsPerChannel())
@@ -44,11 +44,11 @@ func TestInsertOverflowPanics(t *testing.T) {
 func TestReleaseFreesSlot(t *testing.T) {
 	_, r, _ := newRing()
 	en := r.Insert(3, 42)
-	if r.ChannelOf(3).Used() != 1 {
+	if r.Channel(r.owned[3][0]).Used() != 1 {
 		t.Fatal("used != 1")
 	}
 	r.Release(en)
-	if r.ChannelOf(3).Used() != 0 {
+	if r.Channel(r.owned[3][0]).Used() != 0 {
 		t.Fatal("slot not freed")
 	}
 	r.Release(en) // idempotent
@@ -81,8 +81,8 @@ func TestNextPassAtInsertionPoint(t *testing.T) {
 		t.Fatalf("first pass %d, want %d", got, en.InsertedAt)
 	}
 	later := en.InsertedAt + 1
-	if got := r.NextPass(en, 0, later); got != en.InsertedAt+r.RoundTrip() {
-		t.Fatalf("second pass %d, want %d", got, en.InsertedAt+r.RoundTrip())
+	if got := r.NextPass(en, 0, later); got != en.InsertedAt+r.roundTrip {
+		t.Fatalf("second pass %d, want %d", got, en.InsertedAt+r.roundTrip)
 	}
 }
 
@@ -165,9 +165,8 @@ func TestCapacityIndependentOfMemorySizes(t *testing.T) {
 	cfg.MemPerNode = 1024 * 1024
 	r := New(e, cfg)
 	total := 0
-	for i := 0; i < cfg.Nodes; i++ {
-		total += cfg.RingSlotsPerChannel()
-		_ = r.ChannelOf(i)
+	for i := 0; i < r.Channels(); i++ {
+		total += r.Channel(i).slots
 	}
 	if total*cfg.PageSize != 512*1024 {
 		t.Fatalf("ring capacity %d bytes, want 512KB", total*cfg.PageSize)
@@ -182,7 +181,7 @@ func TestMultiChannelOTDMExtension(t *testing.T) {
 	if r.Channels() != 16 {
 		t.Fatalf("channels %d", r.Channels())
 	}
-	owned := r.OwnedChannels(3)
+	owned := r.owned[3]
 	if len(owned) != 2 {
 		t.Fatalf("node 3 owns %v, want 2 channels", owned)
 	}
@@ -219,7 +218,7 @@ func TestMultiChannelFindAcrossOwnedChannels(t *testing.T) {
 		r.Insert(2, PageID(i))
 	}
 	en := r.Insert(2, 999) // lands on second owned channel
-	if en.Channel == r.OwnedChannels(2)[0] {
+	if en.Channel == r.owned[2][0] {
 		t.Fatal("insert did not spill to the second channel")
 	}
 	if r.FindOnChannel(2, 999) != en {

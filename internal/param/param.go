@@ -189,9 +189,6 @@ func (c Config) RingSlotsPerChannel() int { return c.RingChanBytes / c.PageSize 
 // DiskCacheSlots returns the number of page slots in the controller cache.
 func (c Config) DiskCacheSlots() int { return c.DiskCacheBytes / c.PageSize }
 
-// PageNetTime returns the pcycles a page occupies one mesh link.
-func (c Config) PageNetTime() int64 { return TransferPcycles(int64(c.PageSize), c.NetMBs) }
-
 // PageMemBusTime returns the pcycles a page occupies a memory bus.
 func (c Config) PageMemBusTime() int64 { return TransferPcycles(int64(c.PageSize), c.MemBusMBs) }
 

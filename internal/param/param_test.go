@@ -40,7 +40,7 @@ func TestTransferTimesMatchTable1Rates(t *testing.T) {
 	}{
 		{"memory bus 4KB @800MB/s", c.PageMemBusTime(), 1024},
 		{"I/O bus 4KB @300MB/s", c.PageIOBusTime(), 2731},
-		{"net link 4KB @200MB/s", c.PageNetTime(), 4096},
+		{"net link 4KB @200MB/s", TransferPcycles(int64(c.PageSize), c.NetMBs), 4096},
 		{"disk 4KB @20MB/s", c.PageDiskTime(), 40960},
 		{"ring 4KB @1250MB/s", c.PageRingTime(), 656},
 	}

@@ -34,9 +34,6 @@ func New(cfg param.Config) *Layout {
 // IONodes returns the node ids hosting disks, in disk-index order.
 func (l *Layout) IONodes() []int { return append([]int(nil), l.ioNodes...) }
 
-// NumDisks returns the disk count.
-func (l *Layout) NumDisks() int { return len(l.ioNodes) }
-
 // DiskFor returns the disk index storing the given virtual page.
 func (l *Layout) DiskFor(page int64) int {
 	if page < 0 {

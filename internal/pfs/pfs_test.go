@@ -9,8 +9,8 @@ import (
 
 func TestGroupsRoundRobinAcrossDisks(t *testing.T) {
 	l := New(param.Default())
-	if l.NumDisks() != 4 {
-		t.Fatalf("disks %d, want 4", l.NumDisks())
+	if len(l.ioNodes) != 4 {
+		t.Fatalf("disks %d, want 4", len(l.ioNodes))
 	}
 	// Pages 0..31 on disk 0, 32..63 on disk 1, ..., 128..159 wrap to disk 0.
 	for p := int64(0); p < 32; p++ {

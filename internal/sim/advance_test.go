@@ -59,7 +59,7 @@ func advanceScenario(e *Engine, seed int64, inline bool) *[]mark {
 				*log = append(*log, mark{name, e.Now(), e.Dispatched()})
 			}
 			if k < len(g) {
-				e.After(g[k], step)
+				e.At(e.Now()+g[k], step)
 				k++
 			}
 		}

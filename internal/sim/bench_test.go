@@ -13,10 +13,10 @@ func BenchmarkAt(b *testing.B) {
 	step = func() {
 		if n < b.N {
 			n++
-			e.After(1, step)
+			e.At(e.Now()+1, step)
 		}
 	}
-	e.After(1, step)
+	e.At(e.Now()+1, step)
 	b.ResetTimer()
 	if err := e.Run(); err != nil {
 		b.Fatal(err)
@@ -60,7 +60,7 @@ func BenchmarkUnparkStorm(b *testing.B) {
 	wake = func() {
 		if wakes++; wakes <= b.N {
 			c.Signal()
-			e.After(1, wake)
+			e.At(e.Now()+1, wake)
 		}
 	}
 	c.WaitThen(wait)

@@ -5,7 +5,7 @@
 // sequence number) order, so that simulations are fully reproducible:
 // events scheduled for the same instant fire in scheduling order.
 //
-// Every actor is a chain of callbacks: a step scheduled with At/After
+// Every actor is a chain of callbacks: a step scheduled with At
 // runs, and it waits by handing its next step to the engine or to a
 // primitive — a Cond, Semaphore, Mutex or Barrier (WaitThen, ArriveThen)
 // or a Server (AcquireThen) — which schedules that step at the instant
@@ -365,9 +365,6 @@ func (e *Engine) drive() {
 // A scheduled event always fires: an actor that changes its mind checks
 // its own state when the step runs.
 func (e *Engine) At(t Time, fn func()) { e.schedule(t, fn) }
-
-// After schedules fn to run d pcycles from now. Negative d panics.
-func (e *Engine) After(d Time, fn func()) { e.schedule(e.now+d, fn) }
 
 // Pending reports the number of scheduled events that have not fired.
 func (e *Engine) Pending() int { return e.pending }

@@ -45,20 +45,6 @@ func TestSameTimeEventsFireInScheduleOrder(t *testing.T) {
 	}
 }
 
-func TestAfterSchedulesRelative(t *testing.T) {
-	e := New()
-	var at Time
-	e.At(10, func() {
-		e.After(5, func() { at = e.Now() })
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if at != 15 {
-		t.Fatalf("After fired at %d, want 15", at)
-	}
-}
-
 func TestSchedulingInPastPanics(t *testing.T) {
 	e := New()
 	e.At(10, func() {
@@ -120,9 +106,9 @@ func TestProcSleepAdvancesTime(t *testing.T) {
 	mark := func() { marks = append(marks, e.Now()) }
 	e.At(0, func() {
 		mark()
-		e.After(100, func() {
+		e.At(e.Now()+100, func() {
 			mark()
-			e.After(0, mark)
+			e.At(e.Now()+0, mark)
 		})
 	})
 	if err := e.Run(); err != nil {
@@ -149,7 +135,7 @@ func TestProcsInterleaveDeterministically(t *testing.T) {
 			step = func() {
 				if i++; i <= 3 {
 					log = append(log, name)
-					e.After(10, step)
+					e.At(e.Now()+10, step)
 				}
 			}
 			e.At(0, step)

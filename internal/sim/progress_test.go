@@ -66,7 +66,7 @@ func TestProgressDoesNotPerturbDispatch(t *testing.T) {
 // loop runs a chain that sleeps d between steps forever.
 func loop(e *Engine, d Time) {
 	var step func()
-	step = func() { e.After(d, step) }
+	step = func() { e.At(e.Now()+d, step) }
 	e.At(0, step)
 }
 

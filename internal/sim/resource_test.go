@@ -88,7 +88,7 @@ func TestUtilization(t *testing.T) {
 	e := New()
 	r := NewResource(e, "x")
 	e.At(0, func() {
-		useFor(e, r, 25, func(Time) { e.After(75, func() {}) })
+		useFor(e, r, 25, func(Time) { e.At(e.Now()+75, func() {}) })
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)

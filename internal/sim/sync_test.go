@@ -78,7 +78,7 @@ func TestSemaphoreLimitsConcurrency(t *testing.T) {
 				if inside > maxInside {
 					maxInside = inside
 				}
-				e.After(10, func() {
+				e.At(e.Now()+10, func() {
 					inside--
 					sem.Release()
 				})
@@ -115,7 +115,7 @@ func TestMutexMutualExclusion(t *testing.T) {
 	e.At(0, func() {
 		acquire(&m.s, func() {
 			order = append(order, "a-in")
-			e.After(50, func() {
+			e.At(e.Now()+50, func() {
 				order = append(order, "a-out")
 				m.Unlock()
 			})
@@ -154,7 +154,7 @@ func TestBarrierReleasesTogetherAndIsReusable(t *testing.T) {
 		pass = func() {
 			releases = append(releases, e.Now())
 			if iter++; iter < 3 {
-				e.After(Time(10*(i+1)), arrive) // stagger arrivals
+				e.At(e.Now()+Time(10*(i+1)), arrive) // stagger arrivals
 			}
 		}
 		e.At(Time(10*(i+1)), arrive)
@@ -221,7 +221,7 @@ func TestSemaphorePermitConservationProperty(t *testing.T) {
 					return
 				}
 				acquire(sem, func() {
-					e.After(3, func() {
+					e.At(e.Now()+3, func() {
 						sem.Release()
 						round()
 					})

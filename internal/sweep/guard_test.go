@@ -345,6 +345,40 @@ func TestRunnerResumeByteIdenticalUnderChaos(t *testing.T) {
 	}
 }
 
+// The shard and merged manifests are written through the filesystem
+// seam under the retry budget: an ENOSPC on either write is retried, and
+// the merged artifacts stay byte-identical to a clean sweep's.
+func TestManifestWritesRideTheFSSeam(t *testing.T) {
+	s := runnerSpec(t)
+	ref, dir := t.TempDir(), t.TempDir()
+	runSweep(t, s, ref, 1, 0)
+	refND, refMan, _ := MergedPaths(ref)
+	gotND, gotMan, _ := MergedPaths(dir)
+
+	// Each chaos FS is scoped to one manifest file, so its first write
+	// is the one that fails.
+	plan := mustChaos(t, "write enospc from=1 until=2")
+	shardFS := guard.NewChaosFS(nil, plan, 1, filepath.Join(dir, "shard-0of1.manifest.json"))
+	if _, err := (&Runner{Spec: s, Shards: 1, Dir: dir, FS: shardFS, Retry: chaosRetrier(1)}).Run(); err != nil {
+		t.Fatal(err)
+	}
+	mergeFS := guard.NewChaosFS(nil, plan, 2, gotMan)
+	if _, err := MergeOn(mergeFS, chaosRetrier(2), s, dir, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	for name, fsys := range map[string]*guard.ChaosFS{"shard": shardFS, "merged": mergeFS} {
+		if n := fsys.Stats().ENOSPCs; n != 1 {
+			t.Errorf("%s manifest write saw %d injected faults, want 1", name, n)
+		}
+	}
+	if !bytes.Equal(readFileT(t, refND), readFileT(t, gotND)) {
+		t.Fatal("merged NDJSON differs after a faulted manifest write")
+	}
+	if !bytes.Equal(readFileT(t, refMan), readFileT(t, gotMan)) {
+		t.Fatal("merged manifest differs after a faulted manifest write")
+	}
+}
+
 // Draining stops cell admission at the next boundary: in-flight cells
 // checkpoint, Run reports ErrIncomplete, and a later run resumes to
 // completion.

@@ -11,7 +11,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"nwcache/internal/core"
@@ -248,17 +247,15 @@ func (r *Runner) Run() (Summary, error) {
 	}
 	emit(obs.Event{Type: obs.EventShardStart, Key: r.Spec.Digest()})
 
-	// Per-key observability captures for fresh runs: the Obs hook fires
-	// once per executed simulation; memoized duplicates share the entry.
-	var (
-		obsMu   sync.Mutex
-		obsByKy = map[string]*obsCapture{}
-	)
-	observe := func(key string, c core.Cell, m *machine.Machine) {
+	// observe fills a fresh cell's capture: the Obs hook fires once per
+	// executed simulation, on the pool worker, before the cell's future
+	// completes. Spec.Validate keeps the grid's cells unique, so no two
+	// pending cells share a simulation (and its one hook call).
+	observe := func(oc *obsCapture, c core.Cell, m *machine.Machine) {
 		if r.Sabotage != nil && r.Sabotage(c) {
 			panic(fmt.Sprintf("sweep: sabotaged cell %s", c.Label()))
 		}
-		oc := &obsCapture{reg: obs.NewRegistry()}
+		oc.reg = obs.NewRegistry()
 		m.Observe(oc.reg, nil)
 		liveRun := fmt.Sprintf("%s seed=%d", c.Label(), c.Cfg.Seed)
 		if r.Spec.SeriesInterval > 0 {
@@ -278,9 +275,6 @@ func (r *Runner) Run() (Summary, error) {
 			r.Live.Add(view)
 			m.StartSampler(live)
 		}
-		obsMu.Lock()
-		obsByKy[key] = oc
-		obsMu.Unlock()
 	}
 
 	// Bounded submission window: enough in-flight cells to keep the
@@ -297,6 +291,7 @@ func (r *Runner) Run() (Summary, error) {
 		cell  core.Cell
 		key   string
 		probe *sim.Progress
+		oc    *obsCapture // filled by observe; read once the future is done
 		start time.Time
 		idx   int
 		rec   *Record // the settled record; nil for a quarantined cell
@@ -311,9 +306,6 @@ func (r *Runner) Run() (Summary, error) {
 	poison := func(p *pending, reason string) error {
 		sum.Poisoned++
 		processed++
-		obsMu.Lock()
-		delete(obsByKy, p.key)
-		obsMu.Unlock()
 		emit(obs.Event{Type: obs.EventCellPoisoned, Cell: p.cell.Label(), Idx: p.idx, Reason: reason})
 		return state.AppendPoison(p.key, reason, time.Since(p.start).Nanoseconds())
 	}
@@ -357,13 +349,9 @@ func (r *Runner) Run() (Summary, error) {
 			}
 			return fmt.Errorf("sweep: cell %s: %w", p.cell.Label(), err)
 		}
-		obsMu.Lock()
-		oc := obsByKy[p.key]
-		delete(obsByKy, p.key)
-		obsMu.Unlock()
 		var snap obs.Snapshot
 		var series []obs.SeriesData
-		if oc != nil {
+		if oc := p.oc; oc.reg != nil {
 			snap = oc.reg.Snapshot()
 			series = oc.smp.Export("")
 		}
@@ -457,7 +445,8 @@ func (r *Runner) Run() (Summary, error) {
 			out.discard()
 			return nil
 		}
-		c.Obs = func(c core.Cell, m *machine.Machine) { observe(key, c, m) }
+		oc := new(obsCapture)
+		c.Obs = func(c core.Cell, m *machine.Machine) { observe(oc, c, m) }
 		var probe *sim.Progress
 		if r.Guard.Enabled() {
 			// One probe per submission, attached to every supervised
@@ -471,7 +460,7 @@ func (r *Runner) Run() (Summary, error) {
 			freshBudget--
 		}
 		emit(obs.Event{Type: obs.EventCellStart, Cell: c.Label(), Idx: idx})
-		inflight = append(inflight, pending{fut: fut, cell: c, key: key, probe: probe, start: time.Now(), idx: idx})
+		inflight = append(inflight, pending{fut: fut, cell: c, key: key, probe: probe, oc: oc, start: time.Now(), idx: idx})
 		return advance(window)
 	})
 	if err == nil {
@@ -500,7 +489,7 @@ func (r *Runner) Run() (Summary, error) {
 	}
 	man.WallNS = time.Since(start).Nanoseconds()
 	man.CreatedAt = time.Now().UTC().Format(time.RFC3339)
-	if err := man.WriteFile(r.manifestPath()); err != nil {
+	if err := guard.WriteFileOn(fsys, retry, r.manifestPath(), man.Write); err != nil {
 		return sum, err
 	}
 	emit(obs.Event{Type: obs.EventShardDone, Key: r.Spec.Digest(), Reason: "complete"})
@@ -617,7 +606,7 @@ func Merge(spec *Spec, dir string, shards int, out io.Writer) (int, error) {
 }
 
 // MergeOn is Merge through an explicit filesystem and retry budget:
-// shard reads and merged writes go through fsys (nil: the real OS)
+// shard reads and every merged write go through fsys (nil: the real OS)
 // with transient faults retried under retry (nil: one attempt), so an
 // EINTR blip mid-merge degrades instead of failing the whole merge.
 func MergeOn(fsys guard.FS, retry *guard.Retrier, spec *Spec, dir string, shards int, out io.Writer) (int, error) {
@@ -744,7 +733,7 @@ func MergeOn(fsys guard.FS, retry *guard.Retrier, spec *Spec, dir string, shards
 	if err != nil {
 		return cells, err
 	}
-	if err := man.WriteFile(manifestPath); err != nil {
+	if err := guard.WriteFileOn(fsys, retry, manifestPath, man.Write); err != nil {
 		return cells, err
 	}
 
@@ -758,15 +747,9 @@ func MergeOn(fsys guard.FS, retry *guard.Retrier, spec *Spec, dir string, shards
 		for _, name := range names {
 			series = append(series, seriesByName[name])
 		}
-		sf, err := fsys.Create(seriesPath)
-		if err != nil {
-			return cells, err
-		}
-		err = obs.WriteSeriesNDJSON(&guard.RetryWriter{W: sf, R: retry}, series)
-		if cerr := sf.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		if err := guard.WriteFileOn(fsys, retry, seriesPath, func(w io.Writer) error {
+			return obs.WriteSeriesNDJSON(w, series)
+		}); err != nil {
 			return cells, err
 		}
 	}

@@ -349,6 +349,19 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("sweep: unknown application %q (have %v)", app, core.Apps())
 		}
 	}
+	// A repeated value would enumerate one cell twice under one key, and
+	// the runner simulates and observes a key once: the second copy would
+	// carry no metrics into the cache entry both copies share.
+	faults := make([]string, len(s.Faults))
+	for i, v := range s.Faults {
+		faults[i] = "fault " + v.render()
+	}
+	for _, dup := range []string{repeated(s.Apps), repeated(s.Kinds), repeated(s.Modes),
+		repeated(s.Seeds), repeated(faults)} {
+		if dup != "" {
+			return fmt.Errorf("sweep: %s is listed twice", dup)
+		}
+	}
 	base := core.DefaultConfig()
 	base.Scale = s.Scale
 	// Param axes are applied via a JSON round-trip so any Config field
@@ -389,9 +402,37 @@ func (s *Spec) Validate() error {
 			}
 		}
 	}
+	// Param values are compared as the configurations they produce, so
+	// "2" and "2.0" of a float field are one value.
 	s.base = base
+	combo := make([]int, len(s.Params))
+	for k, ax := range s.Params {
+		cfgs := make([]param.Config, len(ax.Values))
+		for i := range ax.Values {
+			combo[k] = i
+			if cfgs[i], _, err = s.cellConfig(base.Seed, combo); err != nil {
+				return err
+			}
+		}
+		combo[k] = 0
+		if repeated(cfgs) != "" {
+			return fmt.Errorf("sweep: param %s lists one value twice", ax.Field)
+		}
+	}
 	s.ok = true
 	return nil
+}
+
+// repeated renders the first value of vs that occurs twice, or "".
+func repeated[T comparable](vs []T) string {
+	seen := make(map[T]bool, len(vs))
+	for _, v := range vs {
+		if seen[v] {
+			return fmt.Sprint(v)
+		}
+		seen[v] = true
+	}
+	return ""
 }
 
 // configFields returns the JSON object form of a config.

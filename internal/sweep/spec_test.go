@@ -315,6 +315,34 @@ func TestParseSpecRejectsBadAxes(t *testing.T) {
 	}
 }
 
+// A value repeated on any axis would enumerate one cell twice (one key,
+// so the second copy is a memo hit with no metrics that overwrites the
+// first's cache entry): the spec is rejected, param and fault values
+// compared after parsing.
+func TestParseSpecRejectsRepeatedValues(t *testing.T) {
+	for _, tc := range []struct {
+		name, text, want string
+	}{
+		{"app", "apps sor,gauss,sor\n", "sor is listed twice"},
+		{"kind", "kinds nwcache,nwcache\n", "nwcache is listed twice"},
+		{"mode", "modes naive,optimal,naive\n", "naive is listed twice"},
+		{"seed", "seeds 3,1,3\n", "3 is listed twice"},
+		{"param", "param MinFreeFrames 2,8,2\n", "MinFreeFrames lists one value twice"},
+		{"param after parsing", "param MemBusMBs 400,400.0\n", "MemBusMBs lists one value twice"},
+		{"tuple", "param MeshW/MeshH 4/2,2/4,4/2\n", "MeshW/MeshH lists one value twice"},
+		{"fault", "fault none\nfault recovery=conservative\nfault none\n", "fault none is listed twice"},
+		{"fault after parsing", "fault seed=2 recovery=conservative\nfault recovery=conservative  seed=2\n", "is listed twice"},
+	} {
+		_, err := ParseSpec(tc.text)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: ParseSpec(%q) error = %v, want it to mention %q", tc.name, tc.text, err, tc.want)
+		}
+	}
+	if _, err := ParseSpec("param MemBusMBs 400,400.5\nfault none\nfault recovery=conservative\n"); err != nil {
+		t.Fatalf("distinct values rejected: %v", err)
+	}
+}
+
 func TestPivotColumnsFollowGridOrder(t *testing.T) {
 	s, err := ParseSpec("apps gauss,fft\nkinds standard,nwcache\nmodes naive\nseeds 1..2\nscale 0.05\n" +
 		"param MeshW/MeshH 4/2,2/4\nparam DCD false\n")

@@ -52,7 +52,7 @@ func TestEntryLockMutualExclusion(t *testing.T) {
 	e.At(0, func() {
 		lock(func() {
 			order = append(order, "a")
-			e.After(100, en.Lock.Unlock)
+			e.At(e.Now()+100, en.Lock.Unlock)
 		})
 	})
 	e.At(1, func() {
@@ -156,7 +156,7 @@ func TestFrameFreedWakesNoFreeStall(t *testing.T) {
 	e.At(0, func() {
 		f.Alloc(1)
 		f.Alloc(2)
-		e.After(500, func() { f.Remove(1) })
+		e.At(e.Now()+500, func() { f.Remove(1) })
 	})
 	var stalled func()
 	stalled = func() {
@@ -320,7 +320,7 @@ func TestUnreserveWakesNoFreeStall(t *testing.T) {
 	e.At(0, func() {
 		f.Reserve()
 		f.Reserve()
-		e.After(100, f.Unreserve)
+		e.At(e.Now()+100, f.Unreserve)
 	})
 	var stalled func()
 	stalled = func() {

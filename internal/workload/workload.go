@@ -57,11 +57,6 @@ func (s *Space) Alloc(name string, bytes int64) Arr {
 // Pages returns the total pages allocated so far.
 func (s *Space) Pages() int64 { return int64(s.next) }
 
-// PageAt returns the virtual page containing byte offset off.
-func (a Arr) PageAt(off int64) PageID {
-	return a.Base + off/PageSize
-}
-
 // Pages returns the page span of the array.
 func (a Arr) Pages() int64 { return (a.Bytes + PageSize - 1) / PageSize }
 

@@ -143,15 +143,6 @@ func TestSpaceAllocSequentialNonOverlapping(t *testing.T) {
 	}
 }
 
-func TestArrPageAt(t *testing.T) {
-	var sp Space
-	sp.Alloc("pad", 2*PageSize)
-	a := sp.Alloc("a", 4*PageSize)
-	if a.PageAt(0) != 2 || a.PageAt(PageSize) != 3 || a.PageAt(4*PageSize-1) != 5 {
-		t.Fatal("PageAt arithmetic wrong")
-	}
-}
-
 func TestTouchRangeOutOfBoundsPanics(t *testing.T) {
 	cfg := testCfg()
 	m, err := machine.New(cfg, machine.Standard, disk.Naive)
