@@ -20,10 +20,12 @@ import (
 	"nwcache/internal/disk"
 	"nwcache/internal/machine"
 	"nwcache/internal/mesh"
+	"nwcache/internal/obs"
 	"nwcache/internal/optical"
 	"nwcache/internal/param"
 	"nwcache/internal/sim"
 	"nwcache/internal/stats"
+	"nwcache/internal/sweep"
 )
 
 // benchScale reads the workload scale for benchmarks.
@@ -372,6 +374,34 @@ func BenchmarkPageFault(b *testing.B) {
 	if _, err := m.Run(prog); err != nil {
 		b.Fatal(err)
 	}
+}
+
+// BenchmarkObserveCell measures the observation wiring of one sweep
+// cell, as the sweep runner attaches it to a service-grid cell (an
+// NWCache machine at scale 0.05): Machine.Observe into a fresh registry,
+// a published live-only sampler over it, and the one Snapshot the cell's
+// record carries. The machine is built outside the timer.
+func BenchmarkObserveCell(b *testing.B) {
+	cfg := nwcache.ApplyPaperMinFree(nwcache.DefaultConfig(), nwcache.NWCache, nwcache.Naive)
+	cfg.Scale = 0.05
+	b.ReportAllocs()
+	var metrics int
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		m, err := machine.New(cfg, machine.NWCache, disk.Naive)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		reg := obs.NewRegistry()
+		m.Observe(reg, nil)
+		smp, view := obs.NewLiveSampler(reg, sweep.DefaultLiveInterval, "gauss/nwcache/naive seed=1")
+		if smp == nil || view == nil {
+			b.Fatal("no live sampler")
+		}
+		metrics = len(reg.Snapshot())
+	}
+	b.ReportMetric(float64(metrics), "metrics")
 }
 
 // BenchmarkMeshTransit measures network reservation cost.

@@ -1,8 +1,6 @@
 package machine
 
 import (
-	"math/rand"
-
 	"nwcache/internal/sim"
 	"nwcache/internal/stats"
 )
@@ -31,8 +29,6 @@ type Ctx struct {
 	m           *Machine
 	n           *Node
 	proc, procs int
-	seed        int64      // this thread's PRNG seed
-	rng         *rand.Rand // built from seed on the first Rand call
 	cpu
 
 	// The thread's coroutine (thread.go).
@@ -46,22 +42,21 @@ type Ctx struct {
 	rec func(OpEvent) // non-nil: recording mode, no simulation
 }
 
-// newCtx returns thread proc's context with its PRNG seed derived from
-// the configuration seed. Machine.Run and NewRecordingCtx both build on
-// it, so a recorded program draws exactly the stream a simulated one does.
-func newCtx(proc, procs int, seed int64) *Ctx {
-	return &Ctx{proc: proc, procs: procs, seed: seed + int64(proc)*1_000_003}
+// newCtx returns thread proc's context. Machine.Run and NewRecordingCtx
+// both build on it.
+func newCtx(proc, procs int) *Ctx {
+	return &Ctx{proc: proc, procs: procs}
 }
 
 // NewRecordingCtx returns a Ctx that records operations instead of
 // simulating them: each call to Compute/Touch/Barrier/... forwards one
-// OpEvent to sink and returns immediately. The PRNG stream is seeded
-// exactly as Machine.Run seeds thread proc's, so a program replayed from
-// the recording makes identical random choices. Now and Machine panic in
-// this mode — a recordable program must be time-oblivious (the premise
-// of record/replay; see workload.Record).
-func NewRecordingCtx(proc, procs int, seed int64, sink func(OpEvent)) *Ctx {
-	c := newCtx(proc, procs, seed)
+// OpEvent to sink and returns immediately. The seed is not read: a
+// program that needs randomness owns a PRNG seeded from its constructor
+// arguments, so its stream is the same recorded or simulated. Now and
+// Machine panic in this mode — a recordable program must be
+// time-oblivious (the premise of record/replay; see workload.Record).
+func NewRecordingCtx(proc, procs int, _ int64, sink func(OpEvent)) *Ctx {
+	c := newCtx(proc, procs)
 	c.rec = sink
 	return c
 }
@@ -71,15 +66,6 @@ func (c *Ctx) Proc() int { return c.proc }
 
 // Procs returns the number of application threads (== nodes).
 func (c *Ctx) Procs() int { return c.procs }
-
-// Rand returns this thread's deterministic PRNG. The source (~5 KB) is
-// built on the first call, so a program that draws nothing pays nothing.
-func (c *Ctx) Rand() *rand.Rand {
-	if c.rng == nil {
-		c.rng = rand.New(rand.NewSource(c.seed))
-	}
-	return c.rng
-}
 
 // Now returns the current simulation time, once the queued operations
 // have run.

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
@@ -261,7 +262,7 @@ func TestTLBChargesAppear(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	prog := func() Program {
 		return &testProg{name: "det", pages: 40, fn: func(ctx *Ctx, proc int) {
-			rng := ctx.Rand()
+			rng := rand.New(rand.NewSource(int64(proc)*1_000_003 + 1))
 			for i := 0; i < 60; i++ {
 				pg := PageID(rng.Intn(40))
 				if rng.Intn(2) == 0 {
@@ -455,9 +456,6 @@ func TestCtxAccessorsAndLocks(t *testing.T) {
 			sawNow = ctx.Now()
 			if ctx.Machine() != m {
 				t.Error("Machine() returned wrong machine")
-			}
-			if ctx.Rand() == nil {
-				t.Error("Rand() nil")
 			}
 		}
 		// Locks serialize a shared counter across procs.

@@ -80,7 +80,7 @@ func (m *Machine) Run(prog Program) (*Result, error) {
 	}
 	threads := make([]*Ctx, procs)
 	for i := range threads {
-		c := newCtx(i, procs, m.Cfg.Seed)
+		c := newCtx(i, procs)
 		c.bind(m, m.Nodes[i])
 		c.start(prog)
 		threads[i] = c

@@ -113,12 +113,8 @@ func (s *Sampler) Publish(run string) *LiveView {
 	v := &LiveView{
 		vals:  make([]atomic.Uint64, len(s.cols)),
 		run:   run,
-		names: make([]string, len(s.cols)),
-		kinds: make([]string, len(s.cols)),
-	}
-	for i := range s.cols {
-		v.names[i] = s.cols[i].name
-		v.kinds[i] = s.cols[i].kind
+		names: s.names,
+		kinds: s.kinds,
 	}
 	s.live = v
 	return v

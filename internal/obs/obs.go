@@ -229,7 +229,8 @@ type probe struct {
 // Scopes; names are dot-joined paths ("disk6.dirty_slots"). Get-or-create
 // semantics let several emitters share one metric (e.g. every node's
 // frame pool incrementing the same "vm.reserve" counter); registering a
-// name under two different kinds panics, naming the wiring bug.
+// name under two different kinds panics, naming the wiring bug. A name's
+// kind is the typed map that holds it.
 //
 // Snapshot (and Sampler column) order is a pure function of the set of
 // registered names — bytewise sort of the fully qualified name — never of
@@ -238,7 +239,6 @@ type probe struct {
 // differently depending on which subsystem wired first; see
 // TestSnapshotOrderIndependentOfRegistration.
 type Registry struct {
-	kinds    map[string]string
 	counters map[string]*Counter
 	tgauges  map[string]*TimeGauge
 	hists    map[string]*Histogram
@@ -248,7 +248,6 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		kinds:    make(map[string]string),
 		counters: make(map[string]*Counter),
 		tgauges:  make(map[string]*TimeGauge),
 		hists:    make(map[string]*Histogram),
@@ -266,16 +265,25 @@ func (r *Registry) Root() *Scope {
 	return &Scope{r: r}
 }
 
-// claim records name under kind, panicking on a cross-kind collision.
-func (r *Registry) claim(name, kind string) (fresh bool) {
-	if prev, ok := r.kinds[name]; ok {
-		if prev != kind {
-			panic(fmt.Sprintf("obs: metric %q registered as both %s and %s", name, prev, kind))
+// claim panics when name is already registered: the caller has checked
+// its own kind's map, so a name found here is held by another kind.
+func (r *Registry) claim(name, kind string) {
+	prev := ""
+	if _, ok := r.counters[name]; ok {
+		prev = "counter"
+	} else if _, ok := r.tgauges[name]; ok {
+		prev = "timegauge"
+	} else if _, ok := r.hists[name]; ok {
+		prev = "histogram"
+	} else if p, ok := r.probes[name]; ok {
+		prev = "probe-gauge"
+		if p.counter {
+			prev = "probe-counter"
 		}
-		return false
 	}
-	r.kinds[name] = kind
-	return true
+	if prev != "" {
+		panic(fmt.Sprintf("obs: metric %q registered as both %s and %s", name, prev, kind))
+	}
 }
 
 // Scope is a named sub-tree of the metric namespace.
@@ -307,10 +315,13 @@ func (s *Scope) Counter(name string) *Counter {
 		return nil
 	}
 	n := s.full(name)
-	if s.r.claim(n, "counter") {
-		s.r.counters[n] = &Counter{}
+	c, ok := s.r.counters[n]
+	if !ok {
+		s.r.claim(n, "counter")
+		c = &Counter{}
+		s.r.counters[n] = c
 	}
-	return s.r.counters[n]
+	return c
 }
 
 // TimeGauge returns (creating on first use) the time-weighted gauge
@@ -320,10 +331,13 @@ func (s *Scope) TimeGauge(name string) *TimeGauge {
 		return nil
 	}
 	n := s.full(name)
-	if s.r.claim(n, "timegauge") {
-		s.r.tgauges[n] = &TimeGauge{}
+	g, ok := s.r.tgauges[n]
+	if !ok {
+		s.r.claim(n, "timegauge")
+		g = &TimeGauge{}
+		s.r.tgauges[n] = g
 	}
-	return s.r.tgauges[n]
+	return g
 }
 
 // Histogram returns (creating on first use) the histogram `name`.
@@ -333,10 +347,13 @@ func (s *Scope) Histogram(name string) *Histogram {
 		return nil
 	}
 	n := s.full(name)
-	if s.r.claim(n, "histogram") {
-		s.r.hists[n] = &Histogram{}
+	h, ok := s.r.hists[n]
+	if !ok {
+		s.r.claim(n, "histogram")
+		h = &Histogram{}
+		s.r.hists[n] = h
 	}
-	return s.r.hists[n]
+	return h
 }
 
 // ProbeCounter registers fn as a lazily evaluated monotone count,
@@ -360,10 +377,16 @@ func (s *Scope) addProbe(name string, fn func() int64, counter bool) {
 	if counter {
 		kind = "probe-counter"
 	}
-	if !s.r.claim(n, kind) {
+	if _, ok := s.r.probes[n]; ok {
 		panic(fmt.Sprintf("obs: probe %q registered twice", n))
 	}
+	s.r.claim(n, kind)
 	s.r.probes[n] = probe{counter: counter, fn: fn}
+}
+
+// size returns the number of registered names.
+func (r *Registry) size() int {
+	return len(r.counters) + len(r.tgauges) + len(r.hists) + len(r.probes)
 }
 
 // Bucket is one occupied histogram bucket: Lo is the bucket's lower
@@ -403,7 +426,7 @@ func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return nil
 	}
-	out := make(Snapshot, 0, len(r.kinds))
+	out := make(Snapshot, 0, r.size())
 	for name, c := range r.counters {
 		out = append(out, MetricValue{Name: name, Kind: "counter", Value: int64(c.n)})
 	}

@@ -78,16 +78,33 @@ func TestScopeNamesAndSharing(t *testing.T) {
 	}
 }
 
+// A name's kind is the typed map that holds it: registering a name
+// under a second kind panics for every pair of kinds, and so does a
+// second probe of the same name, while a second live handle of the same
+// kind is the shared one.
 func TestCrossKindCollisionPanics(t *testing.T) {
-	r := NewRegistry()
-	sc := r.Root()
-	sc.Counter("x")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("registering x as both counter and histogram must panic")
+	register := map[string]func(*Scope){
+		"counter":       func(sc *Scope) { sc.Counter("x") },
+		"timegauge":     func(sc *Scope) { sc.TimeGauge("x") },
+		"histogram":     func(sc *Scope) { sc.Histogram("x") },
+		"probe-counter": func(sc *Scope) { sc.ProbeCounter("x", func() int64 { return 1 }) },
+		"probe-gauge":   func(sc *Scope) { sc.ProbeGauge("x", func() int64 { return 1 }) },
+	}
+	for first, reg1 := range register {
+		for second, reg2 := range register {
+			sc := NewRegistry().Root()
+			reg1(sc)
+			probe := strings.HasPrefix(first, "probe") || strings.HasPrefix(second, "probe")
+			panicked := func() (p bool) {
+				defer func() { p = recover() != nil }()
+				reg2(sc)
+				return false
+			}()
+			if want := first != second || probe; panicked != want {
+				t.Errorf("registering x as %s then %s: panicked %v, want %v", first, second, panicked, want)
+			}
 		}
-	}()
-	sc.Histogram("x")
+	}
 }
 
 func TestTimeGaugeIntegration(t *testing.T) {

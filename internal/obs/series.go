@@ -35,11 +35,10 @@ import (
 // given cap <= 0.
 const defaultSeriesCap = 512
 
-// seriesCol is one sampled column: a name, a render kind, and a closure
-// reading the live value from the registry's handle.
+// seriesCol is one sampled column: a closure reading the live value
+// from the registry's handle. Its name and render kind sit at the same
+// index of Sampler.names and Sampler.kinds.
 type seriesCol struct {
-	name string
-	kind string // "counter" | "gauge" | "quantile"
 	eval func() float64
 	vals []float64 // parallel to Sampler.times, len n; nil when live-only
 }
@@ -55,6 +54,8 @@ type Sampler struct {
 	times    []int64 // recorded sample times, len n; nil when live-only
 	n        int
 	cols     []seriesCol
+	names    []string  // column names, immutable once built (shared by Publish)
+	kinds    []string  // column render kinds: "counter" | "gauge" | "quantile"
 	row      []float64 // the current tick's value of every column
 
 	live *LiveView // optional; see Publish
@@ -100,34 +101,48 @@ func NewLiveSampler(reg *Registry, interval int64, run string) (*Sampler, *LiveV
 }
 
 // newSampler builds the columns of a sampler over reg, without record
-// buffers.
+// buffers. Every column slice is allocated at its final size: a
+// histogram expands into three columns, every other metric into one.
 func newSampler(reg *Registry, interval int64) *Sampler {
 	if reg == nil {
 		return nil
 	}
-	names := make([]string, 0, len(reg.kinds))
-	for name := range reg.kinds {
+	names := make([]string, 0, reg.size())
+	for name := range reg.counters {
+		names = append(names, name)
+	}
+	for name := range reg.tgauges {
+		names = append(names, name)
+	}
+	for name := range reg.hists {
+		names = append(names, name)
+	}
+	for name := range reg.probes {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	s := &Sampler{interval: interval, stride: 1}
+	n := len(names) + 2*len(reg.hists)
+	s := &Sampler{interval: interval, stride: 1,
+		cols:  make([]seriesCol, 0, n),
+		names: make([]string, 0, n),
+		kinds: make([]string, 0, n),
+		row:   make([]float64, n),
+	}
 	add := func(name, kind string, eval func() float64) {
-		s.cols = append(s.cols, seriesCol{name: name, kind: kind, eval: eval})
+		s.cols = append(s.cols, seriesCol{eval: eval})
+		s.names = append(s.names, name)
+		s.kinds = append(s.kinds, kind)
 	}
 	for _, name := range names {
-		switch reg.kinds[name] {
-		case "counter":
-			c := reg.counters[name]
+		if c, ok := reg.counters[name]; ok {
 			add(name, "counter", func() float64 { return float64(c.n) })
-		case "timegauge":
-			g := reg.tgauges[name]
+		} else if g, ok := reg.tgauges[name]; ok {
 			add(name, "gauge", func() float64 { return float64(g.v) })
-		case "histogram":
-			h := reg.hists[name]
+		} else if h, ok := reg.hists[name]; ok {
 			add(name+".count", "counter", func() float64 { return float64(h.count) })
 			add(name+".p50", "quantile", func() float64 { return float64(h.Quantile(0.50)) })
 			add(name+".p99", "quantile", func() float64 { return float64(h.Quantile(0.99)) })
-		case "probe-counter", "probe-gauge":
+		} else {
 			p := reg.probes[name]
 			kind := "gauge"
 			if p.counter {
@@ -136,7 +151,6 @@ func newSampler(reg *Registry, interval int64) *Sampler {
 			add(name, kind, func() float64 { return float64(p.fn()) })
 		}
 	}
-	s.row = make([]float64, len(s.cols))
 	return s
 }
 
@@ -237,7 +251,7 @@ func (s *Sampler) Export(run string) []SeriesData {
 		for j := 0; j < s.n; j++ {
 			pts[j] = [2]float64{float64(s.times[j]), c.vals[j]}
 		}
-		out = append(out, SeriesData{Run: run, Name: c.name, Kind: c.kind, Points: pts})
+		out = append(out, SeriesData{Run: run, Name: s.names[i], Kind: s.kinds[i], Points: pts})
 	}
 	return out
 }

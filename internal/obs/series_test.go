@@ -189,9 +189,9 @@ func TestLiveSamplerRecordsNothing(t *testing.T) {
 	if s.times != nil {
 		t.Fatal("live-only sampler has a times buffer")
 	}
-	for _, c := range s.cols {
+	for i, c := range s.cols {
 		if c.vals != nil {
-			t.Fatalf("live-only sampler has a record buffer for %s", c.name)
+			t.Fatalf("live-only sampler has a record buffer for %s", s.names[i])
 		}
 	}
 	for i := int64(1); i <= 3; i++ {
@@ -227,6 +227,33 @@ func BenchmarkSamplerTickLive(b *testing.B) {
 		g.Set(now, now)
 		h.Observe(now)
 		s.Tick(now)
+	}
+}
+
+// newSampler allocates its columns at their final size: one per metric
+// and three per histogram, so no column slice regrows while it is built.
+func TestNewSamplerColumnsSizedOnce(t *testing.T) {
+	reg, _, _, _ := sampleReg()
+	root := reg.Root()
+	root.Scope("b").Histogram("svc")
+	root.Scope("p").ProbeCounter("n", func() int64 { return 1 })
+	root.Scope("p").ProbeGauge("lvl", func() int64 { return 2 })
+	s := newSampler(reg, 10)
+	if want := 6 + 2*2; len(s.cols) != want {
+		t.Fatalf("%d columns, want %d", len(s.cols), want)
+	}
+	for _, c := range []struct {
+		name     string
+		len, cap int
+	}{
+		{"cols", len(s.cols), cap(s.cols)},
+		{"names", len(s.names), cap(s.names)},
+		{"kinds", len(s.kinds), cap(s.kinds)},
+		{"row", len(s.row), cap(s.row)},
+	} {
+		if c.len != len(s.cols) || c.cap != c.len {
+			t.Errorf("%s: len %d cap %d, want both %d", c.name, c.len, c.cap, len(s.cols))
+		}
 	}
 }
 

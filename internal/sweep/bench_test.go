@@ -20,7 +20,7 @@ scale 0.05
 
 // benchShard runs the bench grid into a fresh directory and returns its
 // spec, directory and the key of its first cell.
-func benchShard(b *testing.B) (*Spec, string, string) {
+func benchShard(b testing.TB) (*Spec, string, string) {
 	b.Helper()
 	s, err := ParseSpec(benchSpecText)
 	if err != nil {

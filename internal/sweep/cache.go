@@ -153,12 +153,35 @@ func (c *Cache) Get(key string) (*Entry, bool) {
 		return nil, false
 	}
 	var e Entry
+	if n := metricsHint(blob); n > 0 {
+		// Unmarshal appends into the slice it finds, so the metrics are
+		// decoded into one array of their final size, not a doubling one.
+		e.Metrics = make(obs.Snapshot, 0, n)
+	}
 	if err := json.Unmarshal(blob, &e); err != nil || e.Key != key || !e.Verify() {
 		c.count(&c.bad)
 		return nil, false
 	}
 	c.count(&c.hits)
 	return &e, true
+}
+
+// metricsHint counts the metric objects of an encoded entry: each
+// MetricValue encodes as {"name":...}, between the "metrics" key and the
+// "series" key that Record encodes after it. A quote inside a JSON string
+// is escaped, so the key pattern cannot match inside a value. The count
+// is only a capacity: a wrong one costs a regrowth, never a different
+// decode, and 0 (no metrics key) leaves the slice for Unmarshal to build.
+func metricsHint(blob []byte) int {
+	i := bytes.Index(blob, []byte(`"metrics":[`))
+	if i < 0 {
+		return 0
+	}
+	rest := blob[i:]
+	if j := bytes.Index(rest, []byte(`"series":[`)); j >= 0 {
+		rest = rest[:j]
+	}
+	return bytes.Count(rest, []byte(`{"name":`))
 }
 
 // Put writes the entry with verify-then-rename semantics: temp file,

@@ -4,10 +4,13 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"nwcache/internal/core"
 	"nwcache/internal/guard"
+	"nwcache/internal/obs"
 )
 
 func fastCell(seed int64) core.Cell {
@@ -51,6 +54,79 @@ func TestCachePutGetRoundTrip(t *testing.T) {
 	hits, misses, bad, stores := cache.Stats()
 	if hits != 1 || misses != 1 || bad != 0 || stores != 1 {
 		t.Fatalf("Stats = %d/%d/%d/%d, want 1/1/0/1", hits, misses, bad, stores)
+	}
+}
+
+// Get sizes the decoded metrics from a count of the encoded metric
+// objects. The count stops at the series, whose objects also carry a
+// name, and the decode is the same with or without it: a record with
+// metrics and series round-trips exactly, and one without metrics
+// decodes them as nil.
+func TestCacheGetDecodesMetricsExactly(t *testing.T) {
+	reg := obs.NewRegistry()
+	root := reg.Root()
+	root.Scope("a").Counter("events").Add(3)
+	root.Scope("b").Histogram("lat").Observe(100)
+	root.Scope("p").ProbeGauge("lvl", func() int64 { return 7 })
+	smp := obs.NewSampler(reg, 10, 0)
+	smp.Tick(10)
+	metrics, series := reg.Snapshot(), smp.Export("")
+
+	cache, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tc := range []struct {
+		metrics obs.Snapshot
+		series  []obs.SeriesData
+	}{{metrics, series}, {nil, series}, {metrics, nil}} {
+		c := fastCell(int64(i + 1))
+		e := &Entry{Record: NewRecord(c, runCell(t, c), tc.metrics, tc.series)}
+		if err := cache.Put(e); err != nil {
+			t.Fatal(err)
+		}
+		blob, err := os.ReadFile(cache.path(c.Key()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := metricsHint(blob); n != len(tc.metrics) {
+			t.Errorf("case %d: hint %d, want %d metrics", i, n, len(tc.metrics))
+		}
+		got, ok := cache.Get(c.Key())
+		if !ok {
+			t.Fatalf("case %d: stored entry missed", i)
+		}
+		if !reflect.DeepEqual(got.Metrics, tc.metrics) || !reflect.DeepEqual(got.Series, tc.series) {
+			t.Errorf("case %d: decoded metrics %+v series %+v, want %+v and %+v",
+				i, got.Metrics, got.Series, tc.metrics, tc.series)
+		}
+	}
+}
+
+// One Get of a 116-metric cell record decodes into a metrics array
+// sized once. Measured about 29.5 KB per Get; a metrics slice grown by
+// doubling instead reads about 47.8 KB.
+func TestCacheGetAllocBudget(t *testing.T) {
+	_, dir, key := benchShard(t)
+	cache, err := OpenCache(dir + "/cache")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, ok := cache.Get(key)
+	if !ok || len(e.Metrics) != 116 {
+		t.Fatalf("cell record: hit %v, %d metrics, want 116", ok, len(e.Metrics))
+	}
+	const calls, budget = 20, 35 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		if _, ok := cache.Get(key); !ok {
+			t.Fatal("cache miss")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per > budget {
+		t.Fatalf("Get allocates %d bytes per call, budget %d", per, budget)
 	}
 }
 

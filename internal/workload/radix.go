@@ -58,10 +58,12 @@ func (r *Radix) Run(ctx *machine.Ctx, proc int) {
 	lo, hi := int64(loK)*4, int64(hiK)*4
 	// Each processor derives the same scatter pattern per pass from a
 	// deterministic pass-and-proc seeded PRNG, standing in for the key
-	// distribution.
+	// distribution. One source per processor, reseeded each pass: Seed
+	// resets it to exactly the state NewSource builds.
 	src, dst := r.src, r.dst
+	rng := rand.New(rand.NewSource(0))
 	for pass := 0; pass < r.passes; pass++ {
-		rng := rand.New(rand.NewSource(r.seed + int64(pass)*7919 + int64(proc)*104729))
+		rng.Seed(r.seed + int64(pass)*7919 + int64(proc)*104729)
 		// Phase 1: histogram own keys (sequential read sweep).
 		for off := lo; off < hi; off += SubSize {
 			n := min64(SubSize, hi-off)

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Run the hot-path benchmarks and emit a BENCH_*.json snapshot.
 #
-# Usage: scripts/bench.sh [output.json]          (default BENCH_12.json)
+# Usage: scripts/bench.sh [output.json]          (default BENCH_13.json)
 #
 # Benchmarks:
 #   BenchmarkEngineEventThroughput  pooled event schedule/dispatch cycle
@@ -12,6 +12,7 @@
 #   BenchmarkPageFault              one CPU faulting pages in from the ring and the disk cache
 #   BenchmarkRingInsertRelease      optical ring insert + release through the entry free list
 #   BenchmarkMeshTransit            precomputed-route mesh reservation
+#   BenchmarkObserveCell            one sweep cell's observation wiring: Observe, published live sampler, Snapshot
 #   BenchmarkFramePoolTouch         LRU refresh on the per-access path
 #   BenchmarkFramePoolEvict         reserve/adopt/unmap/release cycle
 #   BenchmarkWriteBufferEnqueue     write-buffer push + coalesce scan
@@ -45,7 +46,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_12.json}"
+out="${1:-BENCH_13.json}"
 samples="${NWCACHE_BENCH_SAMPLES:-10}"
 micro_bt="${NWCACHE_BENCHTIME:-300ms}"
 raw="$(mktemp)"
@@ -54,7 +55,7 @@ trap 'rm -f "$raw"' EXIT
 # Micro-benchmarks: GOMAXPROCS=1, N samples each via -count; the awk
 # pass below keeps the minimum per benchmark.
 GOMAXPROCS=1 go test -run '^$' \
-  -bench '^(BenchmarkEngineEventThroughput|BenchmarkProbedEventThroughput|BenchmarkCallbackHandoff|BenchmarkThreadResume|BenchmarkCtxTouch|BenchmarkPageFault|BenchmarkRingInsertRelease|BenchmarkMeshTransit)$' \
+  -bench '^(BenchmarkEngineEventThroughput|BenchmarkProbedEventThroughput|BenchmarkCallbackHandoff|BenchmarkThreadResume|BenchmarkCtxTouch|BenchmarkPageFault|BenchmarkRingInsertRelease|BenchmarkMeshTransit|BenchmarkObserveCell)$' \
   -benchmem -benchtime "$micro_bt" -count "$samples" . | tee "$raw" >&2
 GOMAXPROCS=1 go test -run '^$' \
   -bench '^(BenchmarkFramePoolTouch|BenchmarkFramePoolEvict)$' \
